@@ -50,6 +50,7 @@ from repro.data.tabular import TabularDataset
 from repro.data.transactions import TransactionDataset
 from repro.errors import CheckpointError, FocusError
 from repro.obs import metrics
+from repro.stats.resample_plan import DRAW_SCHEME
 from repro.stream.sketch import PartitionSketch, SupportSketch
 from repro.wire import pack, unpack_partition_sketch, unpack_support_sketch
 
@@ -331,6 +332,16 @@ def _check_fingerprint(
     monitor: Any, saved: dict[str, Any], directory: Path
 ) -> None:
     current = _fingerprint(monitor)
+    # a checkpoint without the key predates versioned draws (scheme 1)
+    scheme = saved.get("draw_scheme", 1)
+    if scheme != DRAW_SCHEME:
+        raise CheckpointError(
+            f"checkpoint was written under bootstrap draw scheme {scheme}, "
+            f"but this engine draws with scheme {DRAW_SCHEME}: its saved "
+            "generator state would resume on a different random stream. "
+            "Restart the stream without this checkpoint",
+            path=str(directory),
+        )
     if current != saved:
         diff = sorted(
             k
@@ -390,6 +401,9 @@ def _restore_windows(
 def _fingerprint(monitor: Any) -> dict[str, Any]:
     inner = monitor.monitor
     return {
+        # the persisted rng state only reproduces the uninterrupted run
+        # under the draw scheme that consumed it
+        "draw_scheme": DRAW_SCHEME,
         "kind": monitor.kind,
         "n_items": monitor.n_items,
         "window_size": monitor.window_size,

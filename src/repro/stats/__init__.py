@@ -6,6 +6,7 @@ from repro.stats.bootstrap import (
     significance_of_statistic,
 )
 from repro.stats.resample_plan import (
+    DRAW_SCHEME,
     CountsResamplePlan,
     LitsResamplePlan,
     PackedLitsResamplePlan,
@@ -36,6 +37,7 @@ from repro.stats.wilcoxon import WilcoxonResult, rank_sum_test
 __all__ = [
     "BootstrapResult",
     "CountsResamplePlan",
+    "DRAW_SCHEME",
     "LitsResamplePlan",
     "PackedLitsResamplePlan",
     "PartitionResamplePlan",

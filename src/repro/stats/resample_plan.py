@@ -33,8 +33,12 @@ Exactness: multiplicities and memberships are small non-negative
 integers, so every partial sum in the products is an integer below the
 float mantissa limit -- replicate counts are *exact*, and feeding them
 through :func:`repro.core.deviation.deviation_from_counts` reproduces
-the per-replicate loop's null values bit for bit under shared draws
-(the property suite pins this).
+the per-replicate loop's null values bit for bit under shared draws.
+The row-level plans also draw their multiplicities from the exact
+generator stream the loop consumes (:func:`draw_multiplicities`), so
+their null equals
+:func:`repro.stats.bootstrap.significance_of_statistic`'s under the
+same seed, not just under shared draws (the property suite pins both).
 
 Reproducibility: every draw goes through the caller's
 ``numpy.random.Generator``. Passing neither ``rng`` nor ``seed`` falls
@@ -75,10 +79,19 @@ if TYPE_CHECKING:
 #: stay far below 2**53).
 _FLOAT32_EXACT_ROWS = 1 << 24
 
-#: Cap on the transient multiplicity-draw matrix (int64 bytes). Beyond
-#: it, replicates are drawn and counted in chunks -- numpy's generator
-#: draws are sequential, so chunked draws consume the identical stream
-#: (pinned by test) and same-seed results never depend on the cap.
+#: Version of the row-multiplicity draw, part of the seed contract: a
+#: seeded count-space null reproduces only under the same scheme, so
+#: monitor checkpoints record it and refuse to resume across a change.
+#: Scheme 1 drew one ``rng.multinomial`` per side; scheme 2 draws the
+#: ``(B, n1 + n2)`` row-pick matrix (:func:`draw_multiplicities`), the
+#: stream the per-replicate loop oracle consumes.
+DRAW_SCHEME = 2
+
+#: Cap on the transient draw state per replicate chunk: the int64 pick
+#: matrix plus the stacked multiplicity rows. Beyond it, replicates are
+#: drawn and counted in chunks -- numpy's generator draws are
+#: sequential, so chunked draws consume the identical stream (pinned by
+#: test) and same-seed results never depend on the cap.
 _MAX_DRAW_BYTES = 1 << 28  # 256 MiB
 
 #: Cap on the dense lits membership matrix (float32 bytes). A pool
@@ -141,36 +154,70 @@ def _resolve_rng(
 
 
 def draw_multiplicities(
-    n_rows: int, n_sample: int, n_boot: int, rng: np.random.Generator
+    n_rows: int,
+    n_sample: int | Sequence[int],
+    n_boot: int,
+    rng: np.random.Generator,
+    dtype: type[np.signedinteger[Any]] = np.int64,
 ) -> np.ndarray:
-    """``(n_boot, n_rows)`` multiplicity vectors of with-replacement draws.
+    """Multiplicity vectors of ``n_boot`` with-replacement resamples.
 
-    Sampling ``n_sample`` rows uniformly with replacement and counting
-    how often each row was picked is exactly a multinomial draw with
-    equal cell probabilities -- the count-space equivalent of
-    :func:`repro.data.sampling.bootstrap_pair`'s index draw.
+    Each replicate picks its rows uniformly with replacement -- one
+    ``rng.integers(0, n_rows, size=(n_boot, sum(sizes)))`` call, a row
+    of picks per replicate -- and counts how often each pool row was
+    picked (:func:`multiplicities_from_indices`). ``n`` uniform picks
+    counted per row are exactly Multinomial(n, 1/n_rows).
+
+    ``n_sample`` is one sample size, giving ``(n_boot, n_rows)``, or a
+    sequence of side sizes such as a resampled pair ``(n1, n2)``. Each
+    replicate's pick row then holds the sides' picks back to back, and
+    the result stacks the sides side-major, ``(len(sizes) * n_boot,
+    n_rows)``. That layout consumes the generator exactly as
+    :func:`repro.data.sampling.bootstrap_pair` does replicate by
+    replicate, so a count-space null equals the per-replicate loop's
+    under the same seed (:data:`DRAW_SCHEME` 2). Drawing the replicates
+    in consecutive chunks consumes the same stream as one call.
     """
+    sizes = (
+        [int(n_sample)] if isinstance(n_sample, (int, np.integer))
+        else [int(n) for n in n_sample]
+    )
     if n_rows < 1:
         raise InvalidParameterError("cannot resample from an empty pool")
-    if n_sample < 0 or n_boot < 0:
+    if n_boot < 0 or any(n < 0 for n in sizes):
         raise InvalidParameterError("n_sample and n_boot must be >= 0")
-    return rng.multinomial(n_sample, np.full(n_rows, 1.0 / n_rows), size=n_boot)
+    picks = rng.integers(0, n_rows, size=(n_boot, sum(sizes)))
+    out = np.empty((len(sizes) * n_boot, n_rows), dtype=dtype)
+    start = 0
+    for side, size in enumerate(sizes):
+        out[side * n_boot : (side + 1) * n_boot] = multiplicities_from_indices(
+            picks[:, start : start + size], n_rows
+        )
+        start += size
+    return out
 
 
 def multiplicities_from_indices(indices: np.ndarray, n_rows: int) -> np.ndarray:
     """Row-index draws ``(B, k)`` -> multiplicity vectors ``(B, n_rows)``.
 
-    The bridge between the per-replicate loop oracle (which materialises
+    One offset ``bincount`` over all replicates: replicate ``b``'s picks
+    are shifted into bins ``[b * n_rows, (b + 1) * n_rows)``. This is
+    the counting half of :func:`draw_multiplicities`, and the bridge
+    between the per-replicate loop oracle (which materialises
     ``pooled.take(indices[b])``) and the count-space engine: feeding
     both the same index draws must produce bit-identical nulls.
     """
     indices = np.asarray(indices)
     if indices.ndim != 2:
         raise InvalidParameterError("indices must be a (n_boot, k) matrix")
-    out = np.zeros((indices.shape[0], n_rows), dtype=np.int64)
-    for b in range(indices.shape[0]):
-        out[b] = np.bincount(indices[b], minlength=n_rows)
-    return out
+    if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
+        raise InvalidParameterError(f"indices must lie in [0, {n_rows})")
+    n_boot = indices.shape[0]
+    offsets = np.arange(n_boot, dtype=np.int64)[:, None] * n_rows
+    counts = np.bincount(
+        (indices + offsets).ravel(), minlength=n_boot * n_rows
+    )
+    return counts.reshape(n_boot, n_rows)
 
 
 def lits_membership(structure: LitsStructure, index: object) -> np.ndarray:
@@ -440,7 +487,12 @@ class ResamplePlan(ABC):
 
 
 class RowResamplePlan(ResamplePlan):
-    """A plan holding per-row state: replicates are multiplicity draws."""
+    """A plan holding per-row state: replicates are multiplicity draws.
+
+    Replicate ``b`` picks ``n1`` pool rows for side 1 and then ``n2``
+    for side 2 (:func:`draw_multiplicities`), so under the same seed the
+    null equals the per-replicate loop oracle's value for value.
+    """
 
     def _replicate_count_pairs(
         self,
@@ -449,47 +501,30 @@ class RowResamplePlan(ResamplePlan):
         executor: ExecutorLike,
         n_blocks: int,
     ) -> tuple[np.ndarray, np.ndarray]:
+        # multiplicities are bounded by the side sizes
         dtype = np.int32 if max(self.n1, self.n2) < 2**31 else np.int64
-        rows_per_chunk = max(1, _MAX_DRAW_BYTES // (8 * self.n_pooled))
-        if 2 * n_boot <= rows_per_chunk:
-            # One fan over the stacked draws: counts are computed
-            # row-wise, so stacking changes nothing in the values
-            # (integer-exact) while shipping the compiled state to
-            # pooled workers once per block instead of once per side
-            # per block. The draws land in one preallocated int32
-            # matrix (multiplicities are bounded by the side sizes) --
-            # each side's int64 multinomial temporary is released
-            # before the next draw.
-            stacked_w = np.empty((2 * n_boot, self.n_pooled), dtype=dtype)
-            stacked_w[:n_boot] = draw_multiplicities(
-                self.n_pooled, self.n1, n_boot, rng
-            )
-            stacked_w[n_boot:] = draw_multiplicities(
-                self.n_pooled, self.n2, n_boot, rng
+        # per replicate: its int64 pick row, its two stacked multiplicity
+        # rows, and one side's int64 bincount temporary
+        per_replicate = (16 + 2 * np.dtype(dtype).itemsize) * self.n_pooled
+        chunk = max(1, _MAX_DRAW_BYTES // per_replicate)
+        parts1: list[np.ndarray] = []
+        parts2: list[np.ndarray] = []
+        # Paper-scale pools (millions of rows x many replicates) would
+        # make the draw state multi-GB, so replicates are drawn and
+        # counted in chunks; the stream is the same either way. Each
+        # chunk is one fan over both sides' stacked multiplicities, so
+        # pooled workers receive the compiled state once per block.
+        for start in range(0, n_boot, chunk):
+            b = min(chunk, n_boot - start)
+            stacked_w = draw_multiplicities(
+                self.n_pooled, (self.n1, self.n2), b, rng, dtype=dtype
             )
             stacked = self.replicate_counts(
                 stacked_w, executor=executor, n_blocks=n_blocks
             )
-            return stacked[:n_boot], stacked[n_boot:]
-
-        # Paper-scale pools (millions of rows x many replicates) would
-        # make the stacked matrix multi-GB, so draw and count in
-        # replicate chunks instead: transient memory stays bounded by
-        # the cap and the draw stream is identical (generator draws are
-        # sequential), so same-seed nulls match the unchunked path.
-        def side_counts(n_sample: int) -> np.ndarray:
-            parts = []
-            for start in range(0, n_boot, rows_per_chunk):
-                b = min(rows_per_chunk, n_boot - start)
-                w = draw_multiplicities(self.n_pooled, n_sample, b, rng)
-                parts.append(
-                    self.replicate_counts(
-                        w, executor=executor, n_blocks=n_blocks
-                    )
-                )
-            return np.vstack(parts)
-
-        return side_counts(self.n1), side_counts(self.n2)
+            parts1.append(stacked[:b])
+            parts2.append(stacked[b:])
+        return np.vstack(parts1), np.vstack(parts2)
 
     @abstractmethod
     def replicate_counts(

@@ -58,6 +58,7 @@ from repro.stream.sketch import (
 from repro.stream.windows import (
     ChunkSketcher,
     PartitionChunkSketcher,
+    TransactionChunk,
     TransactionChunkSketcher,
     Window,
     WindowManager,
@@ -73,6 +74,7 @@ __all__ = [
     "SupportSketch",
     "TabularLog",
     "ThreadExecutor",
+    "TransactionChunk",
     "TransactionChunkSketcher",
     "TransactionLog",
     "Window",

@@ -68,7 +68,7 @@ from repro.core.difference import ABSOLUTE, DifferenceFunction
 from repro.core.model import PartitionStructure
 from repro.core.monitor import ChangeMonitor, Observation
 from repro.data.tabular import TabularDataset
-from repro.data.transactions import BitmapIndex, TransactionDataset
+from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.obs import LATENCY_EDGES, metrics
 from repro.stats.resample_plan import (
@@ -561,10 +561,12 @@ class OnlineChangeMonitor:
         region bins. Transaction streams need per-row membership
         because itemset regions overlap: the reference block is
         compiled once per reference, each *chunk*'s block is compiled
-        once when it first appears in a window and cached for as long
-        as it survives the sliding ring, and the plan is assembled from
-        those blocks -- so a window advance costs one membership pass
-        over the entering chunk only, never over surviving rows.
+        once when it first appears in a window -- from the bitmap index
+        the sketcher already built for the chunk, never a second one --
+        and cached for as long as it survives the sliding ring, and the
+        plan is assembled from those blocks -- so a window advance costs
+        one membership pass over the entering chunk only, never over
+        surviving rows.
         """
         monitor = self.monitor
         structure = monitor._reference_model.structure
@@ -591,9 +593,9 @@ class OnlineChangeMonitor:
             key = id(chunk)
             entry = self._chunk_membership.get(key)
             if entry is None or entry[0] is not chunk:
-                assert self.n_items is not None  # transactions kind
+                # the index the sketcher built for this chunk's count
                 membership = lits_membership(
-                    structure, BitmapIndex(chunk, self.n_items)
+                    structure, chunk.index
                 ).astype(np.float32)
                 entry = (chunk, membership)
             surviving[key] = entry

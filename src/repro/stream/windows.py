@@ -42,13 +42,13 @@ from typing import (
 
 from repro._typing import DatasetLike, ExecutorLike, StructureOrPlan
 
-from repro.data.transactions import TransactionDataset
+from repro.data.transactions import BitmapIndex, TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.obs import MetricsRegistry, metrics
 from repro.stream.executor import (
     get_executor,
+    sharded_index_sketch,
     sharded_partition_sketch,
-    sharded_support_sketch,
 )
 from repro.stream.sketch import (
     PartitionSketch,
@@ -97,8 +97,42 @@ class ChunkSketcher(Protocol):
         ...
 
 
+class TransactionChunk(tuple[tuple[int, ...], ...]):
+    """A normalised transaction chunk that carries its bitmap index.
+
+    The index is built on first use -- the sketcher's count -- and then
+    reused by every later reader of the chunk's bits, such as the online
+    monitor's bootstrap membership block. A chunk is therefore
+    bit-indexed once however many consumers read it, and the index
+    lives in the window ring with its chunk and retires with it.
+    """
+
+    n_items: int
+
+    def __new__(
+        cls, rows: Iterable[Iterable[int]], n_items: int
+    ) -> "TransactionChunk":
+        self = super().__new__(cls, (tuple(t) for t in rows))
+        self.n_items = n_items
+        return self
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # rows and universe only: a copy rebuilds its index on demand
+        return (TransactionChunk, (tuple(self), self.n_items))
+
+    @cached_property
+    def index(self) -> BitmapIndex:
+        """The chunk's bitmap index (built once, on first access)."""
+        return BitmapIndex(self, self.n_items)
+
+
 class TransactionChunkSketcher:
-    """Sketch transaction chunks against a fixed itemset collection."""
+    """Sketch transaction chunks against a fixed itemset collection.
+
+    Each chunk is bit-indexed once (:class:`TransactionChunk`) and
+    counted over contiguous row ranges of that one index on the
+    sketcher's executor (:func:`~repro.stream.executor.sharded_index_sketch`).
+    """
 
     kind = "transactions"
 
@@ -125,16 +159,15 @@ class TransactionChunkSketcher:
         if shutdown is not None:
             shutdown()
 
-    def normalize(
-        self, chunk: Sequence[Iterable[int]]
-    ) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(t) for t in chunk)
+    def normalize(self, chunk: Sequence[Iterable[int]]) -> TransactionChunk:
+        if isinstance(chunk, TransactionChunk) and chunk.n_items == self.n_items:
+            return chunk  # re-fed after a reference reset: keep its index
+        return TransactionChunk(chunk, self.n_items)
 
-    def sketch(self, chunk: Sequence[Iterable[int]]) -> SupportSketch:
-        return sharded_support_sketch(
-            chunk,
+    def sketch(self, chunk: TransactionChunk) -> SupportSketch:
+        return sharded_index_sketch(
+            chunk.index,
             self.itemsets,
-            self.n_items,
             n_shards=self.n_shards,
             executor=self.executor,
         )

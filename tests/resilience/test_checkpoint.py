@@ -9,6 +9,7 @@ with a typed :class:`CheckpointError`.
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.mining.tree.builder import TreeParams
 from repro.obs import MetricsRegistry, use_registry
 from repro.resilience import corrupt_checkpoint, has_checkpoint
 from repro.resilience import checkpoint as ckpt
+from repro.stats.resample_plan import DRAW_SCHEME
 from repro.stream.chunks import iter_chunks, iter_tabular_chunks
 from repro.stream.monitor import OnlineChangeMonitor
 
@@ -191,6 +193,29 @@ class TestRefusals:
         wrong = make_monitor(window_size=600, step=300)
         with pytest.raises(CheckpointError, match="step"):
             wrong.resume(tmp_path)
+
+    def test_checkpoint_without_draw_scheme_refuses_to_resume(
+        self, stream, tmp_path
+    ):
+        """A checkpoint written before the draw scheme was versioned
+        holds generator state for the per-side multinomial stream;
+        resuming it under the row-pick draw would silently continue on
+        a different random stream, so it must fail typed instead."""
+        m = make_monitor()
+        m.push(stream[:1_100])
+        manifest_path = m.checkpoint(tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        state_path = tmp_path / manifest["generation"] / "state.json"
+        state = json.loads(state_path.read_text())
+        assert state["config"].pop("draw_scheme") == DRAW_SCHEME
+        # re-commit the legacy state under a valid CRC, as the old
+        # writer would have
+        payload = json.dumps(state).encode()
+        state_path.write_bytes(payload)
+        manifest["state_crc"] = zlib.crc32(payload)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="draw scheme 1"):
+            make_monitor().resume(tmp_path)
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("mode", ["flip", "truncate"])

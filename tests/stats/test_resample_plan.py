@@ -7,14 +7,16 @@ equal bit for bit -- for lits structures (overlapping itemset regions,
 including never-occurring itemsets and the empty itemset), for
 partition structures (disjoint cell x class regions, including empty
 ones), at ``n1 = 1``, at ``B = 1``, under tied deviations, and
-regardless of how replicate blocks are fanned over executors.
+regardless of how replicate blocks are fanned over executors. The
+row-level plans go further: they draw from the stream the loop
+consumes, so their null equals the loop's under the same seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.deviation import deviation_over_structure
@@ -26,6 +28,7 @@ from repro.data.quest_classify import generate_classification
 from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.mining.tree.builder import TreeParams
+from repro.stats.bootstrap import significance_of_statistic
 from repro.stats.resample_plan import (
     CountsResamplePlan,
     LitsResamplePlan,
@@ -287,6 +290,68 @@ class TestPartitionExactEquality:
         assert np.array_equal(counts2, structure.counts(d2))
 
 
+def loop_null_same_seed(structure, d1, d2, n_boot, seed):
+    """The per-replicate loop oracle, drawing from its own seeded rng."""
+    return significance_of_statistic(
+        d1,
+        d2,
+        lambda a, b: deviation_over_structure(structure, a, b).value,
+        n_boot=n_boot,
+        rng=np.random.default_rng(seed),
+    ).null_values
+
+
+class TestSameSeedLoopOracle:
+    """Row-level plans draw the very stream the loop oracle consumes.
+
+    Replicate ``b`` picks ``n1`` and then ``n2`` pool rows, exactly as
+    ``bootstrap_pair`` does, so under the same seed the count-space null
+    equals ``significance_of_statistic``'s value for value -- no shared
+    draws handed over.
+    """
+
+    @given(case=lits_cases())
+    @example(
+        case=(
+            [(0,), (0, 1), (1,)],
+            LitsStructure([frozenset([0]), frozenset([0, 1]), frozenset()]),
+            1,
+            1,
+            3,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dense_and_packed_lits_plans(self, case):
+        txns, structure, n1, n_boot, seed = case
+        pooled = TransactionDataset(txns, N_ITEMS)
+        d1 = pooled.take(np.arange(n1))
+        d2 = pooled.take(np.arange(n1, len(pooled)))
+        loop = loop_null_same_seed(structure, d1, d2, n_boot, seed)
+        dense = LitsResamplePlan.from_datasets(structure, d1, d2)
+        packed = PackedLitsResamplePlan.from_datasets(structure, d1, d2)
+        packed._block_rows = 8  # multi-block streaming past 8 rows
+        for plan in (dense, packed):
+            null = plan.null_deviations(n_boot, np.random.default_rng(seed))
+            assert np.array_equal(null, loop)
+
+    @given(case=partition_cases())
+    @example(case=(12, 1, 1, 5, 1))
+    @settings(max_examples=25, deadline=None)
+    def test_partition_plan(self, case):
+        n, n1, n_boot, seed, function = case
+        pooled = generate_classification(n, function=function, seed=seed)
+        structure = DtModel.fit(
+            pooled, TreeParams(max_depth=3, min_leaf=3)
+        ).structure
+        d1 = pooled.take(np.arange(n1))
+        d2 = pooled.take(np.arange(n1, n))
+        plan = PartitionResamplePlan.from_datasets(structure, d1, d2)
+        null = plan.null_deviations(n_boot, np.random.default_rng(seed))
+        assert np.array_equal(
+            null, loop_null_same_seed(structure, d1, d2, n_boot, seed)
+        )
+
+
 class TestExecutorFannedBlocks:
     """Shard-merge: fanned replicate blocks reproduce the serial null."""
 
@@ -360,6 +425,56 @@ class TestDrawHelpers:
     def test_indices_must_be_2d(self):
         with pytest.raises(InvalidParameterError):
             multiplicities_from_indices(np.array([1, 2, 3]), 4)
+
+    def test_out_of_range_indices_rejected(self):
+        # offset bins would silently spill into the next replicate's row
+        with pytest.raises(InvalidParameterError):
+            multiplicities_from_indices(np.array([[0, 4]]), 4)
+        with pytest.raises(InvalidParameterError):
+            multiplicities_from_indices(np.array([[-1, 0]]), 4)
+
+    def test_plan_counts_int32_pair_draws(self, monkeypatch):
+        """Stacked sides, exact side sums, non-negative int32."""
+        txns = [(0,), (1,), (0, 1), (2,)] * 5
+        pooled = TransactionDataset(txns, N_ITEMS)
+        plan = compile_resample_plan(
+            LitsStructure([frozenset([0])]),
+            pooled.take(np.arange(7)),
+            pooled.take(np.arange(7, 20)),
+        )
+        seen = []
+        real = plan.replicate_counts
+
+        def capture(w, **kwargs):
+            seen.append(w)
+            return real(w, **kwargs)
+
+        monkeypatch.setattr(plan, "replicate_counts", capture)
+        plan.null_deviations(6, np.random.default_rng(2))
+        (w,) = seen
+        assert w.dtype == np.int32
+        assert w.shape == (12, 20)
+        assert (w[:6].sum(axis=1) == 7).all()
+        assert (w[6:].sum(axis=1) == 13).all()
+        assert w.min() >= 0
+
+    def test_multiplicity_moments_match_the_multinomial(self):
+        """Every cell is Binomial(n, 1/N) marginally -- mean n/N,
+        variance n(1/N)(1 - 1/N) -- on both sides of a pair draw."""
+        n_rows, sizes, n_boot = 10, (30, 60), 20_000
+        w = draw_multiplicities(
+            n_rows, sizes, n_boot, np.random.default_rng(12)
+        )
+        p = 1.0 / n_rows
+        for side, n in enumerate(sizes):
+            block = w[side * n_boot : (side + 1) * n_boot]
+            mean, var = n * p, n * p * (1 - p)
+            # about five standard errors on each estimate
+            assert np.allclose(
+                block.mean(axis=0), mean, rtol=0,
+                atol=5 * np.sqrt(var / n_boot),
+            )
+            assert np.allclose(block.var(axis=0), var, rtol=0.05)
 
     def test_membership_columns_are_support_vectors(self):
         txns = [(0, 1), (1,), (0, 2), (), (0, 1, 2)]

@@ -271,6 +271,66 @@ class TestCountSpaceQualification:
         assert len(calls) < 1 + n_windows * chunks_per_window
         assert calls[0] == reference_index
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_each_monitored_chunk_is_bit_indexed_once(
+        self, drifting_stream, monkeypatch, executor
+    ):
+        """The sketcher's chunk index is the one the bootstrap's
+        membership block reads: exactly one ``BitmapIndex`` per
+        monitored chunk, and observations byte-identical to a monitor
+        whose membership indexes every chunk a second time."""
+        from repro.data.transactions import BitmapIndex
+        from repro.stream.windows import TransactionChunk
+
+        stream, _ = drifting_stream
+        n_chunks = (3_000 - 1_000) // 250
+        built = []
+        real_init = BitmapIndex.__init__
+
+        def counting_init(self, transactions, *args, **kwargs):
+            built.append(transactions)
+            real_init(self, transactions, *args, **kwargs)
+
+        monkeypatch.setattr(BitmapIndex, "__init__", counting_init)
+
+        def run():
+            built.clear()
+            monitor = OnlineChangeMonitor(
+                builder, N_ITEMS, window_size=1_000, step=250, n_boot=6,
+                rng=np.random.default_rng(9), executor=executor,
+                n_shards=2,
+            )
+            try:
+                observations = monitor.push(stream[:3_000])
+            finally:
+                monitor.close()
+            return [
+                (o.index, o.deviation, o.significance, o.drifted,
+                 o.reference_index)
+                for o in observations
+            ], list(built)
+
+        shared, shared_builds = run()
+        assert len(shared) == n_chunks - 3  # 4-chunk sliding windows
+        chunk_builds = [
+            t for t in shared_builds if isinstance(t, TransactionChunk)
+        ]
+        assert len({id(t) for t in chunk_builds}) == len(chunk_builds)
+        assert len(chunk_builds) == n_chunks
+        # the only other index is the reference window's
+        assert len(shared_builds) == n_chunks + 1
+
+        # the oracle: every read of a chunk's index builds a fresh one,
+        # so membership never sees the index the sketcher counted with
+        monkeypatch.setattr(
+            TransactionChunk,
+            "index",
+            property(lambda chunk: BitmapIndex(chunk, chunk.n_items)),
+        )
+        separate, separate_builds = run()
+        assert len(separate_builds) == 2 * n_chunks + 1
+        assert separate == shared
+
     def test_stream_significance_matches_offline_engine(self, drifting_stream):
         """A window qualified from sketches equals the offline
         count-space significance over the materialised pair, given the

@@ -68,6 +68,22 @@ class TestSlidingWindows:
         assert len(dataset) == len(w) == 2 * CHUNK
         assert dataset.n_items == N_ITEMS
 
+    def test_chunks_carry_their_index_and_pickle_without_it(self, stream):
+        import pickle
+
+        from repro.stream.windows import TransactionChunk
+
+        manager = WindowManager(ITEMSETS, N_ITEMS, window_chunks=2)
+        windows = list(manager.push_many(iter_chunks(stream[:200], CHUNK)))
+        chunk = windows[-1].chunks[-1]
+        assert isinstance(chunk, TransactionChunk)
+        assert "index" in vars(chunk)  # built once, by the chunk's sketch
+        copy = pickle.loads(pickle.dumps(chunk))
+        assert copy == chunk
+        assert copy.n_items == N_ITEMS
+        assert "index" not in vars(copy)  # rebuilt on demand
+        assert np.array_equal(copy.index._bits, chunk.index._bits)
+
     def test_sharded_executor_same_windows(self, stream):
         serial = WindowManager(ITEMSETS, N_ITEMS, window_chunks=3)
         sharded = WindowManager(
