@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.core.model import LitsStructure, Model
+from repro.core.model import LitsStructure, Model, _Canonical
 from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.mining.apriori import apriori
@@ -40,16 +40,34 @@ class LitsModel(Model):
     _structure: LitsStructure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.min_support <= 1.0:
-            raise InvalidParameterError(
-                f"min_support must be in (0, 1], got {self.min_support}"
-            )
+        _check_min_support(self.min_support)
         object.__setattr__(
             self, "supports", dict(self.supports)
         )
         object.__setattr__(
             self, "_structure", LitsStructure(tuple(self.supports.keys()))
         )
+
+    @classmethod
+    def _from_canonical(
+        cls,
+        itemsets: _Canonical,
+        supports: Iterable[float],
+        min_support: float,
+        n_items: int,
+    ) -> "LitsModel":
+        """Internal fast path: trusted canonical itemsets, aligned supports.
+
+        The wire decoder validates canonical order itself, so the model
+        it rebuilds skips the re-sort ``__post_init__`` would pay.
+        """
+        _check_min_support(min_support)
+        self = object.__new__(cls)
+        object.__setattr__(self, "supports", dict(zip(itemsets, supports)))
+        object.__setattr__(self, "min_support", min_support)
+        object.__setattr__(self, "n_items", n_items)
+        object.__setattr__(self, "_structure", LitsStructure(itemsets))
+        return self
 
     @classmethod
     def mine(
@@ -77,3 +95,10 @@ class LitsModel(Model):
 
     def __len__(self) -> int:
         return len(self.supports)
+
+
+def _check_min_support(min_support: float) -> None:
+    if not 0.0 < min_support <= 1.0:
+        raise InvalidParameterError(
+            f"min_support must be in (0, 1], got {min_support}"
+        )

@@ -20,7 +20,7 @@ meet-semilattice property.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from repro._typing import AssignerFn, DatasetLike
 from repro.core.predicate import Conjunction
 from repro.core.region import BoxRegion, ItemsetRegion, Region
 from repro.errors import IncompatibleModelsError, InvalidParameterError
+
+if TYPE_CHECKING:
+    from repro.data.transactions import SupportCountingPlan
 
 
 class Structure(ABC):
@@ -95,16 +98,48 @@ class Structure(ABC):
         return hash(self.key)
 
 
+class _Canonical(tuple[frozenset[int], ...]):
+    """Marker type: a tuple of frozensets already in canonical order.
+
+    :func:`repro.stream.sketch.canonical_itemsets` and the wire decoder
+    return this type, and :class:`LitsStructure` and
+    ``canonical_itemsets`` short-circuit on it, so the canonicalisation
+    cost is paid once per itemset collection -- not once per sketch or
+    structure built over it (the streaming hot path builds hundreds of
+    sketches over one collection). The counting plan the bitmap index
+    consumes is cached for the same reason.
+    """
+
+    # no __slots__: variable-length tuple subtypes cannot declare them;
+    # the per-collection __dict__ holds the lazily cached counting plan.
+    _plan: SupportCountingPlan
+
+    def plan(self) -> SupportCountingPlan:
+        """The precompiled counting plan for this collection, built once
+        and reused by every sketch (hence every chunk) over it."""
+        try:
+            return self._plan
+        except AttributeError:
+            # runtime import: repro.data's package init reaches back
+            # into repro.core
+            from repro.data.transactions import SupportCountingPlan
+
+            self._plan = SupportCountingPlan(self)
+            return self._plan
+
+
 class LitsStructure(Structure):
     """The structural component of a lits-model: a set of itemsets."""
 
     def __init__(self, itemsets: Sequence[frozenset[int]]) -> None:
-        ordered = sorted(
-            {frozenset(s) for s in itemsets},
-            key=lambda s: (len(s), tuple(sorted(s))),
-        )
-        self._itemsets: tuple[frozenset[int], ...] = tuple(ordered)
-        self._regions = tuple(ItemsetRegion(s) for s in self._itemsets)
+        if isinstance(itemsets, _Canonical):
+            self._itemsets: tuple[frozenset[int], ...] = itemsets
+        else:
+            self._itemsets = tuple(sorted(
+                {frozenset(s) for s in itemsets},
+                key=lambda s: (len(s), tuple(sorted(s))),
+            ))
+        self._regions: tuple[Region, ...] | None = None
 
     @property
     def itemsets(self) -> tuple[frozenset[int], ...]:
@@ -112,6 +147,10 @@ class LitsStructure(Structure):
 
     @property
     def regions(self) -> tuple[Region, ...]:
+        # built on first use: fleet kernels and decoders that only need
+        # the itemsets never pay for the region objects
+        if self._regions is None:
+            self._regions = tuple(ItemsetRegion(s) for s in self._itemsets)
         return self._regions
 
     @property

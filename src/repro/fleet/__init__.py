@@ -9,7 +9,9 @@ fan-out, and incremental single-store updates when a log appends.
 
 * :mod:`repro.fleet.matrix` -- :class:`FleetDeviationMatrix` (the
   engine) and :class:`FleetMatrix` (the result);
-* :mod:`repro.fleet.counting` -- per-store memoised counting state;
+* :mod:`repro.fleet.vocab` -- :class:`LitsVocabulary`, the fleet-wide
+  itemset id space every lits pair (GCR, counts, delta*) gathers from;
+* :mod:`repro.fleet.counting` -- the batched per-store scans;
 * :mod:`repro.fleet.analysis` -- grouping (threshold components),
   report assembly, and CSV export;
 * :mod:`repro.fleet.federated` -- :class:`SketchFleet`, the same matrix
@@ -18,23 +20,20 @@ fan-out, and incremental single-store updates when a log appends.
 """
 
 from repro.fleet.analysis import components, fleet_report, matrix_to_csv
-from repro.fleet.counting import (
-    LitsStoreCounter,
-    prime_lits_counters,
-    prime_partition_passes,
-)
-from repro.fleet.federated import SketchFleet, probe_itemsets
+from repro.fleet.counting import count_lits_stores, prime_partition_passes
+from repro.fleet.federated import SketchFleet
 from repro.fleet.matrix import FleetDeviationMatrix, FleetMatrix
+from repro.fleet.vocab import LitsVocabulary, probe_itemsets
 
 __all__ = [
     "FleetDeviationMatrix",
     "FleetMatrix",
-    "LitsStoreCounter",
+    "LitsVocabulary",
     "SketchFleet",
     "components",
+    "count_lits_stores",
     "fleet_report",
     "matrix_to_csv",
-    "prime_lits_counters",
     "prime_partition_passes",
     "probe_itemsets",
 ]

@@ -1,16 +1,15 @@
-"""Per-store counting state for all-pairs fleet measurement.
+"""Per-store scans for all-pairs fleet measurement.
 
 The all-pairs workload has a wasteful naive shape: computing
 ``deviation(M_i, M_j, D_i, D_j)`` pair by pair scans every dataset once
 per *pair*, i.e. ``N - 1`` times each. But for lits-models the GCR of a
 pair is just the union of the two itemset collections, so the counts a
 store contributes to **all** of its pairings are supports of itemsets
-drawn from one fleet-wide family. :class:`LitsStoreCounter` exploits
-that: it memoises ``itemset -> absolute count`` per store and answers
-:meth:`prime` requests for whatever is still missing with **one**
-batched :meth:`~repro.data.transactions.BitmapIndex.support_counts`
-pass -- so an N-store matrix scans each dataset once per GCR family,
-not once per pair (``n_scans`` proves it).
+drawn from one fleet-wide vocabulary (:mod:`repro.fleet.vocab`).
+:func:`count_lits_stores` counts that vocabulary over each store that
+still lacks counts with **one** batched pass of the vocabulary's cached
+:class:`~repro.data.transactions.SupportCountingPlan` -- so an N-store
+matrix scans each dataset once per GCR family, not once per pair.
 
 Partition (dt-/cluster-) fleets get the same property for free from the
 memoised assigner passes of :mod:`repro.core.partition_plan`: every GCR
@@ -18,21 +17,22 @@ overlay re-uses each store's base ``row -> cell`` pass, so
 :func:`prime_partition_passes` only has to force those base passes --
 optionally in parallel -- before the per-pair overlay lookups run.
 
-Both priming steps fan out over the :mod:`repro.stream.executor`
-backends. Support-counting payloads (a bitmap index plus an itemset
-list) pickle cleanly, so lits fleets can use the process pool; GCR
-overlay assigners are closures, so partition fleets are limited to the
-serial and thread backends.
+Both steps fan out over the :mod:`repro.stream.executor` backends.
+Support-counting payloads (a bitmap index plus a counting plan) pickle
+cleanly, so lits fleets can use the process pool; GCR overlay assigners
+are closures, so partition fleets are limited to the serial and thread
+backends.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro._typing import DatasetLike, ExecutorLike
+from repro._typing import ExecutorLike
 from repro.core.partition_plan import cell_assignments
+from repro.data.transactions import SupportCountingPlan
 from repro.errors import InvalidParameterError
 from repro.obs import MetricsRegistry, enabled, metrics, use_registry
 from repro.stream.executor import (
@@ -40,63 +40,6 @@ from repro.stream.executor import (
     get_executor,
     process_backed,
 )
-
-
-class LitsStoreCounter:
-    """Memoised ``itemset -> absolute count`` for one store's dataset.
-
-    The memo survives across matrix computations (exhaustive after
-    pruned, incremental updates), so a pair is never the reason a store
-    is re-scanned: only genuinely new itemsets trigger another batched
-    pass. If the underlying dataset grew (an appendable
-    :class:`~repro.stream.chunks.TransactionLog`), the memo self-heals:
-    the next :meth:`prime` notices the length change and recounts.
-    """
-
-    __slots__ = ("dataset", "n_scans", "_counts", "_n_rows")
-
-    def __init__(self, dataset: DatasetLike) -> None:
-        self.dataset = dataset
-        self.n_scans = 0
-        self._counts: dict[frozenset[int], int] = {}
-        self._n_rows = len(dataset)
-
-    @property
-    def n_rows(self) -> int:
-        """Row count the memoised counts refer to."""
-        return self._n_rows
-
-    def reset(self) -> None:
-        """Drop the memo (the store's data or model changed)."""
-        self._counts.clear()
-        self._n_rows = len(self.dataset)
-
-    def missing(self, itemsets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
-        """The itemsets not yet memoised, in first-seen order."""
-        if len(self.dataset) != self._n_rows:
-            self.reset()
-            return list(dict.fromkeys(itemsets))
-        counts = self._counts
-        return list(dict.fromkeys(s for s in itemsets if s not in counts))
-
-    def prime(self, itemsets: Iterable[frozenset[int]]) -> None:
-        """Memoise every missing itemset with one batched scan."""
-        missing = self.missing(itemsets)
-        if missing:
-            self.absorb(missing, self.dataset.index.support_counts(missing))
-
-    def absorb(
-        self, itemsets: Sequence[frozenset[int]], counts: np.ndarray
-    ) -> None:
-        """Record the result of a (possibly remote) batched scan."""
-        self.n_scans += 1
-        metrics().inc("fleet.store.scans")
-        self._counts.update(zip(itemsets, (int(c) for c in counts)))
-
-    def vector(self, itemsets: Sequence[frozenset[int]]) -> np.ndarray:
-        """The memoised counts of ``itemsets`` as an aligned vector."""
-        counts = self._counts
-        return np.array([counts[s] for s in itemsets], dtype=np.int64)
 
 
 def _count_support_payload(
@@ -109,35 +52,31 @@ def _count_support_payload(
     travels back with the counts, exactly like the stream shard
     workers.
     """
-    index, itemsets, collect = payload
+    index, plan, collect = payload
     if not collect:
-        return index.support_counts(itemsets)
+        return plan.count(index)
     local = MetricsRegistry()
     with use_registry(local):
         with local.span("fleet.store.scan"):
-            counts = index.support_counts(itemsets)
+            counts = plan.count(index)
     return counts, local
 
 
-def prime_lits_counters(
-    counters: Sequence[LitsStoreCounter],
-    needed: Mapping[int, Sequence[frozenset[int]]],
+def count_lits_stores(
+    indexes: Sequence[Any],
+    plan: SupportCountingPlan,
     executor: ExecutorLike = "serial",
-) -> None:
-    """Fill every counter's missing itemsets, one batched scan per store.
+) -> list[np.ndarray]:
+    """Count ``plan``'s itemsets over every bitmap index, one scan each.
 
-    ``needed`` maps a store index to the itemsets its pairings require;
-    the scans (one per store with anything missing) fan out across the
-    executor and the results are absorbed into the counters in-process.
+    The scans fan out across the executor; each is tallied as one
+    ``fleet.store.scans``. Returns the count vectors aligned with
+    ``indexes``.
     """
-    missing = {
-        i: counters[i].missing(itemsets) for i, itemsets in needed.items()
-    }
-    todo = [i for i, m in missing.items() if m]
-    if not todo:
-        return
+    if not indexes:
+        return []
     collect = enabled()
-    payloads = [(counters[i].dataset.index, missing[i], collect) for i in todo]
+    payloads = [(index, plan, collect) for index in indexes]
     # a backend *name* resolves to a runner this call owns and releases;
     # an executor *instance* stays open for its owner to reuse
     runner = get_executor(executor)
@@ -149,7 +88,7 @@ def prime_lits_counters(
             "storage.bytes_shipped",
             sum(
                 0 if index.handle() is not None else index._buf.nbytes
-                for index, _, _ in payloads
+                for index in indexes
             ),
         )
     try:
@@ -161,8 +100,8 @@ def prime_lits_counters(
                 shutdown()
     if collect:
         results = _merge_worker_registries(results)
-    for i, counts in zip(todo, results):
-        counters[i].absorb(missing[i], counts)
+    metrics().inc("fleet.store.scans", len(indexes))
+    return list(results)
 
 
 def prime_partition_passes(

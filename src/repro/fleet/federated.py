@@ -13,11 +13,12 @@ comparer**. The decisions are exact, not approximate:
   (:func:`probe_itemsets` -- the union of all stores' itemsets), then
   every pairwise GCR (the union of *two* stores' itemsets) is a
   subvector of both sketches, and the integer counts equal what a
-  row-level scan would count -- so
-  :func:`~repro.core.deviation.deviation_from_counts` emits bit-equal
-  values to the exhaustive oracle. The delta* bound needs only the
-  models, so :meth:`SketchFleet.pruned` certifies insignificant pairs
-  exactly as the row-level engine does.
+  row-level scan would count. Each sketch is mapped into the fleet's
+  :class:`~repro.fleet.vocab.LitsVocabulary` once, so a pair is the
+  same id-array gather the row-level engine runs -- bit-equal values to
+  the exhaustive oracle. The delta* bound needs only the models, so
+  :meth:`SketchFleet.pruned` certifies insignificant pairs exactly as
+  the row-level engine does.
 * **partition fleets** -- a store ships one partition-sketch payload
   (its dt-/cluster-model travels embedded). Federated exactness needs a
   fleet-shared structure: the GCR of two *identical* partitions is the
@@ -43,21 +44,26 @@ import numpy as np
 
 from repro import obs
 from repro._typing import ExecutorLike
-from repro.core.aggregate import MAX, SUM, AggregateFunction
+from repro.core.aggregate import SUM, AggregateFunction
 from repro.core.deviation import deviation_from_counts
 from repro.core.difference import ABSOLUTE, DifferenceFunction
-from repro.core.gcr import gcr
+# span targets ``core.gcr`` and ``core.bound`` of pipebench's traced
+# run, which patches the names here; lits GCRs and bounds come from the
+# vocabulary kernel
+from repro.core.gcr import gcr  # noqa: F401
 from repro.core.lits import LitsModel
-from repro.core.upper_bound import upper_bound_deviation
+from repro.core.upper_bound import upper_bound_deviation  # noqa: F401
 from repro.errors import IncompatibleModelsError, InvalidParameterError
-from repro.fleet.matrix import FleetMatrix
+from repro.fleet.matrix import (
+    FleetMatrix,
+    _assemble,
+    _pruning_threshold,
+    _store_index,
+)
+from repro.fleet.vocab import LitsVocabulary, probe_itemsets
 from repro.stats.bootstrap import BootstrapResult
 from repro.stats.resample_plan import CountsResamplePlan
-from repro.stream.sketch import (
-    PartitionSketch,
-    SupportSketch,
-    canonical_itemsets,
-)
+from repro.stream.sketch import PartitionSketch, SupportSketch
 from repro.wire.format import (
     KIND_LITS_MODEL,
     KIND_PARTITION_SKETCH,
@@ -75,20 +81,8 @@ from repro.wire.sketches import (
 #: payload, support-sketch payload) pair.
 StorePayload = Union[bytes, tuple[bytes, bytes]]
 
-
-def probe_itemsets(
-    models: Sequence[LitsModel],
-) -> tuple[frozenset[int], ...]:
-    """The fleet's probe collection: the union of all stores' itemsets.
-
-    A sketch over this collection covers every pairwise GCR (each GCR is
-    the union of *two* stores' itemsets), so one sketch per store makes
-    every pair exactly comparable. Sites learn which itemsets to count
-    from the fleet's models -- model payloads are what travels first.
-    """
-    return canonical_itemsets(
-        s for m in models for s in m.structure.itemsets
-    )
+#: The counter a pair measured from sketch counts tallies.
+_SKETCH_EXACT = "fleet.pairs.sketch_exact"
 
 
 class SketchFleet:
@@ -130,6 +124,7 @@ class SketchFleet:
         self._f = f
         self._g = g
         self._bounds: np.ndarray | None = None
+        self._vocab: LitsVocabulary | None = None
 
         kinds: set[str] = set()
         bytes_per_store: list[int] = []
@@ -188,10 +183,17 @@ class SketchFleet:
             self._sketches: (
                 list[SupportSketch] | list[PartitionSketch]
             ) = support_sketches
-            self._positions = [
-                {itemset: pos for pos, itemset in enumerate(s.itemsets)}
-                for s in support_sketches
-            ]
+            self._vocab = LitsVocabulary(lits_models)
+            shape = (len(lits_models), len(self._vocab))
+            #: each store's sketch counts per vocabulary id; ``_covered``
+            #: marks the ids its sketch counted at all
+            self._counts = np.zeros(shape, dtype=np.int64)
+            self._covered = np.zeros(shape, dtype=bool)
+            for i, sketch in enumerate(support_sketches):
+                ids = self._vocab.ids(sketch.itemsets)
+                tracked = ids >= 0
+                self._counts[i, ids[tracked]] = sketch.counts[tracked]
+                self._covered[i, ids[tracked]] = True
         else:
             shared = {s.key for s in partition_sketches}
             if len(shared) > 1:
@@ -204,7 +206,6 @@ class SketchFleet:
                 )
             self._models = partition_models
             self._sketches = partition_sketches
-            self._positions = []
 
     # ------------------------------------------------------------------ #
     # Payload decoding
@@ -269,78 +270,51 @@ class SketchFleet:
         """The reconstructed per-store sketches."""
         return tuple(self._sketches)
 
-    def _index_of(self, store: str | int) -> int:
-        if isinstance(store, str):
-            try:
-                return self.names.index(store)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"unknown store {store!r}; fleet stores are {self.names}"
-                ) from None
-        i = int(store)
-        if not 0 <= i < len(self._models):
-            raise InvalidParameterError(
-                f"store index {i} out of range for a "
-                f"{len(self._models)}-store fleet"
-            )
-        return i
-
     # ------------------------------------------------------------------ #
     # Exact pair values from sketch counts
     # ------------------------------------------------------------------ #
 
-    def _lits_counts(
-        self, store: int, itemsets: tuple[frozenset[int], ...]
-    ) -> np.ndarray:
-        """The store's exact counts of a GCR's itemsets (subvector pick)."""
-        positions = self._positions[store]
-        sketch = self._sketches[store]
-        assert isinstance(sketch, SupportSketch)
-        try:
-            picks = [positions[s] for s in itemsets]
-        except KeyError as exc:
-            missing: frozenset[int] = exc.args[0]
+    def _vocab_counts(self, store: int, ids: np.ndarray) -> np.ndarray:
+        """The store's exact counts of a GCR's vocabulary ids."""
+        gap = ids[~self._covered[store, ids]]
+        if gap.size:
+            assert self._vocab is not None
+            missing = self._vocab.itemsets[int(gap[0])]
             raise IncompatibleModelsError(
                 f"store {self.names[store]!r}'s sketch does not cover "
                 f"itemset {sorted(missing)}, which this pair's GCR needs; "
                 "sketch every store over probe_itemsets(models) (the "
                 "union of all stores' itemsets) so any pair is comparable"
-            ) from None
-        return sketch.counts[np.asarray(picks, dtype=np.int64)]
+            )
+        return self._counts[store, ids]
 
     def _exact_value(self, i: int, j: int) -> float:
         """One pair's exact deviation, computed from sketches alone."""
+        n1, n2 = self._sketches[i].n_rows, self._sketches[j].n_rows
         if self.kind == "lits":
-            model_i, model_j = self._models[i], self._models[j]
-            assert isinstance(model_i, LitsModel)
-            assert isinstance(model_j, LitsModel)
-            structure = gcr(model_i.structure, model_j.structure)
-            counts1 = self._lits_counts(i, structure.itemsets)
-            counts2 = self._lits_counts(j, structure.itemsets)
-        else:
-            sketch_i, sketch_j = self._sketches[i], self._sketches[j]
-            assert isinstance(sketch_i, PartitionSketch)
-            assert isinstance(sketch_j, PartitionSketch)
-            # the GCR of two identical partitions is that partition with
-            # its regions in the original order (disjoint half-open
-            # cells), so the shared structure *is* the pair's GCR and the
-            # sketch counts are its exact measures
-            structure = sketch_i.plan.structure
-            counts1, counts2 = sketch_i.counts, sketch_j.counts
+            assert self._vocab is not None
+            u = self._vocab.union(i, j)
+            return self._g(self._f(
+                self._vocab_counts(i, u), self._vocab_counts(j, u), n1, n2
+            ))
+        sketch_i, sketch_j = self._sketches[i], self._sketches[j]
+        assert isinstance(sketch_i, PartitionSketch)
+        assert isinstance(sketch_j, PartitionSketch)
+        # the GCR of two identical partitions is that partition with its
+        # regions in the original order (disjoint half-open cells), so
+        # the shared structure *is* the pair's GCR and the sketch counts
+        # are its exact measures
         result = deviation_from_counts(
-            structure,
-            counts1,
-            counts2,
-            self._sketches[i].n_rows,
-            self._sketches[j].n_rows,
-            f=self._f,
-            g=self._g,
+            sketch_i.plan.structure, sketch_i.counts, sketch_j.counts,
+            n1, n2, f=self._f, g=self._g,
         )
         return float(result.value)
 
     def pair(self, store_a: str | int, store_b: str | int) -> float:
         """The exact deviation of one pair, from the payloads alone."""
-        i, j = sorted((self._index_of(store_a), self._index_of(store_b)))
+        i, j = sorted((
+            _store_index(self.names, store_a), _store_index(self.names, store_b)
+        ))
         if i == j:
             return 0.0
         return self._exact_value(i, j)
@@ -358,67 +332,27 @@ class SketchFleet:
                 "qualify()"
             )
         if self._bounds is None:
-            n = len(self._models)
-            out = np.zeros((n, n))
+            assert self._vocab is not None
             with obs.metrics().span("fleet.bound_matrix"):
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        out[i, j] = out[j, i] = upper_bound_deviation(
-                            self._models[i], self._models[j], g=self._g
-                        ).value
+                self._bounds = self._vocab.bound_matrix(self._g)
+            n = len(self._models)
             obs.metrics().inc("fleet.bounds.filled", n * (n - 1) // 2)
-            self._bounds = out
         return self._bounds
-
-    def _assemble(
-        self,
-        exact: dict[tuple[int, int], float],
-        bounds: np.ndarray | None,
-        threshold: float | None,
-    ) -> FleetMatrix:
-        n = len(self._models)
-        values = np.zeros((n, n))
-        exact_mask = np.zeros((n, n), dtype=bool)
-        np.fill_diagonal(exact_mask, True)
-        tally = obs.MetricsRegistry()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) in exact:
-                    value = exact[(i, j)]
-                    exact_mask[i, j] = exact_mask[j, i] = True
-                    tally.inc("fleet.pairs.sketch_exact")
-                else:
-                    assert bounds is not None
-                    value = bounds[i, j]
-                    tally.inc("fleet.pairs.pruned")
-                values[i, j] = values[j, i] = value
-        obs.metrics().absorb(tally)
-        return FleetMatrix(
-            names=self.names,
-            values=values,
-            exact_mask=exact_mask,
-            kind=self.kind,
-            f_name=self._f.name,
-            g_name=self._g.name,
-            bounds=None if bounds is None else bounds.copy(),
-            threshold=threshold,
-            metrics=tally.snapshot()["counters"],
-        )
 
     def exhaustive(self) -> FleetMatrix:
         """Every pair exact, from sketch counts -- no rows anywhere.
 
         Reproduces the row-level engine's ``exhaustive()`` values
-        bit-for-bit (same ``deviation_from_counts`` path over the same
-        integer counts), which the test suite pins against the oracle.
+        bit-for-bit (same arithmetic over the same integer counts),
+        which the test suite pins against the per-pair oracle.
         """
         n = len(self._models)
         exact = {
-            (i, j): self._exact_value(i, j)
+            (i, j): (self._exact_value(i, j), _SKETCH_EXACT)
             for i in range(n)
             for j in range(i + 1, n)
         }
-        return self._assemble(exact, None, threshold=None)
+        return _assemble(self, exact, None, threshold=None)
 
     def pruned(self, threshold: float) -> FleetMatrix:
         """delta*-pruned federated matrix (lits fleets).
@@ -428,28 +362,16 @@ class SketchFleet:
         computed exactly from sketch counts. Threshold decisions agree
         with :meth:`exhaustive` -- the bound majorises the exact value.
         """
-        threshold = float(threshold)
-        if not np.isfinite(threshold):
-            raise InvalidParameterError(
-                f"threshold must be finite, got {threshold}"
-            )
-        if self._f.name != ABSOLUTE.name or self._g.name not in (
-            SUM.name, MAX.name,
-        ):
-            raise InvalidParameterError(
-                "delta* pruning is only sound for the f_a difference with "
-                f"g_sum or g_max (Theorem 4.2); this fleet uses "
-                f"f={self._f.name}, g={self._g.name} -- use exhaustive()"
-            )
+        threshold = _pruning_threshold(threshold, self._f, self._g)
         bounds = self.bound_matrix()  # raises for partition fleets
         n = len(self._models)
         exact = {
-            (i, j): self._exact_value(i, j)
+            (i, j): (self._exact_value(i, j), _SKETCH_EXACT)
             for i in range(n)
             for j in range(i + 1, n)
             if bounds[i, j] > threshold
         }
-        return self._assemble(exact, bounds, threshold=threshold)
+        return _assemble(self, exact, bounds, threshold)
 
     # ------------------------------------------------------------------ #
     # Qualification
@@ -484,7 +406,8 @@ class SketchFleet:
                 "partition-only -- for lits fleets the certified delta* "
                 "bound (pruned()) is the qualification mechanism"
             )
-        i, j = self._index_of(store_a), self._index_of(store_b)
+        i = _store_index(self.names, store_a)
+        j = _store_index(self.names, store_b)
         if i == j:
             raise InvalidParameterError(
                 "qualify() compares two distinct stores"

@@ -15,9 +15,11 @@ economics:
    differs significantly"); only pairs whose bound crosses the
    threshold are re-scanned exactly, and the exhaustive path is kept as
    the oracle;
-3. **scan once per store** -- every exact pair reuses its two stores'
-   memoised counting state (:mod:`repro.fleet.counting`), so each
-   dataset is scanned once per GCR family, not once per pair;
+3. **scan once per store** -- every exact lits pair is a gather over
+   one fleet-wide itemset vocabulary (:mod:`repro.fleet.vocab`): one
+   scan counts a store's whole vocabulary row, so each dataset is
+   scanned once, not once per pair
+   (:mod:`repro.fleet.counting`);
 4. **fan out** -- the scans ride the serial/thread/process executors of
    :mod:`repro.stream.executor`.
 
@@ -47,25 +49,24 @@ from repro import obs
 
 from repro._typing import ExecutorLike, ModelBuilder, ModelLike
 from repro.core.aggregate import MAX, SUM, AggregateFunction
-from repro.core.deviation import _counts_from_models, deviation_from_counts
+from repro.core.deviation import deviation_from_counts
 from repro.core.difference import ABSOLUTE, DifferenceFunction
 from repro.core.gcr import gcr
 from repro.core.lits import LitsModel
 from repro.core.model import PartitionStructure
-from repro.core.upper_bound import upper_bound_deviation
+# span target ``core.bound`` of pipebench's traced run, which patches
+# the name here; lits bounds come from the vocabulary kernel
+from repro.core.upper_bound import upper_bound_deviation  # noqa: F401
 from repro.errors import IncompatibleModelsError, InvalidParameterError
-from repro.fleet.counting import (
-    LitsStoreCounter,
-    prime_lits_counters,
-    prime_partition_passes,
-)
+from repro.fleet.counting import count_lits_stores, prime_partition_passes
+from repro.fleet.vocab import LitsVocabulary
 from repro.stream.executor import get_executor
 
 if TYPE_CHECKING:  # circular at runtime: federated builds FleetMatrix
     from repro.fleet.federated import SketchFleet
 
-#: How a cached exact pair value was obtained.
-_SCAN, _MODEL_ONLY = "scan", "model"
+#: How a cached exact pair value was obtained: the counter it tallies.
+_SCAN, _MODEL_ONLY = "fleet.pairs.scanned", "fleet.pairs.model_only"
 
 
 def _model_kind(model: ModelLike) -> str:
@@ -75,6 +76,41 @@ def _model_kind(model: ModelLike) -> str:
     if isinstance(getattr(model, "structure", None), PartitionStructure):
         return "partition"
     return type(model).__name__
+
+
+def _store_index(names: tuple[str, ...], store: str | int) -> int:
+    """A store's position, by name or index."""
+    if isinstance(store, str):
+        try:
+            return names.index(store)
+        except ValueError:
+            raise InvalidParameterError(
+                f"unknown store {store!r}; fleet stores are {names}"
+            ) from None
+    i = int(store)
+    if not 0 <= i < len(names):
+        raise InvalidParameterError(
+            f"store index {i} out of range for a {len(names)}-store fleet"
+        )
+    return i
+
+
+def _pruning_threshold(
+    threshold: float, f: DifferenceFunction, g: AggregateFunction
+) -> float:
+    """``threshold`` as a float, once delta* pruning is known sound."""
+    threshold = float(threshold)
+    if not np.isfinite(threshold):
+        raise InvalidParameterError(
+            f"threshold must be finite, got {threshold}"
+        )
+    if f.name != ABSOLUTE.name or g.name not in (SUM.name, MAX.name):
+        raise InvalidParameterError(
+            "delta* pruning is only sound for the f_a difference with "
+            f"g_sum or g_max (Theorem 4.2); this fleet uses "
+            f"f={f.name}, g={g.name} -- use exhaustive()"
+        )
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -294,11 +330,13 @@ class FleetDeviationMatrix:
         # would spawn and abandon a pool per call).
         self._executor = get_executor(executor)
         self._model_builder = model_builder
-        self._counters = (
-            [LitsStoreCounter(d) for d in datasets]
-            if self.kind == "lits"
-            else []
-        )
+        self._vocab = LitsVocabulary(models) if self.kind == "lits" else None
+        #: lits counts per (store, vocabulary id); ``_scanned[i]`` says
+        #: store ``i``'s row was counted since its last reset
+        n_vocab = 0 if self._vocab is None else len(self._vocab)
+        self._counts = np.zeros((len(models), n_vocab), dtype=np.int64)
+        self._scanned = [False] * len(models)
+        self._n_scans = [0] * len(models) if self.kind == "lits" else []
         self._n_rows = [len(d) for d in datasets]
         #: Rows each store had when its *model* was supplied. A store
         #: whose log outgrew this is "stale": its model no longer
@@ -363,23 +401,7 @@ class FleetDeviationMatrix:
 
     def scan_counts(self) -> list[int]:
         """Batched scans performed per store so far (lits fleets)."""
-        return [c.n_scans for c in self._counters]
-
-    def _index_of(self, store: str | int) -> int:
-        if isinstance(store, str):
-            try:
-                return self.names.index(store)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"unknown store {store!r}; fleet stores are {self.names}"
-                ) from None
-        i = int(store)
-        if not 0 <= i < len(self._models):
-            raise InvalidParameterError(
-                f"store index {i} out of range for a {len(self._models)}-store "
-                "fleet"
-            )
-        return i
+        return list(self._n_scans)
 
     # ------------------------------------------------------------------ #
     # The delta* bound matrix (no dataset scans)
@@ -393,29 +415,12 @@ class FleetDeviationMatrix:
                 "lits-models; partition fleets must use exhaustive()"
             )
         if self._bounds is None:
-            n = len(self._models)
-            out = np.zeros((n, n))
+            assert self._vocab is not None
             with obs.metrics().span("fleet.bound_matrix"):
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        out[i, j] = out[j, i] = upper_bound_deviation(
-                            self._models[i], self._models[j], g=self._g
-                        ).value
+                self._bounds = self._vocab.bound_matrix(self._g)
+            n = len(self._models)
             obs.metrics().inc("fleet.bounds.filled", n * (n - 1) // 2)
-            self._bounds = out
         return self._bounds
-
-    def _refresh_bounds_row(self, i: int) -> None:
-        if self._bounds is None:
-            return
-        for j in range(len(self._models)):
-            if j == i:
-                continue
-            value = upper_bound_deviation(
-                self._models[i], self._models[j], g=self._g
-            ).value
-            self._bounds[i, j] = self._bounds[j, i] = value
-        obs.metrics().inc("fleet.bounds.filled", len(self._models) - 1)
 
     # ------------------------------------------------------------------ #
     # Exact computation with per-store scan reuse
@@ -436,8 +441,7 @@ class FleetDeviationMatrix:
         self._exact = {
             pair: v for pair, v in self._exact.items() if i not in pair
         }
-        if self._counters:
-            self._counters[i].reset()
+        self._scanned[i] = False
         self._n_rows[i] = len(self._datasets[i])
 
     def _stale_stores(self) -> set[int]:
@@ -453,68 +457,67 @@ class FleetDeviationMatrix:
         missing = [p for p in pairs if p not in self._exact]
         if not missing:
             return
+        if self.kind == "lits":
+            self._ensure_exact_lits(missing)
+        else:
+            self._ensure_exact_partition(missing)
+        self.n_pair_computations += len(missing)
+
+    def _ensure_exact_lits(self, missing: Sequence[tuple[int, int]]) -> None:
+        vocab = self._vocab
+        assert vocab is not None
+        stale = self._stale_stores()
+        # The stored-measures fast path (Section 7.1) needs identical
+        # structures and speaks for the datasets the models were induced
+        # from; a store whose log grew past its model is measured by a
+        # real scan.
+        model_only = {
+            (i, j)
+            for i, j in missing
+            if i not in stale and j not in stale and vocab.same_structure(i, j)
+        }
+        self._scan(sorted({
+            store
+            for pair in missing
+            if pair not in model_only
+            for store in pair
+            if not self._scanned[store]
+        }))
+        counts, n_rows = self._counts, self._n_rows
+        for i, j in missing:
+            u = vocab.union(i, j)
+            n1, n2 = n_rows[i], n_rows[j]
+            if (i, j) in model_only:
+                counts1 = vocab.model_counts(i, u, n1)
+                counts2 = vocab.model_counts(j, u, n2)
+                tag = _MODEL_ONLY
+            else:
+                counts1, counts2 = counts[i, u], counts[j, u]
+                tag = _SCAN
+            value = self._g(self._f(counts1, counts2, n1, n2))
+            self._exact[(i, j)] = (value, tag)
+
+    def _scan(self, stores: list[int]) -> None:
+        """Count the whole vocabulary in each store: one batched scan each."""
+        assert self._vocab is not None
+        scans = count_lits_stores(
+            [self._datasets[i].index for i in stores],
+            self._vocab.itemsets.plan(),
+            executor=self._executor,
+        )
+        for i, counts in zip(stores, scans):
+            self._counts[i] = counts
+            self._scanned[i] = True
+            self._n_scans[i] += 1
+
+    def _ensure_exact_partition(
+        self, missing: Sequence[tuple[int, int]]
+    ) -> None:
+        datasets = self._datasets
         structures = {
             (i, j): gcr(self._models[i].structure, self._models[j].structure)
             for i, j in missing
         }
-        if self.kind == "lits":
-            self._ensure_exact_lits(missing, structures)
-        else:
-            self._ensure_exact_partition(missing, structures)
-        self.n_pair_computations += len(missing)
-
-    def _ensure_exact_lits(
-        self,
-        missing: Sequence[tuple[int, int]],
-        structures: Mapping[tuple[int, int], Any],
-    ) -> None:
-        models, counters = self._models, self._counters
-        stale = self._stale_stores()
-        model_only: dict[tuple[int, int], tuple[Any, Any]] = {}
-        needed: dict[int, dict[frozenset[int], None]] = {}
-        for (i, j), s in structures.items():
-            n1 = counters[i].n_rows
-            n2 = counters[j].n_rows
-            # The stored-measures fast path (Section 7.1) speaks for the
-            # datasets the models were induced from; a store whose log
-            # grew past its model must be measured by a real scan.
-            fast = (
-                None
-                if i in stale or j in stale
-                else _counts_from_models(models[i], models[j], s, n1, n2)
-            )
-            if fast is not None:
-                model_only[(i, j)] = fast
-                continue
-            for store in (i, j):
-                needed.setdefault(store, {}).update(
-                    dict.fromkeys(s.itemsets)
-                )
-        prime_lits_counters(
-            counters,
-            {i: list(its) for i, its in needed.items()},
-            executor=self._executor,
-        )
-        for (i, j), s in structures.items():
-            n1, n2 = counters[i].n_rows, counters[j].n_rows
-            if (i, j) in model_only:
-                counts1, counts2 = model_only[(i, j)]
-                tag = _MODEL_ONLY
-            else:
-                counts1 = counters[i].vector(s.itemsets)
-                counts2 = counters[j].vector(s.itemsets)
-                tag = _SCAN
-            result = deviation_from_counts(
-                s, counts1, counts2, n1, n2, f=self._f, g=self._g
-            )
-            self._exact[(i, j)] = (result.value, tag)
-
-    def _ensure_exact_partition(
-        self,
-        missing: Sequence[tuple[int, int]],
-        structures: Mapping[tuple[int, int], Any],
-    ) -> None:
-        datasets = self._datasets
         stores = {i for pair in missing for i in pair}
         prime_partition_passes(
             self._models, datasets, stores, executor=self._executor
@@ -539,7 +542,9 @@ class FleetDeviationMatrix:
 
     def pair(self, store_a: str | int, store_b: str | int) -> float:
         """The exact deviation of one pair (computed or cached)."""
-        i, j = sorted((self._index_of(store_a), self._index_of(store_b)))
+        i, j = sorted((
+            _store_index(self.names, store_a), _store_index(self.names, store_b)
+        ))
         if i == j:
             return 0.0
         self._refresh_grown_stores()
@@ -549,49 +554,6 @@ class FleetDeviationMatrix:
     # ------------------------------------------------------------------ #
     # Matrices
     # ------------------------------------------------------------------ #
-
-    def _assemble(
-        self,
-        exact_pairs: Sequence[tuple[int, int]],
-        bounds: np.ndarray | None,
-        threshold: float | None,
-    ) -> FleetMatrix:
-        n = len(self._models)
-        values = np.zeros((n, n))
-        exact_mask = np.zeros((n, n), dtype=bool)
-        np.fill_diagonal(exact_mask, True)
-        # Tally through an obs registry so the matrix's pruning stats
-        # and any ambient `--metrics` collection share one counting
-        # path (satellite of the repro.obs wiring).
-        tally = obs.MetricsRegistry()
-        exact_set = set(exact_pairs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) in exact_set:
-                    value, tag = self._exact[(i, j)]
-                    exact_mask[i, j] = exact_mask[j, i] = True
-                    tally.inc(
-                        "fleet.pairs.model_only"
-                        if tag == _MODEL_ONLY
-                        else "fleet.pairs.scanned"
-                    )
-                else:
-                    assert bounds is not None
-                    value = bounds[i, j]
-                    tally.inc("fleet.pairs.pruned")
-                values[i, j] = values[j, i] = value
-        obs.metrics().absorb(tally)
-        return FleetMatrix(
-            names=self.names,
-            values=values,
-            exact_mask=exact_mask,
-            kind=self.kind,
-            f_name=self._f.name,
-            g_name=self._g.name,
-            bounds=None if bounds is None else bounds.copy(),
-            threshold=threshold,
-            metrics=tally.snapshot()["counters"],
-        )
 
     def exhaustive(self) -> FleetMatrix:
         """The oracle: every pair computed exactly (scans memoised).
@@ -606,7 +568,9 @@ class FleetDeviationMatrix:
         n = len(self._models)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self._ensure_exact(pairs)
-        return self._assemble(pairs, None, threshold=None)
+        return _assemble(
+            self, {p: self._exact[p] for p in pairs}, None, threshold=None
+        )
 
     def pruned(self, threshold: float) -> FleetMatrix:
         """delta*-pruned matrix: scan only pairs the bound cannot clear.
@@ -625,19 +589,7 @@ class FleetDeviationMatrix:
         every pair involving it is scanned exactly regardless of the
         bound -- which keeps the agreement guarantee intact.
         """
-        threshold = float(threshold)
-        if not np.isfinite(threshold):
-            raise InvalidParameterError(
-                f"threshold must be finite, got {threshold}"
-            )
-        if self._f.name != ABSOLUTE.name or self._g.name not in (
-            SUM.name, MAX.name,
-        ):
-            raise InvalidParameterError(
-                "delta* pruning is only sound for the f_a difference with "
-                f"g_sum or g_max (Theorem 4.2); this fleet uses "
-                f"f={self._f.name}, g={self._g.name} -- use exhaustive()"
-            )
+        threshold = _pruning_threshold(threshold, self._f, self._g)
         bounds = self.bound_matrix()  # raises for partition fleets
         self._refresh_grown_stores()
         stale = self._stale_stores()
@@ -649,7 +601,9 @@ class FleetDeviationMatrix:
             if bounds[i, j] > threshold or i in stale or j in stale
         ]
         self._ensure_exact(pairs)
-        return self._assemble(pairs, bounds, threshold=threshold)
+        return _assemble(
+            self, {p: self._exact[p] for p in pairs}, bounds, threshold
+        )
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance
@@ -666,7 +620,7 @@ class FleetDeviationMatrix:
         matrix. The next matrix call recomputes ``N - 1`` pairs instead
         of ``N (N - 1) / 2``.
         """
-        i = self._index_of(store)
+        i = _store_index(self.names, store)
         if model is None:
             if self._model_builder is None:
                 raise InvalidParameterError(
@@ -683,5 +637,63 @@ class FleetDeviationMatrix:
         self._models[i] = model
         self._invalidate_store(i)
         self._model_rows[i] = len(self._datasets[i])
-        self._refresh_bounds_row(i)
+        if self._vocab is not None:
+            # the new model may add or drop itemsets: renumber, and carry
+            # every other store's counts over to the new ids -- unless an
+            # itemset is new to the fleet, which no store has counted
+            previous, self._vocab = self._vocab, LitsVocabulary(self._models)
+            counts = self._vocab.remap(previous, self._counts)
+            if counts is None:
+                counts = np.zeros(
+                    (len(self._models), len(self._vocab)), dtype=np.int64
+                )
+                self._scanned = [False] * len(self._models)
+            self._counts = counts
+            if self._bounds is not None:
+                self._vocab.fill_bound_row(self._bounds, i, self._g)
+                obs.metrics().inc("fleet.bounds.filled", len(self._models) - 1)
         return model
+
+
+def _assemble(
+    engine: "FleetDeviationMatrix | SketchFleet",
+    exact: Mapping[tuple[int, int], tuple[float, str]],
+    bounds: np.ndarray | None,
+    threshold: float | None,
+) -> FleetMatrix:
+    """A :class:`FleetMatrix` from exact pair values and the bounds.
+
+    ``exact`` maps each exactly measured pair ``(i, j)``, ``i < j``, to
+    its value and the counter it tallies; every other pair reports its
+    delta* bound and tallies ``fleet.pairs.pruned``.
+    """
+    n = len(engine.names)
+    values = np.zeros((n, n))
+    exact_mask = np.zeros((n, n), dtype=bool)
+    np.fill_diagonal(exact_mask, True)
+    # Tally through an obs registry so the matrix's pruning stats and
+    # any ambient `--metrics` collection share one counting path.
+    tally = obs.MetricsRegistry()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in exact:
+                value, counter = exact[(i, j)]
+                exact_mask[i, j] = exact_mask[j, i] = True
+                tally.inc(counter)
+            else:
+                assert bounds is not None
+                value = bounds[i, j]
+                tally.inc("fleet.pairs.pruned")
+            values[i, j] = values[j, i] = value
+    obs.metrics().absorb(tally)
+    return FleetMatrix(
+        names=engine.names,
+        values=values,
+        exact_mask=exact_mask,
+        kind=engine.kind,
+        f_name=engine._f.name,
+        g_name=engine._g.name,
+        bounds=None if bounds is None else bounds.copy(),
+        threshold=threshold,
+        metrics=tally.snapshot()["counters"],
+    )

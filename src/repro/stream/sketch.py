@@ -42,33 +42,10 @@ from repro._typing import DatasetLike, StructureOrPlan
 
 import numpy as np
 
+from repro.core.model import _Canonical
 from repro.core.partition_plan import PartitionCountingPlan
-from repro.data.transactions import BitmapIndex, SupportCountingPlan
+from repro.data.transactions import BitmapIndex
 from repro.errors import IncompatibleModelsError, InvalidParameterError
-
-
-class _Canonical(tuple[frozenset[int], ...]):
-    """Marker type: a tuple of frozensets already in canonical order.
-
-    :func:`canonical_itemsets` returns (and short-circuits on) this type
-    so the canonicalisation cost is paid once per itemset collection,
-    not once per sketch construction -- the streaming hot path builds
-    hundreds of sketches over the same collection. The sorted-tuple form
-    the bitmap index consumes is cached for the same reason.
-    """
-
-    # no __slots__: variable-length tuple subtypes cannot declare them;
-    # the per-collection __dict__ holds the lazily cached counting plan.
-    _plan: SupportCountingPlan
-
-    def plan(self) -> SupportCountingPlan:
-        """The precompiled counting plan for this collection, built once
-        and reused by every sketch (hence every chunk) over it."""
-        try:
-            return self._plan
-        except AttributeError:
-            self._plan = SupportCountingPlan(self)
-            return self._plan
 
 
 def canonical_itemsets(

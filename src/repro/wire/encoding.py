@@ -28,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.model import _Canonical
 from repro.errors import WireFormatError
 
 _DTYPE_LEN = struct.Struct("<B")
@@ -175,15 +176,21 @@ def itemsets_from_sections(
     *,
     sizes_section: str = "sizes",
     items_section: str = "items",
-) -> tuple[frozenset[int], ...]:
+) -> _Canonical:
     """Decode an itemset table, enforcing the canonical invariants.
 
     Rejects (naming the offending section) anything the producers can
-    never emit: negative sizes or items, a sizes/items length mismatch,
-    duplicate items within an itemset, or a collection that is not in
-    canonical order -- because a decoded collection is immediately
-    zipped against a positional counts/supports vector, and silently
-    re-sorting it would transpose those values.
+    never emit: non-integer or negative sizes or items, a sizes/items
+    length mismatch, duplicate items within an itemset, or a collection
+    that is not in canonical order -- because a decoded collection is
+    immediately zipped against a positional counts/supports vector, and
+    silently re-sorting it would transpose those values.
+
+    Validation is numpy work per size block: each block's rows are
+    sorted (items within an itemset may arrive in any order), a zero
+    step within a row is a duplicate item, and consecutive rows must
+    increase strictly lexicographically. The result is the canonical
+    marker tuple, so sketches and models built from it never re-sort.
     """
     sizes = unpack_array(sizes_payload, sizes_section)
     flat = unpack_array(items_payload, items_section)
@@ -191,38 +198,77 @@ def itemsets_from_sections(
         raise WireFormatError(
             "itemset tables must be 1-d arrays", section=sizes_section
         )
+    sizes = _integer_table(sizes, sizes_section)
+    flat = _integer_table(flat, items_section)
     if sizes.size and int(sizes.min()) < 0:
         raise WireFormatError(
             "negative itemset size", section=sizes_section
         )
-    if int(sizes.sum()) != flat.size:
+    # summed as Python ints: a forged table whose int64 sum wraps
+    # around to the item count must not pass
+    total = sum(sizes.tolist())
+    if total != flat.size:
         raise WireFormatError(
-            f"itemset sizes sum to {int(sizes.sum())} but "
+            f"itemset sizes sum to {total} but "
             f"{flat.size} items are present",
             section=items_section,
         )
     if flat.size and int(flat.min()) < 0:
         raise WireFormatError("negative item id", section=items_section)
-    itemsets: list[frozenset[int]] = []
-    offset = 0
-    for size in (int(s) for s in sizes):
-        group = flat[offset : offset + size]
-        itemset = frozenset(int(i) for i in group)
-        if len(itemset) != size:
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    # every duplicate-item check runs before any order check, so a
+    # table with both faults reports the duplicate item
+    blocks: list[np.ndarray] = []
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        block = np.sort(flat[offsets[rows, None] + np.arange(size)], axis=1)
+        if size > 1 and (block[:, 1:] == block[:, :-1]).any():
             raise WireFormatError(
                 "duplicate items within one itemset",
                 section=items_section,
             )
-        itemsets.append(itemset)
-        offset += size
-    canonical = sorted(
-        set(itemsets), key=lambda s: (len(s), tuple(sorted(s)))
-    )
-    if len(canonical) != len(itemsets) or canonical != itemsets:
+        blocks.append(block)
+    if (sizes[1:] < sizes[:-1]).any() or not all(
+        _rows_increase(block) for block in blocks
+    ):
         raise WireFormatError(
             "itemset collection is not in canonical order (size, then "
             "lexicographic, no duplicates); refusing to silently "
             "re-sort it against its positional counts",
             section=items_section,
         )
-    return tuple(itemsets)
+    items = flat.tolist()
+    bounds = offsets.tolist()
+    return _Canonical(
+        frozenset(items[a:b]) for a, b in zip(bounds, bounds[1:])
+    )
+
+
+def _integer_table(array: np.ndarray, section: str) -> np.ndarray:
+    """An itemset-table array as int64, refusing non-integer dtypes."""
+    if array.dtype.kind not in "iu" or (
+        array.dtype.kind == "u"
+        and array.size
+        and int(array.max()) > np.iinfo(np.int64).max
+    ):
+        raise WireFormatError(
+            f"itemset tables must hold int64-range integers, got "
+            f"{array.dtype.str}",
+            section=section,
+        )
+    return array.astype(np.int64, copy=False)
+
+
+def _rows_increase(block: np.ndarray) -> bool:
+    """Is every row of a sorted-item block lexicographically above the last?"""
+    if len(block) < 2:
+        return True
+    above, below = block[1:], block[:-1]
+    differs = above != below
+    # a row equal to its predecessor is a duplicate itemset
+    if not differs.any(axis=1).all():
+        return False
+    first = differs.argmax(axis=1)
+    picks = np.arange(len(first))
+    return bool((above[picks, first] > below[picks, first]).all())

@@ -100,8 +100,9 @@ def _lits_from_envelope(envelope: Envelope) -> LitsModel:
             section="supports",
         )
     try:
-        return LitsModel(
-            {s: float(v) for s, v in zip(itemsets, supports)},
+        return LitsModel._from_canonical(
+            itemsets,
+            supports.astype(np.float64).tolist(),
             float(meta["min_support"]),
             int(meta["n_items"]),
         )
