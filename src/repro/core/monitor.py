@@ -156,9 +156,9 @@ class ChangeMonitor:
         the pool to interpreter-exit teardown. The monitor stays usable
         afterwards (pooled backends respawn workers lazily).
         """
-        shutdown = getattr(self.executor, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        from repro.stream.executor import release
+
+        release(self.executor)
 
     @property
     def is_fitted(self) -> bool:

@@ -14,10 +14,7 @@ Batched counting is the hot path: :meth:`BitmapIndex.support_counts`
 groups a whole itemset collection by length and counts each group with
 stacked ``bitwise_and`` reductions over a 2-D ``uint8`` matrix and a
 single popcount pass, instead of one Python-level loop iteration per
-itemset. Level-wise miners additionally benefit from the
-intersection-bits cache: counting with ``cache=True`` memoises each
-itemset's packed intersection vector so the level-``k`` pass reuses the
-level-``(k-1)`` bitmaps via the candidates' shared prefixes.
+itemset.
 """
 
 from __future__ import annotations
@@ -47,12 +44,6 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 #: Upper bound on the gathered stripe matrix (rows x length x bytes) a
 #: single batched reduction may allocate; larger groups are chunked.
 _MAX_STRIPE_BYTES = 1 << 25  # 32 MiB
-
-#: Upper bound on memoised intersection vectors per index. When admitting
-#: a group would overflow the cap the memo is cleared wholesale and
-#: rebuilt from the current group; a group larger than the cap by itself
-#: is not cached at all.
-_MAX_CACHE_ENTRIES = 1 << 16
 
 #: The stripe name the index's packed bit matrix lives under in its
 #: :class:`~repro.data.storage.StripeStore`.
@@ -101,13 +92,11 @@ class BitmapIndex:
         transactions: Sequence[tuple[int, ...]],
         n_items: int,
         *,
-        max_cache_entries: int = _MAX_CACHE_ENTRIES,
         store: StripeStore | None = None,
     ) -> None:
         n = len(transactions)
         self.n_transactions = n
         self.n_items = n_items
-        self.max_cache_entries = max_cache_entries
         self._store = RamStripeStore() if store is None else store
         self._writable = True
         n_bytes = (n + 7) // 8
@@ -118,16 +107,9 @@ class BitmapIndex:
         if n:
             self._scatter(transactions, tid_offset=0)
         self._commit()
-        # Intersection-bits memo: sorted itemset tuple -> packed vector.
-        self._prefix_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     @classmethod
-    def from_store(
-        cls,
-        store: StripeStore,
-        *,
-        max_cache_entries: int = _MAX_CACHE_ENTRIES,
-    ) -> "BitmapIndex":
+    def from_store(cls, store: StripeStore) -> "BitmapIndex":
         """Adopt a reopened store, truncating to its committed rows.
 
         The crash-recovery entry point: the committed meta names the
@@ -139,7 +121,6 @@ class BitmapIndex:
         self = object.__new__(cls)
         self.n_transactions = n = int(store.meta["n_rows"])
         self.n_items = int(store.meta["n_items"])
-        self.max_cache_entries = max_cache_entries
         self._store = store
         self._writable = True
         self._buf = store.stripe(_ITEM_BITS)
@@ -148,7 +129,6 @@ class BitmapIndex:
             self._buf[:, n_bytes - 1] &= np.uint8(0xFF << (8 - (n & 7)) & 0xFF)
         self._buf[:, n_bytes:] = 0
         self._bits = self._buf[:, :n_bytes]
-        self._prefix_cache = {}
         return self
 
     @classmethod
@@ -166,12 +146,10 @@ class BitmapIndex:
         self = object.__new__(cls)
         self.n_transactions = n = int(store.meta["n_rows"])
         self.n_items = int(store.meta["n_items"])
-        self.max_cache_entries = _MAX_CACHE_ENTRIES
         self._store = store
         self._writable = False
         self._buf = store.stripe(_ITEM_BITS)
         self._bits = self._buf[:, : (n + 7) // 8]
-        self._prefix_cache = {}
         return self
 
     def handle(self) -> StripeHandle | None:
@@ -218,7 +196,6 @@ class BitmapIndex:
         self = object.__new__(cls)
         self.n_transactions = n_transactions
         self.n_items = n_items
-        self.max_cache_entries = _MAX_CACHE_ENTRIES
         store = RamStripeStore()
         store._stripes[_ITEM_BITS] = bits
         self._store = store
@@ -226,7 +203,6 @@ class BitmapIndex:
         self._buf = bits
         self._bits = bits
         self._commit()
-        self._prefix_cache = {}
         return self
 
     def _scatter(
@@ -262,8 +238,7 @@ class BitmapIndex:
         Item stripes grow into pre-allocated spare capacity; when the
         packed width would overflow, the buffer capacity doubles (so a
         long stream of appends costs O(total rows) in bit writes plus
-        O(log total) reallocations). Appending invalidates the
-        intersection-bits memo: cached vectors describe the old width.
+        O(log total) reallocations).
 
         Rows need no canonical form: the bit scatter is an OR, so
         duplicate or unsorted items within a row are harmless
@@ -291,7 +266,6 @@ class BitmapIndex:
         self._scatter(transactions, tid_offset=self.n_transactions)
         self.n_transactions = n_new
         self._bits = self._buf[:, :need_bytes]
-        self._prefix_cache.clear()
         self._commit()
 
     def item_bits(self, item: int) -> np.ndarray:
@@ -323,9 +297,7 @@ class BitmapIndex:
             return int(np.bitwise_count(acc).sum())
         return int(POPCOUNT[acc].sum())
 
-    def support_counts(
-        self, itemsets: Sequence[Iterable[int]], *, cache: bool = False
-    ) -> np.ndarray:
+    def support_counts(self, itemsets: Sequence[Iterable[int]]) -> np.ndarray:
         """Batched support counts for a whole collection of itemsets.
 
         Itemsets are grouped by length; each group is counted with
@@ -339,13 +311,6 @@ class BitmapIndex:
         itemsets:
             Any sequence of item iterables; duplicates within an itemset
             are ignored and the empty itemset counts every transaction.
-        cache:
-            When true, every itemset's packed intersection vector is
-            memoised so a later call can resolve an itemset from its
-            longest cached prefix with a single extra ``bitwise_and``.
-            Level-wise miners (Apriori) turn this on: level-``k``
-            candidates share their level-``(k-1)`` prefix, so each level
-            reuses the previous level's bitmaps.
 
         Counting the *same* collection against many indexes (the
         streaming shape) should go through a precompiled
@@ -364,7 +329,7 @@ class BitmapIndex:
                 continue
             group = [canon[p] for p in positions]
             out[positions] = _popcount_rows(
-                self._group_intersections(group, length, cache)
+                self._group_intersections(group, length)
             )
         return out
 
@@ -391,90 +356,26 @@ class BitmapIndex:
         return counts
 
     def _group_intersections(
-        self, group: list[tuple[int, ...]], length: int, cache: bool
+        self, group: list[tuple[int, ...]], length: int
     ) -> np.ndarray:
         """Packed intersection vectors for same-length itemsets, stacked.
 
         Returns a ``(len(group), padded_bytes)`` uint8 matrix whose row
         ``i`` starts with the AND of the item stripes of ``group[i]``;
         rows are zero-padded to a multiple of 8 bytes so the caller can
-        popcount a uint64 view in place. Rows whose ``length - 1`` prefix
-        is memoised need only one ``bitwise_and`` with the last item's
-        stripe; the rest are reduced from a chunked stripe gather.
+        popcount a uint64 view in place. Rows are reduced from a chunked
+        stripe gather.
         """
         n_bytes = self._bits.shape[1]
         padded = n_bytes + (-n_bytes) % 8 if _HAS_BITWISE_COUNT else n_bytes
         full = np.zeros((len(group), padded), dtype=np.uint8)
         acc = full[:, :n_bytes]
-
-        if length == 1:
-            ids = np.fromiter((t[0] for t in group), dtype=np.int64, count=len(group))
-            acc[:] = self._bits[ids]
-        else:
-            hit_rows: list[int] = []
-            hit_prefix: list[np.ndarray] = []
-            miss_rows: list[int] = []
-            if cache and self._prefix_cache:
-                for row, t in enumerate(group):
-                    prefix_bits = self._prefix_cache.get(t[:-1])
-                    if prefix_bits is not None:
-                        hit_rows.append(row)
-                        hit_prefix.append(prefix_bits)
-                    else:
-                        miss_rows.append(row)
-            else:
-                miss_rows = list(range(len(group)))
-            if cache:
-                sink = metrics()
-                sink.inc("bitmap.memo.hits", len(hit_rows))
-                sink.inc("bitmap.memo.misses", len(miss_rows))
-
-            if hit_rows:
-                last = np.fromiter(
-                    (group[r][-1] for r in hit_rows), dtype=np.int64, count=len(hit_rows)
-                )
-                acc[hit_rows] = np.bitwise_and(np.stack(hit_prefix), self._bits[last])
-            if miss_rows:
-                ids = np.array([group[r] for r in miss_rows], dtype=np.int64)
-                chunk = max(1, _MAX_STRIPE_BYTES // max(1, length * n_bytes))
-                for start in range(0, len(miss_rows), chunk):
-                    rows = miss_rows[start : start + chunk]
-                    stripes = self._bits[ids[start : start + chunk]]
-                    acc[rows] = np.bitwise_and.reduce(stripes, axis=1)
-
-        if cache and len(group) <= self.max_cache_entries:
-            memo = self._prefix_cache
-            if len(memo) + len(group) > self.max_cache_entries:
-                memo.clear()
-            for row, t in enumerate(group):
-                memo[t] = acc[row]
+        ids = np.array(group, dtype=np.int64)
+        chunk = max(1, _MAX_STRIPE_BYTES // max(1, length * n_bytes))
+        for start in range(0, len(group), chunk):
+            stripes = self._bits[ids[start : start + chunk]]
+            acc[start : start + chunk] = np.bitwise_and.reduce(stripes, axis=1)
         return full
-
-    def retain_cache(self, itemsets: Iterable[Iterable[int]]) -> None:
-        """Shrink the intersection-bits memo to ``itemsets`` only.
-
-        Level-wise miners call this between levels: only the *frequent*
-        ``k``-itemsets can be prefixes of level-``(k+1)`` candidates, so
-        everything else is dead weight. Kept vectors are copied out of
-        the batch matrices they were views into, releasing the per-level
-        buffers.
-        """
-        keep: dict[tuple[int, ...], np.ndarray] = {}
-        memo = self._prefix_cache
-        for itemset in itemsets:
-            t = tuple(sorted({int(i) for i in itemset}))
-            bits = memo.get(t)
-            if bits is not None:
-                keep[t] = bits.copy()
-        self._prefix_cache = keep
-
-    def clear_cache(self) -> None:
-        """Drop every memoised intersection vector."""
-        self._prefix_cache.clear()
-
-    def cache_size(self) -> int:
-        """Number of memoised intersection vectors currently held."""
-        return len(self._prefix_cache)
 
     def intersection_bits(self, items: Iterable[int]) -> np.ndarray:
         """Packed membership vector of transactions containing ``items``.

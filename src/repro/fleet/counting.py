@@ -34,32 +34,22 @@ from repro._typing import ExecutorLike
 from repro.core.partition_plan import cell_assignments
 from repro.data.transactions import SupportCountingPlan
 from repro.errors import InvalidParameterError
-from repro.obs import MetricsRegistry, enabled, metrics, use_registry
+from repro.obs import metrics
 from repro.stream.executor import (
-    _merge_worker_registries,
+    fan,
     get_executor,
     process_backed,
+    release,
+    shipped_index_bytes,
 )
 
 
-def _count_support_payload(
-    payload: tuple[Any, ...],
-) -> np.ndarray | tuple[np.ndarray, MetricsRegistry]:
-    """Top-level map worker (picklable for the process backend).
-
-    With the collect flag set, the scan runs under a fresh per-store
-    registry (span ``fleet.store.scan`` + the bitmap counters) that
-    travels back with the counts, exactly like the stream shard
-    workers.
-    """
-    index, plan, collect = payload
-    if not collect:
-        return plan.count(index)
-    local = MetricsRegistry()
-    with use_registry(local):
-        with local.span("fleet.store.scan"):
-            counts = plan.count(index)
-    return counts, local
+def _count_support_payload(payload: tuple[Any, ...]) -> np.ndarray:
+    """Top-level map worker (picklable for the process backend)."""
+    index, plan = payload
+    with metrics().span("fleet.store.scan"):
+        counts: np.ndarray = plan.count(index)
+    return counts
 
 
 def count_lits_stores(
@@ -75,33 +65,14 @@ def count_lits_stores(
     """
     if not indexes:
         return []
-    collect = enabled()
-    payloads = [(index, plan, collect) for index in indexes]
-    # a backend *name* resolves to a runner this call owns and releases;
-    # an executor *instance* stays open for its owner to reuse
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    if process_backed(runner):
-        # mmap-backed indexes pickle as stripe handles (zero row bytes
-        # on the wire); RAM indexes ship their whole packed buffer
-        metrics().inc(
-            "storage.bytes_shipped",
-            sum(
-                0 if index.handle() is not None else index._buf.nbytes
-                for index in indexes
-            ),
-        )
-    try:
-        results = runner.map(_count_support_payload, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if collect:
-        results = _merge_worker_registries(results)
+    results = fan(
+        _count_support_payload,
+        [(index, plan) for index in indexes],
+        executor,
+        shipped_bytes=lambda: shipped_index_bytes(indexes),
+    )
     metrics().inc("fleet.store.scans", len(indexes))
-    return list(results)
+    return results
 
 
 def prime_partition_passes(
@@ -118,10 +89,13 @@ def prime_partition_passes(
     front (in parallel, when the executor allows) leaves the per-pair
     overlay measurement as pure table lookups plus ``bincount``.
     """
-    # a backend *name* resolves to a runner this call owns and releases;
-    # an executor *instance* stays open for its owner to reuse
+
+    def _prime(i: int) -> None:
+        # serial/thread only (guarded below), so a closure is fine
+        with metrics().span("fleet.store.assign"):
+            cell_assignments(models[i].structure.assigner, datasets[i])
+
     runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
     try:
         if process_backed(runner) and not getattr(runner, "degradable", False):
             # a degradable supervised fan is allowed through: its process
@@ -132,32 +106,7 @@ def prime_partition_passes(
                 "overlay assigners are closures and the assignment memo "
                 "lives in-process); use the serial or thread executor"
             )
-
-        collect = enabled()
-
-        def _prime(i: int) -> MetricsRegistry | None:
-            # serial/thread only (guarded above), so a closure is fine;
-            # worker threads do not see the caller's registry, hence the
-            # same collect-and-return pattern as the shard workers
-            if not collect:
-                cell_assignments(models[i].structure.assigner, datasets[i])
-                return None
-            local = MetricsRegistry()
-            with use_registry(local):
-                with local.span("fleet.store.assign"):
-                    cell_assignments(
-                        models[i].structure.assigner, datasets[i]
-                    )
-            return local
-
-        regs = runner.map(_prime, list(dict.fromkeys(indices)))
-        if collect:
-            sink = metrics()
-            for local in regs:
-                if local is not None:
-                    sink.absorb(local)
+        fan(_prime, list(dict.fromkeys(indices)), runner)
     finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
+        if isinstance(executor, str):
+            release(runner)

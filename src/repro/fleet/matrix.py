@@ -60,7 +60,7 @@ from repro.core.upper_bound import upper_bound_deviation  # noqa: F401
 from repro.errors import IncompatibleModelsError, InvalidParameterError
 from repro.fleet.counting import count_lits_stores, prime_partition_passes
 from repro.fleet.vocab import LitsVocabulary
-from repro.stream.executor import get_executor
+from repro.stream.executor import get_executor, release
 
 if TYPE_CHECKING:  # circular at runtime: federated builds FleetMatrix
     from repro.fleet.federated import SketchFleet
@@ -380,9 +380,7 @@ class FleetDeviationMatrix:
         instance shares its owner's (``shutdown`` is idempotent, and
         pooled backends respawn workers lazily if reused).
         """
-        shutdown = getattr(self._executor, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        release(self._executor)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -5,9 +5,7 @@ This is the algorithm the paper uses to compute lits-models
 frequent itemsets"). Level-wise search: frequent ``k``-itemsets are
 joined on their ``(k-1)``-prefix to form candidates, candidates with any
 infrequent subset are pruned, and the survivors are counted against the
-dataset's bitmap index -- one batched support-counting pass per level,
-with the index's intersection-bits cache resolving each level-``k``
-candidate from its memoised level-``(k-1)`` prefix bitmap.
+dataset's bitmap index -- one batched support-counting pass per level.
 """
 
 from __future__ import annotations
@@ -120,29 +118,20 @@ def apriori_from_index(
     result_counts.update(level)
 
     k = 1
-    try:
-        while level and (max_len is None or k < max_len):
-            frequent_k = [tuple(sorted(s)) for s in level]
-            frequent_set = set(level)
-            candidates = _generate_candidates(frequent_k, frequent_set)
-            level = {}
-            if candidates:
-                # One batched pass per level; cache=True memoises each
-                # candidate's intersection bitmap so the next level's
-                # candidates resolve from their k-prefix with a single AND.
-                counts = index.support_counts(candidates, cache=True)
-                level = {
-                    frozenset(candidate): int(count)
-                    for candidate, count in zip(candidates, counts)
-                    if count >= min_count
-                }
-                # Only frequent k-itemsets can prefix level-(k+1)
-                # candidates; drop the rest of the memo (and its pinned
-                # batch buffers).
-                index.retain_cache(level.keys())
-            result_counts.update(level)
-            k += 1
-    finally:
-        index.clear_cache()
+    while level and (max_len is None or k < max_len):
+        frequent_k = [tuple(sorted(s)) for s in level]
+        frequent_set = set(level)
+        candidates = _generate_candidates(frequent_k, frequent_set)
+        level = {}
+        if candidates:
+            # one batched support-counting pass per level
+            counts = index.support_counts(candidates)
+            level = {
+                frozenset(candidate): int(count)
+                for candidate, count in zip(candidates, counts)
+                if count >= min_count
+            }
+        result_counts.update(level)
+        k += 1
 
     return {s: c / n for s, c in result_counts.items()}

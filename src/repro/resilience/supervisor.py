@@ -44,9 +44,11 @@ from repro.stream.executor import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    _merge_worker_registries,
+    _collected,
+    _merge_collected,
     _sketch_partition_shard,
     _sketch_shard,
+    release,
 )
 from repro.stream.sketch import (
     PartitionSketch,
@@ -465,25 +467,29 @@ def _partial_fan(
     payloads: list[tuple[Any, ...]],
     row_counts: list[int],
     merge_empty: Any,
-    collect: bool,
 ) -> PartialSketchReport:
     supervisor = (
         executor
         if isinstance(executor, SupervisedExecutor)
         else SupervisedExecutor(executor)
     )
-    owns_runner = supervisor is not executor
+    collect = enabled()
     try:
-        report = supervisor.map_report(worker, payloads)
+        if collect:
+            report = supervisor.map_report(
+                _collected, [(worker, p) for p in payloads]
+            )
+        else:
+            report = supervisor.map_report(worker, payloads)
     finally:
-        if owns_runner:
-            supervisor.shutdown()
+        if supervisor is not executor:
+            release(supervisor)
     included = tuple(
         i for i in range(len(payloads)) if i not in set(report.failed)
     )
     completed = [report.results[i] for i in included]
     if collect:
-        completed = _merge_worker_registries(completed)
+        completed = _merge_collected(completed)
     sketch = sum(completed, merge_empty)
     excluded_rows = sum(row_counts[i] for i in report.failed)
     return PartialSketchReport(
@@ -511,16 +517,13 @@ def partial_support_sketch(
     get a result out of a fan with dead shards.
     """
     canon = canonical_itemsets(itemsets)
-    collect = enabled()
     rows = [list(shard) for shard in shards]
-    payloads = [(shard, canon, n_items, collect) for shard in rows]
     return _partial_fan(
         executor,
         _sketch_shard,
-        payloads,
+        [(shard, canon, n_items) for shard in rows],
         [len(shard) for shard in rows],
         SupportSketch.empty(canon, n_items),
-        collect,
     )
 
 
@@ -531,13 +534,10 @@ def partial_partition_sketch(
 ) -> PartialSketchReport:
     """Supervised tabular fan with exact excluded-row accounting."""
     plan = as_partition_plan(structure_or_plan)
-    collect = enabled()
-    payloads = [(shard, plan, collect) for shard in shards]
     return _partial_fan(
         executor,
         _sketch_partition_shard,
-        payloads,
+        [(shard, plan) for shard in shards],
         [len(shard) for shard in shards],
         PartitionSketch.empty(plan),
-        collect,
     )

@@ -44,9 +44,6 @@ from repro.stream.executor import (
     sharded_index_sketch,
     sharded_partition_sketch,
     sharded_support_sketch,
-    sketch_index_shards,
-    sketch_partition_shards,
-    sketch_shards,
 )
 from repro.stream.monitor import OnlineChangeMonitor
 from repro.stream.sketch import (
@@ -90,9 +87,6 @@ __all__ = [
     "sharded_index_sketch",
     "sharded_partition_sketch",
     "sharded_support_sketch",
-    "sketch_index_shards",
-    "sketch_partition_shards",
-    "sketch_shards",
     "stream_tabular_chunks",
     "stream_transaction_chunks",
 ]

@@ -16,13 +16,18 @@ All three produce bit-identical merged sketches; the Hypothesis
 property suite pins ``sum(shard sketches) == single-scan counts`` for
 arbitrary partitions, including empty shards.
 
-When a :mod:`repro.obs` registry is active in the *caller's* context,
-each map worker collects into a fresh per-shard registry (worker
-threads and processes never see the caller's context variable) and
-returns it alongside its sketch; the fan-out site merges them back in
-shard order. Counters and histogram buckets are integer sums, so the
-merged snapshot is identical on every backend — the obs property suite
-pins serial == thread == process, counter for counter.
+Every fan-out site -- the shard sketches here, the fleet store scans,
+the bootstrap replicate blocks -- maps through one primitive,
+:func:`fan`. It owns the runner lifecycle (a backend *name* is released
+before returning, an *instance* stays open for its owner), the
+``storage.bytes_shipped`` accounting of process fans, and the metrics
+hand-off: when a :mod:`repro.obs` registry is active in the *caller's*
+context, each map call collects into a fresh per-call registry (worker
+threads and processes never see the caller's context variable) that
+``fan`` merges back in payload order. Counters and histogram buckets
+are integer sums, so the merged snapshot is identical on every backend
+-- the obs property suite pins serial == thread == process, counter for
+counter.
 """
 
 from __future__ import annotations
@@ -221,104 +226,141 @@ def process_backed(executor: ExecutorLike) -> bool:
     return bool(getattr(executor, "process_backed", False))
 
 
-def _sketch_shard(
-    payload: tuple[Any, ...],
-) -> SupportSketch | tuple[SupportSketch, MetricsRegistry]:
-    """Top-level map worker (must be picklable for the process backend).
+def release(runner: Any) -> None:
+    """Release a runner's worker pool, if it has one.
 
-    With the collect flag set, the shard is sketched under a fresh
-    local registry that travels back with the result; instrumentation
-    inside the counting path (bitmap memo hits, plan counts) lands
-    there instead of the worker's null default.
+    The one shutdown path for fan-owned runners and for the engines
+    that hold a runner (sketchers, monitors, fleet matrices): a no-op
+    for the serial backend, idempotent for pooled ones, and never
+    permanent -- a later map lazily respawns workers.
     """
-    transactions, itemsets, n_items, collect = payload
-    if not collect:
-        return SupportSketch.from_transactions(transactions, itemsets, n_items)
+    shutdown = getattr(runner, "shutdown", None)
+    if shutdown is not None:
+        shutdown()
+
+
+def _collected(
+    call: tuple[Callable[[Any], Any], Any],
+) -> tuple[Any, MetricsRegistry]:
+    """Run ``worker(payload)`` under a fresh registry; return both.
+
+    Top-level so the process backend can pickle it. Worker threads and
+    processes never see the caller's registry (a context variable), so
+    every call collects into its own and ships it back with the result.
+    """
+    worker, payload = call
     local = MetricsRegistry()
     with use_registry(local):
-        with local.span("stream.shard.sketch"):
-            sketch = SupportSketch.from_transactions(
-                transactions, itemsets, n_items
-            )
-        local.inc("stream.shards.sketched")
-        local.observe("stream.shard.rows", float(len(transactions)))
-    return sketch, local
+        result = worker(payload)
+    return result, local
 
 
-def _merge_worker_registries(results: list[Any]) -> list[Any]:
-    """Unzip ``(result, registry)`` pairs, merging registries in order."""
+def _merge_collected(pairs: Iterable[tuple[Any, MetricsRegistry]]) -> list[Any]:
+    """Unzip ``(result, registry)`` pairs, absorbing registries in order."""
     sink = metrics()
-    bare: list[Any] = []
-    for result, local in results:
-        bare.append(result)
+    results: list[Any] = []
+    for result, local in pairs:
+        results.append(result)
         sink.absorb(local)
-    return bare
+    return results
+
+
+def fan(
+    worker: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    executor: ExecutorLike,
+    shipped_bytes: Callable[[], int] | None = None,
+) -> list[Any]:
+    """Map ``worker`` over ``payloads`` on ``executor``, results in order.
+
+    The single map step behind every shard-parallel count:
+
+    * a backend *name* resolves to a runner this call owns and releases,
+      also when a worker raises; an executor *instance* stays open for
+      its owner to reuse;
+    * with a :mod:`repro.obs` registry active, every call runs under its
+      own registry (:func:`_collected`) and the registries merge back in
+      payload order, so merged snapshots are identical on every backend;
+    * ``shipped_bytes()`` -- what a process fan pickles to its workers --
+      is evaluated only on a process-backed runner and tallied in
+      ``storage.bytes_shipped``.
+    """
+    runner = get_executor(executor)
+    try:
+        if shipped_bytes is not None and process_backed(runner):
+            metrics().inc("storage.bytes_shipped", shipped_bytes())
+        if not enabled():
+            return list(runner.map(worker, payloads))
+        return _merge_collected(
+            runner.map(_collected, [(worker, p) for p in payloads])
+        )
+    finally:
+        if isinstance(executor, str):
+            release(runner)
+
+
+def shard_ranges(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
+    """Contiguous, near-even ``[start, stop)`` row ranges covering ``n_rows``.
+
+    The one splitter every fan shards by. With fewer rows than shards
+    some ranges are empty; the merge identity makes that harmless.
+    """
+    if n_shards < 1:
+        raise InvalidParameterError("n_shards must be >= 1")
+    base, extra = divmod(n_rows, n_shards)
+    # the first ``extra`` shards take one row more than the rest
+    bounds = [i * base + min(i, extra) for i in range(n_shards + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def shipped_row_bytes(shards: Sequence[Sequence[Any]]) -> int:
     """Approximate pickled payload bytes of row shards (8 bytes/item+row).
 
     Feeds the ``storage.bytes_shipped`` counter when a *process* fan has
-    to ship the rows themselves; the handle-based fans over a
-    shared-medium store ship none, which is the zero the out-of-core
-    invariants pin.
+    to ship the rows themselves.
     """
     return sum(8 * (len(shard) + sum(len(t) for t in shard)) for shard in shards)
+
+
+def shipped_index_bytes(indexes: Iterable[BitmapIndex]) -> int:
+    """Pickled bytes of the bitmap indexes a process fan ships.
+
+    A shared-medium (mmap) index pickles as a stripe handle and ships
+    none -- the zero the out-of-core invariants pin. A RAM index ships
+    its occupied packed bits (:meth:`BitmapIndex.__reduce_ex__`), never
+    the spare append capacity behind them.
+    """
+    return sum(
+        0 if index.handle() is not None else index._bits.nbytes
+        for index in indexes
+    )
+
+
+# --------------------------------------------------------------------- #
+# Transaction map-merge: row shards, or row ranges of one shared index
+# --------------------------------------------------------------------- #
+
+
+def _sketch_shard(payload: tuple[Any, ...]) -> SupportSketch:
+    """Top-level map worker (must be picklable for the process backend)."""
+    transactions, itemsets, n_items = payload
+    sink = metrics()
+    with sink.span("stream.shard.sketch"):
+        sketch = SupportSketch.from_transactions(transactions, itemsets, n_items)
+    sink.inc("stream.shards.sketched")
+    sink.observe("stream.shard.rows", float(len(transactions)))
+    return sketch
 
 
 def shard_transactions(
     transactions: Sequence[Any], n_shards: int
 ) -> list[list[Any]]:
-    """Split transactions into ``n_shards`` contiguous, near-even shards.
-
-    With fewer transactions than shards some shards are empty; the merge
-    identity makes that harmless.
-    """
-    if n_shards < 1:
-        raise InvalidParameterError("n_shards must be >= 1")
+    """Split transactions into ``n_shards`` contiguous, near-even shards."""
     transactions = list(transactions)
-    n = len(transactions)
-    base, extra = divmod(n, n_shards)
-    shards: list[list[Any]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(transactions[start : start + size])
-        start += size
-    return shards
-
-
-def sketch_shards(
-    shards: Sequence[Sequence[Any]],
-    itemsets: Iterable[Iterable[int]],
-    n_items: int,
-    executor: ExecutorLike = "serial",
-) -> list[SupportSketch]:
-    """Sketch every transaction shard on the chosen backend.
-
-    A backend *name* resolves to a runner this call owns and releases;
-    an executor *instance* stays open for its owner to reuse.
-    """
-    canon = canonical_itemsets(itemsets)
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    collect = enabled()
-    payloads = [(list(shard), canon, n_items, collect) for shard in shards]
-    if process_backed(runner):
-        metrics().inc(
-            "storage.bytes_shipped",
-            shipped_row_bytes([p[0] for p in payloads]),
-        )
-    try:
-        results = runner.map(_sketch_shard, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if not collect:
-        return results
-    return _merge_worker_registries(results)
+    return [
+        transactions[start:stop]
+        for start, stop in shard_ranges(len(transactions), n_shards)
+    ]
 
 
 def sharded_support_sketch(
@@ -334,34 +376,18 @@ def sharded_support_sketch(
     over the whole bag (the property suite enforces this), but the map
     step fans out over the executor's workers.
     """
+    canon = canonical_itemsets(itemsets)
     shards = shard_transactions(transactions, n_shards)
-    sketches = sketch_shards(shards, itemsets, n_items, executor=executor)
-    merged = sum(sketches, SupportSketch.empty(itemsets, n_items))
-    return merged
+    sketches = fan(
+        _sketch_shard,
+        [(shard, canon, n_items) for shard in shards],
+        executor,
+        shipped_bytes=lambda: shipped_row_bytes(shards),
+    )
+    return sum(sketches, SupportSketch.empty(canon, n_items))
 
 
-# --------------------------------------------------------------------- #
-# Shared-index (zero-copy) map-merge
-# --------------------------------------------------------------------- #
-
-
-def shard_ranges(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous, near-even ``[start, stop)`` row ranges covering ``n_rows``."""
-    if n_shards < 1:
-        raise InvalidParameterError("n_shards must be >= 1")
-    base, extra = divmod(n_rows, n_shards)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
-def _sketch_index_shard(
-    payload: tuple[Any, ...],
-) -> SupportSketch | tuple[SupportSketch, MetricsRegistry]:
+def _sketch_index_shard(payload: tuple[Any, ...]) -> SupportSketch:
     """Top-level map worker counting one row range of a shared index.
 
     Serial/thread backends receive the index by reference; the process
@@ -369,63 +395,18 @@ def _sketch_index_shard(
     medium is a byte-cheap :class:`~repro.data.storage.StripeHandle`
     the worker re-maps zero-copy (``BitmapIndex.__reduce_ex__``) -- the
     attach happens during payload deserialisation, the counting under
-    the worker's collect registry.
+    the call's registry.
     """
-    index, start, stop, canon, collect = payload
-    if not collect:
+    index, start, stop, canon = payload
+    sink = metrics()
+    with sink.span("stream.shard.sketch"):
         counts = canon.plan().count(index, start=start, stop=stop)
-        return SupportSketch._from_canonical(
+        sketch = SupportSketch._from_canonical(
             canon, counts, stop - start, index.n_items
         )
-    local = MetricsRegistry()
-    with use_registry(local):
-        with local.span("stream.shard.sketch"):
-            counts = canon.plan().count(index, start=start, stop=stop)
-            sketch = SupportSketch._from_canonical(
-                canon, counts, stop - start, index.n_items
-            )
-        local.inc("stream.shards.sketched")
-        local.observe("stream.shard.rows", float(stop - start))
-    return sketch, local
-
-
-def sketch_index_shards(
-    index: BitmapIndex,
-    itemsets: Iterable[Iterable[int]],
-    n_shards: int = 1,
-    executor: ExecutorLike = "serial",
-) -> list[SupportSketch]:
-    """Sketch contiguous row ranges of one *shared* index, no row copies.
-
-    The ranged counting seam (:meth:`SupportCountingPlan.count` with
-    ``start``/``stop``) lets every shard scan its slice of the same
-    stripes. On the serial/thread backends the workers share the index
-    by reference. On the process backend the shipping cost depends on
-    the index's store: a shared-medium (mmap) store pickles as a stripe
-    handle -- ``storage.bytes_shipped`` stays 0 and workers attach
-    zero-copy -- while a RAM store must ship the packed buffer to every
-    worker, tallied in the same counter (the out-of-core bench measures
-    exactly this gap).
-    """
-    canon = canonical_itemsets(itemsets)
-    ranges = shard_ranges(index.n_transactions, n_shards)
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    collect = enabled()
-    if process_backed(runner):
-        shipped = 0 if index.handle() is not None else index._buf.nbytes
-        metrics().inc("storage.bytes_shipped", shipped * len(ranges))
-    payloads = [(index, a, b, canon, collect) for a, b in ranges]
-    try:
-        results = runner.map(_sketch_index_shard, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if not collect:
-        return results
-    return _merge_worker_registries(results)
+    sink.inc("stream.shards.sketched")
+    sink.observe("stream.shard.rows", float(stop - start))
+    return sketch
 
 
 def sharded_index_sketch(
@@ -436,14 +417,26 @@ def sharded_index_sketch(
 ) -> SupportSketch:
     """Map-merge counting over a shared index: range-split, sketch, sum.
 
-    Equivalent to one full-scan sketch of the index (the
-    backend-parametrized property suite enforces bit-identity across
-    backends and executors), but no shard ever holds a row copy.
+    The ranged counting seam (:meth:`SupportCountingPlan.count` with
+    ``start``/``stop``) lets every shard scan its slice of the same
+    stripes, so no shard ever holds a row copy. On the serial/thread
+    backends the workers share the index by reference. On the process
+    backend the shipping cost depends on the index's store: a
+    shared-medium (mmap) store pickles as a stripe handle --
+    ``storage.bytes_shipped`` stays 0 and workers attach zero-copy --
+    while a RAM store must ship its packed bits to every worker,
+    tallied in the same counter. The result equals one full-scan sketch
+    of the index on every backend and executor.
     """
-    sketches = sketch_index_shards(
-        index, itemsets, n_shards=n_shards, executor=executor
+    canon = canonical_itemsets(itemsets)
+    ranges = shard_ranges(index.n_transactions, n_shards)
+    sketches = fan(
+        _sketch_index_shard,
+        [(index, start, stop, canon) for start, stop in ranges],
+        executor,
+        shipped_bytes=lambda: shipped_index_bytes([index] * len(ranges)),
     )
-    return sum(sketches, SupportSketch.empty(itemsets, index.n_items))
+    return sum(sketches, SupportSketch.empty(canon, index.n_items))
 
 
 # --------------------------------------------------------------------- #
@@ -451,73 +444,32 @@ def sharded_index_sketch(
 # --------------------------------------------------------------------- #
 
 
-def _sketch_partition_shard(
-    payload: tuple[Any, ...],
-) -> PartitionSketch | tuple[PartitionSketch, MetricsRegistry]:
+def _sketch_partition_shard(payload: tuple[Any, ...]) -> PartitionSketch:
     """Top-level map worker for tabular shards.
 
     Picklable for the process backend as long as the plan's assigner is
     (tree and grid assigners are; composed GCR-overlay assigners are
-    closures and need the serial or thread backend). Collects into a
-    per-shard registry exactly like :func:`_sketch_shard`.
+    closures and need the serial or thread backend).
     """
-    dataset, plan, collect = payload
-    if not collect:
-        return PartitionSketch.from_dataset(dataset, plan)
-    local = MetricsRegistry()
-    with use_registry(local):
-        with local.span("stream.shard.sketch"):
-            sketch = PartitionSketch.from_dataset(dataset, plan)
-        local.inc("stream.shards.sketched")
-        local.observe("stream.shard.rows", float(len(dataset)))
-    return sketch, local
+    dataset, plan = payload
+    sink = metrics()
+    with sink.span("stream.shard.sketch"):
+        sketch = PartitionSketch.from_dataset(dataset, plan)
+    sink.inc("stream.shards.sketched")
+    sink.observe("stream.shard.rows", float(len(dataset)))
+    return sketch
 
 
 def shard_dataset(dataset: DatasetLike, n_shards: int) -> list[Any]:
     """Split a tabular dataset into contiguous, near-even row slices.
 
     Slices are numpy views (:meth:`TabularDataset.slice_rows`), so
-    sharding is O(shards), not O(rows). With fewer rows than shards some
-    shards are empty; the merge identity makes that harmless.
+    sharding is O(shards), not O(rows).
     """
-    if n_shards < 1:
-        raise InvalidParameterError("n_shards must be >= 1")
-    n = len(dataset)
-    base, extra = divmod(n, n_shards)
-    shards = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(dataset.slice_rows(start, start + size))
-        start += size
-    return shards
-
-
-def sketch_partition_shards(
-    shards: Sequence[Any],
-    structure_or_plan: StructureOrPlan,
-    executor: ExecutorLike = "serial",
-) -> list[PartitionSketch]:
-    """Sketch every tabular shard on the chosen backend.
-
-    A backend *name* resolves to a runner this call owns and releases;
-    an executor *instance* stays open for its owner to reuse.
-    """
-    plan = as_partition_plan(structure_or_plan)
-    runner = get_executor(executor)
-    owns_runner = isinstance(executor, str)
-    collect = enabled()
-    payloads = [(shard, plan, collect) for shard in shards]
-    try:
-        results = runner.map(_sketch_partition_shard, payloads)
-    finally:
-        if owns_runner:
-            shutdown = getattr(runner, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
-    if not collect:
-        return results
-    return _merge_worker_registries(results)
+    return [
+        dataset.slice_rows(start, stop)
+        for start, stop in shard_ranges(len(dataset), n_shards)
+    ]
 
 
 def sharded_partition_sketch(
@@ -538,5 +490,7 @@ def sharded_partition_sketch(
         # streaming hot path sketches every chunk through here).
         return PartitionSketch.from_dataset(dataset, plan)
     shards = shard_dataset(dataset, n_shards)
-    sketches = sketch_partition_shards(shards, plan, executor=executor)
+    sketches = fan(
+        _sketch_partition_shard, [(shard, plan) for shard in shards], executor
+    )
     return sum(sketches, PartitionSketch.empty(plan))

@@ -76,7 +76,7 @@ from repro.stats.resample_plan import (
     LitsResamplePlan,
     lits_membership,
 )
-from repro.stream.executor import get_executor
+from repro.stream.executor import get_executor, release
 from repro.stream.windows import (
     ChunkSketcher,
     PartitionChunkSketcher,
@@ -378,9 +378,7 @@ class OnlineChangeMonitor:
         close explicitly once the stream ends. The monitor stays usable
         -- a pooled backend lazily respawns workers on the next map.
         """
-        shutdown = getattr(self.executor, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        release(self.executor)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -47,6 +47,7 @@ from repro.errors import InvalidParameterError
 from repro.obs import MetricsRegistry, metrics
 from repro.stream.executor import (
     get_executor,
+    release,
     sharded_index_sketch,
     sharded_partition_sketch,
 )
@@ -155,9 +156,7 @@ class TransactionChunkSketcher:
         an executor instance shares its owner's, and that owner should
         close instead (``shutdown`` is idempotent either way).
         """
-        shutdown = getattr(self.executor, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        release(self.executor)
 
     def normalize(self, chunk: Sequence[Iterable[int]]) -> TransactionChunk:
         if isinstance(chunk, TransactionChunk) and chunk.n_items == self.n_items:
@@ -211,9 +210,7 @@ class PartitionChunkSketcher:
         an executor instance shares its owner's, and that owner should
         close instead (``shutdown`` is idempotent either way).
         """
-        shutdown = getattr(self.executor, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        release(self.executor)
 
     def normalize(self, chunk: DatasetLike) -> DatasetLike:
         if not hasattr(chunk, "X") or not hasattr(chunk, "space"):

@@ -21,28 +21,13 @@ itemset_lists = st.lists(st.frozensets(items, max_size=5), min_size=0, max_size=
 
 
 @settings(deadline=None, max_examples=120)
-@given(transactions=transactions, itemsets=itemset_lists, cache=st.booleans())
-def test_batched_counts_equal_seed_loop(transactions, itemsets, cache):
+@given(transactions=transactions, itemsets=itemset_lists)
+def test_batched_counts_equal_seed_loop(transactions, itemsets):
     index = BitmapIndex([tuple(sorted(t)) for t in transactions], n_items=12)
-    batched = index.support_counts(itemsets, cache=cache)
+    batched = index.support_counts(itemsets)
     loop = index.support_counts_loop(itemsets)
     assert batched.dtype == loop.dtype == np.int64
     assert batched.tolist() == loop.tolist()
-
-
-@settings(deadline=None, max_examples=60)
-@given(transactions=transactions, itemsets=itemset_lists)
-def test_cache_warm_counts_stay_identical(transactions, itemsets):
-    """A warm intersection-bits cache must never change any answer."""
-    index = BitmapIndex([tuple(sorted(t)) for t in transactions], n_items=12)
-    cold = index.support_counts(itemsets, cache=True)
-    warm = index.support_counts(itemsets, cache=True)
-    supersets = [frozenset(s) | {0} for s in itemsets]
-    assert cold.tolist() == warm.tolist()
-    assert (
-        index.support_counts(supersets, cache=True).tolist()
-        == index.support_counts_loop(supersets).tolist()
-    )
 
 
 class TestEdgeShapes:
@@ -67,26 +52,3 @@ class TestEdgeShapes:
     def test_duplicate_items_within_itemset(self, small_transactions):
         batched = small_transactions.index.support_counts([(0, 0, 1)])
         assert batched.tolist() == [small_transactions.support_count({0, 1})]
-
-    def test_level_wise_prefix_reuse(self):
-        """Apriori-style level-k counting resolves from level-(k-1) bits."""
-        rng = np.random.default_rng(3)
-        txns = [
-            tuple(sorted(set(rng.integers(0, 10, 5).tolist())))
-            for _ in range(100)
-        ]
-        d = TransactionDataset(txns, n_items=10)
-        index = d.index
-        pairs = [(a, b) for a in range(10) for b in range(a + 1, 10)]
-        triples = [(a, b, c) for a, b in pairs for c in range(b + 1, 10)]
-        index.support_counts(pairs, cache=True)
-        assert len(index._prefix_cache) == len(pairs)
-        got = index.support_counts(triples, cache=True)
-        assert got.tolist() == index.support_counts_loop(triples).tolist()
-
-    def test_clear_cache(self, small_transactions):
-        index = small_transactions.index
-        index.support_counts([(0, 1), (1, 2)], cache=True)
-        assert index._prefix_cache
-        index.clear_cache()
-        assert not index._prefix_cache

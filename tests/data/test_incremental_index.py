@@ -1,17 +1,12 @@
-"""Incremental BitmapIndex growth and prefix-cache memory discipline."""
+"""Incremental BitmapIndex growth and precompiled support counting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.data.transactions import (
-    BitmapIndex,
-    SupportCountingPlan,
-    TransactionDataset,
-)
+from repro.data.transactions import BitmapIndex, SupportCountingPlan
 from repro.errors import InvalidParameterError
-from repro.mining.apriori import apriori
 
 TXNS = [
     (0, 1), (0, 1, 2), (0,), (1, 2), (2,), (0, 1), (3,), (0, 2, 3),
@@ -66,15 +61,6 @@ class TestAppend:
         assert index.support_count((0, 1, 2)) == index.n_transactions == 18
         assert index.support_count(()) == 18
 
-    def test_append_invalidates_prefix_cache(self):
-        index = BitmapIndex(TXNS, 4)
-        index.support_counts([(0, 1), (1, 2)], cache=True)
-        assert index.cache_size() > 0
-        index.append([(0, 1, 2, 3)])
-        assert index.cache_size() == 0  # stale vectors dropped
-        # and fresh counts see the new row: 4 occurrences in TXNS plus it
-        assert index.support_count((0, 1)) == 5
-
     def test_out_of_universe_append_rejected(self):
         index = BitmapIndex(TXNS, 4)
         with pytest.raises(InvalidParameterError):
@@ -115,37 +101,3 @@ class TestSupportCountingPlan:
     def test_empty_collection_plan(self):
         plan = SupportCountingPlan([])
         assert plan.count(BitmapIndex(TXNS, 4)).shape == (0,)
-
-
-class TestPrefixCacheBound:
-    def test_cap_is_configurable_and_enforced(self):
-        index = BitmapIndex(TXNS, 4, max_cache_entries=4)
-        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]  # 6 > 4
-        counts = index.support_counts(pairs, cache=True)
-        # a group larger than the cap is computed but never admitted
-        assert index.cache_size() == 0
-        np.testing.assert_array_equal(counts, index.support_counts_loop(pairs))
-
-    def test_overflow_clears_then_readmits(self):
-        index = BitmapIndex(TXNS, 4, max_cache_entries=4)
-        index.support_counts([(0, 1), (0, 2)], cache=True)
-        assert index.cache_size() == 2
-        index.support_counts([(1, 2), (1, 3), (2, 3)], cache=True)
-        # admitting 3 more would exceed 4: wholesale clear, then admit
-        assert index.cache_size() == 3
-
-    def test_mining_releases_the_cache(self):
-        """Regression: a full Apriori run must not leave memoised
-        intersection vectors (and the batch buffers they pin) behind."""
-        rng = np.random.default_rng(9)
-        txns = [
-            tuple(sorted(set(rng.integers(0, 12, size=5).tolist())))
-            for _ in range(400)
-        ]
-        dataset = TransactionDataset(txns, 12)
-        apriori(dataset, 0.05)
-        assert dataset.index.cache_size() == 0
-        # a second mining run over the same index starts from a cold,
-        # bounded memo and reproduces identical results
-        assert apriori(dataset, 0.05) == apriori(dataset, 0.05)
-        assert dataset.index.cache_size() == 0

@@ -5,7 +5,7 @@ sharded workload under the serial, thread, and process executors
 produces **identical** counter and histogram snapshots — per-shard
 registries merged in shard order equal serial collection exactly. Plus
 smoke coverage that each wired subsystem (windows, monitor, fleet,
-bootstrap, bitmap memo) actually emits, and that the legacy attributes
+bootstrap) actually emits, and that the legacy attributes
 (``rows_sketched``, ``n_pruned``) are views of the same counters.
 """
 
@@ -297,18 +297,3 @@ class TestBootstrapInstrumentation:
         counters = registry.snapshot()["counters"]
         assert counters["bootstrap.pooled_scans"] == 1
         assert counters["bootstrap.replicates.gemm"] >= 6
-
-    def test_bitmap_memo_counters(self, small_transactions):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            index = small_transactions.index
-            index.clear_cache()  # other tests may have warmed the memo
-            # (2, 3) has no memoised (2,) prefix yet -> one miss; the
-            # second call resolves (2, 3, 4) from the now-cached (2, 3)
-            # prefix with a single extra AND -> one hit
-            index.support_counts([frozenset({2, 3})], cache=True)
-            index.support_counts([frozenset({2, 3, 4})], cache=True)
-        counters = registry.snapshot()["counters"]
-        assert counters["bitmap.support_counts.calls"] == 2
-        assert counters["bitmap.memo.misses"] == 1
-        assert counters["bitmap.memo.hits"] == 1

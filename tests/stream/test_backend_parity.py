@@ -26,10 +26,12 @@ from hypothesis import strategies as st
 from repro.core.attribute import AttributeSpace, numeric
 from repro.core.lits import LitsModel
 from repro.core.model import LitsStructure
+from repro.data.transactions import SupportCountingPlan
+from repro.fleet.counting import count_lits_stores
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.bootstrap import deviation_significance
 from repro.stream.chunks import TabularLog, TransactionLog
-from repro.stream.executor import sharded_index_sketch, sketch_index_shards
+from repro.stream.executor import sharded_index_sketch
 from repro.stream.sketch import PartitionSketch, SupportSketch
 
 N_ITEMS = 10
@@ -233,18 +235,28 @@ class TestZeroCopyFan:
         assert counters["stream.shards.sketched"] == 4
         assert np.array_equal(merged.counts, ref.counts)
 
-    def test_process_fan_on_ram_backend_pays_the_bytes(self, tmp_path):
-        rows = self._rows()
-        ram = TransactionLog(N_ITEMS, rows)
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            sketch_index_shards(
-                ram.index, self.ITEMSETS, n_shards=3, executor="process"
-            )
-        counters = registry.snapshot()["counters"]
-        assert (
-            counters["storage.bytes_shipped"] == 3 * ram.index._buf.nbytes
+    def test_process_fan_on_ram_backend_pays_the_bytes(self):
+        """A RAM index ships its occupied packed bits once per shipped
+        copy, never the spare append capacity behind them
+        (``BitmapIndex.__reduce_ex__`` pickles only ``_bits``)."""
+        ram = TransactionLog(N_ITEMS, self._rows())
+        ram.append(self._rows(30))
+        index = ram.index
+        assert index._bits.nbytes < index._buf.nbytes  # spare capacity
+        fans = (
+            lambda: sharded_index_sketch(
+                index, self.ITEMSETS, n_shards=3, executor="process"
+            ),
+            lambda: count_lits_stores(
+                [index] * 3, SupportCountingPlan(self.ITEMSETS), executor="process"
+            ),
         )
+        for fan_out in fans:
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                fan_out()
+            counters = registry.snapshot()["counters"]
+            assert counters["storage.bytes_shipped"] == 3 * index._bits.nbytes
 
     def test_budget_exceeded_scan_completes_with_exact_accounting(
         self, tmp_path

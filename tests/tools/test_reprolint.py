@@ -181,6 +181,27 @@ class TestRL003:
         )
         assert codes(src) == []
 
+    def test_release_helper_is_clean(self):
+        src = (
+            "def fan(executor, payloads):\n"
+            "    runner = get_executor(executor)\n"
+            "    try:\n"
+            "        return runner.map(work, payloads)\n"
+            "    finally:\n"
+            "        release(runner)\n"
+        )
+        assert codes(src) == []
+
+    def test_named_runner_without_any_release_still_fires(self):
+        src = (
+            "def fan(executor, payloads):\n"
+            "    runner = get_executor(executor)\n"
+            "    results = runner.map(work, payloads)\n"
+            "    releases = len(results)\n"
+            "    return results, releases\n"
+        )
+        assert codes(src) == ["RL003"]
+
     def test_serial_backend_has_nothing_to_release(self):
         src = (
             "def fan(payloads):\n"

@@ -8,8 +8,8 @@ RL001     no unseeded numpy randomness outside ``_resolve_rng``
 RL002     sketch/plan merges must guard on ``counts_key`` (or
           equivalent) before touching counts
 RL003     executor construction must be paired with deterministic
-          release (``shutdown``/``close``/``with``; or an owning class
-          that exposes ``close()``)
+          release (``shutdown``/``close``/``release``/``with``; or an
+          owning class that exposes ``close()``)
 RL004     no per-row Python ``for`` loops in the designated hot modules
           (functions marked as property-test oracles are exempt)
 RL005     no mutable default arguments; no ndarray-keyed memo dicts
@@ -274,9 +274,9 @@ class ExecutorLifecycleRule:
     A pool left to interpreter-exit teardown can race CPython's atexit
     machinery (the OSError race PR 5 fixed). Every executor constructed
     in a scope must be released in that scope (``with``, or a
-    ``shutdown()``/``close()`` call, including via ``getattr``), or be
-    stored on ``self`` of a class that exposes ``close``/``shutdown``
-    for its owner to call.
+    ``shutdown()``/``close()``/``release()`` call, including via
+    ``getattr``), or be stored on ``self`` of a class that exposes
+    ``close``/``shutdown`` for its owner to call.
     """
 
     code = "RL003"
@@ -293,7 +293,7 @@ class ExecutorLifecycleRule:
             "resolve_executor",
         }
     )
-    RELEASE_NAMES = frozenset({"shutdown", "close"})
+    RELEASE_NAMES = frozenset({"shutdown", "close", "release"})
 
     def _is_factory_call(self, node: ast.Call) -> bool:
         name = tail_name(node.func)
