@@ -10,12 +10,18 @@ The fault-tolerance layer's acceptance bars, pinned at tiny scale:
   clean run means the supervisor is misfiring);
 * **cheap durability**: checkpointing a live monitor and resuming it
   are tens-of-milliseconds operations, and the resumed monitor emits
-  bit-identical observations to the run that never died.
+  bit-identical observations to the run that never died;
+* **write-once checkpoints**: past warm-up, every checkpoint after a
+  ``step``-row push writes exactly ``step`` rows -- the reference and
+  the surviving chunks are hard-linked from the previous generation.
+  CI asserts ``steady_rows_written_per_checkpoint == step`` from
+  ``BENCH_resilience.json``.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -31,6 +37,9 @@ from repro.stream.monitor import OnlineChangeMonitor
 N_ROWS = 12_000
 N_ITEMS = 60
 N_SHARDS = 8
+WINDOW = 1_000
+STEP = 500
+STEADY_CHECKPOINTS = 8
 ITEMSETS = [(i,) for i in range(0, 20)] + [
     (i, j) for i in range(0, 8) for j in range(i + 1, 8)
 ]
@@ -92,7 +101,7 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
 
     def make():
         return OnlineChangeMonitor(
-            builder, N_ITEMS, window_size=1_000, step=500, n_boot=8,
+            builder, N_ITEMS, window_size=WINDOW, step=STEP, n_boot=8,
             rng=np.random.default_rng(5),
         )
 
@@ -119,9 +128,34 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
     assert [key(o) for o in emitted] == [key(o) for o in expected]
     assert ckpt_registry.counter("resilience.checkpoints_written") == 1
     assert ckpt_registry.counter("resilience.checkpoints_resumed") == 1
-    import shutil
-
     shutil.rmtree(ckpt_dir)
+
+    # Steady state: once the reference is fit, each checkpoint after a
+    # step-row push writes that step's rows and links everything else.
+    steady = make()
+    warm = WINDOW + STEP
+    steady.push(rows[:warm])
+    steady.checkpoint(ckpt_dir)
+    steady_registry = MetricsRegistry()
+    rows_written = []
+    t_steady = 0.0
+    with use_registry(steady_registry):
+        for k in range(STEADY_CHECKPOINTS):
+            steady.push(rows[warm + k * STEP : warm + (k + 1) * STEP])
+            before = steady_registry.counter(
+                "resilience.checkpoint_rows_written"
+            )
+            t4 = time.perf_counter()
+            steady.checkpoint(ckpt_dir)
+            t_steady += time.perf_counter() - t4
+            rows_written.append(
+                steady_registry.counter("resilience.checkpoint_rows_written")
+                - before
+            )
+    shutil.rmtree(ckpt_dir)
+    assert rows_written == [STEP] * STEADY_CHECKPOINTS, rows_written
+    steady_counters = steady_registry.snapshot()["counters"]
+    assert steady_counters["resilience.checkpoint_files_linked"] > 0
 
     payload = {
         "bench": "resilience",
@@ -136,11 +170,18 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         "checkpoint_bytes": checkpoint_bytes,
         "counters": counters,
         "checkpoint_counters": ckpt_registry.snapshot()["counters"],
+        "step": STEP,
+        "steady_checkpoints": STEADY_CHECKPOINTS,
+        "steady_rows_written_per_checkpoint": max(rows_written),
+        "t_steady_checkpoint_s": round(t_steady / STEADY_CHECKPOINTS, 4),
+        "steady_counters": steady_counters,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"\nsupervised fan {t_supervised * 1e3:.0f}ms vs bare "
         f"{t_bare * 1e3:.0f}ms ({overhead:.2f}x), all resilience counters "
         f"zero; checkpoint {t_checkpoint * 1e3:.0f}ms / resume "
-        f"{t_resume * 1e3:.0f}ms ({checkpoint_bytes} B) -> {JSON_PATH.name}"
+        f"{t_resume * 1e3:.0f}ms ({checkpoint_bytes} B); steady checkpoint "
+        f"{t_steady / STEADY_CHECKPOINTS * 1e3:.1f}ms writing {STEP} rows "
+        f"-> {JSON_PATH.name}"
     )

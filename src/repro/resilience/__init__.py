@@ -21,10 +21,13 @@ the engine (PRs 2-9 built the speed; this package makes it survive):
   deterministic retry backoff (RL001/RL010 route every retry here).
 
 Obs counters: ``resilience.retries``, ``resilience.pool_rebuilds``,
-``resilience.degraded_fans``, ``resilience.quarantined_shards``,
-``resilience.checkpoints_written``, ``resilience.checkpoints_resumed``.
-All are zero on a fault-free run -- the bench snapshot invariant CI
-asserts.
+``resilience.degraded_fans``, ``resilience.quarantined_shards`` -- all
+zero on a fault-free run, the bench snapshot invariant CI asserts --
+and ``resilience.checkpoints_written``,
+``resilience.checkpoints_resumed``,
+``resilience.checkpoint_rows_written`` (rows handed to a row writer)
+and ``resilience.checkpoint_files_linked`` (files a generation
+hard-linked from the previous one instead of rewriting).
 """
 
 from repro.resilience.backoff import backoff_delay, sleep_backoff

@@ -7,13 +7,26 @@ persists the *entire* resume-relevant state and restores it
 bit-identically:
 
 * **atomic-manifest publish** (the ``MmapStripeStore`` pattern): each
-  :func:`write_checkpoint` writes a fresh ``gen-NNNNNN/`` directory --
+  :func:`write_checkpoint` builds a fresh ``gen-NNNNNN/`` directory --
   rows via :mod:`repro.data.io`, window sketches via the
   :mod:`repro.wire` envelope, everything CRC-recorded in
   ``state.json`` -- and only then swaps ``CHECKPOINT.json`` into place
   with ``os.replace``. A kill at any instant leaves the previous
   committed generation untouched; stale generations are collected
   after the commit.
+* **write-once files**: ring chunks are immutable once pushed and the
+  reference changes only at warm-up or on a ``reset_on_drift``
+  promotion, so each chunk's rows and sketch, and each reference, are
+  compressed once. The monitor keeps a ledger of the files of the last
+  generation it committed (or resumed from), and a later generation
+  hard-links those files (``os.link``) into its own directory under
+  the usual names, taking their CRCs from the ledger; only the buffer,
+  ``state.json`` and objects the ledger lacks are written. A link that
+  fails for any reason (no hard links on the filesystem, a source
+  deleted behind the writer's back) falls back to writing the object
+  from memory. Every generation directory stays self-contained, so the
+  on-disk format (v1) is unchanged and collecting an old generation
+  leaves a linked file alive through its surviving link.
 * **verified resume**: :func:`resume_checkpoint` checks the manifest,
   the state CRC, every file CRC, and the monitor's configuration
   fingerprint before touching the monitor, then rebuilds the reference
@@ -34,10 +47,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.monitor import Observation
 from repro.data.io import (
@@ -57,6 +72,7 @@ from repro.wire import pack, unpack_partition_sketch, unpack_support_sketch
 _MANIFEST = "CHECKPOINT.json"
 _STATE = "state.json"
 _FORMAT_VERSION = 1
+_GENERATION = re.compile(r"gen-[0-9]{6}")
 
 
 def has_checkpoint(directory: str | Path) -> bool:
@@ -69,6 +85,34 @@ def has_checkpoint(directory: str | Path) -> bool:
 # --------------------------------------------------------------------- #
 
 
+@dataclass
+class _WriteLedger:
+    """The files of one committed generation, by the object they hold.
+
+    Owned by the monitor (``_checkpoint_ledger``): it names the last
+    generation that monitor committed or resumed from (with the state
+    CRC its manifest records), and maps ``id(obj)`` to
+    ``(obj, file name, crc)`` for each reference, ring chunk and sketch
+    persisted there. The object itself is stored so a recycled id can
+    never alias another object.
+    """
+
+    directory: Path
+    generation: str
+    state_crc: int = 0
+    entries: dict[int, tuple[Any, str, int]] = field(default_factory=dict)
+
+    def lookup(self, obj: Any) -> tuple[Path, int] | None:
+        """``(committed path, crc)`` of ``obj``'s file, if recorded."""
+        entry = self.entries.get(id(obj))
+        if entry is None or entry[0] is not obj:
+            return None
+        return self.directory / self.generation / entry[1], entry[2]
+
+    def record(self, obj: Any, name: str, crc: int) -> None:
+        self.entries[id(obj)] = (obj, name, crc)
+
+
 def write_checkpoint(monitor: Any, directory: str | Path) -> Path:
     """Durably persist ``monitor`` under ``directory``; returns the manifest.
 
@@ -79,8 +123,10 @@ def write_checkpoint(monitor: Any, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     generation = _next_generation_name(directory)
-    state_crc = _write_generation(monitor, directory, generation)
-    _publish(directory, generation, state_crc)
+    ledger = _write_generation(monitor, directory, generation)
+    _publish(directory, generation, ledger.state_crc)
+    # only a committed generation may serve later links
+    monitor._checkpoint_ledger = ledger
     _collect_garbage(directory, generation)
     metrics().inc("resilience.checkpoints_written")
     return directory / _MANIFEST
@@ -94,38 +140,77 @@ def _next_generation_name(directory: Path) -> str:
     return f"gen-{number:06d}"
 
 
+def _committed_ledger(monitor: Any, directory: Path) -> _WriteLedger | None:
+    """The monitor's ledger, if it still names ``directory``'s commit.
+
+    A ledger for another directory, or for a commit the manifest no
+    longer names (another writer committed since), is dropped: its
+    files are not what the directory has committed.
+    """
+    ledger: _WriteLedger | None = monitor._checkpoint_ledger
+    if ledger is None:
+        return None
+    committed = _read_manifest(directory) if has_checkpoint(directory) else None
+    if (
+        committed is None
+        or committed["generation"] != ledger.generation
+        or committed["state_crc"] != ledger.state_crc
+        or ledger.directory != directory.resolve()
+    ):
+        monitor._checkpoint_ledger = None
+        return None
+    return ledger
+
+
 def _write_generation(
     monitor: Any, directory: Path, generation: str
-) -> int:
-    """Write one (uncommitted) generation dir; returns state.json's CRC.
+) -> _WriteLedger:
+    """Write one (uncommitted) generation dir.
 
-    Split from :func:`_publish` so the crash suite can produce a
+    Returns the ledger of the files it holds, state.json's CRC
+    included, which the caller adopts only once the generation is
+    published. Split from :func:`_publish` so the crash suite can produce a
     realistic torn checkpoint: a fully or partially written generation
     that never got its manifest swap.
     """
+    committed = _committed_ledger(monitor, directory)
     gen_dir = directory / generation
     if gen_dir.exists():
         # a torn write from a previous life; its manifest never
         # committed, so the bytes are garbage
         shutil.rmtree(gen_dir)
     gen_dir.mkdir(parents=True)
+    ledger = _WriteLedger(directory.resolve(), generation)
     files: dict[str, int] = {}
+    created: list[Path] = []
+    sink = metrics()
+    rows_suffix = ".rows" if monitor.kind == "transactions" else ".npz"
 
-    def put_bytes(name: str, payload: bytes) -> str:
+    def put_bytes(name: str, payload: bytes) -> None:
         (gen_dir / name).write_bytes(payload)
+        created.append(gen_dir / name)
         files[name] = zlib.crc32(payload)
-        return name
 
-    def put_rows(name: str, rows: Any) -> str:
+    def put_rows(name: str, rows: Any) -> None:
         if monitor.kind == "transactions":
-            name += ".rows"
             save_transactions(
                 TransactionDataset(rows, monitor.n_items), gen_dir / name
             )
         else:
-            name += ".npz"
             save_tabular(rows, gen_dir / name)
+        sink.inc("resilience.checkpoint_rows_written", len(rows))
+        created.append(gen_dir / name)
         files[name] = zlib.crc32((gen_dir / name).read_bytes())
+
+    def persist(obj: Any, name: str, write: Callable[[str], None]) -> str:
+        """Link ``obj``'s committed file in as ``name``, else ``write``."""
+        hit = None if committed is None else committed.lookup(obj)
+        if hit is not None and _link(hit[0], gen_dir / name):
+            files[name] = hit[1]
+            sink.inc("resilience.checkpoint_files_linked")
+        else:
+            write(name)
+        ledger.record(obj, name, files[name])
         return name
 
     inner = monitor.monitor
@@ -150,20 +235,31 @@ def _write_generation(
 
     buffered = _buffer_rows(monitor)
     if buffered is not None:
-        state["buffer"] = put_rows("buffer", buffered)
+        state["buffer"] = "buffer" + rows_suffix
+        put_rows(state["buffer"], buffered)
 
-    if monitor._windows is not None:
-        # started: the authoritative reference is the *inner* monitor's
-        # (reset_on_drift may have promoted a window since warm-up)
-        state["reference"] = put_rows(
-            "reference", _dataset_rows(monitor, inner._reference_dataset)
+    reference = _reference_object(monitor)
+    if reference is not None:
+        state["reference"] = persist(
+            reference,
+            "reference" + rows_suffix,
+            lambda name: put_rows(name, _dataset_rows(monitor, reference)),
         )
+    if monitor._windows is not None:
         manager = monitor._windows
         chunks = []
         for i, (sketch, chunk) in enumerate(manager._chunks):
-            rows_name = put_rows(f"chunk-{i:04d}", chunk)
-            sketch_name = put_bytes(
-                f"chunk-{i:04d}.sketch", _pack_sketch(monitor, sketch)
+            rows_name = persist(
+                chunk,
+                f"chunk-{i:04d}" + rows_suffix,
+                lambda name, chunk=chunk: put_rows(name, chunk),
+            )
+            sketch_name = persist(
+                sketch,
+                f"chunk-{i:04d}.sketch",
+                lambda name, sketch=sketch: put_bytes(
+                    name, _pack_sketch(monitor, sketch)
+                ),
             )
             chunks.append({"rows": rows_name, "sketch": sketch_name})
         state["windows"] = {
@@ -172,17 +268,20 @@ def _write_generation(
             "rows_sketched": manager.rows_sketched,
             "chunks": chunks,
         }
-    elif monitor._reference_data is not None:
-        # reference rows arrived but no chunk has forced the lazy fit
-        state["reference"] = put_rows(
-            "reference", monitor._reference_data
-        )
 
     state["files"] = files
     payload = json.dumps(state).encode()
     (gen_dir / _STATE).write_bytes(payload)
-    _fsync_tree(gen_dir)
-    return zlib.crc32(payload)
+    created.append(gen_dir / _STATE)
+    # a linked file was synced by the generation that created it; only
+    # this generation's own bytes, and its directory entries (links
+    # included), need a sync
+    for path in created:
+        _fsync_path(path)
+    if os.name == "posix":
+        _fsync_path(gen_dir)
+    ledger.state_crc = zlib.crc32(payload)
+    return ledger
 
 
 def _publish(directory: Path, generation: str, state_crc: int) -> None:
@@ -200,6 +299,10 @@ def _publish(directory: Path, generation: str, state_crc: int) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, directory / _MANIFEST)
+    if os.name == "posix":
+        # the rename is directory metadata: durable only once the
+        # directory itself is synced
+        _fsync_path(directory)
 
 
 def _collect_garbage(directory: Path, keep: str) -> None:
@@ -208,13 +311,25 @@ def _collect_garbage(directory: Path, keep: str) -> None:
             shutil.rmtree(path, ignore_errors=True)
 
 
-def _fsync_tree(gen_dir: Path) -> None:
-    for path in gen_dir.iterdir():
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+def _link(source: Path, target: Path) -> bool:
+    """Hard-link ``source`` as ``target``; False if the OS refuses.
+
+    Refusal covers a filesystem without hard links and a source deleted
+    behind the writer's back; the caller then writes from memory.
+    """
+    try:
+        os.link(source, target)
+    except OSError:
+        return False
+    return True
+
+
+def _fsync_path(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # --------------------------------------------------------------------- #
@@ -272,7 +387,38 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> None:
     ]
     if state["rng_state"] is not None and inner.rng is not None:
         inner.rng.bit_generator.state = state["rng_state"]
+    # the files just verified serve the next checkpoint's links
+    monitor._checkpoint_ledger = _resumed_ledger(
+        monitor, directory, manifest, state
+    )
     metrics().inc("resilience.checkpoints_resumed")
+
+
+def _resumed_ledger(
+    monitor: Any,
+    directory: Path,
+    manifest: dict[str, Any],
+    state: dict[str, Any],
+) -> _WriteLedger:
+    """Ledger of the restored objects' files in the resumed generation."""
+    files = state["files"]
+    ledger = _WriteLedger(
+        directory.resolve(), manifest["generation"], manifest["state_crc"]
+    )
+
+    def record(obj: Any, name: Any) -> None:
+        if name in files:
+            ledger.record(obj, name, int(files[name]))
+
+    if state["reference"] is not None:
+        record(_reference_object(monitor), state["reference"])
+    if state["windows"] is not None:
+        # restore() adopted the loaded (sketch, chunk) objects as-is
+        ring = monitor._windows._chunks
+        for (sketch, chunk), entry in zip(ring, state["windows"]["chunks"]):
+            record(chunk, entry["rows"])
+            record(sketch, entry["sketch"])
+    return ledger
 
 
 def _read_manifest(directory: Path) -> dict[str, Any]:
@@ -291,11 +437,26 @@ def _read_manifest(directory: Path) -> dict[str, Any]:
                 f"{manifest['version']!r}",
                 path=str(manifest_path),
             )
-        manifest["generation"], manifest["state_crc"]
+        generation, state_crc = manifest["generation"], manifest["state_crc"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(
             f"checkpoint manifest is corrupt: {exc}", path=str(manifest_path)
         ) from exc
+    # the generation is joined onto the directory: only the writer's own
+    # names may reach the filesystem
+    if not isinstance(generation, str) or not _GENERATION.fullmatch(
+        generation
+    ):
+        raise CheckpointError(
+            f"checkpoint manifest names an invalid generation "
+            f"{generation!r}",
+            path=str(manifest_path),
+        )
+    if not isinstance(state_crc, int) or isinstance(state_crc, bool):
+        raise CheckpointError(
+            f"checkpoint manifest holds an invalid state CRC {state_crc!r}",
+            path=str(manifest_path),
+        )
     return manifest
 
 
@@ -423,6 +584,16 @@ def _buffer_rows(monitor: Any) -> Any:
     if monitor.kind == "transactions":
         return list(buffer._rows)
     return TabularDataset.concat_many(list(buffer._chunks))
+
+
+def _reference_object(monitor: Any) -> Any:
+    """The object whose rows a generation persists as the reference."""
+    if monitor._windows is not None:
+        # started: the authoritative reference is the *inner* monitor's
+        # (reset_on_drift may have promoted a window since warm-up)
+        return monitor.monitor._reference_dataset
+    # None, or reference rows that have not yet forced the lazy fit
+    return monitor._reference_data
 
 
 def _dataset_rows(monitor: Any, dataset: Any) -> Any:

@@ -273,6 +273,10 @@ class OnlineChangeMonitor:
         # the *entering* chunk only. The chunk object is stored in the
         # entry so a recycled id can never alias a different chunk.
         self._chunk_membership: dict[int, tuple[Any, np.ndarray]] = {}
+        # Files of the last checkpoint generation this monitor committed
+        # or resumed from: the next generation hard-links them instead of
+        # rewriting (see repro.resilience.checkpoint).
+        self._checkpoint_ledger: Any = None
 
     # ------------------------------------------------------------------ #
     # Stream consumption
@@ -348,8 +352,11 @@ class OnlineChangeMonitor:
         Atomic-manifest publish (the ``MmapStripeStore`` pattern): the
         new generation's files are written first, the manifest is
         swapped in last via ``os.replace``, and a kill at *any* point
-        leaves the previous committed checkpoint intact. Returns the
-        manifest path. See :mod:`repro.resilience.checkpoint`.
+        leaves the previous committed checkpoint intact. Chunk, sketch
+        and reference files the previous generation already holds are
+        hard-linked rather than rewritten, so a steady-state checkpoint
+        writes one chunk. Returns the manifest path. See
+        :mod:`repro.resilience.checkpoint`.
         """
         from repro.resilience.checkpoint import write_checkpoint
 

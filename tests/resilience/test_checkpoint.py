@@ -9,7 +9,11 @@ with a typed :class:`CheckpointError`.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import stat
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,32 @@ class TestRefusals:
         with pytest.raises(CheckpointError):
             make_monitor().resume(tmp_path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("generation", v) for v in (5, "gen", "gen-x", "../outside")]
+        + [("state_crc", v) for v in ("123", 1.5, None, True)],
+    )
+    def test_malformed_manifest_field_is_typed(
+        self, stream, tmp_path, field, value
+    ):
+        """Both the next checkpoint and a resume refuse a manifest whose
+        generation is not a writer-made ``gen-NNNNNN`` name or whose
+        state CRC is not an int, naming the manifest -- never an untyped
+        crash or a path outside the directory."""
+        m = make_monitor()
+        m.push(stream[:600])
+        manifest_path = m.checkpoint(tmp_path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        for call in (
+            lambda: m.checkpoint(tmp_path),
+            lambda: make_monitor().resume(tmp_path),
+        ):
+            with pytest.raises(CheckpointError, match="manifest") as exc:
+                call()
+            assert exc.value.path == str(manifest_path)
+
     @pytest.mark.chaos
     def test_corrupt_manifest_refuses_to_resume(self, stream, tmp_path):
         m = make_monitor()
@@ -291,6 +321,322 @@ class TestKillMidCheckpoint:
         gens = [p for p in tmp_path.iterdir() if p.name.startswith("gen-")]
         assert len(gens) == 1
         assert has_checkpoint(tmp_path)
+
+
+def committed_generation(directory):
+    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+    return directory / manifest["generation"]
+
+
+class Killed(BaseException):
+    """A simulated process kill (escapes every ``except Exception``)."""
+
+
+class TestLinkedGenerations:
+    @pytest.mark.chaos
+    def test_kill_between_link_and_swap_keeps_committed_files(
+        self, stream, tmp_path
+    ):
+        """A torn generation that linked the committed chunks, with one
+        of its *new* files damaged: resume lands on the committed
+        generation bit-identically, and sweeping the torn directory
+        leaves the committed chunk files' bytes (shared inodes) intact."""
+        expected = make_monitor().push(stream)
+
+        live = make_monitor()
+        live.push(stream[:1_000])
+        live.checkpoint(tmp_path)
+        committed = committed_generation(tmp_path)
+        before = {
+            p.stat().st_ino: zlib.crc32(p.read_bytes())
+            for p in committed.iterdir()
+            if p.name.startswith("chunk-")
+        }
+
+        live.push(stream[1_000:1_200])
+        torn = tmp_path / ckpt._next_generation_name(tmp_path)
+        ckpt._write_generation(live, tmp_path, torn.name)
+        linked = [p for p in torn.iterdir() if p.stat().st_nlink > 1]
+        assert any(p.name.startswith("chunk-") for p in linked)
+        new = sorted(
+            p for p in torn.iterdir()
+            if p.stat().st_nlink == 1 and p.name != "state.json"
+        )
+        assert new, "the torn generation wrote its entering chunk"
+        new[0].write_bytes(b"torn")
+
+        resumed = make_monitor()
+        resumed.resume(tmp_path)
+        assert resumed.rows_ingested == 1_000
+        got = list(resumed.history) + resumed.push(stream[1_000:1_200])
+        resumed.checkpoint(tmp_path)
+        gens = [p for p in tmp_path.iterdir() if p.name.startswith("gen-")]
+        assert gens == [committed_generation(tmp_path)]
+        survivors = {
+            p.stat().st_ino: zlib.crc32(p.read_bytes())
+            for p in gens[0].iterdir()
+            if p.stat().st_ino in before
+        }
+        assert survivors, "the next generation linked the committed chunk"
+        assert survivors == {ino: before[ino] for ino in survivors}
+
+        final = make_monitor()
+        final.resume(tmp_path)
+        got += final.push(stream[final.rows_ingested:])
+        assert observed(got) == observed(expected)
+
+    @pytest.mark.chaos
+    def test_kill_during_garbage_collection(
+        self, stream, tmp_path, monkeypatch
+    ):
+        expected = make_monitor().push(stream)
+        live = make_monitor()
+        live.push(stream[:800])
+        live.checkpoint(tmp_path)
+        live.push(stream[800:1_000])
+
+        def dying_rmtree(path, *args, **kwargs):
+            sorted(Path(path).iterdir())[0].unlink()
+            raise Killed("killed mid-GC")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shutil, "rmtree", dying_rmtree)
+            with pytest.raises(Killed):
+                live.checkpoint(tmp_path)
+        assert len(list(tmp_path.glob("gen-*"))) == 2
+
+        resumed = make_monitor()
+        resumed.resume(tmp_path)
+        assert resumed.rows_ingested == 1_000
+        got = list(resumed.history) + resumed.push(stream[1_000:1_200])
+        resumed.checkpoint(tmp_path)
+        assert len(list(tmp_path.glob("gen-*"))) == 1
+        final = make_monitor()
+        final.resume(tmp_path)
+        got += final.push(stream[final.rows_ingested:])
+        assert observed(got) == observed(expected)
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("mode", ["flip", "truncate"])
+    def test_corrupting_a_shared_chunk_file_refuses_to_resume(
+        self, stream, tmp_path, mode
+    ):
+        live = make_monitor()
+        live.push(stream[:1_000])
+        live.checkpoint(tmp_path)
+        live.push(stream[1_000:1_200])
+        torn = ckpt._next_generation_name(tmp_path)
+        ckpt._write_generation(live, tmp_path, torn)
+
+        victim = corrupt_checkpoint(tmp_path, seed=1, mode=mode)
+        # the damaged inode is shared by the committed and torn dirs
+        assert victim.name.startswith("chunk-")
+        assert victim.stat().st_nlink == 2
+        with pytest.raises(CheckpointError, match="CRC") as exc:
+            make_monitor().resume(tmp_path)
+        assert exc.value.path == str(victim)
+
+    @pytest.mark.chaos
+    def test_link_refused_falls_back_to_writing(
+        self, stream, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise OSError("hard links not supported")
+
+        expected = make_monitor().push(stream)
+        registry = MetricsRegistry()
+        live = make_monitor()
+        with monkeypatch.context() as patch, use_registry(registry):
+            patch.setattr(os, "link", refuse)
+            for chunk in iter_chunks(stream[:1_200], 200):
+                live.push(chunk)
+                live.checkpoint(tmp_path)
+        assert registry.counter("resilience.checkpoint_files_linked") == 0
+        resumed = make_monitor()
+        resumed.resume(tmp_path)
+        got = resumed.push(stream[resumed.rows_ingested:])
+        assert observed(live.history) + observed(got) == observed(expected)
+
+    @pytest.mark.chaos
+    def test_copied_checkpoint_resumes_and_links_again(
+        self, stream, tmp_path
+    ):
+        """``copytree`` breaks the links; the copy is still a complete
+        checkpoint, and a monitor resumed from it links its next one."""
+        expected = make_monitor().push(stream)
+        origin, copy = tmp_path / "origin", tmp_path / "copy"
+        live = make_monitor()
+        live.push(stream[:800])
+        live.checkpoint(origin)
+        live.push(stream[800:1_000])
+        live.checkpoint(origin)
+        shutil.copytree(origin, copy)
+        assert all(
+            p.stat().st_nlink == 1 for p in committed_generation(copy).iterdir()
+        )
+
+        resumed = make_monitor()
+        resumed.resume(copy)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            got = list(resumed.history) + resumed.push(stream[1_000:1_200])
+            resumed.checkpoint(copy)
+        # reference, surviving chunk rows and its sketch
+        assert registry.counter("resilience.checkpoint_files_linked") == 3
+        final = make_monitor()
+        final.resume(copy)
+        got += final.push(stream[final.rows_ingested:])
+        assert observed(got) == observed(expected)
+
+
+class TestWriteOnce:
+    def test_steady_state_writes_one_step_of_rows_and_one_sketch(
+        self, stream, tmp_path, monkeypatch
+    ):
+        """Past warm-up, a checkpoint after a ``step``-row push writes
+        exactly ``step`` rows and packs one sketch; the reference and
+        the surviving chunk are hard-linked, never rewritten."""
+        step = 200
+        m = make_monitor(step=step)
+        m.push(stream[:600])
+        m.checkpoint(tmp_path)
+        reference = committed_generation(tmp_path) / "reference.rows"
+        ref_inode = reference.stat().st_ino
+
+        packs = []
+        real_pack = ckpt.pack
+        monkeypatch.setattr(
+            ckpt, "pack", lambda *a, **k: packs.append(1) or real_pack(*a, **k)
+        )
+        for start in range(600, 1_600, step):
+            registry = MetricsRegistry()
+            packs.clear()
+            with use_registry(registry):
+                m.push(stream[start:start + step])
+                m.checkpoint(tmp_path)
+            assert registry.counter("resilience.checkpoint_rows_written") == step
+            assert registry.counter("resilience.checkpoint_files_linked") == 3
+            assert len(packs) == 1
+            gen = committed_generation(tmp_path)
+            assert (gen / "reference.rows").stat().st_ino == ref_inode
+
+    def test_another_writer_commit_drops_the_ledger(
+        self, stream, tmp_path, monkeypatch
+    ):
+        """Two monitors sharing a directory: a writer whose ledger names
+        a generation the manifest no longer does writes in full, even
+        while that generation's files still exist."""
+        expected = make_monitor().push(stream)
+        first, second = make_monitor(), make_monitor()
+        first.push(stream[:1_000])
+        first.checkpoint(tmp_path)
+        second.push(stream[:800])
+        with monkeypatch.context() as patch:
+            # the second writer dies before collecting the first's files
+            patch.setattr(ckpt, "_collect_garbage", lambda *a: None)
+            second.checkpoint(tmp_path)
+        assert len(list(tmp_path.glob("gen-*"))) == 2
+        first.push(stream[1_000:1_200])
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            first.checkpoint(tmp_path)
+        assert registry.counter("resilience.checkpoint_files_linked") == 0
+        resumed = make_monitor()
+        resumed.resume(tmp_path)
+        assert resumed.rows_ingested == 1_200
+        got = resumed.push(stream[1_200:])
+        assert observed(first.history) + observed(got) == observed(expected)
+
+    def test_every_chunk_checkpoint_across_reference_resets(
+        self, stream, tmp_path
+    ):
+        """reset_on_drift promotes new references and re-sketches the
+        ring mid-stream; linked checkpoints across those resets still
+        resume exactly."""
+        overrides = dict(policy="reset_on_drift")
+        expected = make_monitor(**overrides).push(stream)
+        assert any(o.reference_index != 0 for o in expected)
+        live = make_monitor(**overrides)
+        for n, chunk in enumerate(iter_chunks(stream, 200), start=1):
+            live.push(chunk)
+            live.checkpoint(tmp_path)
+            if n % 3:
+                continue
+            resumed = make_monitor(**overrides)
+            resumed.resume(tmp_path)
+            got = list(resumed.history) + resumed.push(
+                stream[resumed.rows_ingested:]
+            )
+            assert observed(got) == observed(expected)
+
+    def test_tabular_checkpoints_link_and_resume_exactly(self, tmp_path):
+        table = generate_classification(1_200, function=1, seed=31).concat(
+            generate_classification(600, function=5, seed=32)
+        )
+
+        def mk():
+            return OnlineChangeMonitor(
+                dt_builder, kind="tabular", window_size=400, step=200,
+                n_boot=8, threshold=95.0, rng=np.random.default_rng(3),
+            )
+
+        expected = []
+        base = mk()
+        for chunk in iter_tabular_chunks(table, 200):
+            expected.extend(base.push(chunk))
+        registry = MetricsRegistry()
+        live, got = mk(), []
+        with use_registry(registry):
+            for chunk in iter_tabular_chunks(table.slice_rows(0, 1_000), 200):
+                got.extend(live.push(chunk))
+                live.checkpoint(tmp_path)
+        assert registry.counter("resilience.checkpoint_files_linked") > 0
+        # the 200-row warm-up buffer, the reference once, each chunk once
+        assert registry.counter("resilience.checkpoint_rows_written") == (
+            200 + 400 + 3 * 200
+        )
+        resumed = mk()
+        resumed.resume(tmp_path)
+        rest = table.slice_rows(resumed.rows_ingested, len(table))
+        for chunk in iter_tabular_chunks(rest, 200):
+            got.extend(resumed.push(chunk))
+        assert observed(got) == observed(expected)
+
+    @pytest.mark.skipif(os.name != "posix", reason="directory fsync is POSIX")
+    def test_directories_are_fsynced_around_the_swap(
+        self, stream, tmp_path, monkeypatch
+    ):
+        """New files, then the generation directory, then the manifest,
+        the swap, and the checkpoint directory -- linked files are not
+        re-synced."""
+        m = make_monitor()
+        m.push(stream[:600])
+        m.checkpoint(tmp_path)
+        m.push(stream[600:800])
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+            real_fsync(fd)
+
+        def replace(*args, **kwargs):
+            events.append(("replace", None))
+            real_replace(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fsync)
+            patch.setattr(os, "replace", replace)
+            m.checkpoint(tmp_path)
+        gen = committed_generation(tmp_path)
+        *files, gen_sync, manifest_sync, swap, dir_sync = events
+        # state.json plus the entering chunk's rows and sketch
+        assert [is_dir for is_dir, _ in files] == [False] * 3
+        assert gen_sync == (True, gen.stat().st_ino)
+        assert manifest_sync[0] is False
+        assert swap == ("replace", None)
+        assert dir_sync == (True, tmp_path.stat().st_ino)
 
 
 class TestObsCounters:
