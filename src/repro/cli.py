@@ -252,10 +252,7 @@ def _skip_rows(chunks, n: int):
             n -= size
             continue
         if n:
-            chunk = (
-                chunk[n:] if isinstance(chunk, list)
-                else chunk.slice_rows(n, size)
-            )
+            chunk = chunk.slice_rows(n, size)
             n = 0
         yield chunk
 

@@ -2,21 +2,38 @@
 
 Tabular datasets round-trip through ``.npz`` (matrix + labels) plus an
 embedded JSON schema; transaction datasets use the classic one-line-per-
-transaction text format that Apriori implementations exchange.
+transaction text format that Apriori implementations exchange: UTF-8,
+whitespace-separated integer items, a blank line for an empty
+transaction. The first ``# n_items=N`` line (``N >= 1``) is the header
+and must come before any data line; later ``#`` lines are comments. A
+bad header or item raises :class:`~repro.errors.InvalidParameterError`
+naming the file and line. Files parse block by block straight to CSR
+arrays (:func:`read_transaction_blocks`, shared by both readers; tuple
+rows are only a lazy view): vectorised for plain digits, else through
+the row-wise :func:`parse_transactions_block_loop`, the oracle.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Iterator
 
 import numpy as np
 
 from repro.core.attribute import Attribute, AttributeKind, AttributeSpace
 from repro.data.tabular import TabularDataset
-from repro.data.transactions import TransactionDataset
+from repro.data.transactions import TransactionChunk, TransactionDataset, as_csr
 from repro.errors import InvalidParameterError
+from repro.obs import metrics
+
+#: Bytes read per block, cut back to its last line break: about a
+#: thousand basket rows, so a stream holds little text beyond one chunk.
+BLOCK_BYTES = 1 << 15
+#: The vectorised parser's longest token: 18 digits always fit an int64.
+_MAX_DIGITS = 18
+_HEADER = "n_items="
 
 
 def _space_to_dict(space: AttributeSpace) -> dict[str, Any]:
@@ -72,30 +89,157 @@ def save_transactions(dataset: TransactionDataset, path: str | Path) -> None:
 
     The first line is a header comment recording the item universe size.
     """
-    path = Path(path)
-    with path.open("w") as f:
+    indptr, indices = as_csr(dataset)
+    tokens, bounds = list(map(str, indices.tolist())), indptr.tolist()
+    with Path(path).open("w") as f:
         f.write(f"# n_items={dataset.n_items}\n")
-        for txn in dataset:
-            f.write(" ".join(str(i) for i in txn))
-            f.write("\n")
+        f.writelines(
+            " ".join(tokens[a:b]) + "\n" for a, b in zip(bounds[:-1], bounds[1:])
+        )
 
 
 def load_transactions(path: str | Path) -> TransactionDataset:
     """Read transactions written by :func:`save_transactions`."""
-    path = Path(path)
-    n_items: int | None = None
-    transactions: list[tuple[int, ...]] = []
-    with path.open() as f:
-        for line in f:
-            line = line.strip()
-            if line.startswith("#"):
-                if "n_items=" in line:
-                    n_items = int(line.split("n_items=")[1])
+    n_items, blocks = read_transaction_blocks(path)
+    return TransactionDataset(TransactionChunk.concat(list(blocks), n_items), n_items)
+
+
+def read_transaction_blocks(path: str | Path) -> tuple[int, Iterator[TransactionChunk]]:
+    """Open a transactions file as ``(n_items, block iterator)``.
+
+    The header is validated here; each block of lines then yields a
+    range-checked :class:`TransactionChunk`, and a bad line raises once
+    the rows before it were yielded.
+    """
+    reader = _read_blocks(Path(path))
+    n_items: int = next(reader)
+    return n_items, reader
+
+
+def parse_transactions_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vectorised parse of whole lines to CSR ``(indptr, indices)``.
+
+    Only for ASCII digits, space, tab, CR and LF and tokens of at most
+    18 digits, else ``None``. Token starts come from a digit mask,
+    ``indptr`` from a ``searchsorted`` of them against the line ends,
+    the values from one ``np.fromstring``.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    digit = raw >= 48
+    line_ends = np.flatnonzero(raw == 10)
+    known = np.count_nonzero(digit) + line_ends.size + sum(
+        np.count_nonzero(raw == byte) for byte in b" \t\r"
+    )
+    if raw.max(initial=0) > 57 or known < raw.size:
+        return None
+    # a token starts where a digit follows a non-digit, and ends v.v.
+    edges = np.concatenate(([False], digit, [False]))
+    starts = np.flatnonzero(edges[1:] > edges[:-1])
+    ends = np.flatnonzero(edges[1:] < edges[:-1])
+    if starts.size and (ends - starts).max() > _MAX_DIGITS:
+        return None
+    if block and not block.endswith(b"\n"):
+        line_ends = np.append(line_ends, raw.shape[0])
+    indptr = np.concatenate(([0], np.searchsorted(starts, line_ends)))
+    values = np.fromstring(block, np.int64, sep=" ") if starts.size else starts
+    return (indptr, values) if values.shape == starts.shape else None
+
+
+def parse_transactions_block_loop(
+    block: bytes, n_items: int
+) -> tuple[TransactionChunk, tuple[int, str] | None]:
+    """Row-wise parse of whole lines: ``int()`` per token (the oracle).
+
+    Each line is stripped; ``#`` lines are comments, empty lines empty
+    transactions, others rows of items in ``[0, n_items)``. Returns the
+    rows before the first bad line and ``(its line in the block, why)``.
+    """
+    rows: list[tuple[int, ...]] = []
+    bad: tuple[int, str] | None = None
+    for number, line in enumerate(block.splitlines(), start=1):
+        try:
+            text = line.decode("utf-8").strip()
+            if text.startswith("#"):
                 continue
-            if line:
-                transactions.append(tuple(int(tok) for tok in line.split()))
-            else:
-                transactions.append(())
-    if n_items is None:
-        raise InvalidParameterError(f"{path} lacks the '# n_items=' header")
-    return TransactionDataset(transactions, n_items)
+            row = tuple(map(int, text.split()))
+        except ValueError as exc:  # UnicodeDecodeError included
+            bad = (number, str(exc))
+            break
+        if row and not 0 <= min(row) <= max(row) < n_items:
+            bad = (number, f"items {row} outside [0, {n_items})")
+            break
+        rows.append(row)
+    return TransactionChunk(rows, n_items), bad
+
+
+def _read_blocks(path: Path) -> Iterator[Any]:
+    """Yield ``n_items``, then a chunk per block of data lines."""
+    with path.open("rb") as f:
+        blocks = _line_blocks(f)
+        n_items, n_blank, line, rest = _read_header(blocks, path)
+        yield n_items
+        if n_blank:
+            yield TransactionChunk([()] * n_blank, n_items)
+        for block in chain([rest] if rest else [], blocks):
+            csr = parse_transactions_block(block)
+            if csr is not None and (not csr[1].size or csr[1].max() < n_items):
+                chunk, bad = TransactionChunk.from_csr(*csr, n_items), None
+            else:  # an odd alphabet, or a bad item to locate
+                metrics().inc("data.parse.fallback_blocks")
+                chunk, bad = parse_transactions_block_loop(block, n_items)
+            if len(chunk):
+                yield chunk
+            if bad is not None:
+                raise InvalidParameterError(f"{path}, line {line + bad[0]}: {bad[1]}")
+            line += block.count(b"\n") + (not block.endswith(b"\n"))
+
+
+def _read_header(
+    blocks: Iterator[bytes], path: Path
+) -> tuple[int, int, int, bytes]:
+    """The one header reader: ``(n_items, blank rows, lines read, rest)``.
+
+    The first ``# n_items=`` line must come before any data line; a
+    blank line ahead of it is an empty transaction, as anywhere else.
+    ``rest`` is what follows the header in its block.
+    """
+    line = n_blank = 0
+    for block in blocks:
+        offset = 0
+        for raw in block.splitlines(keepends=True):
+            offset += len(raw)
+            line += 1
+            try:
+                text = raw.decode("utf-8").strip()
+                header = text.startswith("#") and _HEADER in text
+                n_items = int(text.split(_HEADER, 1)[1]) if header else 1
+                if n_items < 1:
+                    raise ValueError(f"n_items must be >= 1, got {n_items}")
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise InvalidParameterError(f"{path}, line {line}: {exc}") from None
+            if header:
+                return n_items, n_blank, line, block[offset:]
+            if text and not text.startswith("#"):
+                raise InvalidParameterError(
+                    f"{path}, line {line}: data before the '# n_items=' header"
+                )
+            n_blank += not text
+    raise InvalidParameterError(f"{path} lacks the '# n_items=' header")
+
+
+def _line_blocks(f: BinaryIO) -> Iterator[bytes]:
+    """Blocks of whole lines, universal newlines translated to LF."""
+    tail = b""
+    while True:
+        data = f.read(BLOCK_BYTES)
+        block = tail + data
+        # a final CR may be the first half of a CRLF: it waits for more
+        ends = block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)
+        cut = max(ends) + 1 if data else len(block)
+        block, tail = block[:cut], block[cut:]
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if block:
+            yield block
+        if not data:
+            return

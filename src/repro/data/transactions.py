@@ -15,11 +15,17 @@ groups a whole itemset collection by length and counts each group with
 stacked ``bitwise_and`` reductions over a 2-D ``uint8`` matrix and a
 single popcount pass, instead of one Python-level loop iteration per
 itemset.
+
+Row bags hold CSR arrays (row ``i`` is ``indices[indptr[i]:indptr[i+1]]``)
+from the parser to the bit scatter; tuple rows are a lazily built,
+cached view for the APIs and oracles that iterate rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, SupportsIndex
+from functools import cached_property
+from itertools import chain
+from typing import Any, Iterable, Iterator, Sequence, SupportsIndex
 
 import numpy as np
 
@@ -48,6 +54,68 @@ _MAX_STRIPE_BYTES = 1 << 25  # 32 MiB
 #: The stripe name the index's packed bit matrix lives under in its
 #: :class:`~repro.data.storage.StripeStore`.
 _ITEM_BITS = "item_bits"
+
+
+def as_csr(rows: Any) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of a row bag: a CSR holder's own arrays
+    (anything with ``csr``), else plain rows converted once, in order."""
+    csr = getattr(rows, "csr", None)
+    if csr is not None:
+        indptr, indices = csr
+        return indptr, indices
+    rows = [tuple(row) for row in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=indptr[1:])
+    return indptr, np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
+
+
+def csr_rows(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
+    """The tuple-row view of CSR arrays (Python ints), built in one pass."""
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def csr_take(
+    indptr: np.ndarray, indices: np.ndarray, rows: Any
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the rows at ``rows`` (repeats and negatives allowed)."""
+    rows = np.arange(indptr.shape[0] - 1)[np.asarray(rows, dtype=np.int64)]
+    starts, lengths = indptr[rows], np.diff(indptr)[rows]
+    out = np.concatenate(([0], lengths.cumsum()))
+    return out, indices[np.arange(out[-1]) + np.repeat(starts - out[:-1], lengths)]
+
+
+def canonical_csr(
+    indptr: np.ndarray, indices: np.ndarray, n_items: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort and dedup every row; reject items outside ``[0, n_items)``.
+
+    Only rows failing a strictly-increasing check are ``lexsort``-ed and
+    deduplicated; canonical arrays come back as they are.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= n_items):
+        bad = np.argmax((indices < 0) | (indices >= n_items))
+        row = np.searchsorted(indptr, bad, side="right") - 1
+        raise InvalidParameterError(
+            f"transaction {row} has items outside [0, {n_items})"
+        )
+    n_rows = indptr.shape[0] - 1
+    row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+    same_row = row_of[1:] == row_of[:-1]
+    unsorted = (indices[1:] <= indices[:-1]) & same_row
+    if not unsorted.any():
+        return indptr, indices
+    redo = np.zeros(n_rows, dtype=bool)
+    redo[row_of[1:][unsorted]] = True
+    redo = redo[row_of]
+    out = indices.copy()
+    out[redo] = indices[redo][np.lexsort((indices[redo], row_of[redo]))]
+    keep = np.ones(out.shape[0], dtype=bool)
+    keep[1:] = (out[1:] != out[:-1]) | ~same_row
+    lengths = np.bincount(row_of[keep], minlength=n_rows)
+    return np.concatenate(([0], lengths.cumsum())), out[keep]
 
 
 def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
@@ -89,12 +157,13 @@ class BitmapIndex:
 
     def __init__(
         self,
-        transactions: Sequence[tuple[int, ...]],
+        transactions: Any,
         n_items: int,
         *,
         store: StripeStore | None = None,
     ) -> None:
-        n = len(transactions)
+        indptr, indices = as_csr(transactions)
+        n = indptr.shape[0] - 1
         self.n_transactions = n
         self.n_items = n_items
         self._store = RamStripeStore() if store is None else store
@@ -105,7 +174,7 @@ class BitmapIndex:
         )
         self._bits = self._buf[:, :n_bytes]
         if n:
-            self._scatter(transactions, tid_offset=0)
+            self._scatter(indptr, indices, tid_offset=0)
         self._commit()
 
     @classmethod
@@ -206,33 +275,25 @@ class BitmapIndex:
         return self
 
     def _scatter(
-        self, transactions: Sequence[tuple[int, ...]], tid_offset: int
+        self, indptr: np.ndarray, indices: np.ndarray, tid_offset: int
     ) -> None:
-        """OR the (item, tid) bits of ``transactions`` into the buffer.
+        """OR the (item, tid) bits of CSR rows into the buffer.
 
         Bits are MSB-first within each byte; ``tid_offset`` is the row id
-        of the first transaction. The occupied view must already cover
-        the target rows.
+        of the first row. The occupied view must already cover the
+        target rows.
         """
-        tids: list[int] = []
-        items: list[int] = []
-        for tid, t in enumerate(transactions, start=tid_offset):
-            for item in t:
-                items.append(item)
-                tids.append(tid)
-        if not items:
+        if not indices.size:
             return
-        items_arr = np.array(items, dtype=np.int64)
-        if items_arr.min() < 0 or items_arr.max() >= self.n_items:
+        if indices.min() < 0 or indices.max() >= self.n_items:
             raise InvalidParameterError(
                 f"transaction items outside [0, {self.n_items})"
             )
-        tids_arr = np.array(tids, dtype=np.int64)
-        byte_idx = tids_arr >> 3
-        bit_val = (np.uint8(128) >> (tids_arr & 7)).astype(np.uint8)
-        np.bitwise_or.at(self._buf, (items_arr, byte_idx), bit_val)
+        tids = tid_offset + np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        bits = np.right_shift(np.uint8(128), (tids & 7).astype(np.uint8))
+        np.bitwise_or.at(self._buf, (indices, tids >> 3), bits)
 
-    def append(self, transactions: Sequence[Iterable[int]]) -> None:
+    def append(self, transactions: Any) -> None:
         """Extend the index with new transactions, amortized O(new rows).
 
         Item stripes grow into pre-allocated spare capacity; when the
@@ -248,14 +309,11 @@ class BitmapIndex:
             raise InvalidParameterError(
                 "cannot append to an attached (read-only) index"
             )
-        transactions = (
-            transactions
-            if isinstance(transactions, (list, tuple))
-            else list(transactions)
-        )
-        if not transactions:
+        indptr, indices = as_csr(transactions)
+        n_rows = indptr.shape[0] - 1
+        if not n_rows:
             return
-        n_new = self.n_transactions + len(transactions)
+        n_new = self.n_transactions + n_rows
         need_bytes = (n_new + 7) // 8
         cap_bytes = self._buf.shape[1]
         if need_bytes > cap_bytes:
@@ -263,7 +321,7 @@ class BitmapIndex:
             self._buf = self._store.resize(
                 _ITEM_BITS, (self.n_items, new_cap)
             )
-        self._scatter(transactions, tid_offset=self.n_transactions)
+        self._scatter(indptr, indices, tid_offset=self.n_transactions)
         self.n_transactions = n_new
         self._bits = self._buf[:, :need_bytes]
         self._commit()
@@ -523,51 +581,140 @@ class SupportCountingPlan:
         return out
 
 
-class TransactionDataset:
-    """An immutable sequence of transactions over ``n_items`` items."""
+class TransactionChunk(Sequence[tuple[int, ...]]):
+    """A batch of raw CSR rows that carries its bitmap index.
 
-    def __init__(
-        self,
-        transactions: Iterable[Iterable[int]],
-        n_items: int,
-    ) -> None:
+    Rows keep the order and items they arrived with (the bit scatter is
+    an OR). The tuple rows and the index are built on first use and
+    cached, so a chunk is bit-indexed once however many consumers -- a
+    stream sketcher, the monitor's bootstrap -- read its bits.
+    """
+
+    def __init__(self, rows: Any, n_items: int) -> None:
+        self.indptr, self.indices = as_csr(rows)
+        self.n_items = n_items
+
+    @classmethod
+    def from_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray, n_items: int
+    ) -> "TransactionChunk":
+        """A chunk adopting CSR arrays as they are (no copy, no checks)."""
+        self = cls.__new__(cls)
+        self.indptr, self.indices, self.n_items = indptr, indices, n_items
+        return self
+
+    @classmethod
+    def of(cls, rows: Any, n_items: int) -> "TransactionChunk":
+        """``rows`` itself when it is a chunk over ``n_items``, else a new one."""
+        if isinstance(rows, TransactionChunk) and rows.n_items == n_items:
+            return rows
+        return cls(rows, n_items)
+
+    @classmethod
+    def concat(cls, bags: Sequence[Any], n_items: int) -> "TransactionChunk":
+        """The rows of CSR holders end to end; a lone chunk passes through."""
+        first = bags[0] if len(bags) == 1 else None
+        if isinstance(first, TransactionChunk):
+            return first
+        parts = [as_csr(bag) for bag in bags]
+        return cls.from_csr(
+            np.concatenate([[0], *(np.diff(ptr) for ptr, _ in parts)]).cumsum(),
+            np.concatenate([np.zeros(0, np.int64), *(idx for _, idx in parts)]),
+            n_items,
+        )
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.indptr, self.indices
+
+    def slice_rows(self, start: int, stop: int) -> "TransactionChunk":
+        """Rows ``[start, stop)`` as a chunk with its own arrays."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        indptr, indices = self.indptr[start : stop + 1] - lo, self.indices[lo:hi]
+        return TransactionChunk.from_csr(indptr, indices.copy(), self.n_items)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(csr_rows(self.indptr, self.indices))
+
+    def __len__(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def __getitem__(self, i: Any) -> Any:
+        return self.rows[i]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransactionChunk):
+            return NotImplemented
+        return all(map(np.array_equal, self.csr, other.csr))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # arrays and universe only: a copy rebuilds its index on demand
+        return (TransactionChunk.from_csr, (*self.csr, self.n_items))
+
+    @cached_property
+    def index(self) -> BitmapIndex:
+        """The chunk's bitmap index (built once, on first access)."""
+        return BitmapIndex(self, self.n_items)
+
+
+class TransactionDataset:
+    """An immutable bag of transactions over ``n_items`` items.
+
+    Rows are CSR arrays, each sorted and deduplicated; ``transactions``
+    and iteration are a lazily built tuple view.
+    """
+
+    def __init__(self, transactions: Any, n_items: int) -> None:
         if n_items <= 0:
             raise InvalidParameterError("n_items must be positive")
-        cleaned: list[tuple[int, ...]] = []
-        for t in transactions:
-            items = tuple(sorted(set(int(i) for i in t)))
-            if items and (items[0] < 0 or items[-1] >= n_items):
-                raise InvalidParameterError(
-                    f"transaction {items} has items outside [0, {n_items})"
-                )
-            cleaned.append(items)
-        self._transactions = cleaned
+        self.indptr, self.indices = canonical_csr(
+            *as_csr(transactions), n_items
+        )
         self.n_items = n_items
         self._index: BitmapIndex | None = None
+        self._rows: list[tuple[int, ...]] | None = None
+
+    @classmethod
+    def from_csr(
+        cls, indptr: np.ndarray, indices: np.ndarray, n_items: int
+    ) -> "TransactionDataset":
+        """A dataset of CSR rows, canonicalised like any other rows."""
+        return cls(TransactionChunk.from_csr(indptr, indices, n_items), n_items)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._transactions)
+        return self.indptr.shape[0] - 1
 
     @property
     def n_rows(self) -> int:
-        return len(self._transactions)
+        return len(self)
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.indptr, self.indices
 
     @property
     def transactions(self) -> list[tuple[int, ...]]:
-        return self._transactions
+        """The rows as sorted tuples (built on first access, then cached)."""
+        if self._rows is None:
+            self._rows = csr_rows(self.indptr, self.indices)
+        return self._rows
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._transactions)
+        return iter(self.transactions)
 
     @property
     def index(self) -> BitmapIndex:
         """The (lazily built, cached) bitmap index over this dataset."""
         if self._index is None:
-            self._index = BitmapIndex(self._transactions, self.n_items)
+            self._index = BitmapIndex(self, self.n_items)
         return self._index
 
     def drop_index(self) -> None:
@@ -589,9 +736,9 @@ class TransactionDataset:
 
     def itemset_selectivity(self, items: Iterable[int]) -> float:
         """Support (fraction of transactions) of an itemset; 0 on empty data."""
-        if not self._transactions:
+        if not len(self):
             return 0.0
-        return self.support_count(items) / len(self._transactions)
+        return self.support_count(items) / len(self)
 
     # ------------------------------------------------------------------ #
     # Dataset algebra
@@ -599,8 +746,9 @@ class TransactionDataset:
 
     def take(self, indices: np.ndarray) -> "TransactionDataset":
         """A new dataset with the transactions at ``indices`` (repeats OK)."""
-        txns = [self._transactions[int(i)] for i in np.asarray(indices)]
-        return TransactionDataset(txns, self.n_items)
+        return TransactionDataset.from_csr(
+            *csr_take(self.indptr, self.indices, indices), self.n_items
+        )
 
     def concat(self, other: "TransactionDataset") -> "TransactionDataset":
         """Append another dataset over the same item universe."""
@@ -608,15 +756,14 @@ class TransactionDataset:
             raise InvalidParameterError(
                 "cannot concatenate datasets with different item universes"
             )
-        return TransactionDataset(
-            self._transactions + other._transactions, self.n_items
-        )
+        both = TransactionChunk.concat([self, other], self.n_items)
+        return TransactionDataset(both, self.n_items)
 
     def average_length(self) -> float:
         """Mean transaction length (diagnostics for the generator tests)."""
-        if not self._transactions:
+        if not len(self):
             return 0.0
-        return sum(len(t) for t in self._transactions) / len(self._transactions)
+        return self.indices.shape[0] / len(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

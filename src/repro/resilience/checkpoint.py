@@ -61,7 +61,6 @@ from repro.data.io import (
     save_tabular,
     save_transactions,
 )
-from repro.data.tabular import TabularDataset
 from repro.data.transactions import TransactionDataset
 from repro.errors import CheckpointError, FocusError
 from repro.obs import metrics
@@ -233,17 +232,16 @@ def _write_generation(
         "windows": None,
     }
 
-    buffered = _buffer_rows(monitor)
-    if buffered is not None:
+    if len(monitor._buffer):
         state["buffer"] = "buffer" + rows_suffix
-        put_rows(state["buffer"], buffered)
+        put_rows(state["buffer"], monitor._buffer.rows())
 
     reference = _reference_object(monitor)
     if reference is not None:
         state["reference"] = persist(
             reference,
             "reference" + rows_suffix,
-            lambda name: put_rows(name, _dataset_rows(monitor, reference)),
+            lambda name: put_rows(name, reference),
         )
     if monitor._windows is not None:
         manager = monitor._windows
@@ -577,15 +575,6 @@ def _fingerprint(monitor: Any) -> dict[str, Any]:
     }
 
 
-def _buffer_rows(monitor: Any) -> Any:
-    buffer = monitor._buffer
-    if not len(buffer):
-        return None
-    if monitor.kind == "transactions":
-        return list(buffer._rows)
-    return TabularDataset.concat_many(list(buffer._chunks))
-
-
 def _reference_object(monitor: Any) -> Any:
     """The object whose rows a generation persists as the reference."""
     if monitor._windows is not None:
@@ -596,16 +585,10 @@ def _reference_object(monitor: Any) -> Any:
     return monitor._reference_data
 
 
-def _dataset_rows(monitor: Any, dataset: Any) -> Any:
-    if monitor.kind == "transactions":
-        return tuple(tuple(t) for t in dataset)
-    return dataset
-
-
 def _load_rows(monitor: Any, path: Path) -> Any:
     try:
         if monitor.kind == "transactions":
-            return tuple(load_transactions(path))
+            return load_transactions(path)
         return load_tabular(path)
     except (FocusError, OSError, ValueError, KeyError) as exc:
         raise CheckpointError(

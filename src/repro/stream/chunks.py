@@ -4,9 +4,12 @@ Streaming sources arrive as *chunks* -- batches of rows in time order.
 :func:`iter_chunks` slices any transaction iterable into fixed-size
 chunks without materialising the whole stream, and
 :func:`stream_transaction_chunks` does the same over the flat text
-format of :mod:`repro.data.io` (one line per transaction, ``# n_items=``
-header) so the CLI can monitor a file far larger than memory-comfortable
-in one go. :func:`iter_tabular_chunks` / :func:`stream_tabular_chunks`
+format of :mod:`repro.data.io` (one line per transaction; the first
+``# n_items=`` line must come before any data) so the CLI can monitor a
+file far larger than memory-comfortable in one go. Its chunks are CSR
+:class:`~repro.data.transactions.TransactionChunk` objects parsed block
+by block; tuple rows are a lazy view, built only for a reader that
+iterates them. :func:`iter_tabular_chunks` / :func:`stream_tabular_chunks`
 are the tabular counterparts: view-backed row slices of a table (or of
 a ``.npz`` file), driving the dt-/cluster-model monitoring pipeline.
 
@@ -25,17 +28,28 @@ assigner memo re-scans it only when it has grown).
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro._typing import DatasetLike
 from repro.core.attribute import AttributeSpace
 from repro.core.predicate import Conjunction
+from repro.data.io import read_transaction_blocks
 from repro.data.storage import StripeHandle, StripeStore, make_store
 from repro.data.tabular import TabularDataset
-from repro.data.transactions import BitmapIndex, TransactionDataset
+from repro.data.transactions import (
+    BitmapIndex,
+    TransactionChunk,
+    TransactionDataset,
+    as_csr,
+    canonical_csr,
+    csr_rows,
+    csr_take,
+)
 from repro.errors import InvalidParameterError, SchemaError
 
 #: Stripe names of a transaction log's out-of-core row storage: CSR-style
@@ -56,47 +70,92 @@ def iter_chunks(
     """
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be >= 1")
-    chunk: list[tuple[int, ...]] = []
-    # reprolint: disable=RL004(ingestion boundary: slicing a generic iterable is intrinsically row-wise)
-    for t in transactions:
-        chunk.append(tuple(t))
-        if len(chunk) == chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
+    source = iter(transactions)
+    while chunk := [tuple(t) for t in islice(source, chunk_size)]:
         yield chunk
 
 
 def stream_transaction_chunks(
     path: str | Path, chunk_size: int
-) -> tuple[int, Iterator[list[tuple[int, ...]]]]:
+) -> tuple[int, Iterator[TransactionChunk]]:
     """Open a transactions file as ``(n_items, chunk iterator)``.
 
-    The file uses the :func:`repro.data.io.save_transactions` format;
-    only ``chunk_size`` transactions are ever held at once.
+    The file uses the :func:`repro.data.io.save_transactions` format and
+    is read in blocks of lines (:func:`repro.data.io.read_transaction_blocks`),
+    re-cut into CSR :class:`~repro.data.transactions.TransactionChunk`
+    objects, each parsed and range-checked by the time ``next()``
+    returns it.
     """
-    path = Path(path)
-    n_items: int | None = None
-    with path.open() as f:
-        for line in f:
-            line = line.strip()
-            if line.startswith("#") and "n_items=" in line:
-                n_items = int(line.split("n_items=")[1])
-                break
-            if line and not line.startswith("#"):
-                break
-    if n_items is None:
-        raise InvalidParameterError(f"{path} lacks the '# n_items=' header")
+    n_items, blocks = read_transaction_blocks(path)
+    return n_items, _rechunk(blocks, chunk_size, n_items)
 
-    def lines() -> Iterator[tuple[int, ...]]:
-        with path.open() as f:
-            for line in f:
-                line = line.strip()
-                if line.startswith("#"):
-                    continue
-                yield tuple(int(tok) for tok in line.split()) if line else ()
 
-    return n_items, iter_chunks(lines(), chunk_size)
+def _rechunk(
+    blocks: Iterator[TransactionChunk], chunk_size: int, n_items: int
+) -> Iterator[TransactionChunk]:
+    if chunk_size < 1:
+        raise InvalidParameterError("chunk_size must be >= 1")
+    buffer = ChunkBuffer.of_transactions(n_items)
+    for block in blocks:
+        buffer.extend(block)
+        while len(buffer) >= chunk_size:
+            yield buffer.pop(chunk_size)
+    if len(buffer):
+        yield buffer.pop(len(buffer))
+
+
+class ChunkBuffer:
+    """Row buffer of a stream: queued chunks, split on row boundaries.
+
+    Chunks are :class:`TransactionChunk` or :class:`TabularDataset`
+    views. A queued chunk that is exactly the rows asked for is handed
+    on whole, so buffering copies a row at most once.
+    """
+
+    def __init__(
+        self, normalize: Callable[[Any], Any], concat: Callable[[list[Any]], Any]
+    ) -> None:
+        self._normalize = normalize
+        self._concat = concat
+        self._chunks: list[Any] = []
+        self._n = 0
+
+    @classmethod
+    def of_transactions(cls, n_items: int) -> "ChunkBuffer":
+        """A buffer of :class:`TransactionChunk` rows over ``n_items``."""
+        return cls(
+            partial(TransactionChunk.of, n_items=n_items),
+            partial(TransactionChunk.concat, n_items=n_items),
+        )
+
+    def extend(self, data: Any) -> None:
+        chunk = self._normalize(data)
+        if len(chunk):
+            self._chunks.append(chunk)
+            self._n += len(chunk)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def pop(self, k: int) -> Any:
+        taken: list[Any] = []
+        need = k
+        while need > 0:
+            head = self._chunks[0]
+            if len(head) <= need:
+                taken.append(self._chunks.pop(0))
+                need -= len(head)
+            else:
+                taken.append(head.slice_rows(0, need))
+                self._chunks[0] = head.slice_rows(need, len(head))
+                need = 0
+        self._n -= k
+        return taken[0] if len(taken) == 1 else self._concat(taken)
+
+    def rows(self) -> Any:
+        """Every buffered row, oldest first, as one chunk (nothing popped)."""
+        chunks = self._chunks
+        return chunks[0] if len(chunks) == 1 else self._concat(chunks)
 
 
 def iter_tabular_chunks(
@@ -141,16 +200,14 @@ class TransactionLog:
     directly: ``apriori(log, ms)`` after every append re-mines over all
     rows seen so far without re-scattering a single old bit.
 
-    Storage backends: ``backend="ram"`` (default) keeps the rows as a
-    Python list next to the in-RAM index -- the historical behaviour.
-    ``backend="mmap"`` (with a ``stripe_dir``) puts everything on disk:
-    the item bit-stripes through the index's store and the raw rows as
-    CSR-style offset/item column stripes, appends committing both
-    atomically -- so the log survives a process kill truncated to the
-    last committed chunk (:meth:`open`) and a process fan ships the
-    index as a zero-copy :meth:`handle` instead of pickled rows. Counts
-    and mined models are bit-identical across backends (the
-    backend-parametrized property suite pins it).
+    Rows live as CSR offset/item column stripes next to the index's item
+    bit-stripes, in one store: in RAM (``backend="ram"``, the default)
+    or on disk (``backend="mmap"`` with a ``stripe_dir``), where appends
+    commit rows and bits atomically -- so the log survives a process
+    kill truncated to the last committed chunk (:meth:`open`) and a
+    process fan ships the index as a zero-copy :meth:`handle` instead of
+    pickled rows. Counts and mined models are bit-identical across
+    backends (the backend-parametrized property suite pins it).
     """
 
     def __init__(
@@ -165,28 +222,17 @@ class TransactionLog:
         if n_items <= 0:
             raise InvalidParameterError("n_items must be positive")
         self.n_items = n_items
-        self._store: StripeStore | None
-        self._rows: list[tuple[int, ...]] | None
         if _store is not None:
             # Reopen path (:meth:`open`): adopt the committed store.
             self._store = _store
-            self._rows = None
             self._index = BitmapIndex.from_store(_store)
-            if transactions:
-                self.append(transactions)
-            return
-        if backend == "ram" and stripe_dir is not None:
-            raise InvalidParameterError(
-                "stripe_dir only applies to the mmap backend"
-            )
-        if backend == "ram":
-            self._store = None
-            self._rows = []
-            self._index = BitmapIndex([], n_items)
         else:
+            if backend == "ram" and stripe_dir is not None:
+                raise InvalidParameterError(
+                    "stripe_dir only applies to the mmap backend"
+                )
             store = make_store(backend, stripe_dir)
             self._store = store
-            self._rows = None
             store.create(_TXN_OFFSETS, (1,), np.int64)
             store.create(_TXN_ITEMS, (0,), np.int32)
             store.meta["items_total"] = 0
@@ -214,69 +260,42 @@ class TransactionLog:
 
     def append(self, transactions: Iterable[Iterable[int]]) -> "TransactionLog":
         """Append a chunk of transactions; returns ``self`` for chaining."""
-        cleaned: list[tuple[int, ...]] = []
-        # reprolint: disable=RL004(ingestion boundary: canonicalising ragged incoming rows is intrinsically row-wise)
-        for t in transactions:
-            items = tuple(sorted({int(i) for i in t}))
-            if items and (items[0] < 0 or items[-1] >= self.n_items):
-                raise InvalidParameterError(
-                    f"transaction {items} has items outside [0, {self.n_items})"
-                )
-            cleaned.append(items)
-        if self._rows is None:
-            # Row stripes first, then the index append -- whose commit
-            # publishes both, so every commit point is a consistent log.
-            self._append_row_stripes(cleaned)
-        self._index.append(cleaned)
-        if self._rows is not None:
-            self._rows.extend(cleaned)
+        indptr, indices = canonical_csr(*as_csr(transactions), self.n_items)
+        # Row stripes first, then the index append -- whose commit
+        # publishes both, so every commit point is a consistent log.
+        self._append_row_stripes(indptr, indices)
+        self._index.append(TransactionChunk.from_csr(indptr, indices, self.n_items))
         return self
 
-    def _append_row_stripes(self, cleaned: list[tuple[int, ...]]) -> None:
+    def _append_row_stripes(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         store = self._store
-        assert store is not None
         n_old = self._index.n_transactions
         total_old = int(store.meta["items_total"])
-        lengths = np.fromiter(
-            (len(t) for t in cleaned), dtype=np.int64, count=len(cleaned)
-        )
-        flat = np.fromiter(
-            (i for t in cleaned for i in t), dtype=np.int32,
-            count=int(lengths.sum()),
-        )
         offsets = store.stripe(_TXN_OFFSETS)
-        need = n_old + len(cleaned) + 1
+        need = n_old + indptr.shape[0]
         if need > offsets.shape[0]:
             offsets = store.resize(_TXN_OFFSETS, (max(need, 2 * offsets.shape[0]),))
         items = store.stripe(_TXN_ITEMS)
-        need_items = total_old + flat.shape[0]
+        need_items = total_old + indices.shape[0]
         if need_items > items.shape[0]:
             items = store.resize(
                 _TXN_ITEMS, (max(need_items, 2 * items.shape[0], 8),)
             )
-        np.cumsum(lengths, out=lengths)
-        offsets[n_old + 1 : need] = total_old + lengths
-        items[total_old:need_items] = flat
+        offsets[n_old + 1 : need] = total_old + indptr[1:]
+        items[total_old:need_items] = indices
         store.meta["items_total"] = need_items
 
-    def _decode_rows(
-        self, indices: Iterable[int] | None = None
-    ) -> list[tuple[int, ...]]:
-        """Materialise rows from the CSR stripes (documented O(rows))."""
-        store = self._store
-        assert store is not None
+    def _row_stripes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the committed rows' offset and item stripes."""
         n = self._index.n_transactions
-        offsets = store.stripe(_TXN_OFFSETS)
-        items = store.stripe(_TXN_ITEMS)
-        which = range(n) if indices is None else indices
-        # reprolint: disable=RL004(materialisation boundary: decoding ragged rows out of column stripes is intrinsically row-wise)
-        return [
-            tuple(
-                int(v)
-                for v in items[int(offsets[int(i)]) : int(offsets[int(i) + 1])]
-            )
-            for i in which
-        ]
+        offsets = self._store.stripe(_TXN_OFFSETS)[: n + 1]
+        return offsets, self._store.stripe(_TXN_ITEMS)[: int(offsets[n])]
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """A copy of the committed rows as CSR ``(indptr, indices)`` arrays."""
+        offsets, items = self._row_stripes()
+        return offsets.copy(), items.astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # Dataset protocol
@@ -286,16 +305,12 @@ class TransactionLog:
         return self._index.n_transactions
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        if self._rows is not None:
-            return iter(self._rows)
-        return iter(self._decode_rows())
+        return iter(self.transactions)
 
     @property
     def transactions(self) -> list[tuple[int, ...]]:
-        """The rows as tuples (mmap backend: materialises, O(rows))."""
-        if self._rows is not None:
-            return self._rows
-        return self._decode_rows()
+        """The rows as tuples (materialises, O(rows))."""
+        return csr_rows(*self._row_stripes())
 
     @property
     def index(self) -> BitmapIndex:
@@ -307,11 +322,9 @@ class TransactionLog:
 
     def take(self, indices: np.ndarray | Sequence[int]) -> TransactionDataset:
         """An immutable snapshot of the rows at ``indices``."""
-        if self._rows is not None:
-            txns = [self._rows[int(i)] for i in np.asarray(indices)]
-        else:
-            txns = self._decode_rows(int(i) for i in np.asarray(indices))
-        return TransactionDataset(txns, self.n_items)
+        return TransactionDataset.from_csr(
+            *csr_take(*self._row_stripes(), np.asarray(indices)), self.n_items
+        )
 
     def to_dataset(self, *, share_index: bool = False) -> TransactionDataset:
         """An immutable snapshot of the whole log.
@@ -324,7 +337,7 @@ class TransactionLog:
         afterwards; a later ``append`` would mutate the snapshot's
         counts.
         """
-        dataset = TransactionDataset(self.transactions, self.n_items)
+        dataset = TransactionDataset.from_csr(*self.csr, self.n_items)
         if share_index:
             dataset._index = self._index
         return dataset

@@ -76,6 +76,7 @@ from repro.stats.resample_plan import (
     LitsResamplePlan,
     lits_membership,
 )
+from repro.stream.chunks import ChunkBuffer
 from repro.stream.executor import get_executor, release
 from repro.stream.windows import (
     ChunkSketcher,
@@ -86,69 +87,6 @@ from repro.stream.windows import (
 )
 
 KINDS = ("transactions", "tabular")
-
-
-class _TransactionBuffer:
-    """Row buffer for transaction streams: plain tuples in a list."""
-
-    def __init__(self) -> None:
-        self._rows: list[tuple[int, ...]] = []
-
-    def extend(self, transactions: Iterable[Iterable[int]]) -> None:
-        self._rows.extend(tuple(t) for t in transactions)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def pop(self, k: int) -> list[tuple[int, ...]]:
-        chunk = self._rows[:k]
-        del self._rows[:k]
-        return chunk
-
-
-class _TabularBuffer:
-    """Row buffer for tabular streams: queued view-backed slices.
-
-    ``pop`` splits on row boundaries with views, so buffering never
-    copies a row more than the one ``vstack`` that forms its chunk.
-    """
-
-    def __init__(self) -> None:
-        self._chunks: list[Any] = []
-        self._n = 0
-        self.space: Any = None
-
-    def extend(self, chunk: DatasetLike) -> None:
-        if not hasattr(chunk, "X") or not hasattr(chunk, "space"):
-            raise InvalidParameterError(
-                "a tabular monitor consumes TabularDataset chunks, got "
-                f"{type(chunk).__name__}"
-            )
-        if self.space is None:
-            self.space = chunk.space
-        if len(chunk):
-            self._chunks.append(chunk)
-            self._n += len(chunk)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def pop(self, k: int) -> TabularDataset:
-        taken: list[TabularDataset] = []
-        need = k
-        while need > 0:
-            head = self._chunks[0]
-            if len(head) <= need:
-                taken.append(self._chunks.pop(0))
-                need -= len(head)
-            else:
-                taken.append(head.slice_rows(0, need))
-                self._chunks[0] = head.slice_rows(need, len(head))
-                need = 0
-        self._n -= k
-        if len(taken) == 1:
-            return taken[0]
-        return TabularDataset.concat_many(taken)
 
 
 class OnlineChangeMonitor:
@@ -252,7 +190,11 @@ class OnlineChangeMonitor:
             n_blocks=n_blocks,
         )
         self._buffer = (
-            _TransactionBuffer() if kind == "transactions" else _TabularBuffer()
+            ChunkBuffer.of_transactions(n_items)
+            if n_items is not None
+            else ChunkBuffer(
+                PartitionChunkSketcher.normalize, TabularDataset.concat_many
+            )
         )
         #: lifetime rows accepted by :meth:`push`, including warm-up and
         #: rows still buffered -- the exact stream offset a resumed run

@@ -42,7 +42,7 @@ from typing import (
 
 from repro._typing import DatasetLike, ExecutorLike, StructureOrPlan
 
-from repro.data.transactions import BitmapIndex, TransactionDataset
+from repro.data.transactions import TransactionChunk, TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.obs import MetricsRegistry, metrics
 from repro.stream.executor import (
@@ -98,35 +98,6 @@ class ChunkSketcher(Protocol):
         ...
 
 
-class TransactionChunk(tuple[tuple[int, ...], ...]):
-    """A normalised transaction chunk that carries its bitmap index.
-
-    The index is built on first use -- the sketcher's count -- and then
-    reused by every later reader of the chunk's bits, such as the online
-    monitor's bootstrap membership block. A chunk is therefore
-    bit-indexed once however many consumers read it, and the index
-    lives in the window ring with its chunk and retires with it.
-    """
-
-    n_items: int
-
-    def __new__(
-        cls, rows: Iterable[Iterable[int]], n_items: int
-    ) -> "TransactionChunk":
-        self = super().__new__(cls, (tuple(t) for t in rows))
-        self.n_items = n_items
-        return self
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # rows and universe only: a copy rebuilds its index on demand
-        return (TransactionChunk, (tuple(self), self.n_items))
-
-    @cached_property
-    def index(self) -> BitmapIndex:
-        """The chunk's bitmap index (built once, on first access)."""
-        return BitmapIndex(self, self.n_items)
-
-
 class TransactionChunkSketcher:
     """Sketch transaction chunks against a fixed itemset collection.
 
@@ -158,10 +129,9 @@ class TransactionChunkSketcher:
         """
         release(self.executor)
 
-    def normalize(self, chunk: Sequence[Iterable[int]]) -> TransactionChunk:
-        if isinstance(chunk, TransactionChunk) and chunk.n_items == self.n_items:
-            return chunk  # re-fed after a reference reset: keep its index
-        return TransactionChunk(chunk, self.n_items)
+    def normalize(self, chunk: Any) -> TransactionChunk:
+        # a chunk re-fed after a reference reset keeps its index
+        return TransactionChunk.of(chunk, self.n_items)
 
     def sketch(self, chunk: TransactionChunk) -> SupportSketch:
         return sharded_index_sketch(
@@ -178,9 +148,8 @@ class TransactionChunkSketcher:
         return len(chunk)
 
     def concat(self, chunks: Iterable[Any]) -> TransactionDataset:
-        return TransactionDataset(
-            tuple(t for chunk in chunks for t in chunk), self.n_items
-        )
+        rows = TransactionChunk.concat(list(chunks), self.n_items)
+        return TransactionDataset(rows, self.n_items)
 
 
 class PartitionChunkSketcher:
@@ -212,7 +181,8 @@ class PartitionChunkSketcher:
         """
         release(self.executor)
 
-    def normalize(self, chunk: DatasetLike) -> DatasetLike:
+    @staticmethod
+    def normalize(chunk: DatasetLike) -> DatasetLike:
         if not hasattr(chunk, "X") or not hasattr(chunk, "space"):
             raise InvalidParameterError(
                 "tabular chunks must be TabularDataset-like objects, got "
