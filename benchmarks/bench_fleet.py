@@ -13,7 +13,13 @@ fleet -- 20 healthy stores cloned from one regional buying process plus
   grouping is exact);
 * **one scan per store**: even the exhaustive path builds each store's
   counting state once per GCR family -- 24 batched scans total, not one
-  per pair (the naive loop's 2 x 276).
+  per pair (the naive loop's 2 x 276);
+* **decode once**: the federated leg (every store packs its model and a
+  sketch over the fleet's probe collection, then
+  ``from_sketches(...).exhaustive()``) is bit-equal to the row-level
+  ``exhaustive()``, decodes 25 itemset tables (24 models plus the one
+  shared probe table) and takes at most 2.5x the row-level matrix
+  (best of 5 alternating runs each).
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import wire
 from repro.core.deviation import deviation
 from repro.core.lits import LitsModel
 from repro.data.quest_basket import build_pattern_pool, generate_basket
-from repro.fleet import FleetDeviationMatrix, components
+from repro.fleet import FleetDeviationMatrix, components, probe_itemsets
 from repro.obs import MetricsRegistry, use_registry
+from repro.stream.sketch import SupportSketch
 
 N_HEALTHY = 20
 N_DRIFTED = 4
@@ -40,6 +48,11 @@ N_ITEMS = 100
 MIN_SUPPORT = 0.02
 
 JSON_PATH = Path(__file__).parent / "BENCH_fleet.json"
+#: federated leg / row-level exhaustive(), in one process
+MAX_FEDERATED_RATIO = 2.5
+#: alternating timed repetitions per leg; each leg's best run is compared,
+#: since a shared host only ever adds time to a run
+REPEATS = 5
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +196,60 @@ def test_counting_state_built_once_per_store_not_once_per_pair(fleet):
     i, j = 0, N_HEALTHY  # a healthy-vs-drifted pair
     direct = deviation(models[i], models[j], datasets[i], datasets[j]).value
     assert exhaustive.values[i, j] == pytest.approx(direct)
+
+
+def federated_leg(models, datasets):
+    """Pack every store's shipment, then the matrix from payloads alone."""
+    probes = probe_itemsets(models)
+    shipments = [
+        (wire.pack(model), wire.pack(SupportSketch.from_dataset(d, probes)))
+        for model, d in zip(models, datasets)
+    ]
+    return FleetDeviationMatrix.from_sketches(shipments).exhaustive()
+
+
+def test_federated_leg_decodes_each_table_once(fleet):
+    """Bit-equal to the row-level matrix, 25 table decodes, <= 2.5x its time."""
+    models, datasets = fleet
+    row_level_s, federated_s = [], []
+    for _ in range(REPEATS):
+        # as in a fresh pass: the row-level matrix builds each index,
+        # the federated leg's sketches reuse them
+        for dataset in datasets:
+            dataset.drop_index()
+        t0 = time.perf_counter()
+        oracle = FleetDeviationMatrix(models, datasets).exhaustive()
+        t1 = time.perf_counter()
+        federated = federated_leg(models, datasets)
+        t2 = time.perf_counter()
+        row_level_s.append(t1 - t0)
+        federated_s.append(t2 - t1)
+        assert np.array_equal(federated.values, oracle.values)
+
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        federated_leg(models, datasets)
+    counters = registry.snapshot()["counters"]
+    assert counters["wire.itemset_tables_decoded"] == N_STORES + 1, counters
+
+    t_row_level = min(row_level_s)
+    t_federated = min(federated_s)
+    ratio = t_federated / t_row_level
+    assert ratio <= MAX_FEDERATED_RATIO, (
+        f"federated leg {t_federated * 1e3:.0f}ms is {ratio:.2f}x the "
+        f"row-level exhaustive() {t_row_level * 1e3:.0f}ms"
+    )
+    payload = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
+    payload.update({
+        "t_federated_s": round(t_federated, 4),
+        "t_row_level_exhaustive_s": round(t_row_level, 4),
+        "federated_ratio": round(ratio, 2),
+        "max_federated_ratio": MAX_FEDERATED_RATIO,
+        "federated_counters": counters,
+    })
+    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print(
+        f"\nfederated leg {t_federated * 1e3:.0f}ms vs row-level "
+        f"exhaustive {t_row_level * 1e3:.0f}ms ({ratio:.2f}x); "
+        f"{counters['wire.itemset_tables_decoded']} itemset tables decoded"
+    )

@@ -111,8 +111,11 @@ class _Canonical(tuple[frozenset[int], ...]):
     """
 
     # no __slots__: variable-length tuple subtypes cannot declare them;
-    # the per-collection __dict__ holds the lazily cached counting plan.
+    # the per-collection __dict__ holds the lazily cached counting plan
+    # and wire sections, and a decoded table's largest item
     _plan: SupportCountingPlan
+    _sections: tuple[bytes, bytes]
+    _top: int
 
     def plan(self) -> SupportCountingPlan:
         """The precompiled counting plan for this collection, built once

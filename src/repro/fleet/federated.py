@@ -18,7 +18,8 @@ comparer**. The decisions are exact, not approximate:
   same id-array gather the row-level engine runs -- bit-equal values to
   the exhaustive oracle. The delta* bound needs only the models, so
   :meth:`SketchFleet.pruned` certifies insignificant pairs exactly as
-  the row-level engine does.
+  the row-level engine does. Every store ships the same probe table, so
+  one call decodes each distinct table's bytes once.
 * **partition fleets** -- a store ships one partition-sketch payload
   (its dt-/cluster-model travels embedded). Federated exactness needs a
   fleet-shared structure: the GCR of two *identical* partitions is the
@@ -64,6 +65,7 @@ from repro.fleet.vocab import LitsVocabulary, probe_itemsets
 from repro.stats.bootstrap import BootstrapResult
 from repro.stats.resample_plan import CountsResamplePlan
 from repro.stream.sketch import PartitionSketch, SupportSketch
+from repro.wire.encoding import TableMemo
 from repro.wire.format import (
     KIND_LITS_MODEL,
     KIND_PARTITION_SKETCH,
@@ -127,6 +129,8 @@ class SketchFleet:
         self._vocab: LitsVocabulary | None = None
 
         kinds: set[str] = set()
+        # one decode per distinct itemset table, for this call only
+        tables: TableMemo = {}
         bytes_per_store: list[int] = []
         lits_models: list[LitsModel] = []
         support_sketches: list[SupportSketch] = []
@@ -148,7 +152,7 @@ class SketchFleet:
                     bytes(shipment[0]), bytes(shipment[1]),
                 )
                 model, sketch = self._unpack_lits(
-                    name, model_payload, sketch_payload
+                    name, model_payload, sketch_payload, tables
                 )
                 lits_models.append(model)
                 support_sketches.append(sketch)
@@ -189,8 +193,14 @@ class SketchFleet:
             #: marks the ids its sketch counted at all
             self._counts = np.zeros(shape, dtype=np.int64)
             self._covered = np.zeros(shape, dtype=bool)
+            # stores sharing a probe table share its decoded object
+            ids_of: dict[int, np.ndarray] = {}
             for i, sketch in enumerate(support_sketches):
-                ids = self._vocab.ids(sketch.itemsets)
+                ids = ids_of.get(id(sketch.itemsets))
+                if ids is None:
+                    ids = ids_of[id(sketch.itemsets)] = self._vocab.ids(
+                        sketch.itemsets
+                    )
                 tracked = ids >= 0
                 self._counts[i, ids[tracked]] = sketch.counts[tracked]
                 self._covered[i, ids[tracked]] = True
@@ -226,7 +236,8 @@ class SketchFleet:
 
     @staticmethod
     def _unpack_lits(
-        name: str, model_payload: bytes, sketch_payload: bytes
+        name: str, model_payload: bytes, sketch_payload: bytes,
+        tables: TableMemo,
     ) -> tuple[LitsModel, SupportSketch]:
         model_envelope = read_envelope(model_payload)
         if model_envelope.kind != KIND_LITS_MODEL:
@@ -234,7 +245,7 @@ class SketchFleet:
                 f"store {name!r}: the first payload of a pair must be a "
                 f"lits-model, got a {model_envelope.kind_name}"
             )
-        model = model_from_envelope(model_envelope)
+        model = model_from_envelope(model_envelope, tables)
         assert isinstance(model, LitsModel)
         sketch_envelope = read_envelope(sketch_payload)
         if sketch_envelope.kind != KIND_SUPPORT_SKETCH:
@@ -242,7 +253,7 @@ class SketchFleet:
                 f"store {name!r}: the second payload of a pair must be a "
                 f"support-sketch, got a {sketch_envelope.kind_name}"
             )
-        sketch = _support_from_envelope(sketch_envelope)
+        sketch = _support_from_envelope(sketch_envelope, tables)
         if sketch.n_items != model.n_items:
             raise IncompatibleModelsError(
                 f"store {name!r}: its sketch counts a {sketch.n_items}-item "

@@ -20,7 +20,8 @@ Layering:
 
 Malformed input raises :class:`repro.errors.WireFormatError` naming the
 bad section; ``wire.bytes_packed`` / ``wire.payloads_unpacked`` /
-``wire.checksum_failures`` counters tally through :mod:`repro.obs`.
+``wire.checksum_failures`` / ``wire.itemset_tables_decoded`` (distinct
+itemset tables decoded) counters tally through :mod:`repro.obs`.
 """
 
 from repro.wire.api import WirePayload, pack, payload_info, unpack

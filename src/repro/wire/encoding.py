@@ -13,8 +13,11 @@ codec is built from:
   :func:`repro.wire.format.pack_envelope` deterministic: equal objects
   produce byte-identical payloads, which the golden suite pins.
 * **itemset tables** -- an itemset collection as two aligned int64
-  arrays (per-itemset sizes + flattened items), the compact form shared
-  by lits-models and support sketches.
+  arrays (per-itemset sizes + flattened items), shared by lits-models
+  and support sketches. A canonical collection encodes once; a
+  :data:`TableMemo` decodes each distinct table's bytes once per call
+  (:func:`itemset_table`), whose items must lie in the payload's
+  ``n_items`` universe.
 
 Every decode failure raises :class:`~repro.errors.WireFormatError`
 naming the offending section.
@@ -24,12 +27,14 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from repro.core.model import _Canonical
 from repro.errors import WireFormatError
+from repro.obs import metrics
 
 _DTYPE_LEN = struct.Struct("<B")
 _NDIM = struct.Struct("<B")
@@ -161,13 +166,44 @@ def itemset_sections(
     The collection must already be in canonical order (size, then
     lexicographic) -- both producers (lits-models, support sketches)
     store it that way -- and items within an itemset are emitted sorted,
-    so equal collections always encode to identical bytes.
+    so equal collections always encode to identical bytes. A canonical
+    collection keeps them: sketches over one probe table encode it once.
     """
-    sizes = np.array([len(s) for s in itemsets], dtype=np.int64)
-    flat = np.array(
-        [item for s in itemsets for item in sorted(s)], dtype=np.int64
-    )
-    return pack_array(sizes), pack_array(flat)
+    if isinstance(itemsets, _Canonical) and "_sections" in vars(itemsets):
+        return itemsets._sections
+    sizes = np.fromiter(map(len, itemsets), np.int64, len(itemsets))
+    flat = np.fromiter(chain.from_iterable(itemsets), np.int64, sizes.sum())
+    flat = flat[np.lexsort((flat, np.repeat(np.arange(sizes.size), sizes)))]
+    sections = pack_array(sizes), pack_array(flat)
+    if isinstance(itemsets, _Canonical):
+        itemsets._sections = sections
+    return sections
+
+
+TableMemo = dict[tuple[bytes, bytes], _Canonical]
+
+
+def itemset_table(
+    sizes_payload: bytes, items_payload: bytes, n_items: int,
+    tables: TableMemo | None = None,
+) -> _Canonical:
+    """An itemset table whose items must lie in ``[0, n_items)``. With a
+    memo, only the first payload carrying its exact bytes decodes it and
+    later ones reuse that object; the universe check runs for each
+    payload, hit or miss."""
+    if tables is None:
+        table = itemsets_from_sections(sizes_payload, items_payload)
+    else:
+        key = (sizes_payload, items_payload)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = itemsets_from_sections(*key)
+    if table._top >= max(n_items, 0):
+        raise WireFormatError(
+            f"item {table._top} lies outside the {n_items}-item universe",
+            section="items",
+        )
+    return table
 
 
 def itemsets_from_sections(
@@ -190,8 +226,10 @@ def itemsets_from_sections(
     sorted (items within an itemset may arrive in any order), a zero
     step within a row is a duplicate item, and consecutive rows must
     increase strictly lexicographically. The result is the canonical
-    marker tuple, so sketches and models built from it never re-sort.
+    marker tuple, so sketches and models built from it never re-sort,
+    and it records its largest item for the universe check.
     """
+    metrics().inc("wire.itemset_tables_decoded")
     sizes = unpack_array(sizes_payload, sizes_section)
     flat = unpack_array(items_payload, items_section)
     if sizes.ndim != 1 or flat.ndim != 1:
@@ -240,9 +278,11 @@ def itemsets_from_sections(
         )
     items = flat.tolist()
     bounds = offsets.tolist()
-    return _Canonical(
+    table = _Canonical(
         frozenset(items[a:b]) for a, b in zip(bounds, bounds[1:])
     )
+    table._top = int(flat.max()) if flat.size else -1
+    return table
 
 
 def _integer_table(array: np.ndarray, section: str) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.cluster_model import ClusterModel
 from repro.core.dtree_model import DtModel
-from repro.core.lits import LitsModel
+from repro.core.lits import LitsModel, _check_min_support
 from repro.data.model_io import (
     cluster_model_from_dict,
     cluster_model_to_dict,
@@ -40,8 +40,9 @@ from repro.data.model_io import (
 )
 from repro.errors import InvalidParameterError, WireFormatError
 from repro.wire.encoding import (
+    TableMemo,
     itemset_sections,
-    itemsets_from_sections,
+    itemset_table,
     pack_array,
     pack_json,
     unpack_array,
@@ -84,14 +85,24 @@ def pack_lits_model(model: LitsModel) -> bytes:
     )
 
 
-def _lits_from_envelope(envelope: Envelope) -> LitsModel:
+def _lits_from_envelope(
+    envelope: Envelope, tables: TableMemo | None = None
+) -> LitsModel:
     meta_payload, sizes, items, supports_payload = envelope.expect(
         _LITS_SECTIONS
     )
     meta = unpack_json_object(
         meta_payload, "meta", ("min_support", "n_items")
     )
-    itemsets = itemsets_from_sections(sizes, items)
+    try:
+        n_items = int(meta["n_items"])
+        min_support = float(meta["min_support"])
+        _check_min_support(min_support)
+    except (InvalidParameterError, OverflowError, TypeError, ValueError) as exc:
+        raise WireFormatError(
+            f"lits-model metadata is invalid: {exc}", section="meta"
+        ) from None
+    itemsets = itemset_table(sizes, items, n_items, tables)
     supports = unpack_array(supports_payload, "supports")
     if supports.shape != (len(itemsets),):
         raise WireFormatError(
@@ -99,17 +110,13 @@ def _lits_from_envelope(envelope: Envelope) -> LitsModel:
             f"with the {len(itemsets)} itemsets",
             section="supports",
         )
-    try:
-        return LitsModel._from_canonical(
-            itemsets,
-            supports.astype(np.float64).tolist(),
-            float(meta["min_support"]),
-            int(meta["n_items"]),
-        )
-    except (InvalidParameterError, TypeError, ValueError) as exc:
+    supports = supports.astype(np.float64)
+    # NaN fails both comparisons, so it is refused with the range
+    if not ((supports >= 0.0) & (supports <= 1.0)).all():
         raise WireFormatError(
-            f"lits-model metadata is invalid: {exc}", section="meta"
-        ) from None
+            "supports must be finite and lie in [0, 1]", section="supports"
+        )
+    return LitsModel._from_canonical(itemsets, supports.tolist(), min_support, n_items)
 
 
 def unpack_lits_model(data: bytes) -> LitsModel:
@@ -131,7 +138,9 @@ def _dt_from_envelope(envelope: Envelope) -> DtModel:
     obj = unpack_json_object(payload, "model", ("kind", "space", "root"))
     try:
         return dt_model_from_dict(obj)
-    except (InvalidParameterError, KeyError, TypeError, ValueError) as exc:
+    except (
+        InvalidParameterError, KeyError, OverflowError, TypeError, ValueError
+    ) as exc:
         raise WireFormatError(
             f"dt-model payload is malformed: {exc!r}", section="model"
         ) from None
@@ -168,7 +177,9 @@ def _cluster_from_envelope(envelope: Envelope) -> ClusterModel:
     )
     try:
         return cluster_model_from_dict(obj)
-    except (InvalidParameterError, KeyError, TypeError, ValueError) as exc:
+    except (
+        InvalidParameterError, KeyError, OverflowError, TypeError, ValueError
+    ) as exc:
         raise WireFormatError(
             f"cluster-model payload is malformed: {exc!r}", section="model"
         ) from None
@@ -195,10 +206,12 @@ def pack_model(model: WireModel) -> bytes:
     )
 
 
-def model_from_envelope(envelope: Envelope) -> WireModel:
-    """Decode a model from an already-verified envelope."""
+def model_from_envelope(
+    envelope: Envelope, tables: TableMemo | None = None
+) -> WireModel:
+    """Decode a model from a verified envelope; ``tables``: a lits decode memo."""
     if envelope.kind == KIND_LITS_MODEL:
-        return _lits_from_envelope(envelope)
+        return _lits_from_envelope(envelope, tables)
     if envelope.kind == KIND_DT_MODEL:
         return _dt_from_envelope(envelope)
     if envelope.kind == KIND_CLUSTER_MODEL:

@@ -33,8 +33,9 @@ from repro.core.dtree_model import DtModel
 from repro.errors import InvalidParameterError, WireFormatError
 from repro.stream.sketch import PartitionSketch, SupportSketch
 from repro.wire.encoding import (
+    TableMemo,
     itemset_sections,
-    itemsets_from_sections,
+    itemset_table,
     pack_array,
     pack_json,
     unpack_array,
@@ -99,7 +100,9 @@ def _counts_from_payload(
     return counts
 
 
-def _support_from_envelope(envelope: Envelope) -> SupportSketch:
+def _support_from_envelope(
+    envelope: Envelope, tables: TableMemo | None = None
+) -> SupportSketch:
     meta_payload, sizes, items, counts_payload = envelope.expect(
         _SUPPORT_SECTIONS
     )
@@ -109,7 +112,7 @@ def _support_from_envelope(envelope: Envelope) -> SupportSketch:
     try:
         n_transactions = int(meta["n_transactions"])
         n_items = int(meta["n_items"])
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise WireFormatError(
             f"support-sketch metadata is invalid: {exc}", section="meta"
         ) from None
@@ -117,7 +120,7 @@ def _support_from_envelope(envelope: Envelope) -> SupportSketch:
         raise WireFormatError(
             "n_transactions and n_items must be >= 0", section="meta"
         )
-    itemsets = itemsets_from_sections(sizes, items)
+    itemsets = itemset_table(sizes, items, n_items, tables)
     counts = _counts_from_payload(
         counts_payload, len(itemsets), n_transactions, "itemsets"
     )
@@ -172,7 +175,7 @@ def _partition_from_envelope(
     meta = unpack_json_object(meta_payload, "meta", ("n_rows",))
     try:
         n_rows = int(meta["n_rows"])
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise WireFormatError(
             f"partition-sketch metadata is invalid: {exc}", section="meta"
         ) from None

@@ -11,19 +11,31 @@ that names the offending section:
   Hypothesis) -- CRC32 detects all single-bit errors by construction;
 * whole-section swaps and renames -- the per-kind canonical section
   order turns a transposed payload into an error, not transposed
-  counts.
+  counts;
+* CRC-valid values out of range -- a support that is NaN, infinite or
+  outside [0, 1], an item outside the payload's ``n_items`` universe.
+
+A ``bytearray`` payload decodes exactly as its ``bytes`` do, and is
+rejected the same way when mangled.
 """
 
 from __future__ import annotations
 
+import json
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_objects as g
+from repro.core.lits import LitsModel
 from repro.errors import WireFormatError
 from repro.obs import MetricsRegistry, use_registry
+from repro.stream.sketch import SupportSketch
 from repro.wire import pack, pack_envelope, read_envelope, unpack
+from repro.wire.encoding import pack_array, pack_json
 
 FIXTURES = {
     "lits_model": lambda: pack(g.lits_model()),
@@ -137,3 +149,99 @@ class TestSectionTampering:
             pack_envelope(model_envelope.kind, sketch_envelope.sections)
         )
         assert error.section == "counts"
+
+
+class TestBytesLike:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_bytearray_payload_decodes_like_bytes(self, name):
+        payload = FIXTURES[name]()
+        model = {"model": g.dt_model()} if name == "partition_sketch" else {}
+        assert pack(unpack(bytearray(payload)), **model) == payload
+        flipped = bytearray(payload)
+        flipped[-1] ^= 1
+        _assert_rejected(flipped)
+
+
+class TestValueRanges:
+    """CRC-valid payloads whose values no honest producer emits."""
+
+    @staticmethod
+    def _reframed(payload: bytes, **replace: bytes) -> bytes:
+        envelope = read_envelope(payload)
+        return pack_envelope(
+            envelope.kind,
+            [(name, replace.get(name, body))
+             for name, body in envelope.sections],
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), -3.0, 7.0]
+    )
+    def test_support_outside_unit_interval_is_rejected(self, bad):
+        model = g.lits_model()
+        supports = np.array([model.supports[s] for s in model.itemsets])
+        supports[1] = bad
+        error = _assert_rejected(self._reframed(
+            FIXTURES["lits_model"](), supports=pack_array(supports)
+        ))
+        assert error.section == "supports"
+
+    def test_item_outside_the_model_universe_is_rejected(self):
+        model = LitsModel(
+            {frozenset({1}): 0.5, frozenset({50}): 0.25},
+            min_support=0.2, n_items=10,
+        )
+        error = _assert_rejected(pack(model))
+        assert error.section == "items"
+
+    def test_item_outside_the_sketch_universe_is_rejected(self):
+        sketch = SupportSketch(
+            [frozenset({0}), frozenset({99})], np.array([3, 1]), 10, 5
+        )
+        error = _assert_rejected(pack(sketch))
+        assert error.section == "items"
+
+    @pytest.mark.parametrize("name", ["lits_model", "support_sketch"])
+    def test_top_item_at_the_universe_edge_is_rejected(self, name):
+        # the fixtures' largest item is 2: a 2-item universe refuses it,
+        # a 3-item one accepts it
+        payload = FIXTURES[name]()
+        meta = json.loads(dict(read_envelope(payload).sections)["meta"])
+        for n_items, ok in ((2, False), (3, True)):
+            meta["n_items"] = n_items
+            edited = self._reframed(payload, meta=pack_json(meta))
+            if ok:
+                assert unpack(edited).n_items == n_items
+            else:
+                assert _assert_rejected(edited).section == "items"
+
+    @pytest.mark.parametrize("name, field", [
+        ("lits_model", b'"n_items":5'),
+        ("support_sketch", b'"n_items":5'),
+        ("partition_sketch", b'"n_rows":8'),
+    ])
+    def test_infinite_count_is_a_meta_error(self, name, field):
+        # json.loads accepts Infinity; int() of it overflows
+        payload = FIXTURES[name]()
+        meta = dict(read_envelope(payload).sections)["meta"]
+        edited = meta.replace(field, field.split(b":")[0] + b":Infinity")
+        assert edited != meta
+        error = _assert_rejected(self._reframed(payload, meta=edited))
+        assert error.section == "meta"
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_infinity_in_any_json_number_is_typed(self, name):
+        # every integer literal of every JSON section, in turn
+        payload = FIXTURES[name]()
+        for section, body in read_envelope(payload).sections:
+            if not body.startswith(b"{"):
+                continue
+            for match in re.finditer(rb"(?<=[\[,:])\d+(?=[,\]}])", body):
+                edited = self._reframed(payload, **{
+                    section: body[:match.start()] + b"Infinity"
+                    + body[match.end():]
+                })
+                try:
+                    unpack(edited)
+                except WireFormatError:
+                    pass
