@@ -20,7 +20,7 @@ meet-semilattice property.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -117,6 +117,12 @@ class _Canonical(tuple[frozenset[int], ...]):
     _sections: tuple[bytes, bytes]
     _top: int
 
+    @classmethod
+    def ordered(cls, unique: Iterable[frozenset[int]]) -> "_Canonical":
+        """Distinct frozensets of ints, sorted into canonical order
+        (size, then lexicographic)."""
+        return cls(sorted(unique, key=lambda s: (len(s), tuple(sorted(s)))))
+
     def plan(self) -> SupportCountingPlan:
         """The precompiled counting plan for this collection, built once
         and reused by every sketch (hence every chunk) over it."""
@@ -138,10 +144,8 @@ class LitsStructure(Structure):
         if isinstance(itemsets, _Canonical):
             self._itemsets: tuple[frozenset[int], ...] = itemsets
         else:
-            self._itemsets = tuple(sorted(
-                {frozenset(s) for s in itemsets},
-                key=lambda s: (len(s), tuple(sorted(s))),
-            ))
+            unique = {frozenset(s) for s in itemsets}
+            self._itemsets = tuple(_Canonical.ordered(unique))
         self._regions: tuple[Region, ...] | None = None
 
     @property

@@ -15,12 +15,17 @@ Reference policies:
 * ``"fixed"`` -- always compare against the original reference;
 * ``"reset_on_drift"`` -- after a significant deviation, the drifted
   snapshot becomes the new reference (the analyst re-analysed it).
+
+The monitor alone owns its state: the read-only :class:`Reference`
+(replaced whole by ``fit`` and by a promotion), the snapshot counter,
+the history and the bootstrap generator; ``state()`` / ``restore()``
+carry all but the reference's dataset and model across a restart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import astuple, dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -55,6 +60,16 @@ class Observation:
             f"sig={self.significance:.0f}% vs reference "
             f"{self.reference_index} [{flag}]"
         )
+
+
+@dataclass(frozen=True)
+class Reference:
+    """The snapshot observations are measured against; ``index`` is the
+    fitted snapshot's index or that of the observation that promoted it."""
+
+    dataset: DatasetLike
+    model: ModelLike
+    index: int
 
 
 @dataclass
@@ -116,9 +131,7 @@ class ChangeMonitor:
     executor: str | object = "serial"  # name or executor instance
     n_blocks: int = 1
     history: list[Observation] = field(default_factory=list)
-    _reference_dataset: object = None
-    _reference_model: object = None
-    _reference_index: int = -1
+    _reference: Reference | None = None
     _next_index: int = 0
 
     def __post_init__(self) -> None:
@@ -162,24 +175,64 @@ class ChangeMonitor:
 
     @property
     def is_fitted(self) -> bool:
-        return self._reference_model is not None
+        return self._reference is not None
+
+    @property
+    def reference(self) -> Reference:
+        """The current reference; each fit or promotion replaces it."""
+        if self._reference is None:
+            raise NotFittedError("call fit(reference) first")
+        return self._reference
 
     def fit(self, reference: DatasetLike) -> "ChangeMonitor":
         """Set the reference snapshot; returns ``self`` for chaining."""
-        self._reference_dataset = reference
-        self._reference_model = self.model_builder(reference)
-        self._reference_index = self._next_index
+        self._reference = Reference(
+            reference, self.model_builder(reference), self._next_index
+        )
         self._next_index += 1
         return self
 
-    def _qualify(
+    def state(self) -> dict[str, Any]:
+        """JSON-ready resumable state: ``"monitor"`` (next index, the
+        reference's index, the history) and ``"rng_state"``. A resumed
+        monitor re-fits the reference's rows before :meth:`restore`."""
+        return {
+            "monitor": {
+                "next_index": self._next_index,
+                "reference_index": (
+                    -1 if self._reference is None else self._reference.index
+                ),
+                "history": [list(astuple(o)) for o in self.history],
+            },
+            "rng_state": (
+                None if self.rng is None else self.rng.bit_generator.state
+            ),
+        }
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Adopt a :meth:`state`, so the next observation continues it."""
+        saved = state["monitor"]
+        self._next_index = int(saved["next_index"])
+        if self._reference is not None:
+            self._reference = replace(
+                self._reference, index=int(saved["reference_index"])
+            )
+        self.history[:] = [
+            Observation(int(i), float(d), float(s), bool(f), int(r))
+            for i, d, s, f, r in saved["history"]
+        ]
+        if state["rng_state"] is not None and self.rng is not None:
+            self.rng.bit_generator.state = state["rng_state"]
+
+    def _record(
         self,
         snapshot: DatasetLike,
         delta: float,
         model: ModelLike | None = None,
         resample_plan: "ResamplePlan | None" = None,
     ) -> Observation:
-        """Bootstrap-qualify one snapshot's deviation and record it."""
+        """Qualify one snapshot's deviation, record it, apply the policy."""
+        reference = self.reference
         if resample_plan is not None and self.refit_models:
             # mirrors deviation_significance's models=/refit conflict: a
             # compiled fixed-structure plan cannot produce the refit
@@ -215,13 +268,15 @@ class ChangeMonitor:
                 significance = self._bootstrap_significance(snapshot, model)
             drifted = significance >= self.threshold
         observation = Observation(
-            index=index,
-            deviation=delta,
-            significance=significance,
-            drifted=drifted,
-            reference_index=self._reference_index,
+            index, delta, significance, drifted, reference.index
         )
         self.history.append(observation)
+        if drifted and self.policy == "reset_on_drift":
+            self._reference = Reference(
+                snapshot,
+                model if model is not None else self.model_builder(snapshot),
+                index,
+            )
         return observation
 
     def _bootstrap_significance(
@@ -236,12 +291,13 @@ class ChangeMonitor:
         :func:`deviation_significance` as ``models`` -- no re-mining,
         and the null comes from the count-space engine.
         """
+        reference = self.reference
         models = None
         if not self.refit_models:
             m2 = model if model is not None else self.model_builder(snapshot)
-            models = (self._reference_model, m2)
+            models = (reference.model, m2)
         return deviation_significance(
-            self._reference_dataset,
+            reference.dataset,
             snapshot,
             self.model_builder,
             f=self.f,
@@ -256,13 +312,12 @@ class ChangeMonitor:
 
     def observe(self, snapshot: DatasetLike) -> Observation:
         """Qualify one new snapshot against the current reference."""
-        if not self.is_fitted:
-            raise NotFittedError("call fit(reference) before observe()")
+        reference = self.reference
         model = self.model_builder(snapshot)
         delta = deviation(
-            self._reference_model,
+            reference.model,
             model,
-            self._reference_dataset,
+            reference.dataset,
             snapshot,
             f=self.f,
             g=self.g,
@@ -292,32 +347,9 @@ class ChangeMonitor:
         resampled (it need not even be a real dataset unless a
         ``reset_on_drift`` reset promotes it).
         """
-        if not self.is_fitted:
-            raise NotFittedError(
-                "call fit(reference) before observe_precomputed()"
-            )
         return self._record(
             snapshot, float(delta), model, resample_plan=resample_plan
         )
-
-    def _record(
-        self,
-        snapshot: DatasetLike,
-        delta: float,
-        model: ModelLike | None,
-        resample_plan: "ResamplePlan | None" = None,
-    ) -> Observation:
-        """Qualify, append to history, and apply the reference policy."""
-        observation = self._qualify(
-            snapshot, delta, model=model, resample_plan=resample_plan
-        )
-        if observation.drifted and self.policy == "reset_on_drift":
-            self._reference_dataset = snapshot
-            self._reference_model = (
-                model if model is not None else self.model_builder(snapshot)
-            )
-            self._reference_index = observation.index
-        return observation
 
     def observe_many(
         self, snapshots: Iterable[DatasetLike]
@@ -334,23 +366,22 @@ class ChangeMonitor:
         Under ``"reset_on_drift"`` the reference can change mid-batch,
         so the snapshots are simply observed sequentially.
         """
-        if not self.is_fitted:
-            raise NotFittedError("call fit(reference) before observe_many()")
+        reference = self.reference
         snapshots = list(snapshots)
         if self.policy != "fixed" or len(snapshots) < 2:
             return [self.observe(s) for s in snapshots]
 
         models = [self.model_builder(s) for s in snapshots]
         deltas = deviation_many(
-            self._reference_model,
+            reference.model,
             models,
-            self._reference_dataset,
+            reference.dataset,
             snapshots,
             f=self.f,
             g=self.g,
         )
         return [
-            self._qualify(snapshot, delta.value, model=model)
+            self._record(snapshot, delta.value, model)
             for snapshot, delta, model in zip(snapshots, deltas, models)
         ]
 

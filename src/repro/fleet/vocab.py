@@ -37,7 +37,6 @@ import numpy as np
 from repro.core.aggregate import AggregateFunction
 from repro.core.lits import LitsModel
 from repro.core.model import _Canonical
-from repro.stream.sketch import canonical_itemsets
 
 
 def probe_itemsets(models: Sequence[LitsModel]) -> _Canonical:
@@ -51,9 +50,8 @@ def probe_itemsets(models: Sequence[LitsModel]) -> _Canonical:
     union: set[frozenset[int]] = set()
     for model in models:
         union.update(model.structure.itemsets)
-    canon = canonical_itemsets(union)
-    assert isinstance(canon, _Canonical)
-    return canon
+    # the structures' itemsets are canonical already: sort, never rebuild
+    return _Canonical.ordered(union)
 
 
 class LitsVocabulary:

@@ -431,12 +431,6 @@ class _FlatTree:
         X = np.column_stack([columns[name] for name in self.used_names])
         return self._descend(X)
 
-    def assign_matrix(self, X_used: np.ndarray) -> np.ndarray:
-        """Leaf id per row of an already-compacted ``(n, used)`` matrix."""
-        if not self.used_names:
-            return np.full(X_used.shape[0], self.leaf_of[0], dtype=np.int64)
-        return self._descend(X_used)
-
     def _descend(self, X: np.ndarray) -> np.ndarray:
         rows = np.arange(X.shape[0])
         node = np.zeros(X.shape[0], dtype=np.int64)

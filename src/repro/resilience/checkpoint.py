@@ -4,7 +4,14 @@ A monitor that dies loses its window ring, its reference, its history,
 and its bootstrap generator state -- restarting it cold silently
 re-warms on the wrong rows and emits wrong deviations. This module
 persists the *entire* resume-relevant state and restores it
-bit-identically:
+bit-identically.
+
+It owns only the on-disk side: file names, CRCs, hard links, fsyncs and
+the manifest. The state has other owners and is read and restored
+through their public surface alone: the monitor's ``state()`` /
+``restore()`` (row count, reference and buffered rows, and the inner
+:class:`~repro.core.monitor.ChangeMonitor`'s indices, history and
+generator) and the window manager's ring and counters.
 
 * **atomic-manifest publish** (the ``MmapStripeStore`` pattern): each
   :func:`write_checkpoint` builds a fresh ``gen-NNNNNN/`` directory --
@@ -16,31 +23,20 @@ bit-identically:
   after the commit.
 * **write-once files**: ring chunks are immutable once pushed and the
   reference changes only at warm-up or on a ``reset_on_drift``
-  promotion, so each chunk's rows and sketch, and each reference, are
-  compressed once. The monitor keeps a ledger of the files of the last
-  generation it committed (or resumed from), and a later generation
-  hard-links those files (``os.link``) into its own directory under
-  the usual names, taking their CRCs from the ledger; only the buffer,
-  ``state.json`` and objects the ledger lacks are written. A link that
-  fails for any reason (no hard links on the filesystem, a source
-  deleted behind the writer's back) falls back to writing the object
-  from memory. Every generation directory stays self-contained, so the
-  on-disk format (v1) is unchanged and collecting an old generation
-  leaves a linked file alive through its surviving link.
+  promotion, so each is compressed once. :func:`write_checkpoint` and
+  :func:`resume_checkpoint` return a ledger of the generation's files
+  by the object they hold; the monitor keeps it, and the next
+  generation hard-links (``os.link``) the files of objects it still
+  holds, taking their CRCs from the ledger. A refused link falls back
+  to writing from memory. Every generation directory stays
+  self-contained, so the on-disk format (v1) is unchanged.
 * **verified resume**: :func:`resume_checkpoint` checks the manifest,
-  the state CRC, every file CRC, and the monitor's configuration
-  fingerprint before touching the monitor, then rebuilds the reference
-  (deterministic re-mine of the persisted reference rows), the window
-  ring (sketches realigned to the freshly compiled local structure,
-  guarded by itemset/``counts_key`` equality), the inner monitor's
-  history/indices, and the bootstrap generator's exact bit-state.
+  the state CRC, every file CRC and the configuration fingerprint
+  before touching the monitor, then re-mines the persisted reference
+  rows, realigns the ring's sketches to the fresh structure (guarded
+  by itemset/``counts_key`` equality) and restores the inner monitor.
   Anything corrupt raises a typed :class:`CheckpointError` naming the
-  file -- a damaged checkpoint can never resume into a silently wrong
-  monitor.
-
-The kill-mid-checkpoint suite mirrors the storage crash tests: write a
-generation without publishing (plus arbitrary damage to it) and assert
-resume lands on the last *committed* generation, bit-identically.
+  file.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.monitor import Observation
 from repro.data.io import (
     load_tabular,
     load_transactions,
@@ -88,11 +83,9 @@ def has_checkpoint(directory: str | Path) -> bool:
 class _WriteLedger:
     """The files of one committed generation, by the object they hold.
 
-    Owned by the monitor (``_checkpoint_ledger``): it names the last
-    generation that monitor committed or resumed from (with the state
-    CRC its manifest records), and maps ``id(obj)`` to
-    ``(obj, file name, crc)`` for each reference, ring chunk and sketch
-    persisted there. The object itself is stored so a recycled id can
+    Names the generation (with the state CRC its manifest records) and
+    maps ``id(obj)`` to ``(obj, file name, crc)`` for each reference,
+    ring chunk and sketch; the object is stored so a recycled id can
     never alias another object.
     """
 
@@ -112,23 +105,25 @@ class _WriteLedger:
         self.entries[id(obj)] = (obj, name, crc)
 
 
-def write_checkpoint(monitor: Any, directory: str | Path) -> Path:
-    """Durably persist ``monitor`` under ``directory``; returns the manifest.
+def write_checkpoint(
+    monitor: Any, directory: str | Path
+) -> tuple[Path, _WriteLedger]:
+    """Durably persist ``monitor`` under ``directory``.
 
     Safe to call at any point in the monitor's life (warm-up included).
     The write is crash-atomic: the generation directory is fully
-    written (and fsynced) before the manifest swap commits it.
+    written (and fsynced) before the manifest swap commits it. Returns
+    the manifest path and the ledger of the committed generation, which
+    the monitor keeps for its next checkpoint's links.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     generation = _next_generation_name(directory)
     ledger = _write_generation(monitor, directory, generation)
     _publish(directory, generation, ledger.state_crc)
-    # only a committed generation may serve later links
-    monitor._checkpoint_ledger = ledger
     _collect_garbage(directory, generation)
     metrics().inc("resilience.checkpoints_written")
-    return directory / _MANIFEST
+    return directory / _MANIFEST, ledger
 
 
 def _next_generation_name(directory: Path) -> str:
@@ -143,10 +138,10 @@ def _committed_ledger(monitor: Any, directory: Path) -> _WriteLedger | None:
     """The monitor's ledger, if it still names ``directory``'s commit.
 
     A ledger for another directory, or for a commit the manifest no
-    longer names (another writer committed since), is dropped: its
+    longer names (another writer committed since), is ignored: its
     files are not what the directory has committed.
     """
-    ledger: _WriteLedger | None = monitor._checkpoint_ledger
+    ledger: _WriteLedger | None = monitor.checkpoint_ledger
     if ledger is None:
         return None
     committed = _read_manifest(directory) if has_checkpoint(directory) else None
@@ -156,7 +151,6 @@ def _committed_ledger(monitor: Any, directory: Path) -> _WriteLedger | None:
         or committed["state_crc"] != ledger.state_crc
         or ledger.directory != directory.resolve()
     ):
-        monitor._checkpoint_ledger = None
         return None
     return ledger
 
@@ -212,41 +206,30 @@ def _write_generation(
         ledger.record(obj, name, files[name])
         return name
 
-    inner = monitor.monitor
+    live = monitor.state()
+    # the live rows and manager are persisted as files, named below
     state: dict[str, Any] = {
         "version": _FORMAT_VERSION,
         "config": _fingerprint(monitor),
-        "rows_ingested": monitor.rows_ingested,
-        "monitor": {
-            "next_index": inner._next_index,
-            "reference_index": inner._reference_index,
-            "history": [
-                [o.index, o.deviation, o.significance, o.drifted,
-                 o.reference_index]
-                for o in inner.history
-            ],
-        },
-        "rng_state": None if inner.rng is None else inner.rng.bit_generator.state,
+        **live,
         "reference": None,
         "buffer": None,
         "windows": None,
     }
-
-    if len(monitor._buffer):
+    if live["buffer"] is not None:
         state["buffer"] = "buffer" + rows_suffix
-        put_rows(state["buffer"], monitor._buffer.rows())
-
-    reference = _reference_object(monitor)
+        put_rows(state["buffer"], live["buffer"])
+    reference = live["reference"]
     if reference is not None:
         state["reference"] = persist(
             reference,
             "reference" + rows_suffix,
             lambda name: put_rows(name, reference),
         )
-    if monitor._windows is not None:
-        manager = monitor._windows
+    manager = live["windows"]
+    if manager is not None:
         chunks = []
-        for i, (sketch, chunk) in enumerate(manager._chunks):
+        for i, (sketch, chunk) in enumerate(manager.ring):
             rows_name = persist(
                 chunk,
                 f"chunk-{i:04d}" + rows_suffix,
@@ -261,7 +244,7 @@ def _write_generation(
             )
             chunks.append({"rows": rows_name, "sketch": sketch_name})
         state["windows"] = {
-            "row_offset": manager._row_offset,
+            "row_offset": manager.row_offset,
             "windows_emitted": manager.windows_emitted,
             "rows_sketched": manager.rows_sketched,
             "chunks": chunks,
@@ -335,17 +318,18 @@ def _fsync_path(path: Path) -> None:
 # --------------------------------------------------------------------- #
 
 
-def resume_checkpoint(monitor: Any, directory: str | Path) -> None:
+def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
     """Restore the committed checkpoint into a *fresh* ``monitor``.
 
     The monitor must be newly constructed (nothing pushed) with the
     configuration that wrote the checkpoint; both are verified before
     any state is touched. After the restore, pushing the stream's rows
     from offset ``monitor.rows_ingested`` onward yields bit-identical
-    observations to the run that never died.
+    observations to the run that never died. Returns the ledger of the
+    resumed generation's files, which serve the next checkpoint's links.
     """
     directory = Path(directory)
-    if monitor.rows_ingested or monitor._windows is not None:
+    if monitor.rows_ingested or monitor.windows is not None:
         raise CheckpointError(
             "resume requires a freshly constructed monitor; this one has "
             f"already ingested {monitor.rows_ingested} rows"
@@ -356,66 +340,35 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> None:
     _check_fingerprint(monitor, state["config"], directory)
     _check_files(gen_dir, state["files"])
 
-    monitor.rows_ingested = int(state["rows_ingested"])
-    if state["buffer"] is not None:
-        monitor._buffer.extend(_load_rows(monitor, gen_dir / state["buffer"]))
+    def rows(name: str | None) -> Any:
+        return None if name is None else _load_rows(monitor, gen_dir / name)
 
-    if state["reference"] is not None:
-        monitor._reference_data = _load_rows(
-            monitor, gen_dir / state["reference"]
-        )
-    if state["windows"] is not None:
-        # Deterministic re-mine of the persisted reference rows, then
-        # adopt the persisted ring on the freshly built manager.
-        monitor._lazy_start()
-        _restore_windows(monitor, gen_dir, state["windows"])
-    inner = monitor.monitor
-    saved = state["monitor"]
-    inner._next_index = int(saved["next_index"])
-    inner._reference_index = int(saved["reference_index"])
-    inner.history[:] = [
-        Observation(
-            index=int(i),
-            deviation=float(d),
-            significance=float(s),
-            drifted=bool(f),
-            reference_index=int(r),
-        )
-        for i, d, s, f, r in saved["history"]
-    ]
-    if state["rng_state"] is not None and inner.rng is not None:
-        inner.rng.bit_generator.state = state["rng_state"]
-    # the files just verified serve the next checkpoint's links
-    monitor._checkpoint_ledger = _resumed_ledger(
-        monitor, directory, manifest, state
+    # a started monitor re-mines the persisted reference rows, then
+    # adopts the persisted ring on its freshly built manager
+    monitor.restore(
+        {
+            **state,
+            "reference": rows(state["reference"]),
+            "buffer": rows(state["buffer"]),
+        }
     )
+    live = monitor.state()
+    named = [(live["reference"], state["reference"])]
+    if state["windows"] is not None:
+        _restore_windows(monitor, gen_dir, state["windows"])
+        # the manager adopted the loaded (sketch, chunk) objects as-is
+        for (sketch, chunk), entry in zip(
+            live["windows"].ring, state["windows"]["chunks"]
+        ):
+            named += [(chunk, entry["rows"]), (sketch, entry["sketch"])]
     metrics().inc("resilience.checkpoints_resumed")
-
-
-def _resumed_ledger(
-    monitor: Any,
-    directory: Path,
-    manifest: dict[str, Any],
-    state: dict[str, Any],
-) -> _WriteLedger:
-    """Ledger of the restored objects' files in the resumed generation."""
-    files = state["files"]
+    # the files just verified serve the next checkpoint's links
     ledger = _WriteLedger(
         directory.resolve(), manifest["generation"], manifest["state_crc"]
     )
-
-    def record(obj: Any, name: Any) -> None:
-        if name in files:
-            ledger.record(obj, name, int(files[name]))
-
-    if state["reference"] is not None:
-        record(_reference_object(monitor), state["reference"])
-    if state["windows"] is not None:
-        # restore() adopted the loaded (sketch, chunk) objects as-is
-        ring = monitor._windows._chunks
-        for (sketch, chunk), entry in zip(ring, state["windows"]["chunks"]):
-            record(chunk, entry["rows"])
-            record(sketch, entry["sketch"])
+    for obj, name in named:
+        if name in state["files"]:
+            ledger.record(obj, name, int(state["files"][name]))
     return ledger
 
 
@@ -536,13 +489,48 @@ def _check_files(gen_dir: Path, files: dict[str, Any]) -> None:
 def _restore_windows(
     monitor: Any, gen_dir: Path, saved: dict[str, Any]
 ) -> None:
-    manager = monitor._windows
+    """Adopt the persisted ring on the freshly built window manager.
+
+    The reference was just re-mined, so its canonical itemsets / counting
+    plan are fresh objects; each persisted sketch's counts are adopted
+    onto them (the fast-path constructors) only after an exact
+    structure-equality guard. A mismatch means the checkpoint and the
+    re-mined reference disagree -- damaged state, typed and loud.
+    """
+    manager = monitor.windows
     sketcher = manager.sketcher
     entries = []
     for entry in saved["chunks"]:
         chunk = sketcher.normalize(_load_rows(monitor, gen_dir / entry["rows"]))
-        payload = (gen_dir / entry["sketch"]).read_bytes()
-        sketch = _unpack_sketch(monitor, payload, gen_dir / entry["sketch"])
+        path = gen_dir / entry["sketch"]
+        try:
+            if monitor.kind == "transactions":
+                decoded = unpack_support_sketch(path.read_bytes())
+                matches = tuple(decoded.itemsets) == tuple(sketcher.itemsets)
+            else:
+                decoded = unpack_partition_sketch(path.read_bytes())
+                matches = decoded.key == sketcher.plan.structure.counts_key
+        except FocusError as exc:
+            raise CheckpointError(
+                f"checkpoint sketch failed to decode: {exc}", path=str(path)
+            ) from exc
+        if not matches:
+            raise CheckpointError(
+                "persisted sketch does not match the re-mined reference "
+                "structure",
+                path=str(path),
+            )
+        if monitor.kind == "transactions":
+            sketch = SupportSketch._from_canonical(
+                sketcher.itemsets,
+                decoded.counts,
+                decoded.n_transactions,
+                decoded.n_items,
+            )
+        else:
+            sketch = PartitionSketch._trusted(
+                sketcher.plan, decoded.counts, decoded.n_rows
+            )
         entries.append((sketch, chunk))
     manager.restore(
         entries,
@@ -575,16 +563,6 @@ def _fingerprint(monitor: Any) -> dict[str, Any]:
     }
 
 
-def _reference_object(monitor: Any) -> Any:
-    """The object whose rows a generation persists as the reference."""
-    if monitor._windows is not None:
-        # started: the authoritative reference is the *inner* monitor's
-        # (reset_on_drift may have promoted a window since warm-up)
-        return monitor.monitor._reference_dataset
-    # None, or reference rows that have not yet forced the lazy fit
-    return monitor._reference_data
-
-
 def _load_rows(monitor: Any, path: Path) -> Any:
     try:
         if monitor.kind == "transactions":
@@ -600,50 +578,10 @@ def _pack_sketch(monitor: Any, sketch: Any) -> bytes:
     if monitor.kind == "transactions":
         return pack(sketch)
     try:
-        return pack(sketch, model=monitor.monitor._reference_model)
+        return pack(sketch, model=monitor.monitor.reference.model)
     except FocusError as exc:
         raise CheckpointError(
             "window sketches could not be wire-packed (checkpointing a "
             "tabular monitor needs a dt- or cluster-model reference): "
             f"{exc}"
-        ) from exc
-
-
-def _unpack_sketch(monitor: Any, payload: bytes, path: Path) -> Any:
-    """Decode and *realign* a persisted sketch to the local structure.
-
-    The local reference was just re-mined, so its canonical itemsets /
-    counting plan are fresh objects; the persisted counts are adopted
-    onto them (the fast-path constructors) only after an exact
-    structure-equality guard. A mismatch means the checkpoint and the
-    re-mined reference disagree -- damaged state, typed and loud.
-    """
-    sketcher = monitor._windows.sketcher
-    try:
-        if monitor.kind == "transactions":
-            decoded = unpack_support_sketch(payload)
-            local = sketcher.itemsets
-            if tuple(decoded.itemsets) != tuple(local):
-                raise CheckpointError(
-                    "persisted sketch itemsets do not match the re-mined "
-                    "reference structure",
-                    path=str(path),
-                )
-            return SupportSketch._from_canonical(
-                local, decoded.counts, decoded.n_transactions, decoded.n_items
-            )
-        decoded = unpack_partition_sketch(payload)
-        plan = sketcher.plan
-        if decoded.key != plan.structure.counts_key:
-            raise CheckpointError(
-                "persisted sketch partition does not match the re-mined "
-                "reference structure",
-                path=str(path),
-            )
-        return PartitionSketch._trusted(plan, decoded.counts, decoded.n_rows)
-    except CheckpointError:
-        raise
-    except FocusError as exc:
-        raise CheckpointError(
-            f"checkpoint sketch failed to decode: {exc}", path=str(path)
         ) from exc

@@ -3,60 +3,50 @@
 :class:`OnlineChangeMonitor` is the streaming layer over
 :class:`repro.core.monitor.ChangeMonitor`: rather than comparing
 pre-materialised snapshot datasets (each a full rescan), it consumes raw
-rows as they arrive, forms windows incrementally, and lets the inner
-monitor own what it always owned -- qualification, the drift decision,
-the history, and the reference policy.
+rows as they arrive and forms windows incrementally. Each piece of state
+has one owner, and everything else reads it through public accessors:
 
-The monitor is generic over the dataset kind through the
-:class:`~repro.stream.windows.ChunkSketcher` protocol:
+* the inner :class:`~repro.core.monitor.ChangeMonitor` owns the
+  reference (its read-only ``reference`` record), qualification, the
+  drift decision, the history, the reference policy and the bootstrap
+  generator;
+* the :class:`~repro.stream.windows.WindowManager` owns the window
+  ring, its running sketch and the scan counters;
+* this class owns the row buffer, the warm-up rows until the first
+  monitored chunk fits them, the lifetime row count, and one cache of
+  what it derives from the current reference (its measure counts and,
+  for transaction streams, the membership blocks), rebuilt whenever the
+  inner monitor's reference is a different object.
 
-* ``kind="transactions"`` -- the reference model is a lits-model; window
-  measures come from mergeable :class:`~repro.stream.sketch.SupportSketch`
-  counts over the reference structure's itemsets, and the reference
-  measures are read straight off the model's stored supports (no scan;
-  the paper's Section 7.1 observation).
-* ``kind="tabular"`` -- the reference model is a dt- or cluster-model
-  (any partition structure); window measures come from mergeable
-  :class:`~repro.stream.sketch.PartitionSketch` histograms over the
-  structure's precompiled counting plan, and the reference measures are
-  histogrammed once from the reference window.
+Per emitted window, :func:`repro.core.deviation.deviation_from_counts`
+assembles the deviation from the reference counts and the window
+sketch, and :meth:`ChangeMonitor.observe_precomputed` qualifies it: the
+full bootstrap (``n_boot > 0``) or the cheap ``delta_threshold``
+cut-off (``n_boot == 0``). The monitor is generic over the dataset kind
+through the :class:`~repro.stream.windows.ChunkSketcher` protocol:
 
-Division of labour per emitted window:
+* ``kind="transactions"`` -- a lits-model reference; windows are
+  :class:`~repro.stream.sketch.SupportSketch` counts over its itemsets,
+  and the reference counts are read off the model's stored supports (no
+  scan; the paper's Section 7.1 observation);
+* ``kind="tabular"`` -- a dt- or cluster-model reference; windows are
+  :class:`~repro.stream.sketch.PartitionSketch` histograms over its
+  counting plan, and the reference window is histogrammed once.
 
-* the deviation between reference and window counts is assembled by
-  :func:`repro.core.deviation.deviation_from_counts` over the reference
-  model's structural component (``delta_1``);
-* qualification is delegated to
-  :meth:`ChangeMonitor.observe_precomputed`: the full bootstrap
-  (``n_boot > 0``) or the cheap ``delta_threshold`` cut-off
-  (``n_boot == 0``).
-
-Bootstrapping a *fixed* reference structure no longer materialises
-window rows: the null is computed by the count-space engine
-(:mod:`repro.stats.resample_plan`). For tabular streams the pooled
-region counts -- reference counts plus the window sketch, both already
-in hand -- fully determine the null (disjoint regions resample as a
-multinomial over region bins), so qualification touches no row at all.
-For transaction streams itemset regions overlap, so the engine needs
-per-row membership: the reference rows' membership matrix is compiled
-once per reference (not per window) and each window contributes one
-membership pass over its own rows -- never a pooled-dataset rebuild,
-and never a per-replicate resample materialisation. Windows are only
-materialised as datasets when a ``reset_on_drift`` reset promotes one
-to reference, or when ``refit_models=True`` re-mines per replicate.
-
-The reference is fitted *lazily*: the first ``window_size`` rows are
-buffered untouched, and mining only happens when the first monitored
-chunk arrives (or again when a ``reset_on_drift`` reset promotes a
-drifted window -- the one case where the buffered chunks are re-sketched
-for the new reference's structure). :meth:`OnlineChangeMonitor.flush`
-drains the trailing rows into a final partial window so a finite stream
-never silently drops its tail.
+A fixed-structure bootstrap runs in count-space
+(:mod:`repro.stats.resample_plan`) and never materialises window rows;
+a window becomes a dataset only when a ``reset_on_drift`` promotion
+adopts it (the ring is then re-sketched in place for the new structure,
+the one case where a row is scanned twice) or ``refit_models=True``
+re-mines per replicate. :meth:`OnlineChangeMonitor.flush` drains the
+trailing rows into a final partial window so a finite stream never
+silently drops its tail.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -66,7 +56,7 @@ from repro.core.aggregate import SUM, AggregateFunction
 from repro.core.deviation import deviation_from_counts
 from repro.core.difference import ABSOLUTE, DifferenceFunction
 from repro.core.model import PartitionStructure
-from repro.core.monitor import ChangeMonitor, Observation
+from repro.core.monitor import ChangeMonitor, Observation, Reference
 from repro.data.tabular import TabularDataset
 from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
@@ -87,6 +77,18 @@ from repro.stream.windows import (
 )
 
 KINDS = ("transactions", "tabular")
+
+
+@dataclass
+class _ReferenceCache:
+    """What the monitor derives from one reference, dropped with it: the
+    measure counts and the membership blocks of
+    :meth:`OnlineChangeMonitor._window_resample_plan`."""
+
+    reference: Reference
+    counts: np.ndarray
+    membership: np.ndarray | None = None
+    chunks: dict[int, tuple[Any, np.ndarray]] = field(default_factory=dict)
 
 
 class OnlineChangeMonitor:
@@ -200,21 +202,11 @@ class OnlineChangeMonitor:
         #: rows still buffered -- the exact stream offset a resumed run
         #: must skip to (see :meth:`checkpoint` / :meth:`resume`)
         self.rows_ingested = 0
-        self._reference_data: Any = None
+        # the reference window's rows, until the first monitored chunk
+        # fits them and the inner monitor takes them over
+        self._warmup: Any = None
         self._windows: WindowManager | None = None
-        self._ref_counts: np.ndarray | None = None
-        # Reference rows' region-membership matrix (transactions kind,
-        # bootstrap mode only): compiled lazily on the first
-        # qualification and reused by every window until a reference
-        # reset invalidates it.
-        self._ref_membership: np.ndarray | None = None
-        # Per-chunk membership blocks for the chunks currently in the
-        # sliding ring (id(chunk) -> (chunk, membership)): a surviving
-        # chunk's rows keep their compiled membership across window
-        # advances, so a qualification costs one membership pass over
-        # the *entering* chunk only. The chunk object is stored in the
-        # entry so a recycled id can never alias a different chunk.
-        self._chunk_membership: dict[int, tuple[Any, np.ndarray]] = {}
+        self._cache: _ReferenceCache | None = None
         # Files of the last checkpoint generation this monitor committed
         # or resumed from: the next generation hard-links them instead of
         # rewriting (see repro.resilience.checkpoint).
@@ -240,10 +232,10 @@ class OnlineChangeMonitor:
         self.rows_ingested += len(self._buffer) - before
         observations: list[Observation] = []
         while True:
-            if self._reference_data is None:
+            if self.is_warming_up:
                 if len(self._buffer) < self.window_size:
                     break
-                self._reference_data = self._buffer.pop(self.window_size)
+                self._warmup = self._buffer.pop(self.window_size)
             elif len(self._buffer) >= self.step:
                 observation = self._observe_chunk(self._buffer.pop(self.step))
                 if observation is not None:
@@ -274,7 +266,7 @@ class OnlineChangeMonitor:
         offsets partial too -- flush is meant for end-of-stream.
         """
         observations: list[Observation] = []
-        if self._reference_data is None:
+        if self.is_warming_up:
             return observations  # warm-up never completed: nothing to flush
         if len(self._buffer):
             observation = self._observe_chunk(
@@ -291,18 +283,15 @@ class OnlineChangeMonitor:
     def checkpoint(self, directory: Any) -> Any:
         """Persist the full monitor state durably under ``directory``.
 
-        Atomic-manifest publish (the ``MmapStripeStore`` pattern): the
-        new generation's files are written first, the manifest is
-        swapped in last via ``os.replace``, and a kill at *any* point
-        leaves the previous committed checkpoint intact. Chunk, sketch
-        and reference files the previous generation already holds are
-        hard-linked rather than rewritten, so a steady-state checkpoint
-        writes one chunk. Returns the manifest path. See
-        :mod:`repro.resilience.checkpoint`.
+        A kill at *any* point leaves the previous committed checkpoint
+        intact, and files the previous generation already holds are
+        hard-linked, so a steady-state checkpoint writes one chunk.
+        Returns the manifest path; see :mod:`repro.resilience.checkpoint`.
         """
         from repro.resilience.checkpoint import write_checkpoint
 
-        return write_checkpoint(self, directory)
+        manifest, self._checkpoint_ledger = write_checkpoint(self, directory)
+        return manifest
 
     def resume(self, directory: Any) -> "OnlineChangeMonitor":
         """Restore the last committed checkpoint into this fresh monitor.
@@ -315,8 +304,41 @@ class OnlineChangeMonitor:
         """
         from repro.resilience.checkpoint import resume_checkpoint
 
-        resume_checkpoint(self, directory)
+        self._checkpoint_ledger = resume_checkpoint(self, directory)
         return self
+
+    def state(self) -> dict[str, Any]:
+        """The resumable state, as live objects (see :meth:`restore`).
+
+        The inner monitor's :meth:`~repro.core.monitor.ChangeMonitor.state`
+        entries plus ``"rows_ingested"``, the ``"reference"`` rows (the
+        inner monitor's reference dataset once fitted, else the warm-up
+        rows or ``None``), the ``"buffer"`` rows (or ``None``) and the
+        ``"windows"`` manager (``None`` until fitted).
+        """
+        fitted = self._windows is not None
+        return {
+            "rows_ingested": self.rows_ingested,
+            **self.monitor.state(),
+            "reference": self.monitor.reference.dataset if fitted else self._warmup,
+            "buffer": self._buffer.rows() if len(self._buffer) else None,
+            "windows": self._windows,
+        }
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Adopt a :meth:`state` on a freshly constructed monitor.
+
+        A non-``None`` ``"windows"`` entry re-fits the reference rows (a
+        deterministic re-mine) and opens an empty window manager, whose
+        ring the caller then restores through :attr:`windows`.
+        """
+        self.rows_ingested = int(state["rows_ingested"])
+        if state["buffer"] is not None:
+            self._buffer.extend(state["buffer"])
+        self._warmup = state["reference"]
+        if state["windows"] is not None:
+            self._start()
+        self.monitor.restore(state)
 
     def close(self) -> None:
         """Release pooled executor workers (thread/process backends).
@@ -336,7 +358,17 @@ class OnlineChangeMonitor:
     @property
     def is_warming_up(self) -> bool:
         """True until the reference window has fully arrived."""
-        return self._reference_data is None
+        return self._warmup is None and self._windows is None
+
+    @property
+    def windows(self) -> WindowManager | None:
+        """The window manager; ``None`` until the reference is fitted."""
+        return self._windows
+
+    @property
+    def checkpoint_ledger(self) -> Any:
+        """Files of the last checkpoint committed or resumed, or ``None``."""
+        return self._checkpoint_ledger
 
     @property
     def history(self) -> list[Observation]:
@@ -354,52 +386,49 @@ class OnlineChangeMonitor:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _lazy_start(self) -> None:
-        """Mine the reference and build the window manager, first use."""
-        if self._windows is not None:
-            return
+    def _start(self) -> None:
+        """Fit the warm-up rows as the reference and open the windows."""
+        reference = self._warmup
         if self.kind == "transactions":
             assert self.n_items is not None  # enforced by __init__
-            reference: DatasetLike = TransactionDataset(
-                self._reference_data, self.n_items
-            )
-        else:
-            reference = self._reference_data
+            reference = TransactionDataset(reference, self.n_items)
         self.monitor.fit(reference)
-        self._track_reference_structure()
-        self._windows = self._new_window_manager()
+        self._warmup = None
+        self._windows = WindowManager(
+            self._sketcher(),
+            window_chunks=self.window_size // self.step,
+            policy="tumbling" if self.step == self.window_size else "sliding",
+        )
 
-    def _new_window_manager(self) -> WindowManager:
-        structure = self.monitor._reference_model.structure
-        sketcher: ChunkSketcher
+    def _sketcher(self) -> ChunkSketcher:
+        """A chunk sketcher over the current reference's structure."""
+        structure = self._reference_cache().reference.model.structure
         if self.kind == "transactions":
             assert self.n_items is not None  # enforced by __init__
-            sketcher = TransactionChunkSketcher(
+            return TransactionChunkSketcher(
                 structure.itemsets,
                 self.n_items,
                 executor=self.executor,
                 n_shards=self.n_shards,
             )
-        else:
-            sketcher = PartitionChunkSketcher(
-                structure.plan,
-                executor=self.executor,
-                n_shards=self.n_shards,
-            )
-        return WindowManager(
-            sketcher,
-            window_chunks=self.window_size // self.step,
-            policy="tumbling" if self.step == self.window_size else "sliding",
+        return PartitionChunkSketcher(
+            structure.plan,
+            executor=self.executor,
+            n_shards=self.n_shards,
         )
 
-    def _track_reference_structure(self) -> None:
-        """Cache the reference structure's measure vector as counts."""
-        model = self.monitor._reference_model
+    def _reference_cache(self) -> _ReferenceCache:
+        """The cache of the inner monitor's current reference.
+
+        Rebuilt whenever the reference is a different object (a fit, a
+        ``reset_on_drift`` promotion or a restore), which drops every
+        block derived from the previous one.
+        """
+        reference = self.monitor.reference
+        if self._cache is not None and self._cache.reference is reference:
+            return self._cache
+        model = reference.model
         structure = getattr(model, "structure", None)
-        # stale after any reference change: membership columns are the
-        # (new) reference structure's regions
-        self._ref_membership = None
-        self._chunk_membership = {}
         if self.kind == "tabular":
             if not isinstance(structure, PartitionStructure):
                 raise InvalidParameterError(
@@ -410,12 +439,10 @@ class OnlineChangeMonitor:
             # dt-/cluster-models do not store their measure component, so
             # the reference window is histogrammed once (a single
             # memoised assigner pass + bincount).
-            self._ref_counts = np.asarray(
-                structure.counts(self.monitor._reference_dataset),
-                dtype=np.int64,
+            counts = np.asarray(
+                structure.counts(reference.dataset), dtype=np.int64
             )
-            return
-        if not hasattr(model, "supports") or not hasattr(
+        elif not hasattr(model, "supports") or not hasattr(
             structure, "itemsets"
         ):
             raise InvalidParameterError(
@@ -423,15 +450,19 @@ class OnlineChangeMonitor:
                 "producing lits-models (a structure of itemsets with stored "
                 f"supports); got {type(model).__name__}"
             )
-        n_ref = len(self.monitor._reference_dataset)
-        self._ref_counts = np.array(
-            [round(model.supports[s] * n_ref) for s in structure.itemsets],
-            dtype=np.int64,
-        )
+        else:
+            n_ref = len(reference.dataset)
+            counts = np.array(
+                [round(model.supports[s] * n_ref) for s in structure.itemsets],
+                dtype=np.int64,
+            )
+        self._cache = _ReferenceCache(reference, counts)
+        return self._cache
 
     def _observe_chunk(self, chunk: Any) -> Observation | None:
-        self._lazy_start()
-        assert self._windows is not None  # _lazy_start built it
+        if self._windows is None:
+            self._start()
+        assert self._windows is not None  # _start built it
         window = self._windows.push(chunk)
         if window is None:
             return None
@@ -441,13 +472,12 @@ class OnlineChangeMonitor:
         monitor = self.monitor
         sink = metrics()
         started = time.perf_counter()
-        structure = monitor._reference_model.structure
-        assert self._ref_counts is not None  # set when the reference fit
+        cache = self._reference_cache()
         result = deviation_from_counts(
-            structure,
-            self._ref_counts,
+            cache.reference.model.structure,
+            cache.counts,
             window.sketch.counts,
-            len(monitor._reference_dataset),
+            len(cache.reference.dataset),
             len(window),
             f=monitor.f,
             g=monitor.g,
@@ -462,34 +492,24 @@ class OnlineChangeMonitor:
         snapshot = window.to_dataset() if needs_rows else window
         plan = None
         if monitor.n_boot > 0 and not monitor.refit_models:
-            plan = self._window_resample_plan(window)
+            plan = self._window_resample_plan(cache, window)
         sink.inc(
             "monitor.qualify.bootstrap"
             if monitor.n_boot > 0
             else "monitor.qualify.cheap"
         )
-        before = monitor._reference_index
         with sink.span("monitor.observe"):
             observation = monitor.observe_precomputed(
                 snapshot, result.value, resample_plan=plan
             )
         if observation.drifted:
             sink.inc("monitor.drift.events")
-        if monitor._reference_index != before:
+        if monitor.reference.index == observation.index:
+            # reset_on_drift promoted this window: the ring is re-sketched
+            # for the new reference's structure
             sink.inc("monitor.reference.resets")
-            # reset_on_drift promoted this window: re-track the new
-            # reference structure and re-sketch the buffered chunks (the
-            # one place a surviving row is scanned twice).
-            self._track_reference_structure()
             assert self._windows is not None
-            buffered = self._windows.buffered_chunks
-            scanned_before = self._windows.rows_sketched
-            self._windows = self._new_window_manager()
-            for chunk in buffered:
-                self._windows.push(chunk)
-            # carry the lifetime scan count across the rebuild (the
-            # re-fed chunks count again: they really were re-scanned)
-            self._windows.rows_sketched += scanned_before
+            self._windows.resketch(self._sketcher())
         sink.observe(
             "monitor.observe.latency_s",
             time.perf_counter() - started,
@@ -498,7 +518,7 @@ class OnlineChangeMonitor:
         return observation
 
     def _window_resample_plan(
-        self, window: Window
+        self, cache: _ReferenceCache, window: Window
     ) -> CountsResamplePlan | LitsResamplePlan:
         """Compile the count-space bootstrap for one window's pool.
 
@@ -515,30 +535,28 @@ class OnlineChangeMonitor:
         one membership pass over the entering chunk only, never over
         surviving rows.
         """
-        monitor = self.monitor
-        structure = monitor._reference_model.structure
-        n_ref = len(monitor._reference_dataset)
-        assert self._ref_counts is not None  # set when the reference fit
+        structure = cache.reference.model.structure
+        n_ref = len(cache.reference.dataset)
         if self.kind == "tabular":
             return CountsResamplePlan(
                 structure,
-                self._ref_counts,
+                cache.counts,
                 window.sketch.counts,
                 n_ref,
                 len(window),
             )
-        if self._ref_membership is None:
+        if cache.membership is None:
             # float32 up front: the plan's exact-matmul dtype, so the
             # long-lived blocks are adopted without a per-window copy
             # (windows this size keep the pool far below 2**24).
-            self._ref_membership = lits_membership(
-                structure, monitor._reference_dataset.index
+            cache.membership = lits_membership(
+                structure, cache.reference.dataset.index
             ).astype(np.float32)
         surviving: dict[int, tuple[Any, np.ndarray]] = {}
-        parts: list[np.ndarray] = [self._ref_membership]
+        parts: list[np.ndarray] = [cache.membership]
         for chunk in window.chunks:
             key = id(chunk)
-            entry = self._chunk_membership.get(key)
+            entry = cache.chunks.get(key)
             if entry is None or entry[0] is not chunk:
                 # the index the sketcher built for this chunk's count
                 membership = lits_membership(
@@ -549,5 +567,5 @@ class OnlineChangeMonitor:
             parts.append(entry[1])
         # retain exactly the current window's chunks: retired chunks
         # can never reappear, so their blocks are dropped here
-        self._chunk_membership = surviving
+        cache.chunks = surviving
         return LitsResamplePlan(structure, parts, n_ref, len(window))

@@ -54,8 +54,7 @@ def canonical_itemsets(
     """The deduplicated itemsets in LitsStructure order (size, then lex)."""
     if isinstance(itemsets, _Canonical):
         return itemsets
-    unique = {frozenset(int(i) for i in s) for s in itemsets}
-    return _Canonical(sorted(unique, key=lambda s: (len(s), tuple(sorted(s)))))
+    return _Canonical.ordered({frozenset(int(i) for i in s) for s in itemsets})
 
 
 class SupportSketch:

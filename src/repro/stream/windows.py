@@ -225,7 +225,7 @@ class Window:
     stop: int  #: row offset one past the window's last row
     sketch: SupportSketch | PartitionSketch
     chunks: tuple[Any, ...]
-    sketcher: ChunkSketcher | None = field(default=None, compare=False)
+    sketcher: ChunkSketcher = field(compare=False)
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -242,9 +242,7 @@ class Window:
     def to_dataset(self) -> DatasetLike:
         """Materialise the window as an immutable dataset (for e.g. the
         bootstrap, which needs to resample actual rows)."""
-        if self.sketcher is not None:
-            return self.sketcher.concat(self.chunks)
-        return TransactionDataset(self.transactions, self.sketch.n_items)
+        return self.sketcher.concat(self.chunks)
 
 
 class WindowManager:
@@ -310,13 +308,11 @@ class WindowManager:
                 f"policy must be one of {POLICIES}, got {policy!r}"
             )
         self.sketcher: ChunkSketcher = sketcher
-        self.itemsets = getattr(sketcher, "itemsets", None)
-        self.n_items = getattr(sketcher, "n_items", None)
         self.window_chunks = window_chunks
         self.policy = policy
         # Always-on local sink: the single source of truth for the
         # manager's scan accounting (rows_sketched / windows_emitted are
-        # views of these counters; writes forward to the ambient
+        # views of these counters; _count forwards to the ambient
         # registry so `--metrics` runs see them too).
         self._metrics = MetricsRegistry()
         self._row_offset = 0  # row id of the next arriving row
@@ -328,29 +324,21 @@ class WindowManager:
         """Rows actually scanned, served from the obs counter.
 
         After any number of advances it equals the total rows pushed --
-        the no-rescan guarantee the streaming benches pin (the online
-        monitor adds the re-fed buffered rows after a reference reset).
+        the no-rescan guarantee the streaming benches pin -- plus the
+        rows :meth:`resketch` scanned again.
         """
         return self._metrics.counter("stream.windows.rows_sketched")
-
-    @rows_sketched.setter
-    def rows_sketched(self, value: int) -> None:
-        delta = value - self._metrics.counter("stream.windows.rows_sketched")
-        if delta:
-            self._metrics.inc("stream.windows.rows_sketched", delta)
-            metrics().inc("stream.windows.rows_sketched", delta)
 
     @property
     def windows_emitted(self) -> int:
         """Windows emitted so far, served from the obs counter."""
         return self._metrics.counter("stream.windows.emitted")
 
-    @windows_emitted.setter
-    def windows_emitted(self, value: int) -> None:
-        delta = value - self._metrics.counter("stream.windows.emitted")
-        if delta:
-            self._metrics.inc("stream.windows.emitted", delta)
-            metrics().inc("stream.windows.emitted", delta)
+    def _count(self, name: str, n: int) -> None:
+        """Add ``n`` to a scan counter, here and in the ambient registry."""
+        if n:
+            self._metrics.inc(name, n)
+            metrics().inc(name, n)
 
     @property
     def current_sketch(self) -> Any:
@@ -358,11 +346,37 @@ class WindowManager:
         return self._current
 
     @property
+    def row_offset(self) -> int:
+        """Row id of the next arriving row (rows pushed so far)."""
+        return self._row_offset
+
+    @property
+    def ring(self) -> tuple[tuple[Any, Any], ...]:
+        """The ring buffer's ``(sketch, chunk)`` pairs, oldest first."""
+        return tuple(self._chunks)
+
+    @property
     def buffered_chunks(self) -> tuple[Any, ...]:
-        """The normalised chunks currently in the ring buffer, oldest
-        first (the online monitor re-feeds these after a reference
-        reset, when the tracked structure changes)."""
+        """The normalised chunks currently in the ring, oldest first."""
         return tuple(chunk for _, chunk in self._chunks)
+
+    def _adopt(self, entries: list[tuple[Any, Any]]) -> None:
+        """Make ``entries`` the ring and re-sum the running sketch."""
+        current = self.sketcher.empty()
+        for sketch, _ in entries:
+            current = current + sketch
+        self._chunks = deque(entries)
+        self._current = current
+
+    def resketch(self, sketcher: ChunkSketcher) -> None:
+        """Re-sketch the ring in place for a new structure (a reference
+        reset): nothing is emitted, the counters carry on, and the
+        re-scanned rows count towards ``rows_sketched``."""
+        self.sketcher = sketcher
+        chunks = self.buffered_chunks
+        self._adopt([(sketcher.sketch(chunk), chunk) for chunk in chunks])
+        n = sum(sketcher.chunk_len(chunk) for chunk in chunks)
+        self._count("stream.windows.rows_sketched", n)
 
     def restore(
         self,
@@ -382,12 +396,7 @@ class WindowManager:
         are lifetime monitor state, not work done by this process, so
         the ambient registry is deliberately not forwarded to.
         """
-        entries = list(entries)
-        current = self.sketcher.empty()
-        for sketch, _ in entries:
-            current = current + sketch
-        self._chunks = deque(entries)
-        self._current = current
+        self._adopt(list(entries))
         self._row_offset = row_offset
         self._metrics.inc(
             "stream.windows.emitted", windows_emitted - self.windows_emitted
@@ -408,7 +417,7 @@ class WindowManager:
         chunk = self.sketcher.normalize(chunk)
         sketch = self.sketcher.sketch(chunk)
         n = self.sketcher.chunk_len(chunk)
-        self.rows_sketched += n
+        self._count("stream.windows.rows_sketched", n)
         self._row_offset += n
         self._chunks.append((sketch, chunk))
         self._current = self._current + sketch
@@ -430,7 +439,7 @@ class WindowManager:
             chunks=tuple(chunk for _, chunk in self._chunks),
             sketcher=self.sketcher,
         )
-        self.windows_emitted += 1
+        self._count("stream.windows.emitted", 1)
         if self.policy == "tumbling":
             self._chunks.clear()
             self._current = self.sketcher.empty()

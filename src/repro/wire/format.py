@@ -197,8 +197,12 @@ def read_envelope(data: bytes, *, expect_kind: int | None = None) -> Envelope:
     constructs an object from payload bytes without the bytes having
     passed through here first. Any malformation -- truncation, trailing
     garbage, a failing checksum, an unexpected kind -- raises
-    :class:`WireFormatError` before a caller sees section data.
+    :class:`WireFormatError` before a caller sees section data. Any
+    bytes-like input is read as ``bytes``, so every section payload a
+    decoder sees is ``bytes`` too (a ``memoryview`` slice has no
+    ``decode``).
     """
+    data = bytes(data)
     version, kind, n_sections = _read_header(data)
     if expect_kind is not None and kind != expect_kind:
         raise WireFormatError(

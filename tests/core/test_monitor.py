@@ -224,8 +224,8 @@ class TestPrecomputedAndCheapMode:
             drifted, 10.0, model=drifted_model
         )
         assert observation.drifted
-        assert monitor._reference_model is drifted_model
-        assert monitor._reference_index == observation.index
+        assert monitor.reference.model is drifted_model
+        assert monitor.reference.index == observation.index
 
 
 class TestUnseededWarning:
@@ -254,7 +254,7 @@ class TestUnseededWarning:
         ).fit(reference)
         model = builder(quiet_1)
         plan = compile_resample_plan(
-            gcr(monitor._reference_model.structure, model.structure),
+            gcr(monitor.reference.model.structure, model.structure),
             reference, quiet_1,
         )
         with pytest.raises(InvalidParameterError, match="refit_models"):

@@ -29,10 +29,11 @@ from repro.core.deviation import _counts_from_models, deviation_from_counts
 from repro.core.difference import ABSOLUTE, SCALED, chi_squared_difference
 from repro.core.gcr import gcr
 from repro.core.lits import LitsModel
+from repro.core.model import _Canonical
 from repro.core.upper_bound import upper_bound_deviation
 from repro.fleet import FleetDeviationMatrix, LitsVocabulary, probe_itemsets
 from repro.stream.chunks import TransactionLog
-from repro.stream.sketch import SupportSketch
+from repro.stream.sketch import SupportSketch, canonical_itemsets
 from repro.wire import pack
 
 N_ITEMS = 7
@@ -367,6 +368,18 @@ def test_vocabulary_is_the_canonical_probe_collection():
     assert tuple(vocab.itemsets[k] for k in gcr_ids) == structure.itemsets
     # stores x vocabulary x 8 bytes per float/int matrix
     assert vocab.supports.nbytes == 2 * len(vocab) * 8
+
+
+@settings(max_examples=25, deadline=None)
+@given(fleets())
+def test_probe_itemsets_sorts_the_union_into_canonical_order(fleet):
+    """The structures' itemsets are canonical already, so sorting their
+    union gives exactly what canonicalising it from scratch would."""
+    models, _ = fleet
+    union = {s for model in models for s in model.structure.itemsets}
+    probes = probe_itemsets(models)
+    assert isinstance(probes, _Canonical)
+    assert probes == canonical_itemsets(union)
 
 
 def test_pruned_then_exhaustive_scans_each_store_once():

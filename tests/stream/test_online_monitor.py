@@ -10,6 +10,7 @@ from repro.core.lits import LitsModel
 from repro.data.quest_basket import build_pattern_pool, generate_basket
 from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
+from repro.obs import MetricsRegistry, use_registry
 from repro.stream.chunks import iter_chunks
 from repro.stream.monitor import OnlineChangeMonitor
 
@@ -154,6 +155,26 @@ class TestResetOnDrift:
         n_resets = sum(o.drifted for o in observations)
         assert monitor.rows_sketched == monitored + n_resets * 1_000
 
+    def test_every_emitted_window_is_qualified(self, drifting_stream):
+        """A reset re-sketches the ring in place and emits nothing: the
+        ambient window count equals the observations, and the manager's
+        window count and row offset carry on across resets."""
+        stream, _ = drifting_stream
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            monitor = OnlineChangeMonitor(
+                builder, N_ITEMS, window_size=1_000, step=500,
+                n_boot=0, delta_threshold=3.0, policy="reset_on_drift",
+            )
+            monitor.push(stream)
+        assert sum(o.drifted for o in monitor.history) == 2
+        assert len(monitor.history) == 6
+        assert registry.counter("stream.windows.emitted") == len(
+            monitor.history
+        )
+        assert monitor.windows.windows_emitted == len(monitor.history)
+        assert monitor.windows.row_offset == len(stream) - 1_000
+
 
 class TestValidation:
     def test_step_must_divide_window(self):
@@ -258,7 +279,7 @@ class TestCountSpaceQualification:
         monitor.push(stream[:4_000])
         n_windows = len(monitor.history)
         assert n_windows >= 4
-        reference_index = id(monitor.monitor._reference_dataset.index)
+        reference_index = id(monitor.monitor.reference.dataset.index)
         reference_compiles = [i for i in calls if i == reference_index]
         # the reference block is compiled exactly once, and each
         # *chunk* exactly once when it enters -- surviving chunks are

@@ -669,6 +669,57 @@ class TestRL010:
 
 
 # --------------------------------------------------------------------- #
+# RL011 -- private reaches in the monitor / checkpoint modules
+# --------------------------------------------------------------------- #
+
+
+class TestRL011:
+    MONITOR = "src/repro/stream/monitor.py"
+    CHECKPOINT = "src/repro/resilience/checkpoint.py"
+
+    def test_inner_monitor_private_field_fires(self):
+        src = "def state(monitor):\n    return monitor.monitor._next_index\n"
+        assert codes(src, self.MONITOR) == ["RL011"]
+        assert codes(src, self.CHECKPOINT) == ["RL011"]
+
+    def test_window_manager_ring_fires(self):
+        src = (
+            "def ring(monitor):\n"
+            "    manager = monitor.windows\n"
+            "    return list(manager._chunks)\n"
+        )
+        assert codes(src, self.CHECKPOINT) == ["RL011"]
+
+    def test_public_accessor_is_clean(self):
+        src = (
+            "def ring(monitor):\n"
+            "    return list(monitor.windows.ring), monitor.monitor.reference\n"
+        )
+        assert codes(src, self.CHECKPOINT) == []
+
+    def test_self_cls_and_class_names_are_owners(self):
+        src = (
+            "class Monitor:\n"
+            "    def f(self):\n"
+            "        return self._cache.counts, self._windows\n"
+            "    @classmethod\n"
+            "    def g(cls):\n"
+            "        return cls._registry\n"
+            "def adopt(local, counts):\n"
+            "    return SupportSketch._from_canonical(local, counts)\n"
+        )
+        assert codes(src, self.MONITOR) == []
+
+    def test_dunder_attributes_are_out_of_scope(self):
+        src = "def name(monitor):\n    return type(monitor).__name__\n"
+        assert codes(src, self.MONITOR) == []
+
+    def test_other_modules_are_out_of_scope(self):
+        src = "def state(monitor):\n    return monitor.monitor._next_index\n"
+        assert codes(src, "src/repro/stream/windows.py") == []
+
+
+# --------------------------------------------------------------------- #
 # The escape hatch
 # --------------------------------------------------------------------- #
 
@@ -743,7 +794,7 @@ class TestRealTree:
     def test_every_rule_is_documented(self):
         assert sorted(RULE_DOCS) == [
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009", "RL010",
+            "RL008", "RL009", "RL010", "RL011",
         ]
         for code, (title, doc) in RULE_DOCS.items():
             assert title, code

@@ -141,6 +141,19 @@ class TestDecode:
             assert pack(unpack(payload)) == payload
 
 
+    @pytest.mark.parametrize("buffer", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_bytes_like_input_decodes(self, name, buffer):
+        # read_envelope is the one place the input type is normalised
+        payload = _golden_bytes(name)
+        if name.startswith("partition_sketch"):
+            sketch, model = unpack_partition_payload(buffer(payload))
+            assert pack(sketch, model=model) == payload
+        else:
+            assert pack(unpack(buffer(payload))) == payload
+        assert payload_info(buffer(payload)) == payload_info(payload)
+
+
 class TestRefusal:
     def test_future_version_is_rejected_not_guessed(self):
         payload = _golden_bytes("unknown_version.bin")

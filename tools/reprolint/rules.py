@@ -27,6 +27,9 @@ RL010     hot modules must not swallow broad exceptions (``except
           Exception``/``BaseException`` handlers must re-raise), and
           retry sleeps must route through the seeded backoff helper
           ``sleep_backoff``
+RL011     the streaming monitor and the checkpoint writer reach into no
+          other object's private attributes (``x._name`` where ``x`` is
+          not ``self``, ``cls`` or a class name)
 ========  ============================================================
 
 Rules are deliberately syntactic and conservative: they flag the
@@ -1059,6 +1062,61 @@ class SwallowedFailureRule:
                 )
 
 
+# --------------------------------------------------------------------- #
+# RL011 -- private reaches in the monitor / checkpoint modules
+# --------------------------------------------------------------------- #
+
+
+class PrivateReachRule:
+    """Monitor state has one owner, read through its public surface.
+
+    :class:`~repro.core.monitor.ChangeMonitor` owns the reference, the
+    history and the generator; the window manager owns the ring. The
+    streaming monitor (``repro/stream/monitor.py``) and the checkpoint
+    writer (``repro/resilience/checkpoint.py``) once read that state
+    through 37 private-attribute reaches, so every change to one class
+    silently broke the others. In those two modules, ``x._name`` is
+    flagged unless ``x`` is ``self``, ``cls`` or a class name
+    (capitalised, e.g. ``SupportSketch._from_canonical``, a class's own
+    trusted constructor). Dunder attributes are out of scope.
+    """
+
+    code = "RL011"
+    title = "private attribute reached through another object"
+
+    SCOPE = ("repro/stream/monitor.py", "repro/resilience/checkpoint.py")
+    OWNERS = frozenset({"self", "cls"})
+
+    @classmethod
+    def in_scope(cls, path: str) -> bool:
+        return path.replace("\\", "/").endswith(cls.SCOPE)
+
+    def _is_owner(self, node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and (
+            node.id in self.OWNERS or node.id[:1].isupper()
+        )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not self.in_scope(ctx.path):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            name = node.attr
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if self._is_owner(node.value):
+                continue
+            yield _finding(
+                ctx,
+                node,
+                self.code,
+                f"{ast.unparse(node)} reaches into another object's private "
+                "state; read it through the owner's public accessor (or "
+                "give the owner one)",
+            )
+
+
 RULES: Sequence[object] = (
     UnseededRngRule(),
     UnguardedMergeRule(),
@@ -1070,6 +1128,7 @@ RULES: Sequence[object] = (
     StripeMaterializeRule(),
     WireTrustBoundaryRule(),
     SwallowedFailureRule(),
+    PrivateReachRule(),
 )
 
 #: code -> (title, docstring) for --list-rules and the docs.
