@@ -7,20 +7,44 @@ both datasets in one scan" cheap; the batched engine is what makes a
 plus one popcount pass per length group, instead of a Python-level loop
 over itemsets. This bench pins down both gaps and checks the batched
 deviation engine's scan discipline.
+
+A group of pairs can also be read off one Gram product over its
+distinct items (``BitmapIndex.gram_counts``). The crossover test sweeps
+``k`` items and ``m`` pairs, times both kernels, and checks that the
+plan's cost rule ``k**2 <= _GRAM_PAIRS_RATIO * m`` picks the faster one
+on the two shapes the pipeline runs: the fleet vocabulary (thousands of
+pairs over about a hundred items) and a stream chunk's plan (a handful
+of pairs).
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bench_ablation_miners import FLEET_MIN_SUPPORT, make_fleet_stores
+
 from repro.core.deviation import deviation_many
 from repro.core.lits import LitsModel
-from repro.data.quest_basket import generate_basket
-from repro.data.transactions import BitmapIndex
+from repro.data.quest_basket import build_pattern_pool, generate_basket
+from repro.data.transactions import (
+    _GRAM_PAIRS_RATIO,
+    BitmapIndex,
+    SupportCountingPlan,
+)
+from repro.fleet.vocab import probe_itemsets
 from repro.mining.itemsets import brute_force_support_count
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: the thread-count variables pipebench pins to one BLAS thread
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: Acceptance scale: >= 10k transactions, >= 500 itemsets.
 N_TRANSACTIONS = 12_000
@@ -124,3 +148,122 @@ def test_deviation_many_scans_each_window_once(workload, monkeypatch):
     # one union pass over the reference window + one pass per fleet window
     assert len(calls) == n_windows
     assert len(set(calls)) == len(calls)  # no window counted twice
+
+
+def _pair_kernels(index, pairs):
+    """``(gram, gather)`` callables counting ``pairs`` both ways."""
+    ids = np.array([sorted(p) for p in pairs], dtype=np.int64)
+    items = np.unique(ids)
+    local = np.searchsorted(items, ids)
+
+    def gram():
+        return index.gram_counts(items)[local[:, 0], local[:, 1]]
+
+    return gram, lambda: index.itemset_counts(ids)
+
+
+def _race(index, pairs, repeats: int):
+    """Best-of times of both kernels, after checking they agree."""
+    gram, gather = _pair_kernels(index, pairs)
+    assert gram().tolist() == gather().tolist()
+    t_gram, _ = _best_of(gram, repeats)
+    t_gather, _ = _best_of(gather, repeats)
+    return t_gram, t_gather
+
+
+def _picks_gram(itemsets) -> bool:
+    return SupportCountingPlan(itemsets)._gram is not None
+
+
+def _crossover() -> dict:
+    """Both kernels timed on the sweep and on the two pipeline shapes."""
+    # the sweep: k items, m evenly spread pairs, on a fleet-sized store
+    index = generate_basket(
+        1_200, n_items=100, avg_transaction_len=8, n_patterns=80,
+        avg_pattern_len=4, seed=406,
+    ).index
+    sweep = []
+    for k in (8, 32, 99):
+        a, b = np.triu_indices(k, 1)
+        for m in sorted({4, k // 2, 2 * k, 8 * k, len(a)}):
+            if m > len(a):
+                continue
+            pick = np.linspace(0, len(a) - 1, m).astype(int)
+            pairs = list(zip(a[pick].tolist(), b[pick].tolist()))
+            k_used = len({i for p in pairs for i in p})
+            sweep.append((k_used, m, *_race(index, pairs, repeats=20)))
+
+    # the fleet-vocabulary shape: every pair any store's model holds,
+    # counted on one store
+    stores = make_fleet_stores()
+    vocabulary = probe_itemsets(
+        [LitsModel.mine(s, FLEET_MIN_SUPPORT, max_len=2) for s in stores]
+    )
+    pairs = [s for s in vocabulary if len(s) == 2]
+    fleet = {
+        "m": len(pairs),
+        "k": len({i for p in pairs for i in p}),
+        "picks_gram": _picks_gram(vocabulary),
+        "times": _race(stores[0].index, pairs, repeats=20),
+    }
+
+    # the stream-lits plan shape: pipebench's seed-3 reference window
+    # (its first 4,000 rows; hundreds of singletons, 4 pairs) counted on
+    # a 1,000-row chunk
+    pool = build_pattern_pool(
+        np.random.default_rng(0), n_items=500, n_patterns=1_000,
+        avg_pattern_len=4,
+    )
+    window = generate_basket(
+        60_000, n_items=500, avg_transaction_len=10,
+        rng=np.random.default_rng(3), pool=pool,
+    ).take(np.arange(4_000))
+    model = LitsModel.mine(window, 0.02, max_len=2)
+    pairs = [s for s in model.itemsets if len(s) == 2]
+    stream = {
+        "m": len(pairs),
+        "k": len({i for p in pairs for i in p}),
+        "singletons": len(model.itemsets) - len(pairs),
+        "picks_gram": _picks_gram(model.itemsets),
+        "times": _race(window.take(np.arange(1_000)).index, pairs, repeats=50),
+    }
+    return {"sweep": sweep, "fleet": fleet, "stream": stream}
+
+
+def test_gram_vs_gather_crossover():
+    """The constant of the plan's pair-group cost rule, and its picks.
+
+    Timed in a child process with one BLAS thread, as pipebench runs:
+    the thread pool's start-up cost would otherwise dominate a product
+    this small and misplace the crossover.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.update(dict.fromkeys(BLAS_VARS, "1"))
+    child = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True,
+        check=True, timeout=600,
+    )
+    result = json.loads(child.stdout.splitlines()[-1])
+
+    print(f"\n{'k':>4} {'m':>5} {'k2/m':>6} {'gram ms':>8} {'gather ms':>9}")
+    for k, m, t_gram, t_gather in result["sweep"]:
+        print(f"{k:>4} {m:>5} {k * k / m:>6.1f} "
+              f"{t_gram * 1e3:>8.3f} {t_gather * 1e3:>9.3f}")
+    for name in ("fleet", "stream"):
+        shape = result[name]
+        t_gram, t_gather = shape["times"]
+        print(f"{name}: {shape['m']} pairs over {shape['k']} items "
+              f"(k2/m {shape['k'] ** 2 / shape['m']:.2f}): gram "
+              f"{t_gram * 1e3:.3f}ms, gather {t_gather * 1e3:.3f}ms; rule "
+              f"(ratio {_GRAM_PAIRS_RATIO}) picks "
+              f"{'gram' if shape['picks_gram'] else 'gather'}")
+
+    fleet, stream = result["fleet"], result["stream"]
+    assert fleet["m"] > 1_000 and 0 < stream["m"] < 20
+    assert fleet["picks_gram"] and not stream["picks_gram"]
+    assert fleet["times"][0] < fleet["times"][1]
+    assert stream["times"][1] < stream["times"][0]
+
+
+if __name__ == "__main__":
+    print(json.dumps(_crossover()))

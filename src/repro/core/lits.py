@@ -58,8 +58,9 @@ class LitsModel(Model):
     ) -> "LitsModel":
         """Internal fast path: trusted canonical itemsets, aligned supports.
 
-        The wire decoder validates canonical order itself, so the model
-        it rebuilds skips the re-sort ``__post_init__`` would pay.
+        The wire decoder validates canonical order itself, and Apriori
+        emits it, so the models they build skip the re-sort
+        ``__post_init__`` would pay.
         """
         _check_min_support(min_support)
         self = object.__new__(cls)
@@ -76,9 +77,16 @@ class LitsModel(Model):
         min_support: float,
         max_len: int | None = None,
     ) -> "LitsModel":
-        """Mine the lits-model of a dataset with Apriori."""
+        """Mine the lits-model of a dataset with Apriori.
+
+        Apriori emits its itemsets in canonical order, so the model is
+        built through :meth:`_from_canonical` without a re-sort.
+        """
         supports = apriori(dataset, min_support, max_len=max_len)
-        return cls(supports, min_support, dataset.n_items)
+        return cls._from_canonical(
+            _Canonical(supports), supports.values(), min_support,
+            dataset.n_items,
+        )
 
     @property
     def structure(self) -> LitsStructure:

@@ -14,7 +14,10 @@ Batched counting is the hot path: :meth:`BitmapIndex.support_counts`
 groups a whole itemset collection by length and counts each group with
 stacked ``bitwise_and`` reductions over a 2-D ``uint8`` matrix and a
 single popcount pass, instead of one Python-level loop iteration per
-itemset.
+itemset. Pair supports have a second kernel: :meth:`BitmapIndex.gram_counts`
+reads every pair over ``k`` items off one blocked float32 Gram product
+of the unpacked stripes -- Apriori's level 2, and the pair group of a
+:class:`SupportCountingPlan` when its cost rule favours it.
 
 Row bags hold CSR arrays (row ``i`` is ``indices[indptr[i]:indptr[i+1]]``)
 from the parser to the bit scatter; tuple rows are a lazily built,
@@ -48,8 +51,28 @@ POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint32)
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 #: Upper bound on the gathered stripe matrix (rows x length x bytes) a
-#: single batched reduction may allocate; larger groups are chunked.
+#: single batched reduction may allocate; larger groups are chunked. A
+#: Gram block (:meth:`BitmapIndex.gram_counts`) stays under it too.
 _MAX_STRIPE_BYTES = 1 << 25  # 32 MiB
+
+#: Bytes a Gram block holds per (item, row) cell: the unpacked byte, its
+#: float32 copy, and (rounded up) the packed bit it came from.
+_GRAM_CELL_BYTES = 6
+
+#: float32 has a 24-bit significand: a sum of fewer than 2**24 products
+#: of 0/1 values is exact, so no Gram block holds that many rows.
+_GRAM_MAX_ROWS = (1 << 24) - 8
+
+#: The counting plan's pair-group cost rule: the Gram product over the
+#: ``k`` distinct pair items costs about ``k**2`` while the stripe gather
+#: costs about ``m`` per pair, so a group of ``m`` pairs is counted with
+#: the Gram product when ``k**2 <= _GRAM_PAIRS_RATIO * m``. The constant
+#: comes from the Gram-versus-gather crossover swept in
+#: ``benchmarks/bench_ablation_support_counting.py``: at a hundred items
+#: the Gram product wins below a ratio of about 5 (a fleet vocabulary,
+#: 2,234 pairs over 99 items, sits at 4.4) and the gather wins above it
+#: (a stream chunk's plan, 4 pairs over 5 items, sits at 6.25).
+_GRAM_PAIRS_RATIO = 5
 
 #: The stripe name the index's packed bit matrix lives under in its
 #: :class:`~repro.data.storage.StripeStore`.
@@ -116,6 +139,51 @@ def canonical_csr(
     keep[1:] = (out[1:] != out[:-1]) | ~same_row
     lengths = np.bincount(row_of[keep], minlength=n_rows)
     return np.concatenate(([0], lengths.cumsum())), out[keep]
+
+
+def _last_byte_mask(stop: int) -> int:
+    """The bits of the packed byte holding row ``stop - 1`` that lie
+    before ``stop`` (bits are MSB-first); all ones on a byte boundary."""
+    return 0xFF if stop % 8 == 0 else (0xFF << (8 - stop % 8)) & 0xFF
+
+
+def _gram_block_rows(k: int) -> int:
+    """Rows per Gram block over ``k`` stripes.
+
+    A block's cells (``k`` x rows, :data:`_GRAM_CELL_BYTES` each) fit
+    :data:`_MAX_STRIPE_BYTES`; the count is a multiple of 8, so blocks
+    after the first start at the same bit offset, and below
+    :data:`_GRAM_MAX_ROWS`, so the float32 product is exact.
+    """
+    rows = _MAX_STRIPE_BYTES // (_GRAM_CELL_BYTES * max(1, k))
+    return max(8, min(rows, _GRAM_MAX_ROWS) & ~7)
+
+
+def _intersection_counts(
+    bits: np.ndarray, ids: np.ndarray, first_mask: int, last_mask: int
+) -> np.ndarray:
+    """Support counts of same-length itemsets over a packed byte range.
+
+    ``bits`` is a ``(n_items, n_bytes)`` packed slice and ``ids`` an
+    ``(m, length)`` array of item ids. Each row's stripes are ANDed by a
+    chunked stripe gather; the first and last byte are masked with
+    ``first_mask`` / ``last_mask`` (rows outside the counted range, or
+    past a snapshot's end), then one popcount pass counts every row.
+    """
+    n_bytes = bits.shape[1]
+    padded = n_bytes + (-n_bytes) % 8 if _HAS_BITWISE_COUNT else n_bytes
+    full = np.zeros((ids.shape[0], padded), dtype=np.uint8)
+    acc = full[:, :n_bytes]
+    chunk = max(1, _MAX_STRIPE_BYTES // max(1, ids.shape[1] * n_bytes))
+    for start in range(0, ids.shape[0], chunk):
+        stripes = bits[ids[start : start + chunk]]
+        acc[start : start + chunk] = np.bitwise_and.reduce(stripes, axis=1)
+    if n_bytes:
+        if first_mask != 0xFF:
+            acc[:, 0] &= np.uint8(first_mask)
+        if last_mask != 0xFF:
+            acc[:, -1] &= np.uint8(last_mask)
+    return _popcount_rows(full)
 
 
 def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
@@ -195,7 +263,7 @@ class BitmapIndex:
         self._buf = store.stripe(_ITEM_BITS)
         n_bytes = (n + 7) // 8
         if n & 7:
-            self._buf[:, n_bytes - 1] &= np.uint8(0xFF << (8 - (n & 7)) & 0xFF)
+            self._buf[:, n_bytes - 1] &= np.uint8(_last_byte_mask(n))
         self._buf[:, n_bytes:] = 0
         self._bits = self._buf[:, :n_bytes]
         return self
@@ -331,6 +399,17 @@ class BitmapIndex:
         bits: np.ndarray = self._bits[item]
         return bits
 
+    def _past_end(self, last_bytes: np.ndarray) -> np.ndarray:
+        """Popcounts of the bits of last packed bytes past the last row.
+
+        Zero on an owned index; on an attached snapshot these are bits
+        the owner appended after the attach, which counts must drop.
+        """
+        past_end: np.ndarray = POPCOUNT[
+            last_bytes & (0xFF ^ _last_byte_mask(self.n_transactions))
+        ]
+        return past_end
+
     def item_support_counts(self) -> np.ndarray:
         """Support counts of every single item, in one popcount pass."""
         counts: np.ndarray
@@ -338,6 +417,8 @@ class BitmapIndex:
             counts = np.bitwise_count(self._bits).sum(axis=1, dtype=np.int64)
         else:
             counts = POPCOUNT[self._bits].sum(axis=1).astype(np.int64)
+        if self.n_transactions & 7:
+            counts -= self._past_end(self._bits[:, -1])
         return counts
 
     def support_count(self, items: Iterable[int]) -> int:
@@ -352,8 +433,12 @@ class BitmapIndex:
         for item in items[1:]:
             acc = np.bitwise_and(acc, self._bits[item])
         if _HAS_BITWISE_COUNT:
-            return int(np.bitwise_count(acc).sum())
-        return int(POPCOUNT[acc].sum())
+            count = int(np.bitwise_count(acc).sum())
+        else:
+            count = int(POPCOUNT[acc].sum())
+        if self.n_transactions & 7:
+            count -= int(self._past_end(acc[-1]))
+        return count
 
     def support_counts(self, itemsets: Sequence[Iterable[int]]) -> np.ndarray:
         """Batched support counts for a whole collection of itemsets.
@@ -385,10 +470,59 @@ class BitmapIndex:
             if length == 0:
                 out[positions] = self.n_transactions
                 continue
-            group = [canon[p] for p in positions]
-            out[positions] = _popcount_rows(
-                self._group_intersections(group, length)
+            group = np.array([canon[p] for p in positions], dtype=np.int64)
+            out[positions] = self.itemset_counts(group)
+        return out
+
+    def itemset_counts(self, ids: np.ndarray) -> np.ndarray:
+        """Support counts of same-length itemsets given as an id array.
+
+        ``ids`` is an ``(m, length)`` integer array whose rows are
+        itemsets of distinct items -- the array twin of
+        :meth:`support_counts` with no per-itemset canonicalisation, and
+        the miner's kernel for levels 3 and up.
+        """
+        return _intersection_counts(
+            self._bits, ids, 0xFF, _last_byte_mask(self.n_transactions)
+        )
+
+    def gram_counts(
+        self, items: Sequence[int] | np.ndarray, *, start: int = 0,
+        stop: int | None = None,
+    ) -> np.ndarray:
+        """Co-occurrence counts of ``items`` over the rows ``[start, stop)``.
+
+        Entry ``(a, b)`` of the ``(k, k)`` int64 result is the support
+        of ``{items[a], items[b]}`` (the diagonal: of ``items[a]``
+        alone). With ``X`` the 0/1 rows x items matrix this is ``XᵀX``:
+        the item stripes are unpacked block by block, the columns
+        outside ``[start, stop)`` sliced off, and each block's float32
+        Gram product summed in int64. A block holds fewer than 2**24
+        rows, so every float32 sum is an exact integer, and its cells
+        stay within :data:`_MAX_STRIPE_BYTES`. This is the level-2
+        kernel of the miner and of :class:`SupportCountingPlan`'s pair
+        group: all ``k**2`` pair supports for one BLAS call per block.
+        """
+        n = self.n_transactions
+        stop = n if stop is None else stop
+        if not 0 <= start <= stop <= n:
+            raise InvalidParameterError(
+                f"row range [{start}, {stop}) outside [0, {n}]"
             )
+        ids = np.asarray(items, dtype=np.intp)
+        out = np.zeros((ids.shape[0], ids.shape[0]), dtype=np.int64)
+        if not ids.shape[0]:
+            return out
+        step = _gram_block_rows(ids.shape[0])
+        sink = metrics()
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            skip = lo & 7
+            packed = self._bits[ids, lo >> 3 : (hi + 7) >> 3]
+            x = np.unpackbits(packed, axis=1, count=skip + hi - lo)[:, skip:]
+            block = x.astype(np.float32)
+            out += (block @ block.T).astype(np.int64)
+            sink.inc("bitmap.gram.blocks")
         return out
 
     def support_counts_loop(
@@ -412,28 +546,6 @@ class BitmapIndex:
                 acc = np.bitwise_and(acc, self._bits[item])
             counts[pos] = int(POPCOUNT[acc].sum())
         return counts
-
-    def _group_intersections(
-        self, group: list[tuple[int, ...]], length: int
-    ) -> np.ndarray:
-        """Packed intersection vectors for same-length itemsets, stacked.
-
-        Returns a ``(len(group), padded_bytes)`` uint8 matrix whose row
-        ``i`` starts with the AND of the item stripes of ``group[i]``;
-        rows are zero-padded to a multiple of 8 bytes so the caller can
-        popcount a uint64 view in place. Rows are reduced from a chunked
-        stripe gather.
-        """
-        n_bytes = self._bits.shape[1]
-        padded = n_bytes + (-n_bytes) % 8 if _HAS_BITWISE_COUNT else n_bytes
-        full = np.zeros((len(group), padded), dtype=np.uint8)
-        acc = full[:, :n_bytes]
-        ids = np.array(group, dtype=np.int64)
-        chunk = max(1, _MAX_STRIPE_BYTES // max(1, length * n_bytes))
-        for start in range(0, len(group), chunk):
-            stripes = self._bits[ids[start : start + chunk]]
-            acc[start : start + chunk] = np.bitwise_and.reduce(stripes, axis=1)
-        return full
 
     def intersection_bits(self, items: Iterable[int]) -> np.ndarray:
         """Packed membership vector of transactions containing ``items``.
@@ -504,6 +616,14 @@ class SupportCountingPlan:
     (stripe gather, stacked ``bitwise_and``, one popcount pass) per
     length group.
 
+    The pair group may instead be read off one
+    :meth:`BitmapIndex.gram_counts` product over its distinct items: a
+    fleet vocabulary holds thousands of pairs over a hundred items,
+    where one Gram product beats thousands of stripe gathers. The cost
+    rule ``k**2 <= _GRAM_PAIRS_RATIO * m`` (``k`` distinct items, ``m``
+    pairs) picks the kernel once, here. Singletons always take the
+    popcount path: a Gram product spent on them only fills a diagonal.
+
     A plan is index-independent: it can be executed against any
     :class:`BitmapIndex` whose item universe covers the plan's items --
     every per-shard and per-chunk index of the same stream.
@@ -518,9 +638,19 @@ class SupportCountingPlan:
             by_len.setdefault(len(t), []).append(pos)
         self._empty = np.array(by_len.pop(0, []), dtype=np.intp)
         self._groups: list[tuple[np.ndarray, np.ndarray]] = []
-        for _length, positions in sorted(by_len.items()):
+        #: ``(positions, items, local)``: the pair group counted by one
+        #: Gram product over ``items``; ``local`` holds each pair's two
+        #: positions in ``items``
+        self._gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        for length, positions in sorted(by_len.items()):
             pos_arr = np.array(positions, dtype=np.intp)
             ids = np.array([canon[p] for p in positions], dtype=np.int64)
+            if length == 2:
+                items = np.unique(ids)
+                if items.size**2 <= _GRAM_PAIRS_RATIO * len(positions):
+                    local = np.searchsorted(items, ids)
+                    self._gram = (pos_arr, items, local)
+                    continue
             self._groups.append((pos_arr, ids))
 
     def count(
@@ -551,33 +681,20 @@ class SupportCountingPlan:
         out = np.empty(self.n_itemsets, dtype=np.int64)
         if self._empty.size:
             out[self._empty] = stop - start
-        b0, b1 = start >> 3, (stop + 7) >> 3
-        bits = index._bits[:, b0:b1]
-        n_bytes = bits.shape[1]
+        if self._gram is not None:
+            pos_arr, items, local = self._gram
+            gram = index.gram_counts(items, start=start, stop=stop)
+            out[pos_arr] = gram[local[:, 0], local[:, 1]]
         # Boundary masks (bits are MSB-first): the first byte keeps the
         # positions >= start % 8, the last keeps those < stop % 8. Also
         # applied to a full-range count whose row count is not a byte
         # multiple -- committed data has a zero tail there, so the mask
         # changes nothing, but it keeps counts over an attached snapshot
         # immune to bits an owner scattered after the commit.
-        first_mask = np.uint8(0xFF >> (start & 7))
-        last_mask = np.uint8(0xFF if stop % 8 == 0 else (0xFF << (8 - stop % 8)) & 0xFF)
-        masked = n_bytes > 0 and (first_mask != 0xFF or last_mask != 0xFF)
-        padded = n_bytes + (-n_bytes) % 8 if _HAS_BITWISE_COUNT else n_bytes
+        bits = index._bits[:, start >> 3 : (stop + 7) >> 3]
+        first_mask, last_mask = 0xFF >> (start & 7), _last_byte_mask(stop)
         for pos_arr, ids in self._groups:
-            length = ids.shape[1]
-            full = np.zeros((len(pos_arr), padded), dtype=np.uint8)
-            acc = full[:, :n_bytes]
-            chunk = max(1, _MAX_STRIPE_BYTES // max(1, length * n_bytes))
-            for gstart in range(0, len(pos_arr), chunk):
-                stripes = bits[ids[gstart : gstart + chunk]]
-                acc[gstart : gstart + chunk] = np.bitwise_and.reduce(
-                    stripes, axis=1
-                )
-            if masked:
-                acc[:, 0] &= first_mask
-                acc[:, -1] &= last_mask
-            out[pos_arr] = _popcount_rows(full)
+            out[pos_arr] = _intersection_counts(bits, ids, first_mask, last_mask)
         return out
 
 

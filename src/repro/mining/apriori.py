@@ -2,10 +2,27 @@
 
 This is the algorithm the paper uses to compute lits-models
 (Section 6.1.1: "We used the Apriori algorithm [5] to compute the set of
-frequent itemsets"). Level-wise search: frequent ``k``-itemsets are
-joined on their ``(k-1)``-prefix to form candidates, candidates with any
-infrequent subset are pruned, and the survivors are counted against the
-dataset's bitmap index -- one batched support-counting pass per level.
+frequent itemsets"). Level-wise search, every level on integer arrays
+against the dataset's bitmap index:
+
+* **level 1** -- one popcount pass over every item stripe
+  (:meth:`~repro.data.transactions.BitmapIndex.item_support_counts`);
+* **level 2** -- every pair of frequent items at once: the supports are
+  the entries of ``XᵀX`` for the 0/1 rows x frequent-items matrix ``X``,
+  one row-blocked float32 Gram product
+  (:meth:`~repro.data.transactions.BitmapIndex.gram_counts`), exact
+  because no block holds 2**24 rows;
+* **level k >= 3** -- frequent ``(k-1)``-itemsets, held as a
+  lexicographically sorted id matrix, are joined on their shared prefix
+  run, candidates with an infrequent subset are pruned by ``searchsorted``
+  against the encoded frequent itemsets of each size, and the survivors
+  are counted by one batched stripe gather
+  (:meth:`~repro.data.transactions.BitmapIndex.itemset_counts`).
+
+Each level comes out in lexicographic order, so the result is in
+canonical order (size, then lexicographic) and
+:meth:`~repro.core.lits.LitsModel.mine` builds its model without a
+re-sort.
 """
 
 from __future__ import annotations
@@ -16,46 +33,65 @@ from repro.data.transactions import BitmapIndex, TransactionDataset
 from repro.errors import InvalidParameterError
 
 
-def _frequent_singletons(
-    index: BitmapIndex, min_count: int
-) -> dict[frozenset[int], int]:
-    """Counts of all single items meeting the support threshold."""
-    counts = index.item_support_counts()
-    return {
-        frozenset((item,)): int(c)
-        for item, c in enumerate(counts)
-        if c >= min_count
-    }
+class _Levels:
+    """The frequent itemsets of each size as sorted id arrays.
 
-
-def _generate_candidates(
-    frequent_k: list[tuple[int, ...]], frequent_set: set[frozenset[int]]
-) -> list[tuple[int, ...]]:
-    """Join step + prune step of Apriori candidate generation.
-
-    ``frequent_k`` holds the frequent k-itemsets as sorted tuples; two are
-    joined when they share their first ``k-1`` items. A candidate
-    survives only if every k-subset is frequent.
+    Level ``k`` holds an ``(m, k)`` item-id matrix in lexicographic row
+    order plus each row's code ``prefix_row * n_items + last_item``,
+    where ``prefix_row`` is the row of its ``(k-1)``-prefix in level
+    ``k-1`` (for ``k = 1``, the item's own row). Codes ascend with the
+    rows, so membership of any itemset is one ``searchsorted`` per item,
+    and codes never exceed ``rows * n_items``, far inside int64.
     """
-    candidates: list[tuple[int, ...]] = []
-    frequent_sorted = sorted(frequent_k)
-    n = len(frequent_sorted)
-    for i in range(n):
-        a = frequent_sorted[i]
-        prefix = a[:-1]
-        for j in range(i + 1, n):
-            b = frequent_sorted[j]
-            if b[:-1] != prefix:
-                break  # sorted order: no further joins share this prefix
-            candidate = a + (b[-1],)
-            # Prune: all k-subsets must be frequent. Subsets missing the
-            # last one or two items are the joined pair, already known.
-            if all(
-                frozenset(candidate[:m] + candidate[m + 1 :]) in frequent_set
-                for m in range(len(candidate) - 2)
-            ):
-                candidates.append(candidate)
-    return candidates
+
+    def __init__(self, n_items: int, items: np.ndarray) -> None:
+        self.n_items = n_items
+        self.items = items
+        self.ids: list[np.ndarray] = [items[:, None]]
+        self.codes: list[np.ndarray] = [np.arange(items.size, dtype=np.int64)]
+
+    def add(self, ids: np.ndarray, prefix_rows: np.ndarray) -> None:
+        self.ids.append(ids)
+        self.codes.append(prefix_rows * self.n_items + ids[:, -1])
+
+    def contains(self, sets: np.ndarray) -> np.ndarray:
+        """Which rows of the ``(q, k)`` matrix ``sets`` are frequent.
+
+        Every item of ``sets`` must be a frequent item (true of any
+        subset of a joined candidate).
+        """
+        row = np.searchsorted(self.items, sets[:, 0])
+        found = np.ones(sets.shape[0], dtype=bool)
+        for column in range(1, sets.shape[1]):
+            codes = self.codes[column]
+            code = row * self.n_items + sets[:, column]
+            row = np.minimum(np.searchsorted(codes, code), codes.size - 1)
+            found &= codes[row] == code
+        return found
+
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Join + prune on the top level: ``(candidate ids, prefix rows)``.
+
+        Rows sharing a ``(k-1)``-prefix form a contiguous run (the rows
+        are sorted), and each pair of rows ``a < b`` in a run joins into
+        ``a + (b[-1],)`` -- generated ``a``-major, hence again in
+        lexicographic order. A candidate survives only if every
+        ``k``-subset is frequent; the subsets dropping one of the last
+        two items are the joined pair, already known.
+        """
+        ids, codes = self.ids[-1], self.codes[-1]
+        m, k = ids.shape
+        prefix = codes // self.n_items
+        width = np.searchsorted(prefix, prefix, side="right") - np.arange(m) - 1
+        first = np.repeat(np.arange(m), width)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(width) - width, width)
+        candidates = np.concatenate(
+            (ids[first], ids[first + 1 + offset, -1:]), axis=1
+        )
+        keep = np.ones(first.size, dtype=bool)
+        for drop in range(k - 1):
+            keep &= self.contains(np.delete(candidates, drop, axis=1))
+        return candidates[keep], first[keep]
 
 
 def apriori(
@@ -79,7 +115,8 @@ def apriori(
     Returns
     -------
     dict
-        Mapping itemset -> relative support. Empty for an empty dataset.
+        Mapping itemset -> relative support, in canonical order (size,
+        then lexicographic). Empty for an empty dataset.
     """
     if len(dataset) == 0:
         if not 0.0 < min_support <= 1.0:
@@ -110,28 +147,27 @@ def apriori_from_index(
     if n == 0:
         return {}
     # A set is frequent iff count/n >= min_support, i.e. count >= ceil(ms*n).
-    min_count = int(np.ceil(min_support * n))
-    min_count = max(min_count, 1)
+    min_count = max(int(np.ceil(min_support * n)), 1)
 
-    result_counts: dict[frozenset[int], int] = {}
-    level = _frequent_singletons(index, min_count)
-    result_counts.update(level)
+    singles = index.item_support_counts()
+    items = np.flatnonzero(singles >= min_count)
+    levels = _Levels(index.n_items, items)
+    counts = [singles[items]]
+    if items.size > 1 and (max_len is None or max_len > 1):
+        gram = index.gram_counts(items)
+        first, second = np.nonzero(np.triu(gram >= min_count, 1))
+        levels.add(np.stack((items[first], items[second]), axis=1), first)
+        counts.append(gram[first, second])
+    while counts[-1].size and (max_len is None or len(counts) < max_len):
+        candidates, prefix_rows = levels.candidates()
+        if not candidates.size:
+            break
+        found = index.itemset_counts(candidates)
+        frequent = found >= min_count
+        levels.add(candidates[frequent], prefix_rows[frequent])
+        counts.append(found[frequent])
 
-    k = 1
-    while level and (max_len is None or k < max_len):
-        frequent_k = [tuple(sorted(s)) for s in level]
-        frequent_set = set(level)
-        candidates = _generate_candidates(frequent_k, frequent_set)
-        level = {}
-        if candidates:
-            # one batched support-counting pass per level
-            counts = index.support_counts(candidates)
-            level = {
-                frozenset(candidate): int(count)
-                for candidate, count in zip(candidates, counts)
-                if count >= min_count
-            }
-        result_counts.update(level)
-        k += 1
-
-    return {s: c / n for s, c in result_counts.items()}
+    result: dict[frozenset[int], float] = {}
+    for ids, level_counts in zip(levels.ids, counts):
+        result.update(zip(map(frozenset, ids.tolist()), (level_counts / n).tolist()))
+    return result

