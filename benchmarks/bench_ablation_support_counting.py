@@ -11,14 +11,17 @@ deviation engine's scan discipline.
 A group of pairs can also be read off one Gram product over its
 distinct items (``BitmapIndex.gram_counts``). The crossover test sweeps
 ``k`` items and ``m`` pairs, times both kernels, and checks that the
-plan's cost rule ``k**2 <= _GRAM_PAIRS_RATIO * m`` picks the faster one
-on the two shapes the pipeline runs: the fleet vocabulary (thousands of
-pairs over about a hundred items) and a stream chunk's plan (a handful
-of pairs).
+plan's cost rule ``k >= _GRAM_MIN_ITEMS and k**2 <= _GRAM_PAIRS_RATIO *
+m`` picks the faster one on the shapes the pipeline runs: the fleet
+vocabulary (thousands of pairs over about a hundred items), a stream
+chunk's plan (a handful of pairs) and the small clique a stream window
+can mine (3 pairs over 3 items), which only the floor sends to the
+gather.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -35,6 +38,7 @@ from repro.core.deviation import deviation_many
 from repro.core.lits import LitsModel
 from repro.data.quest_basket import build_pattern_pool, generate_basket
 from repro.data.transactions import (
+    _GRAM_MIN_ITEMS,
     _GRAM_PAIRS_RATIO,
     BitmapIndex,
     SupportCountingPlan,
@@ -220,14 +224,29 @@ def _crossover() -> dict:
     ).take(np.arange(4_000))
     model = LitsModel.mine(window, 0.02, max_len=2)
     pairs = [s for s in model.itemsets if len(s) == 2]
+    chunk = window.take(np.arange(1_000)).index
     stream = {
         "m": len(pairs),
         "k": len({i for p in pairs for i in p}),
         "singletons": len(model.itemsets) - len(pairs),
         "picks_gram": _picks_gram(model.itemsets),
-        "times": _race(window.take(np.arange(1_000)).index, pairs, repeats=50),
+        "times": _race(chunk, pairs, repeats=50),
     }
-    return {"sweep": sweep, "fleet": fleet, "stream": stream}
+
+    # the small-clique shape: every pair of the window's three most
+    # frequent items (k**2/m = 3.0, under the ratio), on the same chunk
+    top = sorted(
+        (s for s in model.itemsets if len(s) == 1),
+        key=lambda s: -model.supports[s],
+    )[:3]
+    clique = list(itertools.combinations(sorted(min(s) for s in top), 2))
+    small = {
+        "m": len(clique),
+        "k": 3,
+        "picks_gram": _picks_gram(clique),
+        "times": _race(chunk, clique, repeats=50),
+    }
+    return {"sweep": sweep, "fleet": fleet, "stream": stream, "clique": small}
 
 
 def test_gram_vs_gather_crossover():
@@ -249,20 +268,23 @@ def test_gram_vs_gather_crossover():
     for k, m, t_gram, t_gather in result["sweep"]:
         print(f"{k:>4} {m:>5} {k * k / m:>6.1f} "
               f"{t_gram * 1e3:>8.3f} {t_gather * 1e3:>9.3f}")
-    for name in ("fleet", "stream"):
+    for name in ("fleet", "stream", "clique"):
         shape = result[name]
         t_gram, t_gather = shape["times"]
         print(f"{name}: {shape['m']} pairs over {shape['k']} items "
               f"(k2/m {shape['k'] ** 2 / shape['m']:.2f}): gram "
               f"{t_gram * 1e3:.3f}ms, gather {t_gather * 1e3:.3f}ms; rule "
-              f"(ratio {_GRAM_PAIRS_RATIO}) picks "
+              f"(ratio {_GRAM_PAIRS_RATIO}, floor {_GRAM_MIN_ITEMS}) picks "
               f"{'gram' if shape['picks_gram'] else 'gather'}")
 
-    fleet, stream = result["fleet"], result["stream"]
+    fleet, stream, clique = result["fleet"], result["stream"], result["clique"]
     assert fleet["m"] > 1_000 and 0 < stream["m"] < 20
-    assert fleet["picks_gram"] and not stream["picks_gram"]
+    assert clique["k"] ** 2 <= _GRAM_PAIRS_RATIO * clique["m"]
+    assert fleet["picks_gram"]
+    assert not stream["picks_gram"] and not clique["picks_gram"]
     assert fleet["times"][0] < fleet["times"][1]
     assert stream["times"][1] < stream["times"][0]
+    assert clique["times"][1] < clique["times"][0]
 
 
 if __name__ == "__main__":

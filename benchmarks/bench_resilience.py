@@ -15,7 +15,11 @@ The fault-tolerance layer's acceptance bars, pinned at tiny scale:
   ``step``-row push writes exactly ``step`` rows -- the reference and
   the surviving chunks are hard-linked from the previous generation.
   CI asserts ``steady_rows_written_per_checkpoint == step`` from
-  ``BENCH_resilience.json``.
+  ``BENCH_resilience.json``;
+* **checkpoints that do not grow with the stream**: a steady checkpoint
+  after 5,000 windows takes at most 1.5x one after 50 -- the history's
+  sealed blocks are linked, not re-serialised, and ``state.json`` holds
+  only its open tail.
 """
 
 from __future__ import annotations
@@ -40,6 +44,13 @@ N_SHARDS = 8
 WINDOW = 1_000
 STEP = 500
 STEADY_CHECKPOINTS = 8
+#: tumbling windows of this many rows under the cheap mode: a history
+#: thousands of observations long in about a second
+TINY_WINDOW = 8
+#: history lengths, in windows, whose steady checkpoints are compared
+GROWTH_AT = (50, 5_000)
+GROWTH_REPEATS = 50
+MAX_GROWTH_X = 1.5
 ITEMSETS = [(i,) for i in range(0, 20)] + [
     (i, j) for i in range(0, 8) for j in range(i + 1, 8)
 ]
@@ -157,6 +168,10 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
     steady_counters = steady_registry.snapshot()["counters"]
     assert steady_counters["resilience.checkpoint_files_linked"] > 0
 
+    t_growth = _steady_checkpoint_by_history(ckpt_dir)
+    growth = t_growth[GROWTH_AT[-1]] / t_growth[GROWTH_AT[0]]
+    assert growth <= MAX_GROWTH_X, t_growth
+
     payload = {
         "bench": "resilience",
         "n_rows": N_ROWS,
@@ -175,6 +190,11 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         "steady_rows_written_per_checkpoint": max(rows_written),
         "t_steady_checkpoint_s": round(t_steady / STEADY_CHECKPOINTS, 4),
         "steady_counters": steady_counters,
+        "t_checkpoint_by_windows_s": {
+            str(n): round(t, 5) for n, t in t_growth.items()
+        },
+        "checkpoint_growth_x": round(growth, 2),
+        "max_growth_x_asserted": MAX_GROWTH_X,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(
@@ -182,6 +202,45 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         f"{t_bare * 1e3:.0f}ms ({overhead:.2f}x), all resilience counters "
         f"zero; checkpoint {t_checkpoint * 1e3:.0f}ms / resume "
         f"{t_resume * 1e3:.0f}ms ({checkpoint_bytes} B); steady checkpoint "
-        f"{t_steady / STEADY_CHECKPOINTS * 1e3:.1f}ms writing {STEP} rows "
+        f"{t_steady / STEADY_CHECKPOINTS * 1e3:.1f}ms writing {STEP} rows; "
+        f"checkpoint after {GROWTH_AT[0]} windows "
+        f"{t_growth[GROWTH_AT[0]] * 1e3:.1f}ms, after {GROWTH_AT[-1]} "
+        f"{t_growth[GROWTH_AT[-1]] * 1e3:.1f}ms ({growth:.2f}x) "
         f"-> {JSON_PATH.name}"
     )
+
+
+def _steady_checkpoint_by_history(ckpt_dir: Path) -> dict[int, float]:
+    """Best-of time of a steady checkpoint at each history length.
+
+    One monitor per length in :data:`GROWTH_AT` checkpoints once to
+    write whatever is new; then, in alternation so host drift hits every
+    length alike, each pushes one more window and times a checkpoint --
+    the cadence of a monitor that checkpoints every chunk.
+    """
+    n_rows = TINY_WINDOW * (GROWTH_AT[-1] + GROWTH_REPEATS + 2)
+    rows = list(
+        generate_basket(n_rows, n_items=20, avg_transaction_len=4, seed=5)
+    )
+    monitors = {}
+    for n in GROWTH_AT:
+        monitor = OnlineChangeMonitor(
+            lambda d: LitsModel.mine(d, 0.2, max_len=2), 20,
+            window_size=TINY_WINDOW, step=None, n_boot=0,
+            delta_threshold=10.0,
+        )
+        # the first window's rows are the reference
+        monitor.push(rows[: TINY_WINDOW * (n + 1)])
+        monitor.checkpoint(ckpt_dir / str(n))
+        monitors[n] = monitor
+
+    times = dict.fromkeys(GROWTH_AT, float("inf"))
+    for _ in range(GROWTH_REPEATS):
+        for n, monitor in monitors.items():
+            offset = monitor.rows_ingested
+            monitor.push(rows[offset : offset + TINY_WINDOW])
+            t0 = time.perf_counter()
+            monitor.checkpoint(ckpt_dir / str(n))
+            times[n] = min(times[n], time.perf_counter() - t0)
+    shutil.rmtree(ckpt_dir)
+    return times

@@ -1,22 +1,24 @@
 """Flat-file persistence for datasets.
 
-Tabular datasets round-trip through ``.npz`` (matrix + labels) plus an
-embedded JSON schema; transaction datasets use the classic one-line-per-
-transaction text format that Apriori implementations exchange: UTF-8,
-whitespace-separated integer items, a blank line for an empty
-transaction. The first ``# n_items=N`` line (``N >= 1``) is the header
-and must come before any data line; later ``#`` lines are comments. A
-bad header or item raises :class:`~repro.errors.InvalidParameterError`
-naming the file and line. Files parse block by block straight to CSR
-arrays (:func:`read_transaction_blocks`, shared by both readers; tuple
-rows are only a lazy view): vectorised for plain digits, else through
-the row-wise :func:`parse_transactions_block_loop`, the oracle.
+Tabular datasets round-trip through an uncompressed ``.npz`` (matrix +
+labels) plus an embedded JSON schema; transaction datasets use the
+classic one-line-per-transaction text format that Apriori
+implementations exchange: UTF-8, whitespace-separated integer items, a
+blank line for an empty transaction. The first ``# n_items=N`` line
+(``N >= 1``) is the header and must come before any data line; later
+``#`` lines are comments. A bad header or item raises
+:class:`~repro.errors.InvalidParameterError` naming the file and line.
+Files parse block by block straight to CSR arrays
+(:func:`read_transaction_blocks`, shared by both readers; tuple rows
+are only a lazy view): vectorised for plain digits, else through the
+row-wise :func:`parse_transactions_block_loop`, the oracle.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from os import PathLike
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
@@ -66,36 +68,49 @@ def _space_from_dict(d: dict[str, Any]) -> AttributeSpace:
     return AttributeSpace(attributes, tuple(d["class_labels"]))
 
 
-def save_tabular(dataset: TabularDataset, path: str | Path) -> None:
-    """Write a tabular dataset to ``path`` (``.npz``)."""
-    path = Path(path)
+def save_tabular(dataset: TabularDataset, path: str | Path | BinaryIO) -> None:
+    """Write a tabular dataset to ``path`` (``.npz``) or a binary file.
+
+    The archive is stored without compression: zlib costs about ten
+    times the write for a 1.6x smaller file (a 1,000-row Agrawal chunk
+    takes 0.37 ms raw at 78 KiB, 4.9 ms compressed at 47 KiB), and
+    checkpoints write one per pushed chunk.
+    """
     schema = json.dumps(_space_to_dict(dataset.space))
     arrays = {"X": dataset.X, "schema": np.array(schema)}
     if dataset.y is not None:
         arrays["y"] = dataset.y
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)
 
 
 def load_tabular(path: str | Path) -> TabularDataset:
-    """Read a tabular dataset written by :func:`save_tabular`."""
+    """Read a tabular dataset written by :func:`save_tabular`, or by an
+    older build's compressed writer: ``np.load`` reads both."""
     with np.load(Path(path), allow_pickle=False) as data:
         space = _space_from_dict(json.loads(str(data["schema"])))
         y = data["y"] if "y" in data.files else None
         return TabularDataset(space, data["X"], y)
 
 
-def save_transactions(dataset: TransactionDataset, path: str | Path) -> None:
-    """Write transactions as space-separated item ids, one line each.
+def save_transactions(
+    dataset: TransactionDataset, path: str | Path | BinaryIO
+) -> None:
+    """Write transactions as space-separated item ids, one line each, to
+    ``path`` or a binary file (UTF-8, ``\\n`` line ends).
 
     The first line is a header comment recording the item universe size.
     """
     indptr, indices = as_csr(dataset)
     tokens, bounds = list(map(str, indices.tolist())), indptr.tolist()
-    with Path(path).open("w") as f:
-        f.write(f"# n_items={dataset.n_items}\n")
-        f.writelines(
-            " ".join(tokens[a:b]) + "\n" for a, b in zip(bounds[:-1], bounds[1:])
-        )
+    lines = chain(
+        [f"# n_items={dataset.n_items}\n"],
+        (" ".join(tokens[a:b]) + "\n" for a, b in zip(bounds[:-1], bounds[1:])),
+    )
+    if isinstance(path, (str, PathLike)):
+        with Path(path).open("w", encoding="utf-8", newline="\n") as f:
+            f.writelines(lines)
+    else:
+        path.write("".join(lines).encode())
 
 
 def load_transactions(path: str | Path) -> TransactionDataset:

@@ -25,9 +25,11 @@ Obs counters: ``resilience.retries``, ``resilience.pool_rebuilds``,
 zero on a fault-free run, the bench snapshot invariant CI asserts --
 and ``resilience.checkpoints_written``,
 ``resilience.checkpoints_resumed``,
-``resilience.checkpoint_rows_written`` (rows handed to a row writer)
-and ``resilience.checkpoint_files_linked`` (files a generation
-hard-linked from the previous one instead of rewriting).
+``resilience.checkpoint_rows_written`` (rows handed to a row writer),
+``resilience.checkpoint_files_linked`` (files a generation
+hard-linked from the previous one instead of rewriting) and
+``resilience.checkpoint_bytes_written`` (bytes of the files a
+generation wrote, ``state.json`` included, linked files not).
 """
 
 from repro.resilience.backoff import backoff_delay, sleep_backoff

@@ -15,21 +15,31 @@ generator) and the window manager's ring and counters.
 
 * **atomic-manifest publish** (the ``MmapStripeStore`` pattern): each
   :func:`write_checkpoint` builds a fresh ``gen-NNNNNN/`` directory --
-  rows via :mod:`repro.data.io`, window sketches via the
-  :mod:`repro.wire` envelope, everything CRC-recorded in
+  rows via :mod:`repro.data.io` (an uncompressed ``.npz`` or the
+  ``.rows`` text), window sketches via the :mod:`repro.wire` envelope,
+  sealed history blocks as JSON, everything CRC-recorded in
   ``state.json`` -- and only then swaps ``CHECKPOINT.json`` into place
   with ``os.replace``. A kill at any instant leaves the previous
   committed generation untouched; stale generations are collected
   after the commit.
-* **write-once files**: ring chunks are immutable once pushed and the
+* **write-once files**: ring chunks are immutable once pushed, the
   reference changes only at warm-up or on a ``reset_on_drift``
-  promotion, so each is compressed once. :func:`write_checkpoint` and
+  promotion, and the history is sealed into blocks that never change
+  (64 observations, merged four at a time into the next size), so
+  each is written once. :func:`write_checkpoint` and
   :func:`resume_checkpoint` return a ledger of the generation's files
   by the object they hold; the monitor keeps it, and the next
   generation hard-links (``os.link``) the files of objects it still
   holds, taking their CRCs from the ledger. A refused link falls back
   to writing from memory. Every generation directory stays
-  self-contained, so the on-disk format (v1) is unchanged.
+  self-contained, and ``state.json`` keeps only the history's open
+  tail inline, so a steady checkpoint after 5,000 windows costs about
+  what one after 50 does.
+* **format versions**: the writer emits version 2 (history blocks,
+  uncompressed ``.npz`` rows). The reader also resumes version 1,
+  whose ``state.json`` holds the whole history and whose ``.npz``
+  files are compressed; the next checkpoint writes version 2 and
+  links the version-1 chunk files as they are.
 * **verified resume**: :func:`resume_checkpoint` checks the manifest,
   the state CRC, every file CRC and the configuration fingerprint
   before touching the monitor, then re-mines the persisted reference
@@ -41,6 +51,7 @@ generator) and the window manager's ring and counters.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -50,6 +61,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.monitor import Observation
 from repro.data.io import (
     load_tabular,
     load_transactions,
@@ -65,7 +77,9 @@ from repro.wire import pack, unpack_partition_sketch, unpack_support_sketch
 
 _MANIFEST = "CHECKPOINT.json"
 _STATE = "state.json"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+#: versions the resume path reads: 1 kept the whole history in state.json
+_READABLE_VERSIONS = (1, 2)
 _GENERATION = re.compile(r"gen-[0-9]{6}")
 
 
@@ -94,12 +108,12 @@ class _WriteLedger:
     state_crc: int = 0
     entries: dict[int, tuple[Any, str, int]] = field(default_factory=dict)
 
-    def lookup(self, obj: Any) -> tuple[Path, int] | None:
+    def lookup(self, obj: Any) -> tuple[str, int] | None:
         """``(committed path, crc)`` of ``obj``'s file, if recorded."""
         entry = self.entries.get(id(obj))
         if entry is None or entry[0] is not obj:
             return None
-        return self.directory / self.generation / entry[1], entry[2]
+        return os.path.join(self.directory, self.generation, entry[1]), entry[2]
 
     def record(self, obj: Any, name: str, crc: int) -> None:
         self.entries[id(obj)] = (obj, name, crc)
@@ -118,23 +132,27 @@ def write_checkpoint(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    generation = _next_generation_name(directory)
-    ledger = _write_generation(monitor, directory, generation)
+    committed = _committed_manifest(directory)
+    generation = _generation_after(committed)
+    ledger = _write_generation(monitor, directory, generation, committed)
     _publish(directory, generation, ledger.state_crc)
     _collect_garbage(directory, generation)
     metrics().inc("resilience.checkpoints_written")
     return directory / _MANIFEST, ledger
 
 
-def _next_generation_name(directory: Path) -> str:
-    committed = _read_manifest(directory) if has_checkpoint(directory) else None
-    number = 0
-    if committed is not None:
-        number = int(committed["generation"].split("-")[1]) + 1
+def _generation_after(committed: dict[str, Any] | None) -> str:
+    number = 0 if committed is None else int(committed["generation"][4:]) + 1
     return f"gen-{number:06d}"
 
 
-def _committed_ledger(monitor: Any, directory: Path) -> _WriteLedger | None:
+def _next_generation_name(directory: Path) -> str:
+    return _generation_after(_committed_manifest(directory))
+
+
+def _committed_ledger(
+    monitor: Any, directory: Path, committed: dict[str, Any] | None
+) -> _WriteLedger | None:
     """The monitor's ledger, if it still names ``directory``'s commit.
 
     A ledger for another directory, or for a commit the manifest no
@@ -142,11 +160,9 @@ def _committed_ledger(monitor: Any, directory: Path) -> _WriteLedger | None:
     files are not what the directory has committed.
     """
     ledger: _WriteLedger | None = monitor.checkpoint_ledger
-    if ledger is None:
-        return None
-    committed = _read_manifest(directory) if has_checkpoint(directory) else None
     if (
-        committed is None
+        ledger is None
+        or committed is None
         or committed["generation"] != ledger.generation
         or committed["state_crc"] != ledger.state_crc
         or ledger.directory != directory.resolve()
@@ -156,49 +172,55 @@ def _committed_ledger(monitor: Any, directory: Path) -> _WriteLedger | None:
 
 
 def _write_generation(
-    monitor: Any, directory: Path, generation: str
+    monitor: Any,
+    directory: Path,
+    generation: str,
+    committed: dict[str, Any] | None = None,
 ) -> _WriteLedger:
     """Write one (uncommitted) generation dir.
 
-    Returns the ledger of the files it holds, state.json's CRC
+    ``committed`` is the manifest the caller already read, if any;
+    without one the directory's manifest is read here. Returns the
+    ledger of the files the generation holds, state.json's CRC
     included, which the caller adopts only once the generation is
     published. Split from :func:`_publish` so the crash suite can produce a
     realistic torn checkpoint: a fully or partially written generation
     that never got its manifest swap.
     """
-    committed = _committed_ledger(monitor, directory)
+    if committed is None:
+        committed = _committed_manifest(directory)
+    previous = _committed_ledger(monitor, directory, committed)
     gen_dir = directory / generation
     if gen_dir.exists():
         # a torn write from a previous life; its manifest never
         # committed, so the bytes are garbage
         shutil.rmtree(gen_dir)
     gen_dir.mkdir(parents=True)
+    # plain strings: a checkpoint joins a path per file it holds
+    target = os.fspath(gen_dir)
     ledger = _WriteLedger(directory.resolve(), generation)
     files: dict[str, int] = {}
-    created: list[Path] = []
     sink = metrics()
     rows_suffix = ".rows" if monitor.kind == "transactions" else ".npz"
 
     def put_bytes(name: str, payload: bytes) -> None:
-        (gen_dir / name).write_bytes(payload)
-        created.append(gen_dir / name)
+        _write_synced(os.path.join(target, name), payload)
         files[name] = zlib.crc32(payload)
+        sink.inc("resilience.checkpoint_bytes_written", len(payload))
 
     def put_rows(name: str, rows: Any) -> None:
+        buffer = io.BytesIO()
         if monitor.kind == "transactions":
-            save_transactions(
-                TransactionDataset(rows, monitor.n_items), gen_dir / name
-            )
+            save_transactions(TransactionDataset(rows, monitor.n_items), buffer)
         else:
-            save_tabular(rows, gen_dir / name)
+            save_tabular(rows, buffer)
         sink.inc("resilience.checkpoint_rows_written", len(rows))
-        created.append(gen_dir / name)
-        files[name] = zlib.crc32((gen_dir / name).read_bytes())
+        put_bytes(name, buffer.getvalue())
 
     def persist(obj: Any, name: str, write: Callable[[str], None]) -> str:
         """Link ``obj``'s committed file in as ``name``, else ``write``."""
-        hit = None if committed is None else committed.lookup(obj)
-        if hit is not None and _link(hit[0], gen_dir / name):
+        hit = None if previous is None else previous.lookup(obj)
+        if hit is not None and _link(hit[0], os.path.join(target, name)):
             files[name] = hit[1]
             sink.inc("resilience.checkpoint_files_linked")
         else:
@@ -207,11 +229,21 @@ def _write_generation(
         return name
 
     live = monitor.state()
+    inner = dict(live["monitor"])
+    inner["history_blocks"] = [
+        persist(
+            block,
+            f"history-{k:04d}.json",
+            lambda name, block=block: put_bytes(name, _encode_block(block)),
+        )
+        for k, block in enumerate(inner["history_blocks"])
+    ]
     # the live rows and manager are persisted as files, named below
     state: dict[str, Any] = {
         "version": _FORMAT_VERSION,
         "config": _fingerprint(monitor),
         **live,
+        "monitor": inner,
         "reference": None,
         "buffer": None,
         "windows": None,
@@ -252,13 +284,11 @@ def _write_generation(
 
     state["files"] = files
     payload = json.dumps(state).encode()
-    (gen_dir / _STATE).write_bytes(payload)
-    created.append(gen_dir / _STATE)
-    # a linked file was synced by the generation that created it; only
-    # this generation's own bytes, and its directory entries (links
-    # included), need a sync
-    for path in created:
-        _fsync_path(path)
+    _write_synced(os.path.join(target, _STATE), payload)
+    sink.inc("resilience.checkpoint_bytes_written", len(payload))
+    # a linked file was synced by the generation that created it; each
+    # new file was synced as it was written, and the directory entries
+    # (links included) need one more sync
     if os.name == "posix":
         _fsync_path(gen_dir)
     ledger.state_crc = zlib.crc32(payload)
@@ -292,7 +322,7 @@ def _collect_garbage(directory: Path, keep: str) -> None:
             shutil.rmtree(path, ignore_errors=True)
 
 
-def _link(source: Path, target: Path) -> bool:
+def _link(source: str, target: str) -> bool:
     """Hard-link ``source`` as ``target``; False if the OS refuses.
 
     Refusal covers a filesystem without hard links and a source deleted
@@ -303,6 +333,14 @@ def _link(source: Path, target: Path) -> bool:
     except OSError:
         return False
     return True
+
+
+def _write_synced(path: str, payload: bytes) -> None:
+    """Write a new file and fsync it before closing."""
+    with open(path, "xb") as f:
+        f.write(payload)
+        f.flush()
+        os.fsync(f.fileno())
 
 
 def _fsync_path(path: Path) -> None:
@@ -343,17 +381,29 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
     def rows(name: str | None) -> Any:
         return None if name is None else _load_rows(monitor, gen_dir / name)
 
+    # a version-1 state holds its whole history inline, with no blocks
+    block_names = state["monitor"].get("history_blocks", [])
+    blocks = [_load_block(gen_dir / name) for name in block_names]
     # a started monitor re-mines the persisted reference rows, then
     # adopts the persisted ring on its freshly built manager
     monitor.restore(
         {
             **state,
+            "monitor": {**state["monitor"], "history_blocks": blocks},
             "reference": rows(state["reference"]),
             "buffer": rows(state["buffer"]),
         }
     )
     live = monitor.state()
     named = [(live["reference"], state["reference"])]
+    # a block the monitor re-sealed no longer matches its file
+    named += [
+        (block, name)
+        for block, loaded, name in zip(
+            live["monitor"]["history_blocks"], blocks, block_names
+        )
+        if block is loaded
+    ]
     if state["windows"] is not None:
         _restore_windows(monitor, gen_dir, state["windows"])
         # the manager adopted the loaded (sketch, chunk) objects as-is
@@ -373,16 +423,31 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
 
 
 def _read_manifest(directory: Path) -> dict[str, Any]:
-    manifest_path = directory / _MANIFEST
-    if not manifest_path.is_file():
+    manifest = _committed_manifest(directory)
+    if manifest is None:
         raise CheckpointError(
             f"no committed checkpoint under {directory} (missing "
             f"{_MANIFEST})",
             path=str(directory),
         )
+    return manifest
+
+
+def _committed_manifest(directory: Path) -> dict[str, Any] | None:
+    """The validated manifest under ``directory``; ``None`` if absent."""
+    manifest_path = directory / _MANIFEST
     try:
-        manifest = json.loads(manifest_path.read_text())
-        if manifest["version"] != _FORMAT_VERSION:
+        payload = manifest_path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError as exc:
+        raise CheckpointError(
+            f"checkpoint manifest is unreadable: {exc}",
+            path=str(manifest_path),
+        ) from exc
+    try:
+        manifest = json.loads(payload)
+        if manifest["version"] not in _READABLE_VERSIONS:
             raise CheckpointError(
                 f"unsupported checkpoint format version "
                 f"{manifest['version']!r}",
@@ -571,6 +636,20 @@ def _load_rows(monitor: Any, path: Path) -> Any:
     except (FocusError, OSError, ValueError, KeyError) as exc:
         raise CheckpointError(
             f"checkpoint rows failed to load: {exc}", path=str(path)
+        ) from exc
+
+
+def _encode_block(block: tuple[Observation, ...]) -> bytes:
+    return json.dumps([o.to_row() for o in block]).encode()
+
+
+def _load_block(path: Path) -> tuple[Observation, ...]:
+    try:
+        rows = json.loads(path.read_bytes())
+        return tuple(Observation.from_row(row) for row in rows)
+    except (OSError, ValueError, TypeError) as exc:
+        raise CheckpointError(
+            f"checkpoint history block failed to load: {exc}", path=str(path)
         ) from exc
 
 

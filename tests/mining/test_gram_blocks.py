@@ -124,3 +124,34 @@ def test_block_rows_are_bounded(k, budget):
     assert rows % 8 == 0
     if rows > 8:  # beyond the 8-row floor the budget is honoured
         assert rows * k * tx._GRAM_CELL_BYTES <= budget
+
+
+@pytest.mark.parametrize(
+    ("k", "m", "gram"),
+    [
+        (3, 3, False),  # a small clique: k**2/m is 3.0, under the ratio
+        (99, 2_234, True),  # the fleet vocabulary's shape: 4.39
+    ],
+)
+def test_pair_group_kernel_rule(k, m, gram):
+    """The rule gathers any group under ``_GRAM_MIN_ITEMS`` items, and
+    counts are bit-identical on either kernel."""
+    rng = np.random.default_rng(k)
+    a, b = np.triu_indices(k, 1)
+    pick = np.sort(rng.choice(a.size, size=m, replace=False))
+    pairs = list(zip(a[pick].tolist(), b[pick].tolist()))
+    assert len({i for p in pairs for i in p}) == k
+    assert k**2 <= tx._GRAM_PAIRS_RATIO * m
+    plan = SupportCountingPlan([(i,) for i in range(k)] + pairs)
+    assert (plan._gram is not None) is gram
+    index = BitmapIndex(
+        [
+            tuple(rng.choice(k, size=int(rng.integers(0, 4)), replace=False))
+            for _ in range(300)
+        ],
+        k,
+    )
+    counts, blocks = _blocks(lambda: plan.count(index))
+    assert (blocks > 0) is gram
+    expected = index.support_counts_loop([(i,) for i in range(k)] + pairs)
+    assert counts.tolist() == expected.tolist()

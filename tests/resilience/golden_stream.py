@@ -1,8 +1,11 @@
-"""The two streams and monitors behind ``golden/``'s v1 checkpoints.
+"""The streams and monitors behind the golden checkpoints.
 
-Shared by ``make_golden.py`` (which wrote the committed checkpoints)
-and ``test_golden_checkpoint.py`` (which resumes them): the monitor
-configuration here must match the fingerprint the checkpoints carry.
+``golden/`` holds version-1 checkpoints of the ``transactions`` and
+``tabular`` scenarios, ``golden_v2/`` version-2 checkpoints of those
+and of ``history``, whose history spans sealed blocks. Shared by
+``make_golden.py`` (which wrote the committed checkpoints) and the
+golden tests (which resume them): the monitor configuration here must
+match the fingerprint the checkpoints carry.
 """
 
 from __future__ import annotations
@@ -55,7 +58,29 @@ def tabular_chunks() -> list:
     return list(iter_tabular_chunks(table, CHUNK))
 
 
+def history_chunks() -> list:
+    """Tiny transaction windows, enough of them to seal history blocks:
+    a quiet process, then a shifted one that drifts."""
+    rng = np.random.default_rng(13)
+    quiet = generate_basket(
+        2_700, n_items=N_ITEMS, avg_transaction_len=4, n_patterns=10,
+        avg_pattern_len=2, rng=rng,
+    )
+    shifted = generate_basket(
+        300, n_items=N_ITEMS, avg_transaction_len=4, n_patterns=10,
+        avg_pattern_len=4, rng=rng,
+    )
+    return list(iter_chunks(list(quiet) + list(shifted), 25))
+
+
 def make_monitor(scenario: str) -> OnlineChangeMonitor:
+    if scenario == "history":
+        # tumbling 8-row windows under the cheap mode: hundreds of
+        # observations in a few thousand rows
+        return OnlineChangeMonitor(
+            lits_builder, N_ITEMS, window_size=8, step=None, n_boot=0,
+            delta_threshold=2.5, policy="reset_on_drift",
+        )
     common = dict(
         window_size=400, step=200, n_boot=8, threshold=95.0,
         policy="reset_on_drift", rng=np.random.default_rng(11),

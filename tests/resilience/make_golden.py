@@ -1,22 +1,25 @@
-"""Regenerate the committed golden v1 checkpoints.
+"""Regenerate the committed golden checkpoints into a directory.
 
-Run from the repository root::
+Run from the repository root with the directory to write::
 
-    PYTHONPATH=src python tests/resilience/make_golden.py
+    PYTHONPATH=src python tests/resilience/make_golden.py tests/resilience/golden_v2
 
-Only run this when the checkpoint format version is deliberately
-bumped: ``tests/resilience/golden/`` pins that a checkpoint written by
-an older build resumes bit-identically, so the committed files never
-regenerate on CI.
+The checkpoints are written in the current format version. Only run
+this when that version is deliberately bumped, into a new directory:
+each golden directory pins that a checkpoint written by an older build
+resumes bit-identically, so the committed files never regenerate on
+CI, and a scenario directory that already exists is refused rather
+than overwritten (``golden/`` holds the version-1 fixtures, which no
+current build can write).
 
-Each scenario (one transaction stream, one tabular stream, both under
-``reset_on_drift``) is pushed in chunks that do not align with the
-monitor's step, checkpointing after every push, until the monitor is
-past at least one reference promotion with rows waiting in its buffer.
-That committed checkpoint goes to ``golden/<scenario>/checkpoint/``,
-the stream's remaining rows to ``golden/<scenario>/rest.*``, and the
-observation lines the uninterrupted run emits for those rows (pushes
-then ``flush``) to ``golden/<scenario>/expected.txt``.
+Each scenario is pushed in chunks that do not align with the monitor's
+step, checkpointing after every push, until the monitor is past at
+least one reference promotion with rows waiting in its buffer (and,
+for ``history``, past a merged history block). That committed
+checkpoint goes to ``<dir>/<scenario>/checkpoint/``, the stream's
+remaining rows to ``<dir>/<scenario>/rest.*``, and the observation
+lines the uninterrupted run emits for those rows (pushes then
+``flush``) to ``<dir>/<scenario>/expected.txt``.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import golden_stream as gs  # noqa: E402
 
+from repro.core.monitor import _HISTORY_BLOCK, _HISTORY_FANOUT  # noqa: E402
 from repro.data.io import save_tabular, save_transactions  # noqa: E402
 from repro.data.transactions import TransactionDataset  # noqa: E402
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def _promoted(monitor) -> bool:
@@ -46,16 +48,19 @@ def _buffered(monitor) -> int:
     return past_warmup % monitor.step if past_warmup > 0 else 0
 
 
-def _write(name: str, chunks: list, save_rest) -> None:
-    out = GOLDEN / name
-    shutil.rmtree(out, ignore_errors=True)
+def _write(out: Path, name: str, chunks: list, save_rest) -> None:
+    out = out / name
+    if out.exists():
+        raise SystemExit(f"{out} exists; golden checkpoints are never overwritten")
     out.mkdir(parents=True)
     with tempfile.TemporaryDirectory() as tmp:
         live = gs.make_monitor(name)
         for cut, chunk in enumerate(chunks, start=1):
             live.push(chunk)
             live.checkpoint(tmp)
-            if _promoted(live) and _buffered(live):
+            merged = _HISTORY_BLOCK * _HISTORY_FANOUT
+            sealed = name != "history" or len(live.history) > merged
+            if _promoted(live) and _buffered(live) and sealed:
                 break
         else:
             raise SystemExit(f"{name}: no promotion with a non-empty buffer")
@@ -77,23 +82,28 @@ def _write(name: str, chunks: list, save_rest) -> None:
           f"{len(lines)} expected lines")
 
 
-def main() -> None:
-    _write(
-        "transactions",
-        gs.transaction_chunks(),
-        lambda rest, out: save_transactions(
-            TransactionDataset([t for c in rest for t in c], gs.N_ITEMS),
-            out / "rest.rows",
-        ),
+def _save_rows(rest: list, out: Path) -> None:
+    save_transactions(
+        TransactionDataset([t for c in rest for t in c], gs.N_ITEMS),
+        out / "rest.rows",
     )
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) != 2:
+        raise SystemExit(f"usage: {argv[0]} OUTPUT_DIR")
+    out = Path(argv[1])
+    _write(out, "transactions", gs.transaction_chunks(), _save_rows)
     _write(
+        out,
         "tabular",
         gs.tabular_chunks(),
         lambda rest, out: save_tabular(
             rest[0].concat_many(rest), out / "rest.npz"
         ),
     )
+    _write(out, "history", gs.history_chunks(), _save_rows)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)

@@ -1,0 +1,341 @@
+"""Checkpoint format 2: sealed history blocks, raw rows, v1 still resumes.
+
+A version-2 generation keeps the history's full blocks of
+``_HISTORY_BLOCK`` observations in write-once ``history-NNNN.json``
+files, linked by later generations like ring chunks, and only the open
+tail inline in ``state.json``. These tests pin that the blocks resume
+exactly (edited or not), that ``state.json`` stops growing with the
+stream, that a version-1 checkpoint upgrades in place, and that the
+committed version-2 fixtures in ``golden_v2/`` resume bit-identically.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import zipfile
+from dataclasses import replace
+from pathlib import Path
+
+import golden_stream as gs
+import numpy as np
+import pytest
+
+from repro.core.lits import LitsModel
+from repro.core.monitor import (
+    _HISTORY_BLOCK,
+    _HISTORY_FANOUT,
+    ChangeMonitor,
+    Observation,
+    _block_layout,
+)
+from repro.data.io import load_tabular, load_transactions
+from repro.data.quest_basket import generate_basket
+from repro.obs import MetricsRegistry, use_registry
+from repro.stream.chunks import iter_chunks, iter_tabular_chunks
+from repro.stream.monitor import OnlineChangeMonitor
+
+HERE = Path(__file__).parent
+N_ITEMS = 20
+#: tumbling windows of this many rows: one observation per window
+WINDOW = 8
+
+
+def builder(dataset):
+    return LitsModel.mine(dataset, 0.2, max_len=2)
+
+
+def tiny_monitor():
+    """Cheap-mode tumbling monitor: thousands of windows in a second."""
+    return OnlineChangeMonitor(
+        builder, N_ITEMS, window_size=WINDOW, step=None, n_boot=0,
+        delta_threshold=10.0,
+    )
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return list(
+        generate_basket(
+            WINDOW * 5_010, n_items=N_ITEMS, avg_transaction_len=4, seed=5
+        )
+    )
+
+
+def through_window(rows, n):
+    """The rows a tumbling monitor needs to emit window ``n``."""
+    return rows[: WINDOW * (n + 1)]
+
+
+def generation(directory: Path) -> Path:
+    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+    return directory / manifest["generation"]
+
+
+def state_of(directory: Path) -> dict:
+    return json.loads((generation(directory) / "state.json").read_text())
+
+
+def inodes(directory: Path) -> dict[str, int]:
+    return {p.name: p.stat().st_ino for p in generation(directory).iterdir()}
+
+
+def rest_chunks(golden: Path, scenario: str) -> list:
+    if scenario == "tabular":
+        table = load_tabular(golden / scenario / "rest.npz")
+        return list(iter_tabular_chunks(table, gs.CHUNK))
+    rows = load_transactions(golden / scenario / "rest.rows")
+    return list(iter_chunks(rows, gs.CHUNK))
+
+
+def resumed_lines(directory: Path, golden: Path, scenario: str) -> str:
+    monitor = gs.make_monitor(scenario)
+    monitor.resume(directory)
+    lines = []
+    for chunk in rest_chunks(golden, scenario):
+        lines.extend(gs.line(o) for o in monitor.push(chunk))
+    lines.extend(gs.line(o) for o in monitor.flush())
+    return "\n".join(lines) + "\n"
+
+
+class TestHistoryBlocks:
+    def test_layout_only_ever_merges_blocks(self):
+        """Blocks tile the history from 0 with a tail under
+        ``_HISTORY_BLOCK``; one more observation keeps every block or
+        merges a run of them into one of the next size."""
+        previous: list = []
+        for n in range(0, 6 * _HISTORY_BLOCK * _HISTORY_FANOUT):
+            layout = _block_layout(n)
+            ends = [0, *(start + size for start, size in layout)]
+            assert [start for start, _ in layout] == ends[:-1]
+            assert n - ends[-1] < _HISTORY_BLOCK
+            for start, size in previous:
+                assert any(
+                    s <= start and start + size <= s + z for s, z in layout
+                )
+            previous = layout
+
+    def test_full_runs_merge_and_the_merged_block_is_linked(
+        self, rows, tmp_path
+    ):
+        merged = _HISTORY_BLOCK * _HISTORY_FANOUT
+        m = tiny_monitor()
+        m.push(through_window(rows, merged + 3))
+        blocks = m.monitor.state()["monitor"]["history_blocks"]
+        assert [len(b) for b in blocks] == [merged]
+        m.checkpoint(tmp_path)
+        before = inodes(tmp_path)
+        m.push(through_window(rows, merged + _HISTORY_BLOCK)[m.rows_ingested :])
+        m.checkpoint(tmp_path)
+        assert inodes(tmp_path)["history-0000.json"] == before["history-0000.json"]
+        assert len(state_of(tmp_path)["monitor"]["history_blocks"]) == 2
+        resumed = tiny_monitor()
+        resumed.resume(tmp_path)
+        assert resumed.history == m.history
+
+    def test_state_seals_full_blocks_and_keeps_them(self, rows):
+        m = tiny_monitor()
+        m.push(through_window(rows, 2 * _HISTORY_BLOCK + 10))
+        first = m.monitor.state()["monitor"]
+        assert [len(b) for b in first["history_blocks"]] == [_HISTORY_BLOCK] * 2
+        assert len(first["history"]) == 10
+        again = m.monitor.state()["monitor"]
+        assert all(
+            a is b for a, b in zip(first["history_blocks"], again["history_blocks"])
+        )
+
+    def test_restore_accepts_the_v1_history_list(self, rows):
+        m = tiny_monitor()
+        m.push(through_window(rows, _HISTORY_BLOCK + 3))
+        state = m.monitor.state()
+        inner = state["monitor"]
+        v1 = {
+            "next_index": inner["next_index"],
+            "reference_index": inner["reference_index"],
+            "history": [o.to_row() for o in m.history],
+        }
+        fresh = ChangeMonitor(builder, n_boot=0, delta_threshold=10.0)
+        fresh.restore({"monitor": v1, "rng_state": None})
+        assert fresh.history == m.history
+        assert fresh.state()["monitor"]["history"] == inner["history"]
+
+    def test_checkpoint_links_sealed_blocks(self, rows, tmp_path):
+        m = tiny_monitor()
+        m.push(through_window(rows, 3 * _HISTORY_BLOCK + 5))
+        m.checkpoint(tmp_path)
+        before = inodes(tmp_path)
+        m.push(rows[m.rows_ingested : m.rows_ingested + WINDOW])
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            m.checkpoint(tmp_path)
+        after = inodes(tmp_path)
+        blocks = [f"history-{k:04d}.json" for k in range(3)]
+        assert state_of(tmp_path)["monitor"]["history_blocks"] == blocks
+        assert all(after[name] == before[name] for name in blocks)
+        assert registry.counter("resilience.checkpoint_files_linked") >= 3
+
+    def test_edited_history_is_resealed_and_resumes_as_edited(
+        self, rows, tmp_path
+    ):
+        m = tiny_monitor()
+        m.push(through_window(rows, 3 * _HISTORY_BLOCK + 5))
+        m.checkpoint(tmp_path)
+        before = inodes(tmp_path)
+        k = _HISTORY_BLOCK + 7  # inside block 1
+        m.history[k] = replace(m.history[k], deviation=-1.0, drifted=True)
+        m.checkpoint(tmp_path)
+        after = inodes(tmp_path)
+        assert after["history-0000.json"] == before["history-0000.json"]
+        assert after["history-0001.json"] != before["history-0001.json"]
+        assert after["history-0002.json"] == before["history-0002.json"]
+
+        resumed = tiny_monitor()
+        resumed.resume(tmp_path)
+        assert resumed.history == m.history
+        assert resumed.history[k].deviation == -1.0
+
+        # a truncated history drops its blocks past the new end
+        del m.history[_HISTORY_BLOCK + 1 :]
+        m.checkpoint(tmp_path)
+        assert state_of(tmp_path)["monitor"]["history_blocks"] == [
+            "history-0000.json"
+        ]
+        assert inodes(tmp_path)["history-0000.json"] == before["history-0000.json"]
+        again = tiny_monitor()
+        again.resume(tmp_path)
+        assert again.history == m.history
+
+    def test_resumed_blocks_are_linked_by_the_next_checkpoint(
+        self, rows, tmp_path
+    ):
+        m = tiny_monitor()
+        m.push(through_window(rows, 2 * _HISTORY_BLOCK + 5))
+        m.checkpoint(tmp_path)
+        before = inodes(tmp_path)
+        resumed = tiny_monitor()
+        resumed.resume(tmp_path)
+        resumed.checkpoint(tmp_path)
+        after = inodes(tmp_path)
+        for name in ("history-0000.json", "history-0001.json"):
+            assert after[name] == before[name]
+
+    def test_state_json_stops_growing_with_the_stream(self, rows, tmp_path):
+        """The largest inline tail comes just before the second block
+        seals; 5,000 windows later state.json is no larger."""
+        m = tiny_monitor()
+        sizes = {}
+        for n in (2 * _HISTORY_BLOCK - 1, 2 * _HISTORY_BLOCK, 5_000):
+            m.push(through_window(rows, n)[m.rows_ingested :])
+            assert len(m.history) == n
+            m.checkpoint(tmp_path)
+            sizes[n] = (generation(tmp_path) / "state.json").stat().st_size
+        assert sizes[5_000] <= max(
+            sizes[2 * _HISTORY_BLOCK - 1], sizes[2 * _HISTORY_BLOCK]
+        )
+        state = state_of(tmp_path)["monitor"]
+        # 4,096 + 3 x 256 + 2 x 64 observations sealed, 8 inline
+        assert len(state["history_blocks"]) == len(_block_layout(5_000)) == 6
+        assert len(state["history"]) == 5_000 % _HISTORY_BLOCK
+
+        resumed = tiny_monitor()
+        resumed.resume(tmp_path)
+        assert resumed.history == m.history
+        rest = rows[m.rows_ingested :]
+        assert resumed.push(rest) == m.push(rest)
+
+
+class TestBytesWritten:
+    def test_steady_checkpoint_counts_only_what_it_writes(self, tmp_path):
+        """The entering chunk's rows and sketch, and state.json."""
+        stream = list(
+            generate_basket(1_200, n_items=40, avg_transaction_len=5, seed=3)
+        )
+        m = OnlineChangeMonitor(
+            lambda d: LitsModel.mine(d, 0.05, max_len=2), 40,
+            window_size=400, step=200, n_boot=8,
+            rng=np.random.default_rng(11),
+        )
+        m.push(stream[:800])
+        m.checkpoint(tmp_path)
+        before = inodes(tmp_path)
+        m.push(stream[800:1_000])
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            m.checkpoint(tmp_path)
+        gen = generation(tmp_path)
+        # the ring shifted: the surviving chunk is linked under a new name
+        new = sorted(
+            name for name, ino in inodes(tmp_path).items()
+            if ino not in before.values()
+        )
+        assert new == ["chunk-0001.rows", "chunk-0001.sketch", "state.json"]
+        assert registry.counter("resilience.checkpoint_bytes_written") == sum(
+            (gen / name).stat().st_size for name in new
+        )
+
+
+def compressed(path: Path) -> bool:
+    with zipfile.ZipFile(path) as archive:
+        return any(
+            info.compress_type != zipfile.ZIP_STORED
+            for info in archive.infolist()
+        )
+
+
+@pytest.mark.parametrize("scenario", ["transactions", "tabular"])
+def test_v1_golden_upgrades_in_place(scenario, tmp_path):
+    """A resumed v1 checkpoint's next checkpoint writes version 2 into
+    the same directory, linking the v1 chunk files as they are."""
+    golden = HERE / "golden"
+    directory = tmp_path / "checkpoint"
+    shutil.copytree(golden / scenario / "checkpoint", directory)
+    upgraded = gs.make_monitor(scenario)
+    upgraded.resume(directory)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        upgraded.checkpoint(directory)
+    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+    assert manifest["version"] == 2
+    # the reference and both ring chunks' rows and sketches
+    assert registry.counter("resilience.checkpoint_files_linked") == 5
+    if scenario == "tabular":
+        assert compressed(generation(directory) / "chunk-0000.npz")
+        assert not compressed(generation(directory) / "buffer.npz")
+    assert resumed_lines(directory, golden, scenario) == (
+        golden / scenario / "expected.txt"
+    ).read_text()
+
+
+@pytest.mark.parametrize("scenario", ["transactions", "tabular", "history"])
+class TestGoldenV2:
+    golden = HERE / "golden_v2"
+
+    def test_checkpoint_is_v2_past_a_promotion_with_buffered_rows(
+        self, scenario
+    ):
+        directory = self.golden / scenario / "checkpoint"
+        manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+        assert manifest["version"] == 2
+        state = state_of(directory)
+        assert state["version"] == 2
+        assert state["buffer"] is not None
+        assert state["monitor"]["reference_index"] > 0
+        blocks = [
+            json.loads((generation(directory) / name).read_text())
+            for name in state["monitor"]["history_blocks"]
+        ]
+        assert (len(blocks) > 0) is (scenario == "history")
+        n = sum(map(len, blocks)) + len(state["monitor"]["history"])
+        assert [len(b) for b in blocks] == [z for _, z in _block_layout(n)]
+
+    def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
+        directory = tmp_path / "checkpoint"
+        shutil.copytree(self.golden / scenario / "checkpoint", directory)
+        assert resumed_lines(directory, self.golden, scenario) == (
+            self.golden / scenario / "expected.txt"
+        ).read_text()
+
+
+def test_observation_rows_round_trip():
+    o = Observation(3, 0.1 + 0.2, 97.5, True, 1)
+    assert Observation.from_row(json.loads(json.dumps(o.to_row()))) == o
