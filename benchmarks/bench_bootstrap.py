@@ -19,9 +19,17 @@ Acceptance bars, pinned here on a 50,000-row pooled dataset at
 * the vectorized null equals the loop oracle **exactly** under shared
   draws.
 
+Sequential qualification (draw scheme 3) is pinned on two streams of
+the pipeline benchmark's stream-lits shape: a stationary one and a
+drifted one, each against a full-``B`` oracle built from the same
+child generators. Verdicts must be equal, a stationary window that
+settles must stop after the first block (three fifths of ``B``), and
+every drifted window must draw all ``B``.
+
 The measured numbers are also written to ``BENCH_bootstrap.json`` next
-to this file (machine-readable: speedup, n_boot, rows, timings) so CI
-can archive the perf trajectory as an artifact.
+to this file (machine-readable: speedup, n_boot, rows, timings, and the
+``"sequential"`` replicate counts) so CI can archive the perf
+trajectory as an artifact.
 """
 
 from __future__ import annotations
@@ -36,15 +44,18 @@ import pytest
 from repro.core.deviation import deviation_over_structure
 from repro.core.gcr import gcr
 from repro.core.lits import LitsModel
-from repro.data.quest_basket import generate_basket
+from repro.core.monitor import _first_block
+from repro.data.quest_basket import build_pattern_pool, generate_basket
 from repro.data import transactions as transactions_module
 from repro.data.transactions import TransactionDataset
 from repro.obs import MetricsRegistry, use_registry
-from repro.stats.bootstrap import deviation_significance
+from repro.stats.bootstrap import BootstrapResult, deviation_significance
 from repro.stats.resample_plan import (
     compile_resample_plan,
     multiplicities_from_indices,
 )
+from repro.stream.chunks import iter_chunks
+from repro.stream.monitor import OnlineChangeMonitor
 
 #: Acceptance scale: a 50k-row pooled dataset (25k + 25k), the full
 #: paper-scale replicate count.
@@ -59,6 +70,23 @@ N_BOOT_ORACLE = 8
 MIN_SPEEDUP = 5.0
 
 JSON_PATH = Path(__file__).parent / "BENCH_bootstrap.json"
+
+#: The sequential-qualification streams: stream-lits' shape (500 items,
+#: 1,000 patterns, sliding 4,000-row windows in 1,000-row steps, B=20
+#: at 95%) over fewer rows.
+SEQ_ITEMS = 500
+SEQ_WINDOW = 4_000
+SEQ_STEP = 1_000
+SEQ_ROWS = 16_000
+SEQ_BOOT = 20
+SEQ_THRESHOLD = 95.0
+
+
+def _write_json(update: dict) -> None:
+    """Merge ``update`` into the JSON file, keeping the other tests' keys."""
+    payload = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
+    payload.update(update)
+    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _builder(dataset):
@@ -151,7 +179,7 @@ def test_count_space_engine_beats_replicate_loop(benchmark, workload):
         "min_speedup_asserted": MIN_SPEEDUP,
         "counters": counters,
     }
-    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(payload)
     print(
         f"\n{N_POOLED} pooled rows, {len(structure.regions)} regions, "
         f"n_boot={N_BOOT}: engine {t_fast:.2f}s vs loop {t_loop:.1f}s "
@@ -208,3 +236,117 @@ def test_vectorized_null_equals_oracle_under_shared_draws(workload):
         multiplicities_from_indices(idx2, N_POOLED),
     )
     assert np.array_equal(oracle, fast)
+
+
+def _seq_rows(drifted: bool) -> list:
+    """A reference window's rows, then rows from the same buying process
+    or, ``drifted``, from a process with longer patterns."""
+    pool = build_pattern_pool(
+        np.random.default_rng(0), n_items=SEQ_ITEMS, n_patterns=1_000,
+        avg_pattern_len=4,
+    )
+    rng = np.random.default_rng(11)
+    if not drifted:
+        return list(
+            generate_basket(
+                SEQ_ROWS, n_items=SEQ_ITEMS, avg_transaction_len=10,
+                rng=rng, pool=pool,
+            )
+        )
+    reference = generate_basket(
+        SEQ_WINDOW, n_items=SEQ_ITEMS, avg_transaction_len=10, rng=rng,
+        pool=pool,
+    )
+    after = generate_basket(
+        SEQ_ROWS - SEQ_WINDOW, n_items=SEQ_ITEMS, avg_transaction_len=10,
+        n_patterns=1_000, avg_pattern_len=6, rng=rng,
+    )
+    return list(reference) + list(after)
+
+
+def _sequential_run(rows: list, seed: int) -> dict:
+    """Monitor ``rows``; per window, the sequential verdict, replicates
+    drawn and time, against the full-B oracle from the same child."""
+    monitor = OnlineChangeMonitor(
+        lambda d: LitsModel.mine(d, 0.02, max_len=2), SEQ_ITEMS,
+        window_size=SEQ_WINDOW, step=SEQ_STEP, n_boot=SEQ_BOOT,
+        threshold=SEQ_THRESHOLD, rng=np.random.default_rng(seed),
+    )
+    inner = monitor.monitor
+    qualify = inner.observe_precomputed
+    registry = MetricsRegistry()
+    windows = []
+
+    def observe_precomputed(snapshot, delta, model=None, resample_plan=None):
+        before = registry.counter("monitor.qualify.replicates")
+        t0 = time.perf_counter()
+        observation = qualify(snapshot, delta, model, resample_plan)
+        elapsed = time.perf_counter() - t0
+        drawn = registry.counter("monitor.qualify.replicates") - before
+        windows.append((observation, drawn, elapsed, resample_plan))
+        return observation
+
+    inner.observe_precomputed = observe_precomputed
+    with use_registry(registry):
+        for chunk in iter_chunks(rows, SEQ_STEP):
+            monitor.push(chunk)
+    # the oracle: each window's child generator, drawing all B
+    parent = np.random.default_rng(seed)
+    equal = True
+    t_full = 0.0
+    for observation, _, _, plan in windows:
+        child = np.random.default_rng(int(parent.integers(0, 2**63)))
+        t0 = time.perf_counter()
+        full = plan.null_deviations(SEQ_BOOT, child)
+        t_full += time.perf_counter() - t0
+        significance = BootstrapResult(
+            observation.deviation, full
+        ).significance_percent
+        equal &= observation.drifted == (significance >= SEQ_THRESHOLD)
+    drawn = [n for _, n, _, _ in windows]
+    return {
+        "windows": len(windows),
+        "drifted": sum(o.drifted for o, _, _, _ in windows),
+        "verdicts_equal_full_b": bool(equal),
+        "mean_replicates": round(float(np.mean(drawn)), 3),
+        "min_replicates": int(min(drawn)),
+        "max_replicates": int(max(drawn)),
+        "settled_early": registry.counter("monitor.qualify.settled_early"),
+        "t_qualify_s": round(sum(t for _, _, t, _ in windows), 4),
+        "t_full_null_s": round(t_full, 4),
+    }
+
+
+def test_sequential_qualification_stops_only_settled_windows():
+    """Equal verdicts to full B; a stationary window settles after the
+    first block, and a drifted window draws all B."""
+    stationary = _sequential_run(_seq_rows(drifted=False), seed=3)
+    drifted = _sequential_run(_seq_rows(drifted=True), seed=3)
+    _write_json(
+        {
+            "sequential": {
+                "n_boot": SEQ_BOOT,
+                "threshold": SEQ_THRESHOLD,
+                "window": SEQ_WINDOW,
+                "step": SEQ_STEP,
+                "stationary": stationary,
+                "drifted": drifted,
+            }
+        }
+    )
+    print(
+        f"\nsequential qualification, B={SEQ_BOOT}: stationary "
+        f"{stationary['mean_replicates']} replicates per window "
+        f"({stationary['settled_early']}/{stationary['windows']} settled "
+        f"early, {stationary['t_qualify_s']}s vs {stationary['t_full_null_s']}s "
+        f"for full nulls); drifted {drifted['drifted']}/{drifted['windows']} "
+        f"windows at {drifted['mean_replicates']}"
+    )
+    for run in (stationary, drifted):
+        assert run["windows"] > 0
+        assert run["verdicts_equal_full_b"]
+    assert stationary["settled_early"] > 0
+    assert stationary["min_replicates"] == _first_block(SEQ_BOOT, SEQ_THRESHOLD)
+    assert stationary["mean_replicates"] < SEQ_BOOT
+    assert drifted["drifted"] == drifted["windows"]
+    assert drifted["min_replicates"] == drifted["max_replicates"] == SEQ_BOOT

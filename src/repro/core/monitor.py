@@ -9,7 +9,9 @@ time and effort."
 :class:`ChangeMonitor` packages that loop: fit a reference model once,
 then feed successive snapshots; each observation computes the FOCUS
 deviation against the reference, qualifies it with the bootstrap
-(Section 3.4), and reports whether the snapshot needs a real look.
+(Section 3.4), and reports whether the snapshot needs a real look. The
+bootstrap stops drawing once no further replicate could change the
+verdict (see :meth:`ChangeMonitor._qualify`).
 Reference policies:
 
 * ``"fixed"`` -- always compare against the original reference;
@@ -36,9 +38,15 @@ from repro._typing import DatasetLike, ModelBuilder, ModelLike
 from repro.core.aggregate import SUM, AggregateFunction
 from repro.core.deviation import deviation, deviation_many
 from repro.core.difference import ABSOLUTE, DifferenceFunction
+from repro.core.gcr import gcr
 from repro.errors import InvalidParameterError, NotFittedError
-from repro.stats.bootstrap import BootstrapResult, deviation_significance
-from repro.stats.resample_plan import _resolve_rng
+from repro.obs import metrics
+from repro.stats.bootstrap import (
+    BootstrapResult,
+    deviation_significance,
+    percent_below,
+)
+from repro.stats.resample_plan import _resolve_rng, compile_resample_plan
 
 if TYPE_CHECKING:
     from repro.stats.resample_plan import ResamplePlan
@@ -116,6 +124,28 @@ def _block_layout(n: int) -> list[tuple[int, int]]:
     return layout
 
 
+def _settled(exceeded: int, n_boot: int, threshold: float) -> bool:
+    """Whether ``exceeded`` replicates at or above the observed deviation
+    settle a window as not drifted: even if every replicate still to
+    come fell below it, its significance over all ``n_boot`` would stay
+    under ``threshold``."""
+    return percent_below(n_boot - exceeded, n_boot) < threshold
+
+
+def _first_block(n_boot: int, threshold: float) -> int:
+    """A sequential qualification's first block: three fifths of
+    ``n_boot`` and at least the fewest exceedances that settle a window,
+    or all ``n_boot`` when none can (threshold 0); a window it leaves
+    open draws the rest in one more call. Each draw call has a fixed
+    cost worth several replicates (a lits plan's GEMM streams the whole
+    pooled membership), so small first blocks make a stream's cost
+    follow how many of its windows drift: blocks of two that doubled
+    spread stream-lits' ``rows_per_s`` over input seeds three times
+    wider than three fifths (2-core VM, one BLAS thread)."""
+    settling = [e for e in range(1, n_boot + 1) if _settled(e, n_boot, threshold)]
+    return max(settling[0], -(-3 * n_boot // 5)) if settling else n_boot
+
+
 @dataclass(frozen=True)
 class Reference:
     """The snapshot observations are measured against; ``index`` is the
@@ -152,7 +182,8 @@ class ChangeMonitor:
     policy:
         ``"fixed"`` or ``"reset_on_drift"`` (see module docstring).
     rng:
-        Random generator for the bootstrap. Left ``None`` with the
+        Random generator for the bootstrap; each qualification draws one
+        seed from it for its own child generator. Left ``None`` with the
         bootstrap in play (``n_boot > 0``), an unseeded generator is
         created once at construction through the shared
         :func:`~repro.stats.resample_plan._resolve_rng` warn-path, like
@@ -164,7 +195,8 @@ class ChangeMonitor:
         :func:`repro.stats.bootstrap.deviation_significance`); the
         default holds the observed structures fixed, as the paper does,
         and qualifies through the count-space engine (one pooled scan
-        per qualification instead of ``n_boot`` rescans).
+        per qualification instead of ``n_boot`` rescans), drawing
+        replicates only until the verdict is settled.
     executor, n_blocks:
         Fan the engine's replicate blocks over a
         :mod:`repro.stream.executor` backend for large ``n_boot``. A
@@ -339,24 +371,7 @@ class ChangeMonitor:
             drifted = delta >= self.delta_threshold
             significance = 100.0 if drifted else 0.0
         else:
-            if resample_plan is not None:
-                # the observed deviation is the delta already computed
-                # (and recorded) for this snapshot -- only the null is
-                # drawn from the plan, sparing a redundant pooled
-                # column-sum per qualification
-                null = resample_plan.null_deviations(
-                    self.n_boot,
-                    self.rng,
-                    f=self.f,
-                    g=self.g,
-                    executor=self.executor,
-                    n_blocks=self.n_blocks,
-                )
-                significance = BootstrapResult(
-                    observed=delta, null_values=null
-                ).significance_percent
-            else:
-                significance = self._bootstrap_significance(snapshot, model)
+            significance = self._qualify(snapshot, delta, model, resample_plan)
             drifted = significance >= self.threshold
         observation = Observation(
             index, delta, significance, drifted, reference.index
@@ -370,36 +385,62 @@ class ChangeMonitor:
             )
         return observation
 
-    def _bootstrap_significance(
-        self, snapshot: DatasetLike, model: ModelLike | None
+    def _qualify(
+        self,
+        snapshot: DatasetLike,
+        delta: float,
+        model: ModelLike | None,
+        plan: "ResamplePlan | None",
     ) -> float:
-        """Qualify via the bootstrap, reusing the cached reference model.
+        """The bootstrap significance of ``delta``, sequentially drawn.
 
-        With ``refit_models=False`` the GCR structure is fixed, so the
-        reference model (induced once at :meth:`fit`) and the
-        snapshot's model (passed down from :meth:`observe` /
-        :meth:`observe_many` when they already built it) are handed to
-        :func:`deviation_significance` as ``models`` -- no re-mining,
-        and the null comes from the count-space engine.
+        Each qualification draws from its own child generator, seeded by
+        one draw from :attr:`rng` (:data:`~repro.stats.DRAW_SCHEME` 3),
+        so the replicates one snapshot uses never move a later one's.
+        With the structure fixed, the null comes from a count-space
+        plan -- ``plan``, or one compiled here over the reference model
+        and the snapshot's -- in at most two blocks: the first of
+        :func:`_first_block` replicates, and the rest only if the first
+        leaves the snapshot's verdict open, stopping once the
+        exceedances settle it as not drifted. Consecutive blocks
+        consume the child's stream as one call would, so the drawn null
+        is a prefix of the full one and the verdict is the full null's;
+        the recorded significance is over the replicates drawn.
+        ``refit_models`` and structures with no count-space plan run the
+        per-replicate loop over all ``n_boot`` replicates.
         """
-        reference = self.reference
+        assert self.rng is not None  # __post_init__ creates it for n_boot > 0
+        reference, n_boot = self.reference, self.n_boot
+        child = np.random.default_rng(int(self.rng.integers(0, 2**63)))
+        engine: dict[str, Any] = dict(
+            f=self.f, g=self.g, executor=self.executor, n_blocks=self.n_blocks
+        )
         models = None
-        if not self.refit_models:
+        if plan is None and not self.refit_models:
             m2 = model if model is not None else self.model_builder(snapshot)
             models = (reference.model, m2)
-        return deviation_significance(
-            reference.dataset,
-            snapshot,
-            self.model_builder,
-            f=self.f,
-            g=self.g,
-            n_boot=self.n_boot,
-            rng=self.rng,
-            refit_models=self.refit_models,
-            models=models,
-            executor=self.executor,
-            n_blocks=self.n_blocks,
-        ).significance_percent
+            structure = gcr(reference.model.structure, m2.structure)
+            plan = compile_resample_plan(structure, reference.dataset, snapshot)
+        sink = metrics()
+        if plan is None:
+            sink.inc("monitor.qualify.replicates", n_boot)
+            return deviation_significance(
+                reference.dataset, snapshot, self.model_builder, n_boot=n_boot,
+                rng=child, refit_models=self.refit_models, models=models,
+                **engine,
+            ).significance_percent
+        block = _first_block(n_boot, self.threshold)
+        nulls: list[np.ndarray] = []
+        drawn = exceeded = 0
+        while drawn < n_boot and not _settled(exceeded, n_boot, self.threshold):
+            size = n_boot - drawn if drawn else block
+            nulls.append(plan.null_deviations(size, child, **engine))
+            drawn += size
+            exceeded += int(np.count_nonzero(~(nulls[-1] < delta)))
+        sink.inc("monitor.qualify.replicates", drawn)
+        if drawn < n_boot:
+            sink.inc("monitor.qualify.settled_early")
+        return BootstrapResult(delta, np.concatenate(nulls)).significance_percent
 
     def observe(self, snapshot: DatasetLike) -> Observation:
         """Qualify one new snapshot against the current reference."""

@@ -74,6 +74,7 @@ from repro.obs import metrics
 from repro.stats.resample_plan import DRAW_SCHEME
 from repro.stream.sketch import PartitionSketch, SupportSketch
 from repro.wire import pack, unpack_partition_sketch, unpack_support_sketch
+from repro.wire.sketches import partition_sketch_packer
 
 _MANIFEST = "CHECKPOINT.json"
 _STATE = "state.json"
@@ -107,6 +108,10 @@ class _WriteLedger:
     generation: str
     state_crc: int = 0
     entries: dict[int, tuple[Any, str, int]] = field(default_factory=dict)
+    #: a tabular reference model and its sketch packer, which encoded
+    #: the model once; handed on to the next ledger until a promotion
+    #: replaces the model
+    packer: tuple[Any, Callable[[Any], bytes]] | None = None
 
     def lookup(self, obj: Any) -> tuple[str, int] | None:
         """``(committed path, crc)`` of ``obj``'s file, if recorded."""
@@ -198,7 +203,12 @@ def _write_generation(
     gen_dir.mkdir(parents=True)
     # plain strings: a checkpoint joins a path per file it holds
     target = os.fspath(gen_dir)
-    ledger = _WriteLedger(directory.resolve(), generation)
+    last: _WriteLedger | None = monitor.checkpoint_ledger
+    ledger = _WriteLedger(
+        directory.resolve(),
+        generation,
+        packer=None if last is None else last.packer,
+    )
     files: dict[str, int] = {}
     sink = metrics()
     rows_suffix = ".rows" if monitor.kind == "transactions" else ".npz"
@@ -271,7 +281,7 @@ def _write_generation(
                 sketch,
                 f"chunk-{i:04d}.sketch",
                 lambda name, sketch=sketch: put_bytes(
-                    name, _pack_sketch(monitor, sketch)
+                    name, _pack_sketch(monitor, ledger, sketch)
                 ),
             )
             chunks.append({"rows": rows_name, "sketch": sketch_name})
@@ -375,7 +385,7 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
     manifest = _read_manifest(directory)
     gen_dir = directory / str(manifest["generation"])
     state = _read_state(gen_dir, int(manifest["state_crc"]))
-    _check_fingerprint(monitor, state["config"], directory)
+    _check_fingerprint(monitor, state["config"], state["rng_state"], directory)
     _check_files(gen_dir, state["files"])
 
     def rows(name: str | None) -> Any:
@@ -506,19 +516,24 @@ def _read_state(gen_dir: Path, expected_crc: int) -> dict[str, Any]:
 
 
 def _check_fingerprint(
-    monitor: Any, saved: dict[str, Any], directory: Path
+    monitor: Any, saved: dict[str, Any], rng_state: Any, directory: Path
 ) -> None:
     current = _fingerprint(monitor)
     # a checkpoint without the key predates versioned draws (scheme 1)
     scheme = saved.get("draw_scheme", 1)
     if scheme != DRAW_SCHEME:
-        raise CheckpointError(
-            f"checkpoint was written under bootstrap draw scheme {scheme}, "
-            f"but this engine draws with scheme {DRAW_SCHEME}: its saved "
-            "generator state would resume on a different random stream. "
-            "Restart the stream without this checkpoint",
-            path=str(directory),
-        )
+        if rng_state is not None:
+            raise CheckpointError(
+                f"checkpoint was written under bootstrap draw scheme "
+                f"{scheme}, but this engine draws with scheme "
+                f"{DRAW_SCHEME}: its saved generator state would resume on "
+                "a different random stream. Restart the stream without "
+                "this checkpoint",
+                path=str(directory),
+            )
+        # no generator state (n_boot=0): nothing random to resume, so
+        # the checkpoint means the same under every scheme
+        saved = {**saved, "draw_scheme": DRAW_SCHEME}
     if current != saved:
         diff = sorted(
             k
@@ -653,11 +668,16 @@ def _load_block(path: Path) -> tuple[Observation, ...]:
         ) from exc
 
 
-def _pack_sketch(monitor: Any, sketch: Any) -> bytes:
+def _pack_sketch(monitor: Any, ledger: _WriteLedger, sketch: Any) -> bytes:
+    """The sketch's wire bytes; a tabular sketch embeds the reference
+    model, encoded once per reference through the ledger's packer."""
     if monitor.kind == "transactions":
         return pack(sketch)
+    model = monitor.monitor.reference.model
     try:
-        return pack(sketch, model=monitor.monitor.reference.model)
+        if ledger.packer is None or ledger.packer[0] is not model:
+            ledger.packer = (model, partition_sketch_packer(model))
+        return ledger.packer[1](sketch)
     except FocusError as exc:
         raise CheckpointError(
             "window sketches could not be wire-packed (checkpointing a "

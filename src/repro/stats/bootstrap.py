@@ -66,7 +66,8 @@ class BootstrapResult:
         """
         if len(self.null_values) == 0:
             return 0.0
-        return 100.0 * float(np.mean(self.null_values < self.observed))
+        below = int(np.count_nonzero(self.null_values < self.observed))
+        return percent_below(below, len(self.null_values))
 
     @property
     def p_value(self) -> float:
@@ -93,6 +94,13 @@ class BootstrapResult:
         if len(self.null_values) == 0:
             return 1.0
         return float(np.mean(self.null_values >= self.observed))
+
+
+def percent_below(below: int, n_boot: int) -> float:
+    """``100 * below / n_boot`` as :attr:`BootstrapResult.significance_percent`
+    computes it: one float expression, shared by every rule that must
+    agree with a recorded significance (the monitor's sequential stop)."""
+    return 100.0 * (below / n_boot)
 
 
 def significance_of_statistic(

@@ -79,13 +79,18 @@ if TYPE_CHECKING:
 #: stay far below 2**53).
 _FLOAT32_EXACT_ROWS = 1 << 24
 
-#: Version of the row-multiplicity draw, part of the seed contract: a
-#: seeded count-space null reproduces only under the same scheme, so
-#: monitor checkpoints record it and refuse to resume across a change.
+#: Version of the bootstrap's random stream, part of the seed contract:
+#: a seeded null reproduces only under the same scheme, so monitor
+#: checkpoints record it and refuse to resume across a change.
 #: Scheme 1 drew one ``rng.multinomial`` per side; scheme 2 draws the
 #: ``(B, n1 + n2)`` row-pick matrix (:func:`draw_multiplicities`), the
-#: stream the per-replicate loop oracle consumes.
-DRAW_SCHEME = 2
+#: stream the per-replicate loop oracle consumes. Scheme 3 keeps those
+#: picks, draws the counts-only plan's multinomials replicate by
+#: replicate, and gives every monitor qualification a child generator
+#: seeded by one draw from the monitor's; the qualification draws its
+#: replicates in at most two blocks and stops once its verdict is
+#: settled (:class:`repro.core.monitor.ChangeMonitor`).
+DRAW_SCHEME = 3
 
 #: Cap on the transient draw state per replicate chunk: the int64 pick
 #: matrix plus the stacked multiplicity rows. Beyond it, replicates are
@@ -1011,9 +1016,12 @@ class CountsResamplePlan(ResamplePlan):
     ) -> tuple[np.ndarray, np.ndarray]:
         metrics().inc("bootstrap.replicates.multinomial", n_boot)
         r = len(self._counts1)
-        counts1 = rng.multinomial(self.n1, self._pvals, size=n_boot)[:, :r]
-        counts2 = rng.multinomial(self.n2, self._pvals, size=n_boot)[:, :r]
-        return counts1.astype(np.int64), counts2.astype(np.int64)
+        # replicate-major, side 1 then side 2 per replicate: consecutive
+        # blocks of replicates consume the same stream as one call
+        counts = rng.multinomial(
+            [self.n1, self.n2], self._pvals, size=(n_boot, 2)
+        )[:, :, :r].astype(np.int64)
+        return counts[:, 0], counts[:, 1]
 
 
 def compile_resample_plan(

@@ -26,6 +26,8 @@ instead of handing the deviation engine poisoned counts.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.cluster_model import ClusterModel
@@ -144,26 +146,43 @@ def pack_partition_sketch(
     sketch over a GCR overlay (or any structure without an inducing
     model) cannot travel; ship the two originals instead.
     """
+    return partition_sketch_packer(model)(sketch)
+
+
+def partition_sketch_packer(
+    model: PartitionModel,
+) -> Callable[[PartitionSketch], bytes]:
+    """:func:`pack_partition_sketch` with ``model`` encoded once.
+
+    The returned function packs any sketch over ``model``'s structure
+    to the same bytes, reusing one model section: a caller that packs
+    many sketches of one reference (a checkpoint's window ring) skips
+    re-encoding the model per sketch.
+    """
     if not isinstance(model, (DtModel, ClusterModel)):
         raise InvalidParameterError(
             f"a partition sketch ships with its inducing dt- or "
             f"cluster-model, got {type(model).__name__}"
         )
-    if model.structure.counts_key != sketch.key:
-        raise InvalidParameterError(
-            "model structure does not match the sketch: the sketch counts "
-            "a different partition (GCR-overlay sketches have no inducing "
-            "model and are not packable -- ship the original sketches)"
+    model_payload = pack_model(model)
+    key = model.structure.counts_key
+
+    def packer(sketch: PartitionSketch) -> bytes:
+        if sketch.key != key:
+            raise InvalidParameterError(
+                "model structure does not match the sketch: the sketch "
+                "counts a different partition (GCR-overlay sketches have "
+                "no inducing model and are not packable -- ship the "
+                "original sketches)"
+            )
+        meta = pack_json({"n_rows": sketch.n_rows})
+        counts = pack_array(np.asarray(sketch.counts, dtype=np.int64))
+        return pack_envelope(
+            KIND_PARTITION_SKETCH,
+            [("meta", meta), ("model", model_payload), ("counts", counts)],
         )
-    meta = pack_json({"n_rows": sketch.n_rows})
-    return pack_envelope(
-        KIND_PARTITION_SKETCH,
-        [
-            ("meta", meta),
-            ("model", pack_model(model)),
-            ("counts", pack_array(np.asarray(sketch.counts, dtype=np.int64))),
-        ],
-    )
+
+    return packer
 
 
 def _partition_from_envelope(

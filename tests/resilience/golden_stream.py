@@ -2,7 +2,9 @@
 
 ``golden/`` holds version-1 checkpoints of the ``transactions`` and
 ``tabular`` scenarios, ``golden_v2/`` version-2 checkpoints of those
-and of ``history``, whose history spans sealed blocks. Shared by
+and of ``history``, whose history spans sealed blocks, all under
+bootstrap draw scheme 2; ``golden_scheme3/`` holds version-2,
+scheme-3 checkpoints of the two bootstrap scenarios. Shared by
 ``make_golden.py`` (which wrote the committed checkpoints) and the
 golden tests (which resume them): the monitor configuration here must
 match the fingerprint the checkpoints carry.

@@ -1,16 +1,20 @@
 """Regenerate the committed golden checkpoints into a directory.
 
-Run from the repository root with the directory to write::
+Run from the repository root with the directory to write and,
+optionally, the scenarios to write (all three by default)::
 
     PYTHONPATH=src python tests/resilience/make_golden.py tests/resilience/golden_v2
+    PYTHONPATH=src python tests/resilience/make_golden.py \
+        tests/resilience/golden_scheme3 transactions tabular
 
-The checkpoints are written in the current format version. Only run
-this when that version is deliberately bumped, into a new directory:
-each golden directory pins that a checkpoint written by an older build
-resumes bit-identically, so the committed files never regenerate on
-CI, and a scenario directory that already exists is refused rather
-than overwritten (``golden/`` holds the version-1 fixtures, which no
-current build can write).
+The checkpoints are written in the current format version and draw
+scheme. Only run this when one of those is deliberately bumped, into a
+new directory: each golden directory pins what a checkpoint written by
+an older build means, so the committed files never regenerate on CI,
+and a scenario directory that already exists is refused rather than
+overwritten (``golden/`` holds the version-1 fixtures, which no
+current build can write; ``golden/`` and ``golden_v2/`` hold scheme-2
+bootstrap checkpoints, ``golden_scheme3/`` their scheme-3 successors).
 
 Each scenario is pushed in chunks that do not align with the monitor's
 step, checkpointing after every push, until the monitor is past at
@@ -89,20 +93,28 @@ def _save_rows(rest: list, out: Path) -> None:
     )
 
 
-def main(argv: list[str]) -> None:
-    if len(argv) != 2:
-        raise SystemExit(f"usage: {argv[0]} OUTPUT_DIR")
-    out = Path(argv[1])
-    _write(out, "transactions", gs.transaction_chunks(), _save_rows)
-    _write(
-        out,
-        "tabular",
-        gs.tabular_chunks(),
+SCENARIOS = {
+    "transactions": (gs.transaction_chunks, _save_rows),
+    "tabular": (
+        gs.tabular_chunks,
         lambda rest, out: save_tabular(
             rest[0].concat_many(rest), out / "rest.npz"
         ),
-    )
-    _write(out, "history", gs.history_chunks(), _save_rows)
+    ),
+    "history": (gs.history_chunks, _save_rows),
+}
+
+
+def main(argv: list[str]) -> None:
+    names = argv[2:] or list(SCENARIOS)
+    if len(argv) < 2 or not set(names) <= set(SCENARIOS):
+        raise SystemExit(
+            f"usage: {argv[0]} OUTPUT_DIR [{' | '.join(SCENARIOS)} ...]"
+        )
+    out = Path(argv[1])
+    for name in names:
+        chunks, save_rest = SCENARIOS[name]
+        _write(out, name, chunks(), save_rest)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,20 @@
-"""Checkpoint format 2: sealed history blocks, raw rows, v1 still resumes.
+"""Checkpoint format 2: sealed history blocks, raw rows, scheme-3 goldens.
 
 A version-2 generation keeps the history's full blocks of
 ``_HISTORY_BLOCK`` observations in write-once ``history-NNNN.json``
 files, linked by later generations like ring chunks, and only the open
 tail inline in ``state.json``. These tests pin that the blocks resume
-exactly (edited or not), that ``state.json`` stops growing with the
-stream, that a version-1 checkpoint upgrades in place, and that the
-committed version-2 fixtures in ``golden_v2/`` resume bit-identically.
+exactly (edited or not) and that ``state.json`` stops growing with
+the stream. Of the committed fixtures, ``golden_v2/history`` (no
+generator state) resumes bit-identically, the scheme-2 bootstrap
+checkpoints in ``golden/`` and ``golden_v2/`` are refused typed, and
+the ``golden_scheme3/`` ones resume bit-identically.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,9 +32,13 @@ from repro.core.monitor import (
 )
 from repro.data.io import load_tabular, load_transactions
 from repro.data.quest_basket import generate_basket
+from repro.errors import CheckpointError
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream.chunks import iter_chunks, iter_tabular_chunks
 from repro.stream.monitor import OnlineChangeMonitor
+from repro.wire import pack, unpack_partition_payload
+from repro.wire import sketches as wire_sketches
+from repro.wire.sketches import partition_sketch_packer
 
 HERE = Path(__file__).parent
 N_ITEMS = 20
@@ -274,36 +279,28 @@ class TestBytesWritten:
         )
 
 
-def compressed(path: Path) -> bool:
-    with zipfile.ZipFile(path) as archive:
-        return any(
-            info.compress_type != zipfile.ZIP_STORED
-            for info in archive.infolist()
-        )
+def refuses_scheme_2(directory: Path, scenario: str) -> None:
+    """Resuming a scheme-2 bootstrap checkpoint fails typed, naming both
+    schemes, before the monitor or the directory is touched."""
+    before = sorted(p.name for p in directory.iterdir())
+    monitor = gs.make_monitor(scenario)
+    with pytest.raises(CheckpointError, match="scheme 2.*scheme 3"):
+        monitor.resume(directory)
+    assert monitor.rows_ingested == 0 and monitor.history == []
+    assert sorted(p.name for p in directory.iterdir()) == before
 
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular"])
 def test_v1_golden_upgrades_in_place(scenario, tmp_path):
-    """A resumed v1 checkpoint's next checkpoint writes version 2 into
-    the same directory, linking the v1 chunk files as they are."""
+    """A v1 checkpoint holding a scheme-2 generator state is refused, so
+    it is never upgraded: the directory stays a version-1 checkpoint."""
     golden = HERE / "golden"
     directory = tmp_path / "checkpoint"
     shutil.copytree(golden / scenario / "checkpoint", directory)
-    upgraded = gs.make_monitor(scenario)
-    upgraded.resume(directory)
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        upgraded.checkpoint(directory)
+    assert state_of(directory)["rng_state"] is not None
+    refuses_scheme_2(directory, scenario)
     manifest = json.loads((directory / "CHECKPOINT.json").read_text())
-    assert manifest["version"] == 2
-    # the reference and both ring chunks' rows and sketches
-    assert registry.counter("resilience.checkpoint_files_linked") == 5
-    if scenario == "tabular":
-        assert compressed(generation(directory) / "chunk-0000.npz")
-        assert not compressed(generation(directory) / "buffer.npz")
-    assert resumed_lines(directory, golden, scenario) == (
-        golden / scenario / "expected.txt"
-    ).read_text()
+    assert manifest["version"] == 1
 
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular", "history"])
@@ -318,6 +315,7 @@ class TestGoldenV2:
         assert manifest["version"] == 2
         state = state_of(directory)
         assert state["version"] == 2
+        assert state["config"]["draw_scheme"] == 2
         assert state["buffer"] is not None
         assert state["monitor"]["reference_index"] > 0
         blocks = [
@@ -327,6 +325,39 @@ class TestGoldenV2:
         assert (len(blocks) > 0) is (scenario == "history")
         n = sum(map(len, blocks)) + len(state["monitor"]["history"])
         assert [len(b) for b in blocks] == [z for _, z in _block_layout(n)]
+
+    def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
+        """``history`` (n_boot=0) drew no randomness, so its scheme-2
+        checkpoint resumes bit-identically under scheme 3; the bootstrap
+        scenarios carry a scheme-2 generator state and are refused."""
+        directory = tmp_path / "checkpoint"
+        shutil.copytree(self.golden / scenario / "checkpoint", directory)
+        if scenario != "history":
+            assert state_of(directory)["rng_state"] is not None
+            refuses_scheme_2(directory, scenario)
+            return
+        assert state_of(directory)["rng_state"] is None
+        assert resumed_lines(directory, self.golden, scenario) == (
+            self.golden / scenario / "expected.txt"
+        ).read_text()
+
+
+@pytest.mark.parametrize("scenario", ["transactions", "tabular"])
+class TestGoldenScheme3:
+    """Bootstrap checkpoints written under draw scheme 3 resume exactly."""
+
+    golden = HERE / "golden_scheme3"
+
+    def test_checkpoint_is_scheme_3_past_a_promotion_with_buffered_rows(
+        self, scenario
+    ):
+        state = state_of(self.golden / scenario / "checkpoint")
+        assert state["version"] == 2
+        assert state["config"]["draw_scheme"] == 3
+        assert state["rng_state"] is not None
+        assert state["buffer"] is not None
+        assert state["windows"] is not None
+        assert state["monitor"]["reference_index"] > 0
 
     def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
         directory = tmp_path / "checkpoint"
@@ -339,3 +370,48 @@ class TestGoldenV2:
 def test_observation_rows_round_trip():
     o = Observation(3, 0.1 + 0.2, 97.5, True, 1)
     assert Observation.from_row(json.loads(json.dumps(o.to_row()))) == o
+
+
+class TestSketchPacking:
+    """A tabular checkpoint encodes its reference model once per
+    reference, and its sketch files keep their bytes."""
+
+    def test_committed_sketches_repack_to_the_same_bytes(self):
+        # golden_v2 was written when every sketch re-encoded its model
+        gen = generation(HERE / "golden_v2" / "tabular" / "checkpoint")
+        paths = sorted(gen.glob("chunk-*.sketch"))
+        assert paths
+        for path in paths:
+            sketch, model = unpack_partition_payload(path.read_bytes())
+            assert partition_sketch_packer(model)(sketch) == path.read_bytes()
+
+    def test_model_is_packed_once_per_reference(self, tmp_path, monkeypatch):
+        calls = []
+        real = wire_sketches.pack_model
+
+        def counting_pack_model(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(wire_sketches, "pack_model", counting_pack_model)
+        monitor = gs.make_monitor("tabular")
+        references = []
+        packed = []
+        sketches = 0
+        for chunk in gs.tabular_chunks():
+            monitor.push(chunk)
+            calls.clear()
+            monitor.checkpoint(tmp_path)
+            packed += calls
+            if monitor.windows is None:
+                continue
+            model = monitor.monitor.reference.model
+            if not references or references[-1] is not model:
+                references.append(model)
+            for path in generation(tmp_path).glob("chunk-*.sketch"):
+                sketch = unpack_partition_payload(path.read_bytes())[0]
+                sketches += 1
+                assert pack(sketch, model=model) == path.read_bytes()
+        # past a promotion, with more sketches written than references
+        assert len(references) > 1 and sketches > 2 * len(references)
+        assert [id(m) for m in packed] == [id(m) for m in references]

@@ -1,12 +1,14 @@
-"""Golden v1 checkpoints: an older build's checkpoint resumes exactly.
+"""Golden v1 checkpoints: an older build's bootstrap checkpoint is refused.
 
 ``golden/<scenario>/checkpoint/`` holds a committed checkpoint written
 by ``make_golden.py`` mid-stream, past a ``reset_on_drift`` promotion
 and with rows in the monitor's buffer; ``rest.*`` holds the stream's
 remaining rows and ``expected.txt`` the observations the uninterrupted
-run emitted for them. Resuming today must reproduce those lines at full
-float precision, so a refactor of the monitor or the checkpoint writer
-cannot silently change what a v1 checkpoint means.
+run emitted for them under bootstrap draw scheme 2. Both scenarios
+carry a generator state drawn under scheme 2, which no scheme-3 build
+can continue, so resuming them must fail typed, naming both schemes,
+instead of emitting observations on a different random stream.
+``golden_scheme3/`` pins bit-identical resume for the current scheme.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import golden_stream as gs
 import pytest
 
 from repro.data.io import load_tabular, load_transactions
+from repro.errors import CheckpointError
 from repro.stream.chunks import iter_chunks, iter_tabular_chunks
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,14 +51,13 @@ class TestGoldenCheckpoint:
         assert state["monitor"]["reference_index"] > 0
 
     def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
-        # a copy: the resumed monitor's next checkpoint would write here
+        """The scheme-2 run cannot be continued under scheme 3: the
+        resume refuses, names both schemes and leaves the monitor
+        fresh, so nothing is emitted on a different random stream."""
         directory = tmp_path / "checkpoint"
         shutil.copytree(GOLDEN / scenario / "checkpoint", directory)
+        assert _rest(scenario)  # the run continued past the checkpoint
         monitor = gs.make_monitor(scenario)
-        monitor.resume(directory)
-        lines = []
-        for chunk in _rest(scenario):
-            lines.extend(gs.line(o) for o in monitor.push(chunk))
-        lines.extend(gs.line(o) for o in monitor.flush())
-        expected = (GOLDEN / scenario / "expected.txt").read_text()
-        assert "\n".join(lines) + "\n" == expected
+        with pytest.raises(CheckpointError, match="scheme 2.*scheme 3"):
+            monitor.resume(directory)
+        assert monitor.rows_ingested == 0 and monitor.history == []

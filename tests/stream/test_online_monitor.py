@@ -352,29 +352,58 @@ class TestCountSpaceQualification:
         assert len(separate_builds) == 2 * n_chunks + 1
         assert separate == shared
 
-    def test_stream_significance_matches_offline_engine(self, drifting_stream):
-        """A window qualified from sketches equals the offline
-        count-space significance over the materialised pair, given the
-        same generator state."""
+    def test_stream_significance_matches_offline_engine(
+        self, drifting_stream, monkeypatch
+    ):
+        """A window qualified from sketches draws a prefix of the offline
+        count-space null over the materialised pair, from the child
+        generator the monitor seeds (draw scheme 3), and its verdict is
+        the verdict of that child's full null."""
         from repro.core.gcr import gcr
-        from repro.stats.resample_plan import compile_resample_plan
+        from repro.stats.bootstrap import BootstrapResult
+        from repro.stats.resample_plan import (
+            ResamplePlan,
+            compile_resample_plan,
+        )
 
         stream, _ = drifting_stream
         monitor = OnlineChangeMonitor(
             builder, N_ITEMS, window_size=1_000, step=1_000,
-            n_boot=10, rng=np.random.default_rng(17),
+            n_boot=40, rng=np.random.default_rng(17),
         )
-        observations = monitor.push(stream[:2_000])
-        assert len(observations) == 1
+        blocks = []
+        null_deviations = ResamplePlan.null_deviations
 
-        reference = TransactionDataset(stream[:1_000], N_ITEMS)
-        window = TransactionDataset(stream[1_000:2_000], N_ITEMS)
+        def spy(plan, *args, **kwargs):
+            blocks.append(null_deviations(plan, *args, **kwargs))
+            return blocks[-1]
+
+        # the window shares half its rows with the reference, so its
+        # deviation sits low in the null and settles early
+        rows = stream[:1_000] + stream[500:1_500]
+        monkeypatch.setattr(ResamplePlan, "null_deviations", spy)
+        observations = monitor.push(rows)
+        monkeypatch.undo()
+        assert len(observations) == 1
+        drawn = np.concatenate(blocks)
+
+        reference = TransactionDataset(rows[:1_000], N_ITEMS)
+        window = TransactionDataset(rows[1_000:], N_ITEMS)
         model = builder(reference)
         structure = gcr(model.structure, model.structure)
         plan = compile_resample_plan(structure, reference, window)
-        offline = plan.significance(10, np.random.default_rng(17))
-        assert observations[0].significance == pytest.approx(
-            offline.significance_percent
+        seed = int(np.random.default_rng(17).integers(0, 2**63))
+        full = plan.null_deviations(40, np.random.default_rng(seed))
+        assert np.array_equal(drawn, full[: len(drawn)])
+        # one block of three fifths of B=40 settles it
+        assert [len(b) for b in blocks] == [24]
+        observation = observations[0]
+        assert observation.significance == BootstrapResult(
+            observation.deviation, drawn
+        ).significance_percent
+        assert observation.drifted == (
+            BootstrapResult(observation.deviation, full).significance_percent
+            >= 95.0
         )
 
     def test_bootstrap_fanning_plumbs_through(self, drifting_stream):
