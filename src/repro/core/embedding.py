@@ -25,7 +25,6 @@ from repro.core.aggregate import SUM, AggregateFunction
 from repro.core.difference import ABSOLUTE, DifferenceFunction
 from repro.core.lits import LitsModel
 from repro.core.model import Model
-from repro.core.upper_bound import upper_bound_deviation
 from repro.errors import IncompatibleModelsError, InvalidParameterError
 
 
@@ -56,15 +55,15 @@ def _check_fleet_of_models(models: Sequence[Any], what: str) -> None:
 def upper_bound_matrix(
     models: Sequence[LitsModel], g: AggregateFunction = SUM
 ) -> np.ndarray:
-    """Pairwise ``delta*`` distances over lits-models (no dataset scans)."""
+    """Pairwise ``delta*`` distances over lits-models (no dataset scans).
+
+    The fleet vocabulary's kernel: each entry equals
+    :func:`~repro.core.upper_bound.upper_bound_deviation` bit for bit.
+    """
+    from repro.fleet.vocab import LitsVocabulary  # cycle-free at call
+
     _check_fleet_of_models(models, "delta* matrix")
-    n = len(models)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = upper_bound_deviation(models[i], models[j], g=g).value
-            out[i, j] = out[j, i] = value
-    return out
+    return LitsVocabulary(models).bound_matrix(g)
 
 
 def deviation_matrix(

@@ -325,10 +325,10 @@ class ChangeMonitor:
     def restore(self, state: dict[str, Any]) -> None:
         """Adopt a :meth:`state`, so the next observation continues it.
 
-        ``"history_blocks"`` holds sequences of observations; it is
-        absent from a format-1 checkpoint, whose ``"history"`` rows are
-        the whole history. Blocks passed as tuples stay the sealed
-        blocks' objects, so a checkpoint links their files again.
+        ``"history_blocks"`` holds sequences of observations, and
+        ``"history"`` the rows after them. Blocks passed as tuples stay
+        the sealed blocks' objects, so a checkpoint links their files
+        again.
         """
         saved = state["monitor"]
         self._next_index = int(saved["next_index"])
@@ -336,7 +336,7 @@ class ChangeMonitor:
             self._reference = replace(
                 self._reference, index=int(saved["reference_index"])
             )
-        blocks = [tuple(block) for block in saved.get("history_blocks", ())]
+        blocks = [tuple(block) for block in saved["history_blocks"]]
         self.history[:] = [o for block in blocks for o in block]
         self.history.extend(Observation.from_row(r) for r in saved["history"])
         # the next state() re-seals any block off its layout

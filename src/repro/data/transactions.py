@@ -46,10 +46,6 @@ from repro.obs import metrics
 # Popcount lookup for uint8 values; POPCOUNT[b] = number of set bits in b.
 POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint32)
 
-#: ``np.bitwise_count`` (numpy >= 2.0) popcounts a uint64 view of the
-#: packed matrix far faster than the byte-LUT gather; fall back otherwise.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
 #: Upper bound on the gathered stripe matrix (rows x length x bytes) a
 #: single batched reduction may allocate; larger groups are chunked. A
 #: Gram block (:meth:`BitmapIndex.gram_counts`) stays under it too.
@@ -177,7 +173,7 @@ def _intersection_counts(
     past a snapshot's end), then one popcount pass counts every row.
     """
     n_bytes = bits.shape[1]
-    padded = n_bytes + (-n_bytes) % 8 if _HAS_BITWISE_COUNT else n_bytes
+    padded = n_bytes + (-n_bytes) % 8
     full = np.zeros((ids.shape[0], padded), dtype=np.uint8)
     acc = full[:, :n_bytes]
     chunk = max(1, _MAX_STRIPE_BYTES // max(1, ids.shape[1] * n_bytes))
@@ -195,17 +191,14 @@ def _intersection_counts(
 def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
     """Per-row popcount of a packed uint8 matrix.
 
-    The matrix must be C-contiguous with a row width that is a multiple
-    of 8 bytes when ``np.bitwise_count`` is available (callers allocate
+    ``np.bitwise_count`` popcounts a uint64 view of the matrix, far
+    faster than a byte-LUT gather, so the matrix must be C-contiguous
+    with a row width that is a multiple of 8 bytes (callers allocate
     rows pre-padded with zero bytes).
     """
-    counts: np.ndarray
-    if _HAS_BITWISE_COUNT:
-        counts = np.bitwise_count(matrix.view(np.uint64)).sum(
-            axis=1, dtype=np.int64
-        )
-    else:
-        counts = POPCOUNT[matrix].sum(axis=1, dtype=np.int64)
+    counts: np.ndarray = np.bitwise_count(matrix.view(np.uint64)).sum(
+        axis=1, dtype=np.int64
+    )
     return counts
 
 
@@ -418,11 +411,9 @@ class BitmapIndex:
 
     def item_support_counts(self) -> np.ndarray:
         """Support counts of every single item, in one popcount pass."""
-        counts: np.ndarray
-        if _HAS_BITWISE_COUNT:
-            counts = np.bitwise_count(self._bits).sum(axis=1, dtype=np.int64)
-        else:
-            counts = POPCOUNT[self._bits].sum(axis=1).astype(np.int64)
+        counts: np.ndarray = np.bitwise_count(self._bits).sum(
+            axis=1, dtype=np.int64
+        )
         if self.n_transactions & 7:
             counts -= self._past_end(self._bits[:, -1])
         return counts
@@ -438,10 +429,7 @@ class BitmapIndex:
         acc = self._bits[items[0]]
         for item in items[1:]:
             acc = np.bitwise_and(acc, self._bits[item])
-        if _HAS_BITWISE_COUNT:
-            count = int(np.bitwise_count(acc).sum())
-        else:
-            count = int(POPCOUNT[acc].sum())
+        count = int(np.bitwise_count(acc).sum())
         if self.n_transactions & 7:
             count -= int(self._past_end(acc[-1]))
         return count

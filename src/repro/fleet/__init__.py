@@ -1,22 +1,24 @@
-"""Fleet-scale pairwise deviation: delta*-pruned all-pairs matrices.
+"""Fleet-scale pairwise deviation: one all-pairs engine, two count sources.
 
-The paper's marketing scenario at production scale: ``N`` store
-datasets, all ``N (N - 1) / 2`` pairwise deviations, computed by
-filling the no-scan delta* bound matrix first and exactly re-scanning
-only the pairs the bound cannot certify -- with every dataset scanned
-once per GCR family (not once per pair), optional thread/process
-fan-out, and incremental single-store updates when a log appends.
+The paper's marketing scenario at production scale: ``N`` stores, all
+``N (N - 1) / 2`` pairwise deviations, computed by filling the no-scan
+delta* bound matrix first and measuring exactly only the pairs the
+bound cannot certify. One engine owns the pairs, their memo, the
+bounds, pruning and the matrices; two count sources feed it:
 
-* :mod:`repro.fleet.matrix` -- :class:`FleetDeviationMatrix` (the
-  engine) and :class:`FleetMatrix` (the result);
+* :mod:`repro.fleet.matrix` -- the engine, :class:`FleetMatrix` (the
+  result), and :class:`FleetDeviationMatrix`, whose counts come from
+  the stores' rows: every dataset scanned once per GCR family (not once
+  per pair), optional thread/process fan-out, and incremental
+  single-store updates when a log appends;
+* :mod:`repro.fleet.federated` -- :class:`SketchFleet`, whose counts
+  come from exchanged wire payloads (no rows at the comparer); built
+  via :meth:`FleetDeviationMatrix.from_sketches`;
 * :mod:`repro.fleet.vocab` -- :class:`LitsVocabulary`, the fleet-wide
   itemset id space every lits pair (GCR, counts, delta*) gathers from;
 * :mod:`repro.fleet.counting` -- the batched per-store scans;
 * :mod:`repro.fleet.analysis` -- grouping (threshold components),
-  report assembly, and CSV export;
-* :mod:`repro.fleet.federated` -- :class:`SketchFleet`, the same matrix
-  computed purely from exchanged wire payloads (no rows at the
-  comparer); built via :meth:`FleetDeviationMatrix.from_sketches`.
+  report assembly, and CSV export.
 """
 
 from repro.fleet.analysis import components, fleet_report, matrix_to_csv

@@ -1,47 +1,53 @@
-"""Fleet-scale all-pairs deviation with delta*-based pruning.
+"""Fleet-scale all-pairs deviation: one engine over two count sources.
 
 The paper's headline marketing scenario -- "based on the deviation
 between pairs of datasets, a set of stores can be grouped together and
 earmarked for the same marketing strategy" -- is an all-pairs workload:
-``N`` stores, ``N (N - 1) / 2`` deviations. Computed naively that is a
-dataset scan per *pair*; this engine restores the paper's intended
-economics:
+``N`` stores, ``N (N - 1) / 2`` deviations. One engine computes it,
+whatever the counts come from:
 
 1. **bound first** -- the delta* upper bound (Theorem 4.2) needs only
-   the models, so the full bound matrix costs zero dataset scans;
+   the models, so the full bound matrix costs zero counting;
 2. **prune** -- a pair whose bound is at or below the caller's
    significance threshold is *certified* to deviate by at most that
    much ("analyze the data thoroughly only if the current snapshot
    differs significantly"); only pairs whose bound crosses the
-   threshold are re-scanned exactly, and the exhaustive path is kept as
+   threshold are measured exactly, and the exhaustive path is kept as
    the oracle;
-3. **scan once per store** -- every exact lits pair is a gather over
-   one fleet-wide itemset vocabulary (:mod:`repro.fleet.vocab`): one
-   scan counts a store's whole vocabulary row, so each dataset is
-   scanned once, not once per pair
-   (:mod:`repro.fleet.counting`);
-4. **fan out** -- the scans ride the serial/thread/process executors of
-   :mod:`repro.stream.executor`.
+3. **gather, once per pair** -- every exact lits pair is a gather over
+   one fleet-wide itemset vocabulary (:mod:`repro.fleet.vocab`), and
+   every exact value is memoised, so a pair is measured once per
+   engine whichever matrices ask for it.
+
+Two count sources sit under it:
+
+* :class:`FleetDeviationMatrix` counts the stores' rows. One batched
+  scan counts a store's whole vocabulary row, so each dataset is
+  scanned once, not once per pair (:mod:`repro.fleet.counting`), and
+  the scans ride the serial/thread/process executors of
+  :mod:`repro.stream.executor`. Appendable stores
+  (:class:`~repro.stream.chunks.TransactionLog` /
+  :class:`~repro.stream.chunks.TabularLog`) make it incremental: after
+  appending, :meth:`FleetDeviationMatrix.update` re-mines only that
+  store's model and recomputes only its row/column.
+* :class:`~repro.fleet.federated.SketchFleet` reads shipped sketch
+  payloads, with no rows at the comparer (:mod:`repro.fleet.federated`).
 
 Pruned entries report the delta* bound itself, flagged by
 ``exact_mask``. Because the bound majorises the exact deviation, every
 threshold decision (``deviation <= threshold``?) agrees exactly with
 the exhaustive matrix -- which is why :meth:`FleetMatrix.components`
-grouping at the pruning threshold is exact despite the skipped scans.
+grouping at the pruning threshold is exact despite the skipped pairs.
 
 Both lits- and partition-model fleets are supported; delta* exists only
-for lits-models, so partition fleets use the exhaustive path (their
-per-store reuse comes from the memoised assigner passes). Appendable
-stores (:class:`~repro.stream.chunks.TransactionLog` /
-:class:`~repro.stream.chunks.TabularLog`) make the matrix incremental:
-after appending, :meth:`FleetDeviationMatrix.update` re-mines only that
-store's model and recomputes only its row/column.
+for lits-models, so partition fleets use the exhaustive path.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +59,7 @@ from repro.core.deviation import deviation_from_counts
 from repro.core.difference import ABSOLUTE, DifferenceFunction
 from repro.core.gcr import gcr
 from repro.core.lits import LitsModel
-from repro.core.model import PartitionStructure
+from repro.core.model import PartitionStructure, Structure
 # span target ``core.bound`` of pipebench's traced run, which patches
 # the name here; lits bounds come from the vocabulary kernel
 from repro.core.upper_bound import upper_bound_deviation  # noqa: F401
@@ -68,6 +74,9 @@ if TYPE_CHECKING:  # circular at runtime: federated builds FleetMatrix
 #: How a cached exact pair value was obtained: the counter it tallies.
 _SCAN, _MODEL_ONLY = "fleet.pairs.scanned", "fleet.pairs.model_only"
 
+#: One pair's partition counts: ``((i, j), GCR structure, counts_i, counts_j)``.
+_PairCounts = tuple[tuple[int, int], Structure, np.ndarray, np.ndarray]
+
 
 def _model_kind(model: ModelLike) -> str:
     """``"lits"`` / ``"partition"`` / the class name for anything else."""
@@ -76,6 +85,23 @@ def _model_kind(model: ModelLike) -> str:
     if isinstance(getattr(model, "structure", None), PartitionStructure):
         return "partition"
     return type(model).__name__
+
+
+def _store_names(
+    names: Sequence[str] | None, n_stores: int
+) -> tuple[str, ...]:
+    """The fleet's store names: given, or ``store-0`` ... ``store-N-1``."""
+    if names is None:
+        names = [f"store-{i}" for i in range(n_stores)]
+    names = [str(n) for n in names]
+    if len(names) != n_stores:
+        raise InvalidParameterError(
+            f"names must align with the fleet: got {len(names)} names "
+            f"for {n_stores} stores"
+        )
+    if len(set(names)) != len(names):
+        raise InvalidParameterError("store names must be unique")
+    return tuple(names)
 
 
 def _store_index(names: tuple[str, ...], store: str | int) -> int:
@@ -243,8 +269,247 @@ class FleetMatrix:
         return matrix_to_csv(self)
 
 
-class FleetDeviationMatrix:
-    """All-pairs deviation engine over an aligned fleet of stores.
+class _FleetEngine(ABC):
+    """The all-pairs engine, over a count source its subclass supplies.
+
+    It owns everything that does not depend on where the counts come
+    from: the store names, the one-model-kind and item-universe checks,
+    the :class:`~repro.fleet.vocab.LitsVocabulary` and its cached
+    delta* bounds, the memo of exact pair values, the pair arithmetic,
+    and the matrices. A subclass fills ``_counts`` (lits) or yields
+    each pair's partition counts, and names the counter its pairs tally.
+    """
+
+    #: the counter a pair measured from the count source tallies
+    _counted: str
+
+    def __init__(
+        self,
+        models: Sequence[ModelLike],
+        names: Sequence[str] | None,
+        n_rows: Sequence[int],
+        *,
+        f: DifferenceFunction,
+        g: AggregateFunction,
+    ) -> None:
+        kinds = {_model_kind(m) for m in models}
+        if len(kinds) > 1:
+            raise IncompatibleModelsError(
+                f"a fleet must hold one model kind; got {sorted(kinds)} "
+                "(deviation between different model classes is undefined)"
+            )
+        self.kind = kinds.pop()
+        if self.kind not in ("lits", "partition"):
+            raise IncompatibleModelsError(
+                f"unsupported fleet model kind {self.kind!r}; expected "
+                "lits-models or partition (dt-/cluster-) models"
+            )
+        self.names = _store_names(names, len(models))
+        if self.kind == "lits":
+            universes = {m.n_items for m in models}
+            if len(universes) > 1:
+                raise IncompatibleModelsError(
+                    f"lits fleet stores disagree on the item universe: "
+                    f"n_items in {sorted(universes)}"
+                )
+        self._models = list(models)
+        self._f = f
+        self._g = g
+        self._vocab = LitsVocabulary(models) if self.kind == "lits" else None
+        #: rows per store, and (lits) counts per (store, vocabulary id)
+        self._n_rows = list(n_rows)
+        n_vocab = 0 if self._vocab is None else len(self._vocab)
+        self._counts = np.zeros((len(models), n_vocab), dtype=np.int64)
+        #: (i, j) i<j -> (exact value, the counter it tallies)
+        self._exact: dict[tuple[int, int], tuple[float, str]] = {}
+        self._bounds: np.ndarray | None = None
+        self.n_pair_computations = 0
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+    @property
+    def models(self) -> tuple[ModelLike, ...]:
+        return tuple(self._models)
+
+    # ------------------------------------------------------------------ #
+    # The count source
+    # ------------------------------------------------------------------ #
+
+    def _refresh(self) -> set[int]:
+        """Drop pair values the source's counts no longer back; return
+        the stores whose model no longer describes their data (never
+        certified by delta*). A fixed source has none."""
+        return set()
+
+    @abstractmethod
+    def _count_lits(
+        self, missing: Sequence[tuple[int, int]]
+    ) -> set[tuple[int, int]]:
+        """Make ``_counts`` hold both stores' counts of each listed pair's
+        GCR; return the pairs to read from stored model measures instead."""
+
+    @abstractmethod
+    def _partition_counts(
+        self, missing: Sequence[tuple[int, int]]
+    ) -> Iterator[_PairCounts]:
+        """``(pair, GCR structure, counts_i, counts_j)`` per listed pair."""
+
+    # ------------------------------------------------------------------ #
+    # Exact pair values
+    # ------------------------------------------------------------------ #
+
+    def _ensure_exact(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """Compute and cache the exact deviation of every listed pair."""
+        missing = [p for p in pairs if p not in self._exact]
+        if not missing:
+            return
+        n_rows, f, g = self._n_rows, self._f, self._g
+        if self.kind == "lits":
+            vocab = self._vocab
+            assert vocab is not None
+            model_only = self._count_lits(missing)
+            for i, j in missing:
+                u = vocab.union(i, j)
+                n1, n2 = n_rows[i], n_rows[j]
+                if (i, j) in model_only:
+                    counts1 = vocab.model_counts(i, u, n1)
+                    counts2 = vocab.model_counts(j, u, n2)
+                    tag = _MODEL_ONLY
+                else:
+                    counts1, counts2 = self._counts[i, u], self._counts[j, u]
+                    tag = self._counted
+                self._exact[(i, j)] = (g(f(counts1, counts2, n1, n2)), tag)
+        else:
+            for (i, j), s, counts1, counts2 in self._partition_counts(missing):
+                result = deviation_from_counts(
+                    s, counts1, counts2, n_rows[i], n_rows[j], f=f, g=g
+                )
+                self._exact[(i, j)] = (float(result.value), self._counted)
+        self.n_pair_computations += len(missing)
+
+    def pair(self, store_a: str | int, store_b: str | int) -> float:
+        """The exact deviation of one pair (computed or cached)."""
+        i, j = sorted((
+            _store_index(self.names, store_a), _store_index(self.names, store_b)
+        ))
+        if i == j:
+            return 0.0
+        self._refresh()
+        self._ensure_exact([(i, j)])
+        return self._exact[(i, j)][0]
+
+    # ------------------------------------------------------------------ #
+    # Matrices
+    # ------------------------------------------------------------------ #
+
+    def bound_matrix(self) -> np.ndarray:
+        """The pairwise delta* matrix, from the models alone (cached)."""
+        if self.kind != "lits":
+            raise IncompatibleModelsError(
+                "the delta* upper bound (Definition 4.1) exists only for "
+                "lits-models; partition fleets must use exhaustive()"
+            )
+        if self._bounds is None:
+            assert self._vocab is not None
+            with obs.metrics().span("fleet.bound_matrix"):
+                self._bounds = self._vocab.bound_matrix(self._g)
+            n = len(self._models)
+            obs.metrics().inc("fleet.bounds.filled", n * (n - 1) // 2)
+        return self._bounds
+
+    def exhaustive(self) -> FleetMatrix:
+        """The oracle: every pair computed exactly (memoised).
+
+        The result never carries a bound matrix -- exhaustive output is
+        about exact values, and attaching bounds only when an earlier
+        call happened to compute them would make the report schema
+        depend on call history. Use :meth:`bound_matrix` or
+        :meth:`pruned` when the bounds are the point.
+        """
+        self._refresh()
+        n = len(self._models)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self._ensure_exact(pairs)
+        return self._assemble(pairs, None, threshold=None)
+
+    def pruned(self, threshold: float) -> FleetMatrix:
+        """delta*-pruned matrix: measure only pairs the bound cannot clear.
+
+        A pair whose delta* bound is at or below ``threshold`` is
+        certified insignificant at that level (its exact deviation is at
+        most the bound, Theorem 4.2) and is **not** measured; its entry
+        reports the bound with ``exact_mask`` false. Every other pair is
+        computed exactly. All ``<= threshold`` decisions therefore agree
+        with :meth:`exhaustive`; with a threshold below every off-
+        diagonal bound nothing is pruned and the matrices are equal.
+
+        A store whose model no longer describes its data (a row-level
+        log appended without :meth:`FleetDeviationMatrix.update`) is
+        never certified: its delta* bound describes the rows its model
+        was mined from, so every pair involving it is measured exactly
+        regardless of the bound -- which keeps the agreement intact.
+        """
+        threshold = _pruning_threshold(threshold, self._f, self._g)
+        bounds = self.bound_matrix()  # raises for partition fleets
+        stale = self._refresh()
+        n = len(self._models)
+        pairs = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if bounds[i, j] > threshold or i in stale or j in stale
+        ]
+        self._ensure_exact(pairs)
+        return self._assemble(pairs, bounds, threshold)
+
+    def _assemble(
+        self,
+        pairs: Sequence[tuple[int, int]],
+        bounds: np.ndarray | None,
+        threshold: float | None,
+    ) -> FleetMatrix:
+        """A :class:`FleetMatrix` from the listed exact pairs and the bounds.
+
+        Each listed pair ``(i, j)``, ``i < j``, reports its memoised
+        value and tallies its counter; every other pair reports its
+        delta* bound and tallies ``fleet.pairs.pruned``.
+        """
+        exact = {p: self._exact[p] for p in pairs}
+        n = len(self.names)
+        values = np.zeros((n, n))
+        exact_mask = np.zeros((n, n), dtype=bool)
+        np.fill_diagonal(exact_mask, True)
+        # Tally through an obs registry so the matrix's pruning stats and
+        # any ambient `--metrics` collection share one counting path.
+        tally = obs.MetricsRegistry()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) in exact:
+                    value, counter = exact[(i, j)]
+                    exact_mask[i, j] = exact_mask[j, i] = True
+                    tally.inc(counter)
+                else:
+                    assert bounds is not None
+                    value = bounds[i, j]
+                    tally.inc("fleet.pairs.pruned")
+                values[i, j] = values[j, i] = value
+        obs.metrics().absorb(tally)
+        return FleetMatrix(
+            names=self.names,
+            values=values,
+            exact_mask=exact_mask,
+            kind=self.kind,
+            f_name=self._f.name,
+            g_name=self._g.name,
+            bounds=None if bounds is None else bounds.copy(),
+            threshold=threshold,
+            metrics=tally.snapshot()["counters"],
+        )
+
+
+class FleetDeviationMatrix(_FleetEngine):
+    """All-pairs deviation over an aligned fleet of stores' rows.
 
     Parameters
     ----------
@@ -266,6 +531,13 @@ class FleetDeviationMatrix:
         Optional ``dataset -> model`` callable so :meth:`update` can
         re-mine a store after its log grew.
     """
+
+    _counted = _SCAN
+    # span targets of pipebench's traced run, which patches each fleet
+    # class's own names; engine-owned spans (ROADMAP item 4) delete these
+    exhaustive = _FleetEngine.exhaustive
+    pruned = _FleetEngine.pruned
+    bound_matrix = _FleetEngine.bound_matrix
 
     def __init__(
         self,
@@ -290,63 +562,24 @@ class FleetDeviationMatrix:
                 f"models and datasets must align store-for-store: got "
                 f"{len(models)} models vs {len(datasets)} datasets"
             )
-        kinds = {_model_kind(m) for m in models}
-        if len(kinds) > 1:
-            raise IncompatibleModelsError(
-                f"a fleet must hold one model kind; got {sorted(kinds)} "
-                "(deviation between different model classes is undefined)"
-            )
-        self.kind = kinds.pop()
-        if self.kind not in ("lits", "partition"):
-            raise IncompatibleModelsError(
-                f"unsupported fleet model kind {self.kind!r}; expected "
-                "lits-models or partition (dt-/cluster-) models"
-            )
-        if names is None:
-            names = [f"store-{i}" for i in range(len(models))]
-        names = [str(n) for n in names]
-        if len(names) != len(models):
-            raise InvalidParameterError(
-                f"names must align with the fleet: got {len(names)} names "
-                f"for {len(models)} stores"
-            )
-        if len(set(names)) != len(names):
-            raise InvalidParameterError("store names must be unique")
-        if self.kind == "lits":
-            universes = {m.n_items for m in models}
-            if len(universes) > 1:
-                raise IncompatibleModelsError(
-                    f"lits fleet stores disagree on the item universe: "
-                    f"n_items in {sorted(universes)}"
-                )
-
-        self._models = models
+        super().__init__(
+            models, names, [len(d) for d in datasets], f=f, g=g
+        )
         self._datasets = datasets
-        self.names = tuple(names)
-        self._f = f
-        self._g = g
         # Resolved once: pooled executors reuse their workers across
         # every matrix computation of this engine (per-call resolution
         # would spawn and abandon a pool per call).
         self._executor = get_executor(executor)
         self._model_builder = model_builder
-        self._vocab = LitsVocabulary(models) if self.kind == "lits" else None
-        #: lits counts per (store, vocabulary id); ``_scanned[i]`` says
-        #: store ``i``'s row was counted since its last reset
-        n_vocab = 0 if self._vocab is None else len(self._vocab)
-        self._counts = np.zeros((len(models), n_vocab), dtype=np.int64)
+        #: ``_scanned[i]`` says store ``i``'s count row was counted
+        #: since its last reset
         self._scanned = [False] * len(models)
         self._n_scans = [0] * len(models) if self.kind == "lits" else []
-        self._n_rows = [len(d) for d in datasets]
         #: Rows each store had when its *model* was supplied. A store
         #: whose log outgrew this is "stale": its model no longer
         #: describes its data, so neither the delta* bound nor the
         #: stored-measures fast path may speak for it (see pruned()).
         self._model_rows = [len(d) for d in datasets]
-        #: (i, j) i<j -> (exact value, _SCAN | _MODEL_ONLY)
-        self._exact: dict[tuple[int, int], tuple[float, str]] = {}
-        self._bounds: np.ndarray | None = None
-        self.n_pair_computations = 0
 
     @classmethod
     def from_sketches(
@@ -362,9 +595,9 @@ class FleetDeviationMatrix:
         Each store's shipment is either one partition-sketch payload
         (bytes; its dt-/cluster-model travels embedded) or a
         ``(lits-model payload, support-sketch payload)`` pair. The
-        returned :class:`~repro.fleet.federated.SketchFleet` computes
-        the same exact deviations and the same delta*-certified pruning
-        decisions as this row-level engine, but no dataset rows are
+        returned :class:`~repro.fleet.federated.SketchFleet` is this
+        engine over sketch counts: the same exact deviations and the
+        same delta*-certified pruning decisions, but no dataset rows are
         accessible to the comparer -- the kilobyte payloads are all that
         crossed the wire. See :mod:`repro.fleet.federated`.
         """
@@ -382,17 +615,6 @@ class FleetDeviationMatrix:
         """
         release(self._executor)
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        return len(self._models)
-
-    @property
-    def models(self) -> tuple[ModelLike, ...]:
-        return tuple(self._models)
-
     @property
     def datasets(self) -> tuple[Any, ...]:
         return tuple(self._datasets)
@@ -402,30 +624,13 @@ class FleetDeviationMatrix:
         return list(self._n_scans)
 
     # ------------------------------------------------------------------ #
-    # The delta* bound matrix (no dataset scans)
+    # The count source: batched store scans
     # ------------------------------------------------------------------ #
 
-    def bound_matrix(self) -> np.ndarray:
-        """The pairwise delta* matrix, from the models alone (cached)."""
-        if self.kind != "lits":
-            raise IncompatibleModelsError(
-                "the delta* upper bound (Definition 4.1) exists only for "
-                "lits-models; partition fleets must use exhaustive()"
-            )
-        if self._bounds is None:
-            assert self._vocab is not None
-            with obs.metrics().span("fleet.bound_matrix"):
-                self._bounds = self._vocab.bound_matrix(self._g)
-            n = len(self._models)
-            obs.metrics().inc("fleet.bounds.filled", n * (n - 1) // 2)
-        return self._bounds
-
-    # ------------------------------------------------------------------ #
-    # Exact computation with per-store scan reuse
-    # ------------------------------------------------------------------ #
-
-    def _refresh_grown_stores(self) -> None:
-        """Invalidate cached pair values of stores whose log grew.
+    def _refresh(self) -> set[int]:
+        """Invalidate cached pair values of stores whose log grew, and
+        return the stores whose dataset grew past the rows their model
+        was built on.
 
         The store's *model* is kept as-is (deviation of the stored model
         against the grown snapshot is the monitoring view); call
@@ -434,13 +639,7 @@ class FleetDeviationMatrix:
         for i, dataset in enumerate(self._datasets):
             if len(dataset) != self._n_rows[i]:
                 self._invalidate_store(i)
-
-    def _invalidate_store(self, i: int) -> None:
-        self._exact = {
-            pair: v for pair, v in self._exact.items() if i not in pair
-        }
-        self._scanned[i] = False
-        self._n_rows[i] = len(self._datasets[i])
+        return self._stale_stores()
 
     def _stale_stores(self) -> set[int]:
         """Stores whose dataset grew past the rows their model was built on."""
@@ -450,18 +649,16 @@ class FleetDeviationMatrix:
             if len(d) != self._model_rows[i]
         }
 
-    def _ensure_exact(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Compute and cache the exact deviation of every listed pair."""
-        missing = [p for p in pairs if p not in self._exact]
-        if not missing:
-            return
-        if self.kind == "lits":
-            self._ensure_exact_lits(missing)
-        else:
-            self._ensure_exact_partition(missing)
-        self.n_pair_computations += len(missing)
+    def _invalidate_store(self, i: int) -> None:
+        self._exact = {
+            pair: v for pair, v in self._exact.items() if i not in pair
+        }
+        self._scanned[i] = False
+        self._n_rows[i] = len(self._datasets[i])
 
-    def _ensure_exact_lits(self, missing: Sequence[tuple[int, int]]) -> None:
+    def _count_lits(
+        self, missing: Sequence[tuple[int, int]]
+    ) -> set[tuple[int, int]]:
         vocab = self._vocab
         assert vocab is not None
         stale = self._stale_stores()
@@ -481,19 +678,7 @@ class FleetDeviationMatrix:
             for store in pair
             if not self._scanned[store]
         }))
-        counts, n_rows = self._counts, self._n_rows
-        for i, j in missing:
-            u = vocab.union(i, j)
-            n1, n2 = n_rows[i], n_rows[j]
-            if (i, j) in model_only:
-                counts1 = vocab.model_counts(i, u, n1)
-                counts2 = vocab.model_counts(j, u, n2)
-                tag = _MODEL_ONLY
-            else:
-                counts1, counts2 = counts[i, u], counts[j, u]
-                tag = _SCAN
-            value = self._g(self._f(counts1, counts2, n1, n2))
-            self._exact[(i, j)] = (value, tag)
+        return model_only
 
     def _scan(self, stores: list[int]) -> None:
         """Count the whole vocabulary in each store: one batched scan each."""
@@ -508,100 +693,29 @@ class FleetDeviationMatrix:
             self._scanned[i] = True
             self._n_scans[i] += 1
 
-    def _ensure_exact_partition(
+    def _partition_counts(
         self, missing: Sequence[tuple[int, int]]
-    ) -> None:
+    ) -> Iterator[_PairCounts]:
         datasets = self._datasets
-        structures = {
-            (i, j): gcr(self._models[i].structure, self._models[j].structure)
-            for i, j in missing
-        }
-        stores = {i for pair in missing for i in pair}
         prime_partition_passes(
-            self._models, datasets, stores, executor=self._executor
+            self._models,
+            datasets,
+            {i for pair in missing for i in pair},
+            executor=self._executor,
         )
         # Identical GCR structures share each store's measured counts
         # (the deviation_many trick, keyed order-sensitively).
         counts_by: dict[tuple[int, object], np.ndarray] = {}
-        for (i, j), s in structures.items():
-            key = s.counts_key
+        for i, j in missing:
+            s = gcr(self._models[i].structure, self._models[j].structure)
             counts: list[np.ndarray] = []
             for store in (i, j):
-                cached = counts_by.get((store, key))
+                cached = counts_by.get((store, s.counts_key))
                 if cached is None:
                     cached = np.asarray(s.counts(datasets[store]))
-                    counts_by[(store, key)] = cached
+                    counts_by[(store, s.counts_key)] = cached
                 counts.append(cached)
-            result = deviation_from_counts(
-                s, counts[0], counts[1], len(datasets[i]), len(datasets[j]),
-                f=self._f, g=self._g,
-            )
-            self._exact[(i, j)] = (result.value, _SCAN)
-
-    def pair(self, store_a: str | int, store_b: str | int) -> float:
-        """The exact deviation of one pair (computed or cached)."""
-        i, j = sorted((
-            _store_index(self.names, store_a), _store_index(self.names, store_b)
-        ))
-        if i == j:
-            return 0.0
-        self._refresh_grown_stores()
-        self._ensure_exact([(i, j)])
-        return self._exact[(i, j)][0]
-
-    # ------------------------------------------------------------------ #
-    # Matrices
-    # ------------------------------------------------------------------ #
-
-    def exhaustive(self) -> FleetMatrix:
-        """The oracle: every pair computed exactly (scans memoised).
-
-        The result never carries a bound matrix -- exhaustive output is
-        about exact values, and attaching bounds only when an earlier
-        call happened to compute them would make the report schema
-        depend on call history. Use :meth:`bound_matrix` or
-        :meth:`pruned` when the bounds are the point.
-        """
-        self._refresh_grown_stores()
-        n = len(self._models)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self._ensure_exact(pairs)
-        return _assemble(
-            self, {p: self._exact[p] for p in pairs}, None, threshold=None
-        )
-
-    def pruned(self, threshold: float) -> FleetMatrix:
-        """delta*-pruned matrix: scan only pairs the bound cannot clear.
-
-        A pair whose delta* bound is at or below ``threshold`` is
-        certified insignificant at that level (its exact deviation is at
-        most the bound, Theorem 4.2) and is **not** scanned; its entry
-        reports the bound with ``exact_mask`` false. Every other pair is
-        computed exactly. All ``<= threshold`` decisions therefore agree
-        with :meth:`exhaustive`; with a threshold below every off-
-        diagonal bound nothing is pruned and the matrices are equal.
-
-        A store whose log grew past its model (appended without
-        :meth:`update`) is never certified: its delta* bound describes
-        the rows its model was mined from, not the grown snapshot, so
-        every pair involving it is scanned exactly regardless of the
-        bound -- which keeps the agreement guarantee intact.
-        """
-        threshold = _pruning_threshold(threshold, self._f, self._g)
-        bounds = self.bound_matrix()  # raises for partition fleets
-        self._refresh_grown_stores()
-        stale = self._stale_stores()
-        n = len(self._models)
-        pairs = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if bounds[i, j] > threshold or i in stale or j in stale
-        ]
-        self._ensure_exact(pairs)
-        return _assemble(
-            self, {p: self._exact[p] for p in pairs}, bounds, threshold
-        )
+            yield (i, j), s, counts[0], counts[1]
 
     # ------------------------------------------------------------------ #
     # Incremental maintenance
@@ -651,47 +765,3 @@ class FleetDeviationMatrix:
                 self._vocab.fill_bound_row(self._bounds, i, self._g)
                 obs.metrics().inc("fleet.bounds.filled", len(self._models) - 1)
         return model
-
-
-def _assemble(
-    engine: "FleetDeviationMatrix | SketchFleet",
-    exact: Mapping[tuple[int, int], tuple[float, str]],
-    bounds: np.ndarray | None,
-    threshold: float | None,
-) -> FleetMatrix:
-    """A :class:`FleetMatrix` from exact pair values and the bounds.
-
-    ``exact`` maps each exactly measured pair ``(i, j)``, ``i < j``, to
-    its value and the counter it tallies; every other pair reports its
-    delta* bound and tallies ``fleet.pairs.pruned``.
-    """
-    n = len(engine.names)
-    values = np.zeros((n, n))
-    exact_mask = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(exact_mask, True)
-    # Tally through an obs registry so the matrix's pruning stats and
-    # any ambient `--metrics` collection share one counting path.
-    tally = obs.MetricsRegistry()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in exact:
-                value, counter = exact[(i, j)]
-                exact_mask[i, j] = exact_mask[j, i] = True
-                tally.inc(counter)
-            else:
-                assert bounds is not None
-                value = bounds[i, j]
-                tally.inc("fleet.pairs.pruned")
-            values[i, j] = values[j, i] = value
-    obs.metrics().absorb(tally)
-    return FleetMatrix(
-        names=engine.names,
-        values=values,
-        exact_mask=exact_mask,
-        kind=engine.kind,
-        f_name=engine._f.name,
-        g_name=engine._g.name,
-        bounds=None if bounds is None else bounds.copy(),
-        threshold=threshold,
-        metrics=tally.snapshot()["counters"],
-    )

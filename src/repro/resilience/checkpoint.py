@@ -35,11 +35,11 @@ generator) and the window manager's ring and counters.
   self-contained, and ``state.json`` keeps only the history's open
   tail inline, so a steady checkpoint after 5,000 windows costs about
   what one after 50 does.
-* **format versions**: the writer emits version 2 (history blocks,
-  uncompressed ``.npz`` rows). The reader also resumes version 1,
-  whose ``state.json`` holds the whole history and whose ``.npz``
-  files are compressed; the next checkpoint writes version 2 and
-  links the version-1 chunk files as they are.
+* **format version**: the writer emits and the reader resumes version
+  2 (history blocks, uncompressed ``.npz`` rows). A version-1
+  checkpoint, whose ``state.json`` held the whole history, fails typed
+  naming its version; a bootstrap one carries a generator state drawn
+  under draw scheme 2, which no scheme-3 build can continue anyway.
 * **verified resume**: :func:`resume_checkpoint` checks the manifest,
   the state CRC, every file CRC and the configuration fingerprint
   before touching the monitor, then re-mines the persisted reference
@@ -79,8 +79,6 @@ from repro.wire.sketches import partition_sketch_packer
 _MANIFEST = "CHECKPOINT.json"
 _STATE = "state.json"
 _FORMAT_VERSION = 2
-#: versions the resume path reads: 1 kept the whole history in state.json
-_READABLE_VERSIONS = (1, 2)
 _GENERATION = re.compile(r"gen-[0-9]{6}")
 
 
@@ -391,8 +389,7 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
     def rows(name: str | None) -> Any:
         return None if name is None else _load_rows(monitor, gen_dir / name)
 
-    # a version-1 state holds its whole history inline, with no blocks
-    block_names = state["monitor"].get("history_blocks", [])
+    block_names = state["monitor"]["history_blocks"]
     blocks = [_load_block(gen_dir / name) for name in block_names]
     # a started monitor re-mines the persisted reference rows, then
     # adopts the persisted ring on its freshly built manager
@@ -457,10 +454,12 @@ def _committed_manifest(directory: Path) -> dict[str, Any] | None:
         ) from exc
     try:
         manifest = json.loads(payload)
-        if manifest["version"] not in _READABLE_VERSIONS:
+        if manifest["version"] != _FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format version "
-                f"{manifest['version']!r}",
+                f"{manifest['version']!r}: this build resumes version "
+                f"{_FORMAT_VERSION} only. Restart the stream without this "
+                "checkpoint",
                 path=str(manifest_path),
             )
         generation, state_crc = manifest["generation"], manifest["state_crc"]
@@ -508,6 +507,7 @@ def _read_state(gen_dir: Path, expected_crc: int) -> dict[str, Any]:
             "reference", "buffer", "windows", "files",
         ):
             state[key]
+        state["monitor"]["history_blocks"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(
             f"checkpoint state is corrupt: {exc}", path=str(state_path)

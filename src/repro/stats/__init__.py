@@ -13,7 +13,6 @@ from repro.stats.resample_plan import (
     PartitionResamplePlan,
     ResamplePlan,
     compile_resample_plan,
-    max_membership_bytes,
     draw_multiplicities,
     lits_membership,
     multiplicities_from_indices,
@@ -53,7 +52,6 @@ __all__ = [
     "failure_probability",
     "gammainc_lower",
     "gammainc_upper",
-    "max_membership_bytes",
     "mean_std",
     "normal_sf",
     "pearson_correlation",

@@ -150,7 +150,6 @@ def deviation_significance(
     models: tuple[ModelLike, ModelLike] | None = None,
     executor: ExecutorLike = "serial",
     n_blocks: int = 1,
-    max_membership_bytes: int | None = None,
 ) -> BootstrapResult:
     """Bootstrap significance of the FOCUS deviation between two datasets.
 
@@ -194,12 +193,6 @@ def deviation_significance(
         :mod:`repro.stream.executor` backend (``"serial"``,
         ``"thread"``, ``"process"``) -- worthwhile for large ``n_boot``.
         The null vector is identical on every backend.
-    max_membership_bytes:
-        Dense-membership cap forwarded to
-        :func:`repro.stats.resample_plan.compile_resample_plan`; lits
-        pools past it compile to the bit-packed block-streaming plan
-        (same null, bounded memory). Defaults to
-        ``REPRO_MAX_MEMBERSHIP_BYTES`` or 2 GiB.
     """
     if n_boot < 1:
         raise InvalidParameterError("n_boot must be >= 1")
@@ -239,9 +232,7 @@ def deviation_significance(
     structure = gcr(m1.structure, m2.structure)
     rng = _resolve_rng(rng, seed, "deviation_significance")
 
-    plan = compile_resample_plan(
-        structure, dataset1, dataset2, max_membership_bytes=max_membership_bytes
-    )
+    plan = compile_resample_plan(structure, dataset1, dataset2)
     if plan is not None:
         return plan.significance(
             n_boot, rng, f=f, g=g, executor=executor, n_blocks=n_blocks

@@ -55,7 +55,6 @@ identical null vector.
 
 from __future__ import annotations
 
-import os
 import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -103,9 +102,7 @@ _MAX_DRAW_BYTES = 1 << 28  # 256 MiB
 #: whose ``rows x regions`` product would exceed it compiles to the
 #: packed plan instead (:class:`PackedLitsResamplePlan`): membership
 #: stays in bit-packed form (32-64x smaller) and the GEMM runs over
-#: unpacked row blocks, so the dense matrix is never resident. Override
-#: per call (``max_membership_bytes=``) or per process
-#: (``REPRO_MAX_MEMBERSHIP_BYTES``).
+#: unpacked row blocks, so the dense matrix is never resident.
 _MAX_MEMBERSHIP_BYTES = 1 << 31  # 2 GiB
 
 #: Transient budget for one unpacked membership block inside the packed
@@ -113,25 +110,6 @@ _MAX_MEMBERSHIP_BYTES = 1 << 31  # 2 GiB
 #: depend on the blocking -- partial sums are integers either way -- so
 #: this only trades temporaries against matmul call overhead.
 _MEMBERSHIP_BLOCK_BYTES = 1 << 26  # 64 MiB
-
-
-def max_membership_bytes(limit: int | None = None) -> int:
-    """The dense-membership cap: param, else env, else the default.
-
-    Resolution mirrors :func:`repro.data.storage.scan_budget_bytes`:
-    an explicit ``limit`` wins, then ``REPRO_MAX_MEMBERSHIP_BYTES``,
-    then :data:`_MAX_MEMBERSHIP_BYTES`.
-    """
-    if limit is None:
-        raw = os.environ.get("REPRO_MAX_MEMBERSHIP_BYTES")
-        limit = _MAX_MEMBERSHIP_BYTES if raw is None else int(raw)
-    if limit < 1:
-        raise InvalidParameterError("max_membership_bytes must be >= 1")
-    return int(limit)
-
-
-# the compile entry point has a keyword of the same name; alias for it
-_resolve_membership_cap = max_membership_bytes
 
 
 def _resolve_rng(
@@ -690,7 +668,7 @@ class PackedLitsResamplePlan(RowResamplePlan):
     order, so the emitted null is bit-identical to the dense plan's
     (regression-pinned), just slower per replicate. This is what lifts
     the old hard 2 GiB compile ceiling: pools past
-    :func:`max_membership_bytes` now compile here instead of falling
+    :data:`_MAX_MEMBERSHIP_BYTES` now compile here instead of falling
     back to the per-replicate loop.
 
     Parameters
@@ -1028,14 +1006,11 @@ def compile_resample_plan(
     structure: Structure,
     dataset1: DatasetLike,
     dataset2: DatasetLike,
-    *,
-    max_membership_bytes: int | None = None,
 ) -> ResamplePlan | None:
     """Compile the count-space bootstrap for a structure/dataset pair.
 
     Lits pools pick their representation by the dense membership
-    footprint: below the cap (:func:`max_membership_bytes`; override
-    with the keyword or ``REPRO_MAX_MEMBERSHIP_BYTES``) the dense
+    footprint: below the cap (:data:`_MAX_MEMBERSHIP_BYTES`) the dense
     single-GEMM :class:`LitsResamplePlan` compiles; past it the
     bit-packed block-streaming :class:`PackedLitsResamplePlan` takes
     over with the identical (bit-for-bit) null. Returns ``None`` only
@@ -1054,9 +1029,8 @@ def compile_resample_plan(
         # the same dtype rule the plans themselves apply: huge pools
         # need float64 columns, doubling the bytes the cap must cover
         item_bytes = 8 if n_pooled >= _FLOAT32_EXACT_ROWS else 4
-        cap = _resolve_membership_cap(max_membership_bytes)
         metrics().inc("bootstrap.pooled_scans")
-        if item_bytes * n_pooled * len(structure.regions) > cap:
+        if item_bytes * n_pooled * len(structure.regions) > _MAX_MEMBERSHIP_BYTES:
             return PackedLitsResamplePlan.from_datasets(
                 structure, dataset1, dataset2
             )

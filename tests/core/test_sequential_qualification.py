@@ -164,9 +164,7 @@ def plans():
     ).structure
     built = {
         "lits": compile_resample_plan(lits, d1, d2),
-        "packed-lits": compile_resample_plan(
-            lits, d1, d2, max_membership_bytes=1
-        ),
+        "packed-lits": PackedLitsResamplePlan.from_datasets(lits, d1, d2),
         "partition": compile_resample_plan(partition, t1, t2),
         "counts": CountsResamplePlan(
             partition,

@@ -127,6 +127,12 @@ class TestUpperBoundMatrixProperties:
             assert np.array_equal(m, m.T)
             assert np.allclose(np.diag(m), 0.0)
             assert (m >= 0.0).all()
+            # every entry is the per-pair bound, bit for bit
+            for i, mi in enumerate(models):
+                for j, mj in enumerate(models):
+                    if i != j:
+                        value = upper_bound_deviation(mi, mj, g=g).value
+                        assert m[i, j] == value, (g.name, i, j)
 
     @settings(max_examples=50, deadline=None)
     @given(model_fleets(min_size=3))

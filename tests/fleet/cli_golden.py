@@ -1,0 +1,95 @@
+"""The fleet CLI golden scenarios: a seeded corpus and the commands run on it.
+
+``golden_cli/corpus/`` holds three small basket stores and three small
+tabular stores. :func:`run_all` copies the corpus into a scratch
+directory, runs every :data:`STEPS` command there with relative paths,
+and returns each artifact by name: a step's stdout and stderr, plus
+every file the commands wrote. ``golden_cli/expected/`` holds the
+committed artifacts; ``make_cli_golden.py`` rewrites them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import shutil
+from pathlib import Path
+
+from repro.cli import main
+
+HERE = Path(__file__).parent / "golden_cli"
+CORPUS = HERE / "corpus"
+EXPECTED = HERE / "expected"
+
+BASKETS = ["s1.txt", "s2.txt", "s3.txt"]
+TABLES = ["t1.npz", "t2.npz", "t3.npz"]
+SKETCHES = [f"s{k}.sketch" for k in (1, 2, 3)]
+MODELS = [f"s{k}.model" for k in (1, 2, 3)]
+LITS = ["--min-support", "0.05", "--max-len", "2"]
+
+#: ``(step name, argv)``, run in order: later steps read earlier files.
+STEPS: list[tuple[str, list[str]]] = [
+    ("fleet-lits", ["fleet", "--data", *BASKETS, *LITS]),
+    ("fleet-lits-threshold", [
+        "fleet", "--data", *BASKETS, *LITS, "--threshold", "21.5",
+        "--groups", "2", "--out", "fleet_pruned.json",
+    ]),
+    ("fleet-tabular", [
+        "fleet", "--kind", "tabular", "--data", *TABLES, "--max-depth", "3",
+        "--groups", "2",
+    ]),
+    # the two-leg lits protocol: models travel first, then every site
+    # sketches the fleet's probe union
+    *[
+        (f"pack-{model[:2]}", [
+            "sketch", "pack", "--kind", "transactions", "--data", data,
+            *LITS, "--out", sketch, "--model-out", model,
+        ])
+        for data, sketch, model in zip(BASKETS, SKETCHES, MODELS)
+    ],
+    *[
+        (f"probe-{sketch[:2]}", [
+            "sketch", "pack", "--kind", "transactions", "--data", data,
+            *LITS, "--probe-models", *MODELS, "--out", sketch,
+        ])
+        for data, sketch in zip(BASKETS, SKETCHES)
+    ],
+    ("compare-lits", [
+        "sketch", "compare", "--in", *SKETCHES, "--models", *MODELS,
+        "--threshold", "21", "--out", "compare_lits.json",
+    ]),
+    ("pack-t1", [
+        "sketch", "pack", "--kind", "tabular", "--data", "t1.npz",
+        "--max-depth", "3", "--out", "t1.sketch", "--model-out", "ref.model",
+    ]),
+    *[
+        (f"pack-{table[:2]}", [
+            "sketch", "pack", "--kind", "tabular", "--data", table,
+            "--ref", "ref.model", "--out", f"{table[:2]}.sketch",
+        ])
+        for table in TABLES[1:]
+    ],
+    ("compare-partition", [
+        "sketch", "compare", "--in", "t1.sketch", "t2.sketch", "t3.sketch",
+        "--boot", "20", "--seed", "7", "--out", "compare_partition.json",
+    ]),
+]
+
+
+def run_all(workdir: Path) -> dict[str, bytes]:
+    """Every step's stdout/stderr and every written file, by name."""
+    for path in CORPUS.iterdir():
+        shutil.copy(path, workdir / path.name)
+    artifacts: dict[str, bytes] = {}
+    with contextlib.chdir(workdir):
+        for k, (name, argv) in enumerate(STEPS):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv, out=out)
+            assert code == 0, (name, err.getvalue())
+            artifacts[f"{k:02d}-{name}.stdout"] = out.getvalue().encode()
+            artifacts[f"{k:02d}-{name}.stderr"] = err.getvalue().encode()
+    for path in sorted(workdir.iterdir()):
+        if not (CORPUS / path.name).exists():
+            artifacts[path.name] = path.read_bytes()
+    return artifacts

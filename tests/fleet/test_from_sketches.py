@@ -123,6 +123,37 @@ class TestExhaustiveOracleAgreement:
         assert fleet.pair(2, 2) == 0.0
 
 
+class TestPairMemo:
+    def test_memo_answers_like_a_fresh_engine(self, lits_setup):
+        """pruned(), then exhaustive(), then pair() on one fleet return
+        what fresh fleets return, and each pair is measured once."""
+        _, _, payloads = lits_setup
+        fleet = FleetDeviationMatrix.from_sketches(payloads)
+        bounds = fleet.bound_matrix()
+        off = bounds[np.triu_indices(N_STORES, k=1)]
+        t = float(np.median(off))
+        n_above = int((off > t).sum())
+        assert 0 < n_above < len(off)
+
+        def fresh():
+            return FleetDeviationMatrix.from_sketches(payloads)
+
+        pruned = fleet.pruned(t)
+        assert fleet.n_pair_computations == n_above
+        exhaustive = fleet.exhaustive()
+        assert fleet.n_pair_computations == len(off)
+        value = fleet.pair(4, 1)
+        assert fleet.n_pair_computations == len(off)
+        for got, want in (
+            (pruned, fresh().pruned(t)),
+            (exhaustive, fresh().exhaustive()),
+        ):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.exact_mask, want.exact_mask)
+            assert dict(got.metrics) == dict(want.metrics)
+        assert value == fresh().pair(1, 4) == exhaustive.values[1, 4]
+
+
 class TestPrunedDecisionAgreement:
     def test_every_threshold_decision_matches_oracle(self, lits_setup):
         models, datasets, payloads = lits_setup

@@ -6,9 +6,10 @@ files, linked by later generations like ring chunks, and only the open
 tail inline in ``state.json``. These tests pin that the blocks resume
 exactly (edited or not) and that ``state.json`` stops growing with
 the stream. Of the committed fixtures, ``golden_v2/history`` (no
-generator state) resumes bit-identically, the scheme-2 bootstrap
-checkpoints in ``golden/`` and ``golden_v2/`` are refused typed, and
-the ``golden_scheme3/`` ones resume bit-identically.
+generator state) resumes bit-identically, the version-1 checkpoints in
+``golden/`` and the scheme-2 bootstrap checkpoints in ``golden_v2/``
+are refused typed, and the ``golden_scheme3/`` ones resume
+bit-identically.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.core.lits import LitsModel
 from repro.core.monitor import (
     _HISTORY_BLOCK,
     _HISTORY_FANOUT,
-    ChangeMonitor,
     Observation,
     _block_layout,
 )
@@ -148,21 +148,6 @@ class TestHistoryBlocks:
         assert all(
             a is b for a, b in zip(first["history_blocks"], again["history_blocks"])
         )
-
-    def test_restore_accepts_the_v1_history_list(self, rows):
-        m = tiny_monitor()
-        m.push(through_window(rows, _HISTORY_BLOCK + 3))
-        state = m.monitor.state()
-        inner = state["monitor"]
-        v1 = {
-            "next_index": inner["next_index"],
-            "reference_index": inner["reference_index"],
-            "history": [o.to_row() for o in m.history],
-        }
-        fresh = ChangeMonitor(builder, n_boot=0, delta_threshold=10.0)
-        fresh.restore({"monitor": v1, "rng_state": None})
-        assert fresh.history == m.history
-        assert fresh.state()["monitor"]["history"] == inner["history"]
 
     def test_checkpoint_links_sealed_blocks(self, rows, tmp_path):
         m = tiny_monitor()
@@ -292,13 +277,18 @@ def refuses_scheme_2(directory: Path, scenario: str) -> None:
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular"])
 def test_v1_golden_upgrades_in_place(scenario, tmp_path):
-    """A v1 checkpoint holding a scheme-2 generator state is refused, so
-    it is never upgraded: the directory stays a version-1 checkpoint."""
+    """A version-1 checkpoint is refused typed, naming its version,
+    before the monitor or the directory is touched: it is never
+    upgraded, and the directory stays a version-1 checkpoint."""
     golden = HERE / "golden"
     directory = tmp_path / "checkpoint"
     shutil.copytree(golden / scenario / "checkpoint", directory)
-    assert state_of(directory)["rng_state"] is not None
-    refuses_scheme_2(directory, scenario)
+    before = sorted(p.name for p in directory.iterdir())
+    monitor = gs.make_monitor(scenario)
+    with pytest.raises(CheckpointError, match="version 1"):
+        monitor.resume(directory)
+    assert monitor.rows_ingested == 0 and monitor.history == []
+    assert sorted(p.name for p in directory.iterdir()) == before
     manifest = json.loads((directory / "CHECKPOINT.json").read_text())
     assert manifest["version"] == 1
 

@@ -1,14 +1,15 @@
-"""Golden v1 checkpoints: an older build's bootstrap checkpoint is refused.
+"""Golden v1 checkpoints: an older build's checkpoint is refused.
 
-``golden/<scenario>/checkpoint/`` holds a committed checkpoint written
-by ``make_golden.py`` mid-stream, past a ``reset_on_drift`` promotion
-and with rows in the monitor's buffer; ``rest.*`` holds the stream's
-remaining rows and ``expected.txt`` the observations the uninterrupted
-run emitted for them under bootstrap draw scheme 2. Both scenarios
-carry a generator state drawn under scheme 2, which no scheme-3 build
-can continue, so resuming them must fail typed, naming both schemes,
-instead of emitting observations on a different random stream.
-``golden_scheme3/`` pins bit-identical resume for the current scheme.
+``golden/<scenario>/checkpoint/`` holds a committed format-1 checkpoint
+written by ``make_golden.py`` mid-stream, past a ``reset_on_drift``
+promotion and with rows in the monitor's buffer; ``rest.*`` holds the
+stream's remaining rows and ``expected.txt`` the observations the
+uninterrupted run emitted for them under bootstrap draw scheme 2. The
+resume path reads format 2 only (every format-1 checkpoint carries a
+scheme-2 generator state, which no scheme-3 build can continue), so
+resuming them must fail typed, naming version 1, instead of emitting
+observations on a different random stream. ``golden_scheme3/`` pins
+bit-identical resume for the current format and scheme.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ class TestGoldenCheckpoint:
         assert state["monitor"]["reference_index"] > 0
 
     def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
-        """The scheme-2 run cannot be continued under scheme 3: the
-        resume refuses, names both schemes and leaves the monitor
-        fresh, so nothing is emitted on a different random stream."""
+        """The format-1 run cannot be continued: the resume refuses,
+        names the version and leaves the monitor fresh, so nothing is
+        emitted on a different random stream."""
         directory = tmp_path / "checkpoint"
         shutil.copytree(GOLDEN / scenario / "checkpoint", directory)
         assert _rest(scenario)  # the run continued past the checkpoint
         monitor = gs.make_monitor(scenario)
-        with pytest.raises(CheckpointError, match="scheme 2.*scheme 3"):
+        with pytest.raises(CheckpointError, match="version 1"):
             monitor.resume(directory)
         assert monitor.rows_ingested == 0 and monitor.history == []

@@ -37,7 +37,6 @@ from repro.stats.resample_plan import (
     compile_resample_plan,
     draw_multiplicities,
     lits_membership,
-    max_membership_bytes,
     multiplicities_from_indices,
 )
 
@@ -190,7 +189,11 @@ class TestPackedPlanRegression:
             dense.null_from_multiplicities(m1, m2),
         )
 
-    def test_small_cap_routes_to_packed_with_identical_significance(self):
+    def test_small_cap_routes_to_packed_with_identical_significance(
+        self, monkeypatch
+    ):
+        from repro.stats import resample_plan as rp
+
         txns = [(0,), (0, 1), (1,), (2,), (0, 2), (1, 2)] * 4
         pooled = TransactionDataset(txns, N_ITEMS)
         structure = LitsStructure(
@@ -199,40 +202,14 @@ class TestPackedPlanRegression:
         d1 = pooled.take(np.arange(12))
         d2 = pooled.take(np.arange(12, 24))
         dense = compile_resample_plan(structure, d1, d2)
-        packed = compile_resample_plan(
-            structure, d1, d2, max_membership_bytes=1
-        )
+        monkeypatch.setattr(rp, "_MAX_MEMBERSHIP_BYTES", 1)
+        packed = compile_resample_plan(structure, d1, d2)
         assert isinstance(dense, LitsResamplePlan)
         assert isinstance(packed, PackedLitsResamplePlan)
         ref = dense.significance(16, np.random.default_rng(7))
         got = packed.significance(16, np.random.default_rng(7))
         assert got.observed == ref.observed
         assert np.array_equal(got.null_values, ref.null_values)
-
-    def test_env_var_injects_the_cap(self, monkeypatch):
-        txns = [(0,), (0, 1), (1,)] * 3
-        pooled = TransactionDataset(txns, N_ITEMS)
-        structure = LitsStructure([frozenset([0]), frozenset([1])])
-        d1 = pooled.take(np.arange(4))
-        d2 = pooled.take(np.arange(4, 9))
-        monkeypatch.setenv("REPRO_MAX_MEMBERSHIP_BYTES", "1")
-        assert max_membership_bytes() == 1
-        plan = compile_resample_plan(structure, d1, d2)
-        assert isinstance(plan, PackedLitsResamplePlan)
-        # an explicit argument overrides the environment
-        assert isinstance(
-            compile_resample_plan(
-                structure, d1, d2, max_membership_bytes=1 << 31
-            ),
-            LitsResamplePlan,
-        )
-
-    def test_cap_resolver_rejects_nonpositive(self, monkeypatch):
-        with pytest.raises(InvalidParameterError):
-            max_membership_bytes(0)
-        monkeypatch.setenv("REPRO_MAX_MEMBERSHIP_BYTES", "-5")
-        with pytest.raises(InvalidParameterError):
-            max_membership_bytes()
 
 
 @st.composite

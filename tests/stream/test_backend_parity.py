@@ -24,12 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attribute import AttributeSpace, numeric
+from repro.core.gcr import gcr
 from repro.core.lits import LitsModel
 from repro.core.model import LitsStructure
 from repro.data.transactions import SupportCountingPlan
 from repro.fleet.counting import count_lits_stores
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.bootstrap import deviation_significance
+from repro.stats.resample_plan import PackedLitsResamplePlan
 from repro.stream.chunks import TabularLog, TransactionLog
 from repro.stream.executor import sharded_index_sketch
 from repro.stream.sketch import PartitionSketch, SupportSketch
@@ -175,13 +177,23 @@ class TestBootstrapParity:
     )
     @settings(max_examples=15, deadline=None)
     def test_null_identical_across_backends_and_plans(self, txns1, txns2):
-        def sig(d1, d2, **kw):
-            m1 = LitsModel.mine(d1, 0.2, max_len=2)
-            m2 = LitsModel.mine(d2, 0.2, max_len=2)
+        def models(d1, d2):
+            return LitsModel.mine(d1, 0.2, max_len=2), LitsModel.mine(
+                d2, 0.2, max_len=2
+            )
+
+        def sig(d1, d2):
             return deviation_significance(
                 d1, d2, n_boot=12, rng=np.random.default_rng(11),
-                models=(m1, m2), **kw,
+                models=models(d1, d2),
             )
+
+        def packed_sig(d1, d2):
+            m1, m2 = models(d1, d2)
+            plan = PackedLitsResamplePlan.from_datasets(
+                gcr(m1.structure, m2.structure), d1, d2
+            )
+            return plan.significance(12, np.random.default_rng(11))
 
         with tempfile.TemporaryDirectory() as d:
             ram1 = TransactionLog(N_ITEMS, txns1).to_dataset(share_index=True)
@@ -193,11 +205,10 @@ class TestBootstrapParity:
                 N_ITEMS, txns2, backend="mmap", stripe_dir=d + "/2"
             ).to_dataset(share_index=True)
             ref = sig(ram1, ram2)
-            for kw in (
-                {},  # mmap, dense plan
-                {"max_membership_bytes": 1},  # mmap, packed plan
+            for got in (
+                sig(mm1, mm2),  # mmap, dense plan
+                packed_sig(mm1, mm2),  # mmap, packed plan
             ):
-                got = sig(mm1, mm2, **kw)
                 assert got.observed == ref.observed
                 assert np.array_equal(got.null_values, ref.null_values)
 
