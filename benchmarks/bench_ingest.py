@@ -1,12 +1,14 @@
 """Ablation: columnar ingest (CSR parse + one-scatter index) vs the loop oracle.
 
-A transactions file is parsed block by block straight to CSR arrays and
-bit-indexed with one ``np.repeat`` and one ``np.bitwise_or.at``
-(:func:`repro.data.io.read_transaction_blocks`). The oracle is the
-row-wise path: :func:`repro.data.io.parse_transactions_block_loop`
-(``int()`` per token) over the same bytes, then an index built from the
-tuple rows. This bench pins the gate: identical CSR arrays and index
-bits, and >= 3x over a seeded 60,000-row basket file.
+A transactions file is parsed block by block straight to canonical CSR
+datasets and bit-indexed with one ``np.repeat`` and one
+``np.bitwise_or.at`` (:func:`repro.data.io.read_transaction_blocks`).
+The oracle is the row-wise path:
+:func:`repro.data.io.parse_transactions_block_loop` (``int()`` per
+token) over the same bytes, then an index built from the tuple rows.
+This bench pins the gate: identical CSR arrays (the corpus is written
+canonical, so the raw rows are the canonical ones) and index bits, and
+>= 3x over a seeded 60,000-row basket file.
 
 It writes ``BENCH_ingest.json`` with the ratio and the counters of the
 CSR path, where ``data.parse.fallback_blocks`` must be 0 on this plain
@@ -29,7 +31,7 @@ from repro.data.io import (
     save_transactions,
 )
 from repro.data.quest_basket import generate_basket
-from repro.data.transactions import BitmapIndex, TransactionChunk
+from repro.data.transactions import BitmapIndex, TransactionDataset, csr_rows
 from repro.obs import MetricsRegistry, use_registry
 
 #: pipebench's stream-lits corpus shape: 60k rows over 500 items
@@ -51,19 +53,21 @@ def corpus(tmp_path_factory):
     return path
 
 
-def _csr_ingest(path: Path) -> tuple[TransactionChunk, BitmapIndex]:
+def _csr_ingest(path: Path) -> tuple[TransactionDataset, BitmapIndex]:
     n_items, blocks = read_transaction_blocks(path)
-    rows = TransactionChunk.concat(list(blocks), n_items)
+    rows = TransactionDataset.concat_many(list(blocks))
     return rows, BitmapIndex(rows, n_items)
 
 
-def _loop_ingest(path: Path) -> tuple[TransactionChunk, BitmapIndex]:
+def _loop_ingest(
+    path: Path,
+) -> tuple[tuple[np.ndarray, np.ndarray], BitmapIndex]:
     """The oracle: row-wise parse, tuple rows, tuple-built index."""
     header, body = path.read_bytes().split(b"\n", 1)
     n_items = int(header.split(b"n_items=")[1])
-    rows, bad = parse_transactions_block_loop(body, n_items)
+    csr, bad = parse_transactions_block_loop(body, n_items)
     assert bad is None
-    return rows, BitmapIndex(list(rows), n_items)
+    return csr, BitmapIndex(csr_rows(*csr), n_items)
 
 
 def _best_of(fn, repeats: int):
@@ -84,8 +88,8 @@ def test_csr_ingest_beats_the_loop_oracle(benchmark, corpus, tmp_path):
     )
 
     assert len(rows) == N_ROWS
-    assert np.array_equal(rows.indptr, oracle_rows.indptr)
-    assert np.array_equal(rows.indices, oracle_rows.indices)
+    assert np.array_equal(rows.indptr, oracle_rows[0])
+    assert np.array_equal(rows.indices, oracle_rows[1])
     assert np.array_equal(index._bits, oracle_index._bits)
     speedup = t_loop / max(t_csr, 1e-9)
 

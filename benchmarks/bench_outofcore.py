@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.data.storage import RamStripeStore, make_store, open_store
+from repro.data.storage import RamStripeStore, make_store
 from repro.data.transactions import BitmapIndex
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream.chunks import TransactionLog

@@ -8,10 +8,11 @@ blank line for an empty transaction. The first ``# n_items=N`` line
 (``N >= 1``) is the header and must come before any data line; later
 ``#`` lines are comments. A bad header or item raises
 :class:`~repro.errors.InvalidParameterError` naming the file and line.
-Files parse block by block straight to CSR arrays
-(:func:`read_transaction_blocks`, shared by both readers; tuple rows
-are only a lazy view): vectorised for plain digits, else through the
-row-wise :func:`parse_transactions_block_loop`, the oracle.
+Files parse block by block to raw CSR arrays, vectorised for plain
+digits, else through the row-wise :func:`parse_transactions_block_loop`,
+the oracle; :func:`read_transaction_blocks`, shared by both readers,
+makes each block a canonical
+:class:`~repro.data.transactions.TransactionDataset`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core.attribute import Attribute, AttributeKind, AttributeSpace
 from repro.data.tabular import TabularDataset
-from repro.data.transactions import TransactionChunk, TransactionDataset, as_csr
+from repro.data.transactions import TransactionDataset, as_csr
 from repro.errors import InvalidParameterError
 from repro.obs import metrics
 
@@ -116,15 +117,18 @@ def save_transactions(
 def load_transactions(path: str | Path) -> TransactionDataset:
     """Read transactions written by :func:`save_transactions`."""
     n_items, blocks = read_transaction_blocks(path)
-    return TransactionDataset(TransactionChunk.concat(list(blocks), n_items), n_items)
+    parts = list(blocks) or [TransactionDataset([], n_items)]
+    return TransactionDataset.concat_many(parts)
 
 
-def read_transaction_blocks(path: str | Path) -> tuple[int, Iterator[TransactionChunk]]:
+def read_transaction_blocks(
+    path: str | Path,
+) -> tuple[int, Iterator[TransactionDataset]]:
     """Open a transactions file as ``(n_items, block iterator)``.
 
     The header is validated here; each block of lines then yields a
-    range-checked :class:`TransactionChunk`, and a bad line raises once
-    the rows before it were yielded.
+    range-checked, canonical :class:`TransactionDataset`, and a bad
+    line raises once the rows before it were yielded.
     """
     reader = _read_blocks(Path(path))
     n_items: int = next(reader)
@@ -162,12 +166,13 @@ def parse_transactions_block(block: bytes) -> tuple[np.ndarray, np.ndarray] | No
 
 def parse_transactions_block_loop(
     block: bytes, n_items: int
-) -> tuple[TransactionChunk, tuple[int, str] | None]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[int, str] | None]:
     """Row-wise parse of whole lines: ``int()`` per token (the oracle).
 
     Each line is stripped; ``#`` lines are comments, empty lines empty
     transactions, others rows of items in ``[0, n_items)``. Returns the
-    rows before the first bad line and ``(its line in the block, why)``.
+    raw CSR arrays of the rows before the first bad line and ``(its
+    line in the block, why)``.
     """
     rows: list[tuple[int, ...]] = []
     bad: tuple[int, str] | None = None
@@ -184,26 +189,26 @@ def parse_transactions_block_loop(
             bad = (number, f"items {row} outside [0, {n_items})")
             break
         rows.append(row)
-    return TransactionChunk(rows, n_items), bad
+    return as_csr(rows), bad
 
 
 def _read_blocks(path: Path) -> Iterator[Any]:
-    """Yield ``n_items``, then a chunk per block of data lines."""
+    """Yield ``n_items``, then a dataset per block of data lines."""
     with path.open("rb") as f:
         blocks = _line_blocks(f)
         n_items, n_blank, line, rest = _read_header(blocks, path)
         yield n_items
         if n_blank:
-            yield TransactionChunk([()] * n_blank, n_items)
+            yield TransactionDataset([()] * n_blank, n_items)
         for block in chain([rest] if rest else [], blocks):
             csr = parse_transactions_block(block)
             if csr is not None and (not csr[1].size or csr[1].max() < n_items):
-                chunk, bad = TransactionChunk.from_csr(*csr, n_items), None
+                bad = None
             else:  # an odd alphabet, or a bad item to locate
                 metrics().inc("data.parse.fallback_blocks")
-                chunk, bad = parse_transactions_block_loop(block, n_items)
-            if len(chunk):
-                yield chunk
+                csr, bad = parse_transactions_block_loop(block, n_items)
+            if csr[0].shape[0] > 1:
+                yield TransactionDataset.from_csr(*csr, n_items)
             if bad is not None:
                 raise InvalidParameterError(f"{path}, line {line + bad[0]}: {bad[1]}")
             line += block.count(b"\n") + (not block.endswith(b"\n"))

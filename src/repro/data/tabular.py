@@ -156,9 +156,12 @@ class TabularDataset:
 
     @staticmethod
     def concat_many(datasets: Sequence["TabularDataset"]) -> "TabularDataset":
-        """Concatenate datasets over one space with a single ``vstack``."""
+        """Concatenate datasets over one space with a single ``vstack``;
+        a lone dataset is handed back as is."""
         if not datasets:
             raise InvalidParameterError("concat_many needs at least one dataset")
+        if len(datasets) == 1:
+            return datasets[0]
         space = datasets[0].space
         for d in datasets[1:]:
             if not space.compatible_with(d.space):

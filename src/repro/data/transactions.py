@@ -19,14 +19,15 @@ reads every pair over ``k`` items off one blocked float32 Gram product
 of the unpacked stripes -- Apriori's level 2, and the pair group of a
 :class:`SupportCountingPlan` when its cost rule favours it.
 
-Row bags hold CSR arrays (row ``i`` is ``indices[indptr[i]:indptr[i+1]]``)
-from the parser to the bit scatter; tuple rows are a lazily built,
+:class:`TransactionDataset` is the one transaction row container, from
+a parsed block or stream chunk to a window or reference: CSR arrays
+(row ``i`` is ``indices[indptr[i]:indptr[i+1]]``), sorted and
+deduplicated once, where they enter; tuple rows are a lazily built,
 cached view for the APIs and oracles that iterate rows.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence, SupportsIndex
 
@@ -694,109 +695,52 @@ class SupportCountingPlan:
         return out
 
 
-class TransactionChunk(Sequence[tuple[int, ...]]):
-    """A batch of raw CSR rows that carries its bitmap index.
-
-    Rows keep the order and items they arrived with (the bit scatter is
-    an OR). The tuple rows and the index are built on first use and
-    cached, so a chunk is bit-indexed once however many consumers -- a
-    stream sketcher, the monitor's bootstrap -- read its bits.
-    """
-
-    def __init__(self, rows: Any, n_items: int) -> None:
-        self.indptr, self.indices = as_csr(rows)
-        self.n_items = n_items
-
-    @classmethod
-    def from_csr(
-        cls, indptr: np.ndarray, indices: np.ndarray, n_items: int
-    ) -> "TransactionChunk":
-        """A chunk adopting CSR arrays as they are (no copy, no checks)."""
-        self = cls.__new__(cls)
-        self.indptr, self.indices, self.n_items = indptr, indices, n_items
-        return self
-
-    @classmethod
-    def of(cls, rows: Any, n_items: int) -> "TransactionChunk":
-        """``rows`` itself when it is a chunk over ``n_items``, else a new one."""
-        if isinstance(rows, TransactionChunk) and rows.n_items == n_items:
-            return rows
-        return cls(rows, n_items)
-
-    @classmethod
-    def concat(cls, bags: Sequence[Any], n_items: int) -> "TransactionChunk":
-        """The rows of CSR holders end to end; a lone chunk passes through."""
-        first = bags[0] if len(bags) == 1 else None
-        if isinstance(first, TransactionChunk):
-            return first
-        parts = [as_csr(bag) for bag in bags]
-        return cls.from_csr(
-            np.concatenate([[0], *(np.diff(ptr) for ptr, _ in parts)]).cumsum(),
-            np.concatenate([np.zeros(0, np.int64), *(idx for _, idx in parts)]),
-            n_items,
-        )
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.indptr, self.indices
-
-    def slice_rows(self, start: int, stop: int) -> "TransactionChunk":
-        """Rows ``[start, stop)`` as a chunk with its own arrays."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        indptr, indices = self.indptr[start : stop + 1] - lo, self.indices[lo:hi]
-        return TransactionChunk.from_csr(indptr, indices.copy(), self.n_items)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(csr_rows(self.indptr, self.indices))
-
-    def __len__(self) -> int:
-        return self.indptr.shape[0] - 1
-
-    def __getitem__(self, i: Any) -> Any:
-        return self.rows[i]
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransactionChunk):
-            return NotImplemented
-        return all(map(np.array_equal, self.csr, other.csr))
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # arrays and universe only: a copy rebuilds its index on demand
-        return (TransactionChunk.from_csr, (*self.csr, self.n_items))
-
-    @cached_property
-    def index(self) -> BitmapIndex:
-        """The chunk's bitmap index (built once, on first access)."""
-        return BitmapIndex(self, self.n_items)
-
-
 class TransactionDataset:
     """An immutable bag of transactions over ``n_items`` items.
 
     Rows are CSR arrays, each sorted and deduplicated; ``transactions``
-    and iteration are a lazily built tuple view.
+    and iteration are a lazily built tuple view. The bitmap index is
+    built on first use and cached, so a stream chunk is bit-indexed
+    once however many consumers -- its sketch, the bootstrap -- read it.
     """
 
     def __init__(self, transactions: Any, n_items: int) -> None:
+        self._adopt(*canonical_csr(*as_csr(transactions), n_items), n_items)
+
+    def _adopt(self, indptr: np.ndarray, indices: np.ndarray, n_items: int) -> None:
         if n_items <= 0:
             raise InvalidParameterError("n_items must be positive")
-        self.indptr, self.indices = canonical_csr(
-            *as_csr(transactions), n_items
-        )
-        self.n_items = n_items
+        self.indptr, self.indices, self.n_items = indptr, indices, n_items
         self._index: BitmapIndex | None = None
         self._rows: list[tuple[int, ...]] | None = None
+
+    @classmethod
+    def _canonical(
+        cls, indptr: np.ndarray, indices: np.ndarray, n_items: int
+    ) -> "TransactionDataset":
+        """A dataset adopting canonical CSR arrays as they are (no re-check)."""
+        self = cls.__new__(cls)
+        self._adopt(indptr, indices, n_items)
+        return self
 
     @classmethod
     def from_csr(
         cls, indptr: np.ndarray, indices: np.ndarray, n_items: int
     ) -> "TransactionDataset":
         """A dataset of CSR rows, canonicalised like any other rows."""
-        return cls(TransactionChunk.from_csr(indptr, indices, n_items), n_items)
+        return cls._canonical(*canonical_csr(indptr, indices, n_items), n_items)
+
+    @classmethod
+    def of(cls, rows: Any, n_items: int) -> "TransactionDataset":
+        """``rows`` itself when it is a dataset over ``n_items`` (its
+        cached index kept), else a new dataset of them."""
+        if isinstance(rows, TransactionDataset) and rows.n_items == n_items:
+            return rows
+        return cls(rows, n_items)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # arrays and universe only: a copy rebuilds its index on demand
+        return (TransactionDataset._canonical, (*self.csr, self.n_items))
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -859,18 +803,42 @@ class TransactionDataset:
 
     def take(self, indices: np.ndarray) -> "TransactionDataset":
         """A new dataset with the transactions at ``indices`` (repeats OK)."""
-        return TransactionDataset.from_csr(
+        return TransactionDataset._canonical(
             *csr_take(self.indptr, self.indices, indices), self.n_items
+        )
+
+    def slice_rows(self, start: int, stop: int) -> "TransactionDataset":
+        """Rows ``[start, stop)`` as a dataset with its own arrays."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        indptr = self.indptr[start : stop + 1] - lo
+        return TransactionDataset._canonical(
+            indptr, self.indices[lo:hi].copy(), self.n_items
+        )
+
+    @staticmethod
+    def concat_many(
+        datasets: Sequence["TransactionDataset"],
+    ) -> "TransactionDataset":
+        """The rows of datasets over one universe end to end; a lone
+        dataset is handed back as is."""
+        if not datasets:
+            raise InvalidParameterError("concat_many needs at least one dataset")
+        if len(datasets) == 1:
+            return datasets[0]
+        n_items = datasets[0].n_items
+        if any(d.n_items != n_items for d in datasets):
+            raise InvalidParameterError(
+                "cannot concatenate datasets with different item universes"
+            )
+        return TransactionDataset._canonical(
+            np.concatenate([[0], *(np.diff(d.indptr) for d in datasets)]).cumsum(),
+            np.concatenate([d.indices for d in datasets]),
+            n_items,
         )
 
     def concat(self, other: "TransactionDataset") -> "TransactionDataset":
         """Append another dataset over the same item universe."""
-        if other.n_items != self.n_items:
-            raise InvalidParameterError(
-                "cannot concatenate datasets with different item universes"
-            )
-        both = TransactionChunk.concat([self, other], self.n_items)
-        return TransactionDataset(both, self.n_items)
+        return TransactionDataset.concat_many([self, other])
 
     def average_length(self) -> float:
         """Mean transaction length (diagnostics for the generator tests)."""

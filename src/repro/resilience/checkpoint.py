@@ -43,10 +43,12 @@ generator) and the window manager's ring and counters.
 * **verified resume**: :func:`resume_checkpoint` checks the manifest,
   the state CRC, every file CRC and the configuration fingerprint
   before touching the monitor, then re-mines the persisted reference
-  rows, realigns the ring's sketches to the fresh structure (guarded
-  by itemset/``counts_key`` equality) and restores the inner monitor.
-  Anything corrupt raises a typed :class:`CheckpointError` naming the
-  file.
+  rows, checks the result against the ``reference_crc`` the writer
+  recorded (a builder with other model parameters fits another
+  reference), realigns the ring's sketches to the fresh structure
+  (guarded by itemset/``counts_key`` equality) and restores the inner
+  monitor. Anything corrupt raises a typed :class:`CheckpointError`
+  naming the file.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from repro.data.io import (
     save_tabular,
     save_transactions,
 )
-from repro.data.transactions import TransactionDataset
 from repro.errors import CheckpointError, FocusError
 from repro.obs import metrics
 from repro.stats.resample_plan import DRAW_SCHEME
@@ -110,6 +111,8 @@ class _WriteLedger:
     #: the model once; handed on to the next ledger until a promotion
     #: replaces the model
     packer: tuple[Any, Callable[[Any], bytes]] | None = None
+    #: a reference model and its :func:`_reference_crc`, handed on alike
+    reference_crc: tuple[Any, int] | None = None
 
     def lookup(self, obj: Any) -> tuple[str, int] | None:
         """``(committed path, crc)`` of ``obj``'s file, if recorded."""
@@ -202,11 +205,9 @@ def _write_generation(
     # plain strings: a checkpoint joins a path per file it holds
     target = os.fspath(gen_dir)
     last: _WriteLedger | None = monitor.checkpoint_ledger
-    ledger = _WriteLedger(
-        directory.resolve(),
-        generation,
-        packer=None if last is None else last.packer,
-    )
+    ledger = _WriteLedger(directory.resolve(), generation)
+    if last is not None:
+        ledger.packer, ledger.reference_crc = last.packer, last.reference_crc
     files: dict[str, int] = {}
     sink = metrics()
     rows_suffix = ".rows" if monitor.kind == "transactions" else ".npz"
@@ -219,7 +220,7 @@ def _write_generation(
     def put_rows(name: str, rows: Any) -> None:
         buffer = io.BytesIO()
         if monitor.kind == "transactions":
-            save_transactions(TransactionDataset(rows, monitor.n_items), buffer)
+            save_transactions(rows, buffer)
         else:
             save_tabular(rows, buffer)
         sink.inc("resilience.checkpoint_rows_written", len(rows))
@@ -268,6 +269,7 @@ def _write_generation(
         )
     manager = live["windows"]
     if manager is not None:
+        state["reference_crc"] = _reference_crc(monitor, ledger)
         chunks = []
         for i, (sketch, chunk) in enumerate(manager.ring):
             rows_name = persist(
@@ -401,6 +403,18 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
             "buffer": rows(state["buffer"]),
         }
     )
+    # the files just verified serve the next checkpoint's links
+    ledger = _WriteLedger(
+        directory.resolve(), manifest["generation"], manifest["state_crc"]
+    )
+    saved_crc = state.get("reference_crc")  # absent before this check
+    if saved_crc is not None and _reference_crc(monitor, ledger) != saved_crc:
+        raise CheckpointError(
+            "the re-fitted reference does not match the checkpoint's (its "
+            "model parameters differ); resume with the model parameters "
+            "that wrote it",
+            path=str(directory),
+        )
     live = monitor.state()
     named = [(live["reference"], state["reference"])]
     # a block the monitor re-sealed no longer matches its file
@@ -419,10 +433,6 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
         ):
             named += [(chunk, entry["rows"]), (sketch, entry["sketch"])]
     metrics().inc("resilience.checkpoints_resumed")
-    # the files just verified serve the next checkpoint's links
-    ledger = _WriteLedger(
-        directory.resolve(), manifest["generation"], manifest["state_crc"]
-    )
     for obj, name in named:
         if name in state["files"]:
             ledger.record(obj, name, int(state["files"][name]))
@@ -666,6 +676,17 @@ def _load_block(path: Path) -> tuple[Observation, ...]:
         raise CheckpointError(
             f"checkpoint history block failed to load: {exc}", path=str(path)
         ) from exc
+
+
+def _reference_crc(monitor: Any, ledger: _WriteLedger) -> int:
+    """CRC-32 of the reference's empty window sketch's wire bytes (its
+    itemsets, or its partition structure and model), once per model."""
+    model = monitor.monitor.reference.model
+    if ledger.reference_crc is None or ledger.reference_crc[0] is not model:
+        empty = monitor.windows.sketcher.empty()
+        crc = zlib.crc32(_pack_sketch(monitor, ledger, empty))
+        ledger.reference_crc = (model, crc)
+    return ledger.reference_crc[1]
 
 
 def _pack_sketch(monitor: Any, ledger: _WriteLedger, sketch: Any) -> bytes:

@@ -55,7 +55,6 @@ from repro.stream.sketch import (
 from repro.stream.windows import (
     ChunkSketcher,
     PartitionChunkSketcher,
-    TransactionChunk,
     TransactionChunkSketcher,
     Window,
     WindowManager,
@@ -71,7 +70,6 @@ __all__ = [
     "SupportSketch",
     "TabularLog",
     "ThreadExecutor",
-    "TransactionChunk",
     "TransactionChunkSketcher",
     "TransactionLog",
     "Window",

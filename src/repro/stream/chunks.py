@@ -1,17 +1,16 @@
 """Chunked stream sources and the appendable logs (both dataset kinds).
 
-Streaming sources arrive as *chunks* -- batches of rows in time order.
-:func:`iter_chunks` slices any transaction iterable into fixed-size
-chunks without materialising the whole stream, and
-:func:`stream_transaction_chunks` does the same over the flat text
-format of :mod:`repro.data.io` (one line per transaction; the first
-``# n_items=`` line must come before any data) so the CLI can monitor a
-file far larger than memory-comfortable in one go. Its chunks are CSR
-:class:`~repro.data.transactions.TransactionChunk` objects parsed block
-by block; tuple rows are a lazy view, built only for a reader that
-iterates them. :func:`iter_tabular_chunks` / :func:`stream_tabular_chunks`
-are the tabular counterparts: view-backed row slices of a table (or of
-a ``.npz`` file), driving the dt-/cluster-model monitoring pipeline.
+Streaming sources arrive as *chunks* -- batches of rows in time order,
+each a dataset of its kind: a canonical
+:class:`~repro.data.transactions.TransactionDataset` or a view-backed
+:class:`~repro.data.tabular.TabularDataset`. :func:`iter_chunks` slices
+any transaction iterable into fixed-size chunks without materialising
+the whole stream, and :func:`stream_transaction_chunks` re-cuts the
+parsed blocks of the flat text format of :mod:`repro.data.io` (the
+first ``# n_items=`` line must come before any data), so the CLI can
+monitor a file far larger than memory-comfortable in one go.
+:func:`iter_tabular_chunks` / :func:`stream_tabular_chunks` are the
+tabular counterparts, driving the dt-/cluster-model pipeline.
 
 Two growable logs mirror the immutable datasets. :class:`TransactionLog`
 maintains the incremental :class:`~repro.data.transactions.BitmapIndex`
@@ -28,7 +27,6 @@ assigner memo re-scans it only when it has grown).
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -43,10 +41,7 @@ from repro.data.storage import StripeHandle, StripeStore, make_store
 from repro.data.tabular import TabularDataset
 from repro.data.transactions import (
     BitmapIndex,
-    TransactionChunk,
     TransactionDataset,
-    as_csr,
-    canonical_csr,
     csr_rows,
     csr_take,
 )
@@ -77,25 +72,25 @@ def iter_chunks(
 
 def stream_transaction_chunks(
     path: str | Path, chunk_size: int
-) -> tuple[int, Iterator[TransactionChunk]]:
+) -> tuple[int, Iterator[TransactionDataset]]:
     """Open a transactions file as ``(n_items, chunk iterator)``.
 
     The file uses the :func:`repro.data.io.save_transactions` format and
     is read in blocks of lines (:func:`repro.data.io.read_transaction_blocks`),
-    re-cut into CSR :class:`~repro.data.transactions.TransactionChunk`
-    objects, each parsed and range-checked by the time ``next()``
-    returns it.
+    re-cut into :class:`~repro.data.transactions.TransactionDataset`
+    chunks, each parsed, range-checked and canonical by the time
+    ``next()`` returns it.
     """
     n_items, blocks = read_transaction_blocks(path)
-    return n_items, _rechunk(blocks, chunk_size, n_items)
+    return n_items, _rechunk(blocks, chunk_size)
 
 
 def _rechunk(
-    blocks: Iterator[TransactionChunk], chunk_size: int, n_items: int
-) -> Iterator[TransactionChunk]:
+    blocks: Iterator[TransactionDataset], chunk_size: int
+) -> Iterator[TransactionDataset]:
     if chunk_size < 1:
         raise InvalidParameterError("chunk_size must be >= 1")
-    buffer = ChunkBuffer.of_transactions(n_items)
+    buffer = ChunkBuffer(lambda block: block)
     for block in blocks:
         buffer.extend(block)
         while len(buffer) >= chunk_size:
@@ -107,26 +102,16 @@ def _rechunk(
 class ChunkBuffer:
     """Row buffer of a stream: queued chunks, split on row boundaries.
 
-    Chunks are :class:`TransactionChunk` or :class:`TabularDataset`
-    views. A queued chunk that is exactly the rows asked for is handed
-    on whole, so buffering copies a row at most once.
+    ``normalize`` makes arriving data a dataset chunk, which splits with
+    ``slice_rows`` and joins with its class's ``concat_many``. A queued
+    chunk that is exactly the rows asked for is handed on whole, so
+    buffering copies a row at most once.
     """
 
-    def __init__(
-        self, normalize: Callable[[Any], Any], concat: Callable[[list[Any]], Any]
-    ) -> None:
+    def __init__(self, normalize: Callable[[Any], Any]) -> None:
         self._normalize = normalize
-        self._concat = concat
         self._chunks: list[Any] = []
         self._n = 0
-
-    @classmethod
-    def of_transactions(cls, n_items: int) -> "ChunkBuffer":
-        """A buffer of :class:`TransactionChunk` rows over ``n_items``."""
-        return cls(
-            partial(TransactionChunk.of, n_items=n_items),
-            partial(TransactionChunk.concat, n_items=n_items),
-        )
 
     def extend(self, data: Any) -> None:
         chunk = self._normalize(data)
@@ -150,12 +135,11 @@ class ChunkBuffer:
                 self._chunks[0] = head.slice_rows(need, len(head))
                 need = 0
         self._n -= k
-        return taken[0] if len(taken) == 1 else self._concat(taken)
+        return type(taken[0]).concat_many(taken)
 
     def rows(self) -> Any:
         """Every buffered row, oldest first, as one chunk (nothing popped)."""
-        chunks = self._chunks
-        return chunks[0] if len(chunks) == 1 else self._concat(chunks)
+        return type(self._chunks[0]).concat_many(self._chunks)
 
 
 def iter_tabular_chunks(
@@ -260,11 +244,11 @@ class TransactionLog:
 
     def append(self, transactions: Iterable[Iterable[int]]) -> "TransactionLog":
         """Append a chunk of transactions; returns ``self`` for chaining."""
-        indptr, indices = canonical_csr(*as_csr(transactions), self.n_items)
+        rows = TransactionDataset.of(transactions, self.n_items)
         # Row stripes first, then the index append -- whose commit
         # publishes both, so every commit point is a consistent log.
-        self._append_row_stripes(indptr, indices)
-        self._index.append(TransactionChunk.from_csr(indptr, indices, self.n_items))
+        self._append_row_stripes(*rows.csr)
+        self._index.append(rows)
         return self
 
     def _append_row_stripes(self, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -322,7 +306,7 @@ class TransactionLog:
 
     def take(self, indices: np.ndarray | Sequence[int]) -> TransactionDataset:
         """An immutable snapshot of the rows at ``indices``."""
-        return TransactionDataset.from_csr(
+        return TransactionDataset._canonical(
             *csr_take(*self._row_stripes(), np.asarray(indices)), self.n_items
         )
 
@@ -337,7 +321,7 @@ class TransactionLog:
         afterwards; a later ``append`` would mutate the snapshot's
         counts.
         """
-        dataset = TransactionDataset.from_csr(*self.csr, self.n_items)
+        dataset = TransactionDataset._canonical(*self.csr, self.n_items)
         if share_index:
             dataset._index = self._index
         return dataset

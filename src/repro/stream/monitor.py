@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -57,7 +58,6 @@ from repro.core.deviation import deviation_from_counts
 from repro.core.difference import ABSOLUTE, DifferenceFunction
 from repro.core.model import PartitionStructure
 from repro.core.monitor import ChangeMonitor, Observation, Reference
-from repro.data.tabular import TabularDataset
 from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.obs import LATENCY_EDGES, metrics
@@ -191,13 +191,10 @@ class OnlineChangeMonitor:
             executor=self.executor,
             n_blocks=n_blocks,
         )
-        self._buffer = (
-            ChunkBuffer.of_transactions(n_items)
-            if n_items is not None
-            else ChunkBuffer(
-                PartitionChunkSketcher.normalize, TabularDataset.concat_many
-            )
-        )
+        if n_items is None:
+            self._buffer = ChunkBuffer(PartitionChunkSketcher.normalize)
+        else:
+            self._buffer = ChunkBuffer(partial(TransactionDataset.of, n_items=n_items))
         #: lifetime rows accepted by :meth:`push`, including warm-up and
         #: rows still buffered -- the exact stream offset a resumed run
         #: must skip to (see :meth:`checkpoint` / :meth:`resume`)
@@ -388,11 +385,7 @@ class OnlineChangeMonitor:
 
     def _start(self) -> None:
         """Fit the warm-up rows as the reference and open the windows."""
-        reference = self._warmup
-        if self.kind == "transactions":
-            assert self.n_items is not None  # enforced by __init__
-            reference = TransactionDataset(reference, self.n_items)
-        self.monitor.fit(reference)
+        self.monitor.fit(self._warmup)
         self._warmup = None
         self._windows = WindowManager(
             self._sketcher(),

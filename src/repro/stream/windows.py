@@ -12,9 +12,14 @@ chunks, never rescanning a surviving row:
 * **tumbling** windows accumulate ``W`` chunk sketches, emit, and reset
   (:meth:`WindowManager.flush` emits a final partial window).
 
-The sketcher is the only kind-specific piece. Two implementations cover
-the paper's model classes: :class:`TransactionChunkSketcher` counts an
-itemset collection over transaction chunks (lits-models), and
+Chunks are datasets of their kind -- a
+:class:`~repro.data.transactions.TransactionDataset` or a
+:class:`~repro.data.tabular.TabularDataset` view, the one row container
+each kind has -- so the ring, the row counts and a window's
+:meth:`Window.to_dataset` are kind-agnostic. The sketcher is the only
+kind-specific piece. Two implementations cover the paper's model
+classes: :class:`TransactionChunkSketcher` counts an itemset collection
+over transaction chunks (lits-models), and
 :class:`PartitionChunkSketcher` histograms a partition structure over
 tabular chunks (dt-/cluster-models). Both sketch kinds merge with ``+``
 and retire with ``-``, so the manager's advance logic is identical.
@@ -28,21 +33,12 @@ vector of a structural component over that window.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Iterable,
-    Iterator,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro._typing import DatasetLike, ExecutorLike, StructureOrPlan
 
-from repro.data.transactions import TransactionChunk, TransactionDataset
+from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.obs import MetricsRegistry, metrics
 from repro.stream.executor import (
@@ -58,9 +54,6 @@ from repro.stream.sketch import (
     canonical_itemsets,
 )
 
-if TYPE_CHECKING:
-    from repro.data.tabular import TabularDataset
-
 POLICIES = ("sliding", "tumbling")
 
 
@@ -68,8 +61,9 @@ POLICIES = ("sliding", "tumbling")
 class ChunkSketcher(Protocol):
     """What the window manager needs to know about a dataset kind.
 
-    A sketcher turns raw chunks into mergeable sketches; everything else
-    -- ring buffers, add/subtract advances, emission -- is kind-agnostic.
+    A sketcher turns arriving data into dataset chunks and chunks into
+    mergeable sketches; everything else -- ring buffers, row counts,
+    add/subtract advances, emission -- is kind-agnostic.
     Sketches returned by :meth:`sketch` / :meth:`empty` must support
     ``+``/``-`` and expose ``counts`` and ``n_rows``.
     """
@@ -78,7 +72,7 @@ class ChunkSketcher(Protocol):
     kind: str
 
     def normalize(self, chunk: Any) -> Any:
-        """Canonicalise an incoming chunk (stored in the ring buffer)."""
+        """The incoming chunk as a dataset (stored in the ring buffer)."""
         ...
 
     def sketch(self, chunk: Any) -> Any:
@@ -89,19 +83,11 @@ class ChunkSketcher(Protocol):
         """The additive identity sketch."""
         ...
 
-    def chunk_len(self, chunk: Any) -> int:
-        """Number of rows in a normalised chunk."""
-        ...
-
-    def concat(self, chunks: Iterable[Any]) -> Any:
-        """Materialise normalised chunks as one immutable dataset."""
-        ...
-
 
 class TransactionChunkSketcher:
     """Sketch transaction chunks against a fixed itemset collection.
 
-    Each chunk is bit-indexed once (:class:`TransactionChunk`) and
+    Each chunk is a :class:`TransactionDataset`, bit-indexed once and
     counted over contiguous row ranges of that one index on the
     sketcher's executor (:func:`~repro.stream.executor.sharded_index_sketch`).
     """
@@ -129,11 +115,11 @@ class TransactionChunkSketcher:
         """
         release(self.executor)
 
-    def normalize(self, chunk: Any) -> TransactionChunk:
+    def normalize(self, chunk: Any) -> TransactionDataset:
         # a chunk re-fed after a reference reset keeps its index
-        return TransactionChunk.of(chunk, self.n_items)
+        return TransactionDataset.of(chunk, self.n_items)
 
-    def sketch(self, chunk: TransactionChunk) -> SupportSketch:
+    def sketch(self, chunk: TransactionDataset) -> SupportSketch:
         return sharded_index_sketch(
             chunk.index,
             self.itemsets,
@@ -143,13 +129,6 @@ class TransactionChunkSketcher:
 
     def empty(self) -> SupportSketch:
         return SupportSketch.empty(self.itemsets, self.n_items)
-
-    def chunk_len(self, chunk: Sequence[Any]) -> int:
-        return len(chunk)
-
-    def concat(self, chunks: Iterable[Any]) -> TransactionDataset:
-        rows = TransactionChunk.concat(list(chunks), self.n_items)
-        return TransactionDataset(rows, self.n_items)
 
 
 class PartitionChunkSketcher:
@@ -201,22 +180,13 @@ class PartitionChunkSketcher:
     def empty(self) -> PartitionSketch:
         return PartitionSketch.empty(self.plan)
 
-    def chunk_len(self, chunk: DatasetLike) -> int:
-        return len(chunk)
-
-    def concat(self, chunks: Iterable[DatasetLike]) -> "TabularDataset":
-        from repro.data.tabular import TabularDataset
-
-        return TabularDataset.concat_many(list(chunks))
-
 
 @dataclass(frozen=True)
 class Window:
     """One emitted window: its sketch plus the chunks it covers.
 
-    The chunks are held in the manager's normalised form; flattening or
-    concatenating them is deferred (:attr:`transactions`,
-    :meth:`to_dataset`) so the cheap monitoring mode (which only reads
+    The chunks are the ring's datasets; joining them is deferred
+    (:meth:`to_dataset`) so the cheap monitoring mode (which only reads
     the sketch) never pays O(window) work per advance.
     """
 
@@ -225,24 +195,16 @@ class Window:
     stop: int  #: row offset one past the window's last row
     sketch: SupportSketch | PartitionSketch
     chunks: tuple[Any, ...]
-    sketcher: ChunkSketcher = field(compare=False)
 
     def __len__(self) -> int:
         return self.stop - self.start
 
-    @cached_property
-    def transactions(self) -> tuple[tuple[int, ...], ...]:
-        """A transaction window's rows, oldest first (flattened lazily).
-
-        Only meaningful for transaction windows; tabular windows
-        materialise through :meth:`to_dataset`.
-        """
-        return tuple(t for chunk in self.chunks for t in chunk)
-
     def to_dataset(self) -> DatasetLike:
-        """Materialise the window as an immutable dataset (for e.g. the
-        bootstrap, which needs to resample actual rows)."""
-        return self.sketcher.concat(self.chunks)
+        """The window's rows as one dataset, oldest first (for e.g. the
+        bootstrap, which needs to resample actual rows); a one-chunk
+        window is its chunk."""
+        dataset: DatasetLike = type(self.chunks[0]).concat_many(self.chunks)
+        return dataset
 
 
 class WindowManager:
@@ -375,7 +337,7 @@ class WindowManager:
         self.sketcher = sketcher
         chunks = self.buffered_chunks
         self._adopt([(sketcher.sketch(chunk), chunk) for chunk in chunks])
-        n = sum(sketcher.chunk_len(chunk) for chunk in chunks)
+        n = sum(len(chunk) for chunk in chunks)
         self._count("stream.windows.rows_sketched", n)
 
     def restore(
@@ -416,7 +378,7 @@ class WindowManager:
         """
         chunk = self.sketcher.normalize(chunk)
         sketch = self.sketcher.sketch(chunk)
-        n = self.sketcher.chunk_len(chunk)
+        n = len(chunk)
         self._count("stream.windows.rows_sketched", n)
         self._row_offset += n
         self._chunks.append((sketch, chunk))
@@ -437,7 +399,6 @@ class WindowManager:
             stop=self._row_offset,
             sketch=self._current,
             chunks=tuple(chunk for _, chunk in self._chunks),
-            sketcher=self.sketcher,
         )
         self._count("stream.windows.emitted", 1)
         if self.policy == "tumbling":

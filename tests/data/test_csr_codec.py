@@ -1,11 +1,11 @@
-"""The CSR transaction codec: parser, index scatter, chunk, buffer, dataset.
+"""The CSR transaction codec: parser, index scatter, buffer, dataset.
 
 The vectorised parser is pinned against two oracles: the row-wise loop
 parser (every block forced through it) and an independent text-mode
 reader written here with Python's ``int()`` semantics. Both entry points
 (``load_transactions`` and ``stream_transaction_chunks``) must accept and
-reject the same files and produce the same rows, at several chunk sizes
-and block sizes.
+reject the same files and produce the same canonical rows, at several
+chunk sizes and block sizes.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from repro.data.io import (
 )
 from repro.data.transactions import (
     BitmapIndex,
-    TransactionChunk,
     TransactionDataset,
+    as_csr,
     canonical_csr,
 )
 from repro.errors import CheckpointError, InvalidParameterError
@@ -98,7 +98,7 @@ def read_stream(path: Path, chunk_size: int) -> tuple[int, list[tuple[int, ...]]
     rows: list[tuple[int, ...]] = []
     sizes = []
     for chunk in chunks:
-        assert isinstance(chunk, TransactionChunk)
+        assert isinstance(chunk, TransactionDataset)
         sizes.append(len(chunk))
         rows.extend(chunk)
     assert all(size == chunk_size for size in sizes[:-1])
@@ -244,20 +244,20 @@ class TestParserAgainstOracle:
             n_items, rows = expected
             canonical = [tuple(sorted(set(row))) for row in rows]
             assert loaded == (n_items, canonical)
-            assert streamed == [(n_items, rows)] * 3
+            assert streamed == [(n_items, canonical)] * 3
 
     @SETTINGS
     @given(text=files())
     def test_block_parsers_agree(self, text):
         block = text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8")
         fast = parse_transactions_block(block)
-        chunk, bad = parse_transactions_block_loop(block, 1 << 40)
+        (indptr, indices), bad = parse_transactions_block_loop(block, 1 << 40)
         if fast is None:
             return
         # a vectorised block is comment- and sign-free, so never bad
         assert bad is None
-        assert np.array_equal(fast[0], chunk.indptr)
-        assert np.array_equal(fast[1], chunk.indices)
+        assert np.array_equal(fast[0], indptr)
+        assert np.array_equal(fast[1], indices)
 
     def test_fast_path_covers_plain_blocks(self):
         block = b"1 2 3\n\n007\t4\n 5 \n999999999999999999\n6"
@@ -358,7 +358,7 @@ class TestCsrIndex:
     @given(rows=rows_strategy, cuts=st.lists(st.integers(0, 40), max_size=4))
     def test_csr_index_bits_equal_tuple_bits(self, rows, cuts):
         expected = naive_bits(rows, 12)
-        chunk = TransactionChunk(rows, 12)
+        chunk = TransactionDataset(rows, 12)
         assert np.array_equal(BitmapIndex(chunk, 12)._bits, expected)
         assert np.array_equal(BitmapIndex(rows, 12)._bits, expected)
         # appends at tid offsets that are rarely a multiple of 8
@@ -370,18 +370,20 @@ class TestCsrIndex:
 
     def test_out_of_range_scatter_raises(self):
         with pytest.raises(InvalidParameterError):
-            BitmapIndex(TransactionChunk([(1, 12)], 12), 12)
+            BitmapIndex([(1, 12)], 12)
 
 
 class TestChunkAndBuffer:
     @SETTINGS
     @given(rows=rows_strategy)
     def test_chunk_pickles_its_arrays(self, rows):
-        chunk = TransactionChunk(rows, 12)
+        chunk = TransactionDataset(rows, 12)
         chunk.index  # noqa: B018 - cache it; the copy must not carry it
         copy = pickle.loads(pickle.dumps(chunk))
-        assert copy == chunk and list(copy) == rows
-        assert copy.n_items == 12 and "index" not in vars(copy)
+        assert np.array_equal(copy.indptr, chunk.indptr)
+        assert np.array_equal(copy.indices, chunk.indices)
+        assert list(copy) == [tuple(sorted(set(row))) for row in rows]
+        assert copy.n_items == 12 and copy._index is None
         assert np.array_equal(copy.index._bits, chunk.index._bits)
 
     @SETTINGS
@@ -394,9 +396,9 @@ class TestChunkAndBuffer:
         buffer = monitor._buffer
         flat: list[tuple[int, ...]] = []
         for i, rows in enumerate(pushes):
-            # alternate plain rows and ready-made CSR chunks
-            buffer.extend(rows if i % 2 else TransactionChunk(rows, 12))
-            flat.extend(rows)
+            # alternate plain rows and ready-made dataset chunks
+            buffer.extend(rows if i % 2 else TransactionDataset(rows, 12))
+            flat.extend(tuple(sorted(set(row))) for row in rows)
         assert len(buffer) == len(flat)
         if flat:
             assert list(buffer.rows()) == flat
@@ -405,15 +407,16 @@ class TestChunkAndBuffer:
             if not k:
                 break
             popped = buffer.pop(k)
-            assert isinstance(popped, TransactionChunk)
+            assert isinstance(popped, TransactionDataset)
             assert list(popped) == flat[:k]
             del flat[:k]
             assert len(buffer) == len(flat)
 
     def test_exact_pop_hands_the_pushed_chunk_on(self):
         monitor = _monitor(3)
-        chunk = TransactionChunk([(0,), (1, 2)], 3)
+        chunk = TransactionDataset([(0,), (1, 2)], 3)
         monitor._buffer.extend(chunk)
+        assert monitor._buffer.rows() is chunk
         assert monitor._buffer.pop(2) is chunk
 
 
@@ -422,8 +425,7 @@ class TestCsrDataset:
     @given(rows=rows_strategy, picks=st.lists(st.integers(-40, 39), max_size=10))
     def test_csr_dataset_equals_tuple_canonicalisation(self, rows, picks):
         canonical = [tuple(sorted(set(row))) for row in rows]
-        chunk = TransactionChunk(rows, 12)
-        dataset = TransactionDataset.from_csr(chunk.indptr, chunk.indices, 12)
+        dataset = TransactionDataset.from_csr(*as_csr(rows), 12)
         assert dataset.transactions == canonical
         assert list(TransactionDataset(rows, 12)) == canonical
         assert dataset.average_length() == pytest.approx(
@@ -437,6 +439,21 @@ class TestCsrDataset:
         ]
         indptr, indices = canonical_csr(dataset.indptr, dataset.indices, 12)
         assert indptr is dataset.indptr and indices is dataset.indices
+
+    def test_concat_many_hands_a_lone_dataset_on(self):
+        from repro.data.quest_classify import generate_classification
+        from repro.data.tabular import TabularDataset
+
+        dataset = TransactionDataset([(2, 1, 2), (0,)], 3)
+        assert TransactionDataset.concat_many([dataset]) is dataset
+        table = generate_classification(10, seed=0)
+        assert TabularDataset.concat_many([table]) is table
+        both = TransactionDataset.concat_many([dataset, dataset.slice_rows(1, 2)])
+        assert both.transactions == [(1, 2), (0,), (0,)]
+        with pytest.raises(InvalidParameterError):
+            TransactionDataset.concat_many([dataset, TransactionDataset([], 4)])
+        with pytest.raises(InvalidParameterError):
+            TransactionDataset.concat_many([])
 
     def test_out_of_universe_rows_rejected(self):
         with pytest.raises(InvalidParameterError):

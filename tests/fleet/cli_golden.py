@@ -1,11 +1,12 @@
-"""The fleet CLI golden scenarios: a seeded corpus and the commands run on it.
+"""The CLI golden scenarios: a seeded corpus and the commands run on it.
 
 ``golden_cli/corpus/`` holds three small basket stores and three small
 tabular stores. :func:`run_all` copies the corpus into a scratch
 directory, runs every :data:`STEPS` command there with relative paths,
 and returns each artifact by name: a step's stdout and stderr, plus
-every file the commands wrote. ``golden_cli/expected/`` holds the
-committed artifacts; ``make_cli_golden.py`` rewrites them.
+every file the commands wrote (directories, such as a checkpoint
+directory, are left out). ``golden_cli/expected/`` holds the committed
+artifacts; ``make_cli_golden.py`` rewrites them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,20 @@ STEPS: list[tuple[str, list[str]]] = [
         "sketch", "compare", "--in", "t1.sketch", "t2.sketch", "t3.sketch",
         "--boot", "20", "--seed", "7", "--out", "compare_partition.json",
     ]),
+    ("monitor-lits-sliding", [
+        "monitor-stream", "--data", "s1.txt", "--window", "100", "--step",
+        "50", "--boot", "10", "--seed", "3", *LITS,
+    ]),
+    # the same tabular command twice: the second run resumes from the
+    # checkpoint the first one left at the end of the stream
+    *[
+        (f"monitor-tabular-{run}", [
+            "monitor-stream", "--kind", "tabular", "--data", "t1.npz",
+            "--window", "120", "--step", "60", "--boot", "10", "--seed", "5",
+            "--max-depth", "3", "--checkpoint-dir", "ckpt",
+        ])
+        for run in ("fresh", "resumed")
+    ],
 ]
 
 
@@ -90,6 +105,6 @@ def run_all(workdir: Path) -> dict[str, bytes]:
             artifacts[f"{k:02d}-{name}.stdout"] = out.getvalue().encode()
             artifacts[f"{k:02d}-{name}.stderr"] = err.getvalue().encode()
     for path in sorted(workdir.iterdir()):
-        if not (CORPUS / path.name).exists():
+        if path.is_file() and not (CORPUS / path.name).exists():
             artifacts[path.name] = path.read_bytes()
     return artifacts

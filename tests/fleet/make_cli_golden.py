@@ -5,9 +5,10 @@ Run from the repository root::
     PYTHONPATH=src python tests/fleet/make_cli_golden.py          # artifacts
     PYTHONPATH=src python tests/fleet/make_cli_golden.py --corpus # both
 
-Only rewrite ``golden_cli/expected/`` when a change to ``repro fleet``
-or ``repro sketch`` output is deliberate: ``test_cli_golden.py`` exists
-to hold that output byte-identical across refactors.
+Only rewrite ``golden_cli/expected/`` when a change to ``repro fleet``,
+``repro sketch`` or ``repro monitor-stream`` output is deliberate:
+``test_cli_golden.py`` exists to hold that output byte-identical across
+refactors.
 """
 
 from __future__ import annotations

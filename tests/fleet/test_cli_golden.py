@@ -1,12 +1,14 @@
-"""``repro fleet`` and ``repro sketch`` output is pinned byte for byte.
+"""``repro fleet``, ``repro sketch`` and ``repro monitor-stream`` output
+is pinned byte for byte.
 
 On the committed seeded corpus, every step of :mod:`cli_golden` --
 lits fleets exhaustive and pruned, a tabular fleet, the two-leg lits
-sketch protocol compared with a threshold, and a shared-structure
-partition fleet qualified by bootstrap -- must print and write exactly
-the committed bytes. Both fleet engines sit under these commands, so a
-refactor of either shows here as a changed report, summary line or
-payload.
+sketch protocol compared with a threshold, a shared-structure
+partition fleet qualified by bootstrap, a sliding lits stream and a
+checkpointed tabular stream run twice (fresh, then resumed) -- must
+print and write exactly the committed bytes. Both fleet engines and
+the stream row path sit under these commands, so a refactor of any
+shows here as a changed report, summary line or payload.
 """
 
 from __future__ import annotations

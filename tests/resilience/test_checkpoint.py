@@ -141,6 +141,29 @@ class TestResumeBitIdentity:
         assert resumed.rows_ingested == full.rows_ingested
 
 
+    def test_resumed_rows_equal_the_uninterrupted_rows(self, stream, tmp_path):
+        """Rows with unsorted and repeated items: the resumed monitor's
+        ring chunks and row buffer hold the same rows as the monitor
+        that never stopped, right after the resume and further on."""
+        scrambled = [row[::-1] + row[:1] for row in stream]
+
+        def rows(monitor):
+            ring = [list(chunk) for chunk in monitor.windows.buffered_chunks]
+            buffer = monitor.state()["buffer"]
+            return ring, None if buffer is None else list(buffer)
+
+        live = make_monitor()
+        live.push(scrambled[:1_050])
+        live.checkpoint(tmp_path)
+        resumed = make_monitor()
+        resumed.resume(tmp_path)
+        assert rows(resumed) == rows(live)
+        assert rows(live)[1] is not None  # 50 rows short of a step
+        for monitor in (live, resumed):
+            monitor.push(scrambled[1_050:1_500])
+        assert rows(resumed) == rows(live)
+
+
 class TestTabular:
     def test_tabular_monitor_resumes_exactly(self, tmp_path):
         quiet = generate_classification(1_200, function=1, seed=31)
@@ -197,6 +220,28 @@ class TestRefusals:
         wrong = make_monitor(window_size=600, step=300)
         with pytest.raises(CheckpointError, match="step"):
             wrong.resume(tmp_path)
+
+    def test_tabular_reference_under_other_parameters_is_typed(
+        self, tmp_path
+    ):
+        """A tumbling tabular monitor whose ring is empty at the
+        checkpoint: only the reference CRC tells the trees apart."""
+        table = generate_classification(800, function=1, seed=31)
+
+        def mk(max_depth):
+            return OnlineChangeMonitor(
+                lambda d: DtModel.fit(d, TreeParams(max_depth, min_leaf=20)),
+                kind="tabular", window_size=400, n_boot=0,
+                delta_threshold=0.5,
+            )
+
+        m = mk(4)
+        m.push(table)
+        assert m.windows.ring == ()
+        m.checkpoint(tmp_path)
+        with pytest.raises(CheckpointError, match="reference"):
+            mk(1).resume(tmp_path)
+        assert mk(4).resume(tmp_path).rows_ingested == 800
 
     def test_checkpoint_without_draw_scheme_refuses_to_resume(
         self, stream, tmp_path

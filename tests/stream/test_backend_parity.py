@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core.attribute import AttributeSpace, numeric
 from repro.core.gcr import gcr
 from repro.core.lits import LitsModel
-from repro.core.model import LitsStructure
 from repro.data.transactions import SupportCountingPlan
 from repro.fleet.counting import count_lits_stores
 from repro.obs import MetricsRegistry, use_registry

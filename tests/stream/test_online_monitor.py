@@ -301,7 +301,6 @@ class TestCountSpaceQualification:
         monitored chunk, and observations byte-identical to a monitor
         whose membership indexes every chunk a second time."""
         from repro.data.transactions import BitmapIndex
-        from repro.stream.windows import TransactionChunk
 
         stream, _ = drifting_stream
         n_chunks = (3_000 - 1_000) // 250
@@ -333,21 +332,23 @@ class TestCountSpaceQualification:
 
         shared, shared_builds = run()
         assert len(shared) == n_chunks - 3  # 4-chunk sliding windows
-        chunk_builds = [
-            t for t in shared_builds if isinstance(t, TransactionChunk)
-        ]
-        assert len({id(t) for t in chunk_builds}) == len(chunk_builds)
-        assert len(chunk_builds) == n_chunks
-        # the only other index is the reference window's
+        # the monitored chunks and the warm-up chunk, itself a dataset
+        # that becomes the reference: one build each
+        assert all(isinstance(t, TransactionDataset) for t in shared_builds)
+        assert len({id(t) for t in shared_builds}) == n_chunks + 1
         assert len(shared_builds) == n_chunks + 1
 
-        # the oracle: every read of a chunk's index builds a fresh one,
-        # so membership never sees the index the sketcher counted with
-        monkeypatch.setattr(
-            TransactionChunk,
-            "index",
-            property(lambda chunk: BitmapIndex(chunk, chunk.n_items)),
-        )
+        # the oracle: every read of a monitored chunk's index builds a
+        # fresh one, so membership never sees the index the sketcher
+        # counted with
+        cached = TransactionDataset.index
+
+        def fresh_index(dataset):
+            if len(dataset) == 250:  # a monitored chunk
+                return BitmapIndex(dataset, dataset.n_items)
+            return cached.fget(dataset)
+
+        monkeypatch.setattr(TransactionDataset, "index", property(fresh_index))
         separate, separate_builds = run()
         assert len(separate_builds) == 2 * n_chunks + 1
         assert separate == shared

@@ -255,6 +255,36 @@ class TestMonitorStreamCheckpoint:
         part2 = run_cli(base + ["--checkpoint-dir", str(ckpt)])
         assert part1.getvalue() + part2 == uninterrupted
 
+    def test_resume_under_other_model_parameters_is_refused(self, tmp_path):
+        """A checkpoint written at one --min-support refuses to resume
+        at another; the same parameters resume where the run stopped."""
+        from repro.errors import CheckpointError
+
+        full = tmp_path / "stream.txt"
+        run_cli(["generate-basket", "--out", str(full), "--n", "6000",
+                 "--items", "40", "--avg-len", "5", "--patterns", "25",
+                 "--pattern-len", "3", "--seed", "17"])
+        head = tmp_path / "head.txt"
+        lines = full.read_text().splitlines(keepends=True)
+        head.write_text("".join(lines[:3_001]))  # header + 3,000 rows
+        args = ["--window", "1000", "--boot", "0", "--delta-threshold", "0.5"]
+        ckpt = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        uninterrupted = run_cli(
+            ["monitor-stream", "--data", str(full), "--min-support", "0.03",
+             *args]
+        )
+        run_cli(["monitor-stream", "--data", str(head), "--min-support",
+                 "0.03", *args, *ckpt])
+        with pytest.raises(CheckpointError, match="reference"):
+            main(["monitor-stream", "--data", str(full), "--min-support",
+                  "0.05", *args, *ckpt], out=io.StringIO())
+        resumed = run_cli(
+            ["monitor-stream", "--data", str(full), "--min-support", "0.03",
+             *args, *ckpt]
+        )
+        # snapshots 1-2 came before the checkpoint
+        assert resumed.splitlines() == uninterrupted.splitlines()[2:]
+
     def test_fresh_dir_runs_from_scratch(self, tmp_path):
         stream_file = tmp_path / "stream.txt"
         run_cli(["generate-basket", "--out", str(stream_file), "--n", "1600",
