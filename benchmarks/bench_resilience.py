@@ -11,15 +11,17 @@ The fault-tolerance layer's acceptance bars, pinned at tiny scale:
 * **cheap durability**: checkpointing a live monitor and resuming it
   are tens-of-milliseconds operations, and the resumed monitor emits
   bit-identical observations to the run that never died;
-* **write-once checkpoints**: past warm-up, every checkpoint after a
-  ``step``-row push writes exactly ``step`` rows -- the reference and
-  the surviving chunks are hard-linked from the previous generation.
-  CI asserts ``steady_rows_written_per_checkpoint == step`` from
-  ``BENCH_resilience.json``;
+* **journal checkpoints**: past warm-up, every checkpoint after a
+  ``step``-row push appends one record of exactly ``step`` rows and
+  makes one fsync, plus one directory fsync when it starts a segment
+  -- the reference and the surviving chunks are never rewritten -- and
+  the generation on disk stays within 2x the bytes of the live state.
+  CI asserts ``steady_rows_written_per_checkpoint == step``, the fsync
+  count and the disk ratio from ``BENCH_resilience.json``;
 * **checkpoints that do not grow with the stream**: a steady checkpoint
   after 5,000 windows takes at most 1.5x one after 50 -- the history's
-  sealed blocks are linked, not re-serialised, and ``state.json`` holds
-  only its open tail.
+  sealed blocks are written once, and each record holds only its open
+  tail.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from repro.data.quest_basket import generate_basket
 from repro.core.lits import LitsModel
 from repro.obs import MetricsRegistry, use_registry
-from repro.resilience import SupervisedExecutor
+from repro.resilience import SupervisedExecutor, write_checkpoint
 from repro.stream.executor import ThreadExecutor, sharded_support_sketch
 from repro.stream.monitor import OnlineChangeMonitor
 
@@ -51,6 +53,10 @@ TINY_WINDOW = 8
 GROWTH_AT = (50, 5_000)
 GROWTH_REPEATS = 50
 MAX_GROWTH_X = 1.5
+#: checkpoint bytes on disk over the bytes of a fresh generation
+MAX_DISK_X = 2.0
+#: the steady checkpoints' per-checkpoint counters
+COUNTED = ("resilience.checkpoint_rows_written", "resilience.checkpoint_fsyncs")
 ITEMSETS = [(i,) for i in range(0, 20)] + [
     (i, j) for i in range(0, 8) for j in range(i + 1, 8)
 ]
@@ -142,31 +148,45 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
     shutil.rmtree(ckpt_dir)
 
     # Steady state: once the reference is fit, each checkpoint after a
-    # step-row push writes that step's rows and links everything else.
+    # step-row push appends that step's rows in one synced record.
     steady = make()
     warm = WINDOW + STEP
     steady.push(rows[:warm])
     steady.checkpoint(ckpt_dir)
     steady_registry = MetricsRegistry()
-    rows_written = []
+    rows_written, fsyncs, started, disk_x = [], [], [], []
     t_steady = 0.0
     with use_registry(steady_registry):
         for k in range(STEADY_CHECKPOINTS):
             steady.push(rows[warm + k * STEP : warm + (k + 1) * STEP])
-            before = steady_registry.counter(
-                "resilience.checkpoint_rows_written"
-            )
+            before = [steady_registry.counter(name) for name in COUNTED]
+            last = _segments(ckpt_dir)[-1]
             t4 = time.perf_counter()
             steady.checkpoint(ckpt_dir)
             t_steady += time.perf_counter() - t4
-            rows_written.append(
-                steady_registry.counter("resilience.checkpoint_rows_written")
-                - before
+            written, synced = (
+                steady_registry.counter(name) - n
+                for name, n in zip(COUNTED, before)
             )
+            rows_written.append(written)
+            fsyncs.append(synced)
+            started.append(int(_segments(ckpt_dir)[-1] != last))
+            with use_registry(MetricsRegistry()):
+                write_checkpoint(steady, ckpt_dir.with_name(".bench_fresh"))
+            disk_x.append(
+                _generation_bytes(ckpt_dir)
+                / _generation_bytes(ckpt_dir.with_name(".bench_fresh"))
+            )
+            shutil.rmtree(ckpt_dir.with_name(".bench_fresh"))
     shutil.rmtree(ckpt_dir)
     assert rows_written == [STEP] * STEADY_CHECKPOINTS, rows_written
     steady_counters = steady_registry.snapshot()["counters"]
-    assert steady_counters["resilience.checkpoint_files_linked"] > 0
+    # one fsync per checkpoint, and the directory's when a segment starts
+    assert [f - s for f, s in zip(fsyncs, started)] == [1] * STEADY_CHECKPOINTS
+    assert steady_counters["resilience.checkpoint_fsyncs"] == (
+        STEADY_CHECKPOINTS + sum(started)
+    ), (fsyncs, started)
+    assert max(disk_x) <= MAX_DISK_X, disk_x
 
     t_growth = _steady_checkpoint_by_history(ckpt_dir)
     growth = t_growth[GROWTH_AT[-1]] / t_growth[GROWTH_AT[0]]
@@ -188,8 +208,11 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         "step": STEP,
         "steady_checkpoints": STEADY_CHECKPOINTS,
         "steady_rows_written_per_checkpoint": max(rows_written),
+        "steady_segments_started": sum(started),
         "t_steady_checkpoint_s": round(t_steady / STEADY_CHECKPOINTS, 4),
         "steady_counters": steady_counters,
+        "checkpoint_disk_x": round(max(disk_x), 2),
+        "max_disk_x_asserted": MAX_DISK_X,
         "t_checkpoint_by_windows_s": {
             str(n): round(t, 5) for n, t in t_growth.items()
         },
@@ -202,12 +225,26 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         f"{t_bare * 1e3:.0f}ms ({overhead:.2f}x), all resilience counters "
         f"zero; checkpoint {t_checkpoint * 1e3:.0f}ms / resume "
         f"{t_resume * 1e3:.0f}ms ({checkpoint_bytes} B); steady checkpoint "
-        f"{t_steady / STEADY_CHECKPOINTS * 1e3:.1f}ms writing {STEP} rows; "
+        f"{t_steady / STEADY_CHECKPOINTS * 1e3:.1f}ms writing {STEP} rows "
+        f"({max(disk_x):.2f}x the live bytes on disk); "
         f"checkpoint after {GROWTH_AT[0]} windows "
         f"{t_growth[GROWTH_AT[0]] * 1e3:.1f}ms, after {GROWTH_AT[-1]} "
         f"{t_growth[GROWTH_AT[-1]] * 1e3:.1f}ms ({growth:.2f}x) "
         f"-> {JSON_PATH.name}"
     )
+
+
+def _generation(directory: Path) -> Path:
+    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+    return directory / manifest["generation"]
+
+
+def _segments(directory: Path) -> list[str]:
+    return sorted(p.name for p in _generation(directory).glob("segment-*"))
+
+
+def _generation_bytes(directory: Path) -> int:
+    return sum(p.stat().st_size for p in _generation(directory).iterdir())
 
 
 def _steady_checkpoint_by_history(ckpt_dir: Path) -> dict[int, float]:

@@ -225,6 +225,8 @@ class ChangeMonitor:
     _sealed: dict[tuple[int, int], tuple[Observation, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # the history's references as last sealed
+    _seen: list[Observation] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -313,13 +315,22 @@ class ChangeMonitor:
 
     def _seal(self) -> list[tuple[Observation, ...]]:
         """The history's sealed blocks, re-sealing any the history no
-        longer holds (an edited or truncated :attr:`history`)."""
+        longer holds (an edited or truncated :attr:`history`). While it
+        only grew, one list comparison with ``_seen`` -- an O(n) walk in
+        C that passes each element on identity -- vouches for every kept
+        block, instead of a tuple rebuilt and compared per block."""
+        self._seen += self.history[len(self._seen) :]
+        grown = self._seen == self.history
         sealed: dict[tuple[int, int], tuple[Observation, ...]] = {}
         for start, size in _block_layout(len(self.history)):
-            block = tuple(self.history[start : start + size])
             kept = self._sealed.get((start, size))
-            sealed[start, size] = kept if kept == block else block
+            if kept is None or not grown:
+                block = tuple(self.history[start : start + size])
+                kept = kept if kept == block else block
+            sealed[start, size] = kept
         self._sealed = sealed
+        if not grown:
+            self._seen = list(self.history)
         return list(sealed.values())
 
     def restore(self, state: dict[str, Any]) -> None:
@@ -327,7 +338,7 @@ class ChangeMonitor:
 
         ``"history_blocks"`` holds sequences of observations, and
         ``"history"`` the rows after them. Blocks passed as tuples stay
-        the sealed blocks' objects, so a checkpoint links their files
+        the sealed blocks' objects, so a checkpoint never writes them
         again.
         """
         saved = state["monitor"]
@@ -344,6 +355,7 @@ class ChangeMonitor:
         self._sealed = {
             (start, len(block)): block for start, block in zip(starts, blocks)
         }
+        self._seen = list(self.history)
         if state["rng_state"] is not None and self.rng is not None:
             self.rng.bit_generator.state = state["rng_state"]
 

@@ -18,6 +18,7 @@ makes each block a canonical
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from itertools import chain
 from os import PathLike
 from pathlib import Path
@@ -84,10 +85,10 @@ def save_tabular(dataset: TabularDataset, path: str | Path | BinaryIO) -> None:
     np.savez(path, **arrays)
 
 
-def load_tabular(path: str | Path) -> TabularDataset:
+def load_tabular(path: str | Path | BinaryIO) -> TabularDataset:
     """Read a tabular dataset written by :func:`save_tabular`, or by an
     older build's compressed writer: ``np.load`` reads both."""
-    with np.load(Path(path), allow_pickle=False) as data:
+    with np.load(path, allow_pickle=False) as data:
         space = _space_from_dict(json.loads(str(data["schema"])))
         y = data["y"] if "y" in data.files else None
         return TabularDataset(space, data["X"], y)
@@ -114,7 +115,7 @@ def save_transactions(
         path.write("".join(lines).encode())
 
 
-def load_transactions(path: str | Path) -> TransactionDataset:
+def load_transactions(path: str | Path | BinaryIO) -> TransactionDataset:
     """Read transactions written by :func:`save_transactions`."""
     n_items, blocks = read_transaction_blocks(path)
     parts = list(blocks) or [TransactionDataset([], n_items)]
@@ -122,7 +123,7 @@ def load_transactions(path: str | Path) -> TransactionDataset:
 
 
 def read_transaction_blocks(
-    path: str | Path,
+    path: str | Path | BinaryIO,
 ) -> tuple[int, Iterator[TransactionDataset]]:
     """Open a transactions file as ``(n_items, block iterator)``.
 
@@ -130,7 +131,7 @@ def read_transaction_blocks(
     range-checked, canonical :class:`TransactionDataset`, and a bad
     line raises once the rows before it were yielded.
     """
-    reader = _read_blocks(Path(path))
+    reader = _read_blocks(Path(path) if isinstance(path, (str, PathLike)) else path)
     n_items: int = next(reader)
     return n_items, reader
 
@@ -192,9 +193,9 @@ def parse_transactions_block_loop(
     return as_csr(rows), bad
 
 
-def _read_blocks(path: Path) -> Iterator[Any]:
+def _read_blocks(path: Path | BinaryIO) -> Iterator[Any]:
     """Yield ``n_items``, then a dataset per block of data lines."""
-    with path.open("rb") as f:
+    with path.open("rb") if isinstance(path, Path) else nullcontext(path) as f:
         blocks = _line_blocks(f)
         n_items, n_blank, line, rest = _read_header(blocks, path)
         yield n_items
@@ -215,7 +216,7 @@ def _read_blocks(path: Path) -> Iterator[Any]:
 
 
 def _read_header(
-    blocks: Iterator[bytes], path: Path
+    blocks: Iterator[bytes], path: Path | BinaryIO
 ) -> tuple[int, int, int, bytes]:
     """The one header reader: ``(n_items, blank rows, lines read, rest)``.
 

@@ -11,9 +11,9 @@ the engine (PRs 2-9 built the speed; this package makes it survive):
 * :func:`partial_support_sketch` / :func:`partial_partition_sketch` --
   the opt-in partial mode: a merged sketch plus *exact* excluded-row
   accounting, never a silently short merge;
-* :mod:`repro.resilience.checkpoint` -- crash-durable
-  atomic-manifest checkpoints for :class:`OnlineChangeMonitor`
-  (``monitor.checkpoint(dir)`` / ``monitor.resume(dir)``);
+* :mod:`repro.resilience.checkpoint` -- crash-durable journal
+  checkpoints for :class:`OnlineChangeMonitor`, one CRC-framed record
+  and one fsync each (``monitor.checkpoint(dir)`` / ``monitor.resume(dir)``);
 * :mod:`repro.resilience.chaos` -- the deterministic fault-injection
   harness (seeded :class:`FaultPlan`: worker death, injected
   exceptions, stalls, checkpoint corruption) the chaos suite drives;
@@ -26,10 +26,10 @@ zero on a fault-free run, the bench snapshot invariant CI asserts --
 and ``resilience.checkpoints_written``,
 ``resilience.checkpoints_resumed``,
 ``resilience.checkpoint_rows_written`` (rows handed to a row writer),
-``resilience.checkpoint_files_linked`` (files a generation
-hard-linked from the previous one instead of rewriting) and
-``resilience.checkpoint_bytes_written`` (bytes of the files a
-generation wrote, ``state.json`` included, linked files not).
+``resilience.checkpoint_bytes_written`` (bytes written to checkpoint
+files), ``resilience.checkpoint_fsyncs`` (one per steady checkpoint)
+and ``resilience.checkpoint_torn_tails`` (torn final records a resume
+rolled back).
 """
 
 from repro.resilience.backoff import backoff_delay, sleep_backoff

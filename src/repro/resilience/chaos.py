@@ -14,7 +14,8 @@ replays exactly:
   applies when a plan is armed, so faults fire *inside* the worker on
   every backend, including the process pool;
 * :func:`corrupt_checkpoint` -- deterministic on-disk corruption
-  (byte flip or truncation) for the checkpoint crash suite.
+  (byte flip, truncation, or a torn final record) for the checkpoint
+  crash suite.
 
 The contract the chaos suite pins: under any plan, a fan that completes
 is bit-identical to the fault-free run, and a fan that cannot complete
@@ -23,7 +24,6 @@ fails with a typed error naming the quarantined shards.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -34,6 +34,7 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from repro.errors import CheckpointError, InvalidParameterError
+from repro.resilience.checkpoint import _read_committed
 
 _KINDS = ("die", "raise", "stall")
 
@@ -181,39 +182,42 @@ class FaultPlan:
 def corrupt_checkpoint(
     directory: str | Path, *, seed: int = 0, mode: str = "flip"
 ) -> Path:
-    """Deterministically damage one file of the committed checkpoint.
+    """Deterministically damage the committed checkpoint.
 
-    ``mode="flip"`` XOR-flips one byte in the middle of the chosen file;
-    ``mode="truncate"`` cuts the file in half. The victim is drawn
-    seeded from the committed generation's files, so a corruption test
-    replays exactly. Returns the damaged path.
+    ``mode="flip"`` XOR-flips the middle byte of a non-final journal
+    record, the reference rows or a history block; ``mode="truncate"``
+    cuts such a file (a segment other than the last, the reference or
+    a block) in half. The victim is drawn seeded, so a corruption test
+    replays exactly. ``mode="tear"`` cuts the final record mid-frame, as
+    a kill during its append would. In a format-2 checkpoint each file
+    its state names is a victim. Returns the damaged path.
     """
-    if mode not in ("flip", "truncate"):
+    if mode not in ("flip", "truncate", "tear"):
         raise InvalidParameterError(
-            f"unknown corruption mode {mode!r}; expected 'flip' or 'truncate'"
+            f"unknown corruption mode {mode!r}; expected 'flip', 'truncate' "
+            "or 'tear'"
         )
-    directory = Path(directory)
-    manifest = directory / "CHECKPOINT.json"
-    if not manifest.is_file():
-        raise CheckpointError(
-            f"no committed checkpoint under {directory}", path=str(directory)
-        )
-    generation = json.loads(manifest.read_text())["generation"]
-    candidates = sorted(
-        p for p in (directory / generation).iterdir() if p.stat().st_size > 0
-    )
-    if not candidates:  # pragma: no cover - a committed gen is never empty
-        raise CheckpointError(
-            f"committed generation {generation} holds no corruptible files",
-            path=str(directory / generation),
-        )
-    rng = np.random.default_rng(seed)
-    victim = candidates[int(rng.integers(len(candidates)))]
-    blob = bytearray(victim.read_bytes())
-    if mode == "truncate":
-        victim.write_bytes(bytes(blob[: len(blob) // 2]))
+    committed = _read_committed(Path(directory))
+    # (path, start, stop) spans: the side files, then the records
+    gen = committed.journal.path
+    spans = [(gen / name, 0, len(b)) for name, b in committed.files.items()]
+    records = [(seg, start, stop) for seg, start, stop, _ in committed.records.values()]
+    if mode == "tear":
+        spans = records[-1:]
+    elif mode == "flip":
+        spans += records[:-1]
     else:
-        at = len(blob) // 2
+        final = records[-1][0] if records else None
+        segments = {segment for segment, _, _ in records if segment != final}
+        spans += [(s, 0, s.stat().st_size) for s in sorted(segments)]
+    if not spans:
+        raise CheckpointError(f"nothing to {mode} here", path=str(directory))
+    path, start, stop = spans[int(np.random.default_rng(seed).integers(len(spans)))]
+    at = start + (stop - start) // 2
+    blob = bytearray(path.read_bytes())
+    if mode == "flip":
         blob[at] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-    return victim
+        path.write_bytes(bytes(blob))
+    else:
+        path.write_bytes(bytes(blob[:at]))
+    return path

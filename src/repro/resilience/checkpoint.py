@@ -1,54 +1,43 @@
 """Crash-durable checkpoints for :class:`OnlineChangeMonitor`.
 
-A monitor that dies loses its window ring, its reference, its history,
-and its bootstrap generator state -- restarting it cold silently
-re-warms on the wrong rows and emits wrong deviations. This module
-persists the *entire* resume-relevant state and restores it
-bit-identically.
+A monitor that dies loses its ring, reference, history and generator
+state; restarted cold it emits wrong deviations. This module persists
+that state and restores it bit-identically, owning only the on-disk
+side (the state comes from the monitor's ``state()`` / ``restore()``
+and the window manager's ring). Format 3 is an append-only journal, the
+write-ahead log of ARIES (Mohan et al., TODS 1992):
 
-It owns only the on-disk side: file names, CRCs, hard links, fsyncs and
-the manifest. The state has other owners and is read and restored
-through their public surface alone: the monitor's ``state()`` /
-``restore()`` (row count, reference and buffered rows, and the inner
-:class:`~repro.core.monitor.ChangeMonitor`'s indices, history and
-generator) and the window manager's ring and counters.
-
-* **atomic-manifest publish** (the ``MmapStripeStore`` pattern): each
-  :func:`write_checkpoint` builds a fresh ``gen-NNNNNN/`` directory --
-  rows via :mod:`repro.data.io` (an uncompressed ``.npz`` or the
-  ``.rows`` text), window sketches via the :mod:`repro.wire` envelope,
-  sealed history blocks as JSON, everything CRC-recorded in
-  ``state.json`` -- and only then swaps ``CHECKPOINT.json`` into place
-  with ``os.replace``. A kill at any instant leaves the previous
-  committed generation untouched; stale generations are collected
-  after the commit.
-* **write-once files**: ring chunks are immutable once pushed, the
-  reference changes only at warm-up or on a ``reset_on_drift``
-  promotion, and the history is sealed into blocks that never change
-  (64 observations, merged four at a time into the next size), so
-  each is written once. :func:`write_checkpoint` and
-  :func:`resume_checkpoint` return a ledger of the generation's files
-  by the object they hold; the monitor keeps it, and the next
-  generation hard-links (``os.link``) the files of objects it still
-  holds, taking their CRCs from the ledger. A refused link falls back
-  to writing from memory. Every generation directory stays
-  self-contained, and ``state.json`` keeps only the history's open
-  tail inline, so a steady checkpoint after 5,000 windows costs about
-  what one after 50 does.
-* **format version**: the writer emits and the reader resumes version
-  2 (history blocks, uncompressed ``.npz`` rows). A version-1
-  checkpoint, whose ``state.json`` held the whole history, fails typed
-  naming its version; a bootstrap one carries a generator state drawn
-  under draw scheme 2, which no scheme-3 build can continue anyway.
-* **verified resume**: :func:`resume_checkpoint` checks the manifest,
-  the state CRC, every file CRC and the configuration fingerprint
-  before touching the monitor, then re-mines the persisted reference
-  rows, checks the result against the ``reference_crc`` the writer
-  recorded (a builder with other model parameters fits another
-  reference), realigns the ring's sketches to the fresh structure
-  (guarded by itemset/``counts_key`` equality) and restores the inner
-  monitor. Anything corrupt raises a typed :class:`CheckpointError`
-  naming the file.
+* ``CHECKPOINT.json`` names a generation directory ``gen-NNNNNN/`` of
+  segment files, each named by its first record's sequence number. A
+  checkpoint appends one frame (sequence number, length, CRC-32)
+  around the state JSON -- row count, generator state, ring counters
+  and positions, the history's open tail, ``reference_crc`` -- and the
+  rows and wire sketch of each ring chunk the journal lacks (in steady
+  state, the entering one), then fsyncs the segment once.
+* The reference rows and each sealed history block are write-once
+  files, fsynced with the directory before a record names them.
+* Segments rotate instead of being compacted: one holds
+  ``window_size // step`` records (eight for tumbling windows, whose
+  ring is empty at every checkpoint). The record starting a segment
+  fsyncs it, then the directory, and deletes what neither it nor the
+  record before names (segments whose chunks left the ring, superseded
+  files, and -- in a committed generation -- other generations); no
+  live row is ever rewritten.
+* A first checkpoint into a directory (or after another writer's
+  commit, or after a failed checkpoint) writes a new generation and
+  commits it with an ``os.replace`` of the manifest, fsyncing the
+  directory (and the parent of each directory it created); only then
+  are the other generations deleted.
+* :func:`resume_checkpoint` replays to the last whole record and checks
+  every CRC, the record order, the configuration fingerprint and the
+  re-mined reference's ``reference_crc`` before adopting any state. A
+  damaged final record with no whole record after it -- cut short, or
+  zeros or stale bytes at its full length -- is a torn tail: the resume
+  rolls back one record and counts ``resilience.checkpoint_torn_tails``;
+  other damage raises a typed :class:`CheckpointError` naming the file.
+  A resume never writes: the next checkpoint truncates the tail.
+* Format 2 (a directory per checkpoint with a ``state.json``) still
+  resumes, and the next checkpoint starts a journal beside it.
 """
 
 from __future__ import annotations
@@ -58,18 +47,17 @@ import json
 import os
 import re
 import shutil
+import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.monitor import Observation
-from repro.data.io import (
-    load_tabular,
-    load_transactions,
-    save_tabular,
-    save_transactions,
-)
+from repro.data.io import load_tabular, load_transactions
+from repro.data.io import save_tabular, save_transactions
 from repro.errors import CheckpointError, FocusError
 from repro.obs import metrics
 from repro.stats.resample_plan import DRAW_SCHEME
@@ -78,9 +66,13 @@ from repro.wire import pack, unpack_partition_sketch, unpack_support_sketch
 from repro.wire.sketches import partition_sketch_packer
 
 _MANIFEST = "CHECKPOINT.json"
-_STATE = "state.json"
-_FORMAT_VERSION = 2
-_GENERATION = re.compile(r"gen-[0-9]{6}")
+_FORMAT_VERSION = 3
+_GENERATION = re.compile(r"gen-([0-9]{6})")
+_SEGMENT = re.compile(r"segment-([0-9]{8,})\.log")
+#: frame header: sequence number, payload bytes, CRC-32 of all else
+_FRAME = struct.Struct("<QII")
+#: records per segment when no chunk outlives a checkpoint
+_TUMBLING_RECORDS = 8
 
 
 def has_checkpoint(directory: str | Path) -> bool:
@@ -94,271 +86,433 @@ def has_checkpoint(directory: str | Path) -> bool:
 
 
 @dataclass
-class _WriteLedger:
-    """The files of one committed generation, by the object they hold.
+class Journal:
+    """A monitor's cursor into the journal its checkpoints append to.
 
-    Names the generation (with the state CRC its manifest records) and
-    maps ``id(obj)`` to ``(obj, file name, crc)`` for each reference,
-    ring chunk and sketch; the object is stored so a recycled id can
-    never alias another object.
+    ``segments`` lists the live segments by first sequence number,
+    ``end`` the last one's whole-record bytes, ``size`` its bytes (more
+    after a torn tail). ``held`` maps ``id(obj)`` to ``(obj, ref)`` for
+    each object the last record names (a side file or a ``[seq, k]``
+    record blob), and ``files`` the side files' CRCs.
     """
 
     directory: Path
     generation: str
-    state_crc: int = 0
-    entries: dict[int, tuple[Any, str, int]] = field(default_factory=dict)
-    #: a tabular reference model and its sketch packer, which encoded
-    #: the model once; handed on to the next ledger until a promotion
-    #: replaces the model
+    #: the committed manifest's identity; ``None`` before the commit
+    manifest: tuple[int, int, int] | None = None
+    seq: int = -1
+    segments: list[int] = field(default_factory=list)
+    end: int = 0
+    size: int = 0
+    records: int = 0
+    held: dict[int, tuple[Any, Any]] = field(default_factory=dict)
+    files: dict[str, int] = field(default_factory=dict)
     packer: tuple[Any, Callable[[Any], bytes]] | None = None
-    #: a reference model and its :func:`_reference_crc`, handed on alike
     reference_crc: tuple[Any, int] | None = None
 
-    def lookup(self, obj: Any) -> tuple[str, int] | None:
-        """``(committed path, crc)`` of ``obj``'s file, if recorded."""
-        entry = self.entries.get(id(obj))
-        if entry is None or entry[0] is not obj:
-            return None
-        return os.path.join(self.directory, self.generation, entry[1]), entry[2]
+    @property
+    def path(self) -> Path:
+        return self.directory / self.generation
 
-    def record(self, obj: Any, name: str, crc: int) -> None:
-        self.entries[id(obj)] = (obj, name, crc)
+    def segment(self, first: int) -> Path:
+        return self.path / f"segment-{first:08d}.log"
+
+    def continues(self, directory: Path) -> bool:
+        """True while ``directory``'s manifest and last segment are as
+        this cursor left them (no other writer committed or appended)."""
+        if not self.segments or Path(os.path.abspath(directory)) != self.directory:
+            return False
+        try:
+            manifest = _identity(self.directory / _MANIFEST)
+            size = os.stat(self.segment(self.segments[-1])).st_size
+        except OSError:
+            return False
+        return manifest == self.manifest and size == self.size
 
 
 def write_checkpoint(
-    monitor: Any, directory: str | Path
-) -> tuple[Path, _WriteLedger]:
+    monitor: Any, directory: str | Path, journal: Journal | None = None
+) -> Journal:
     """Durably persist ``monitor`` under ``directory``.
 
-    Safe to call at any point in the monitor's life (warm-up included).
-    The write is crash-atomic: the generation directory is fully
-    written (and fsynced) before the manifest swap commits it. Returns
-    the manifest path and the ledger of the committed generation, which
-    the monitor keeps for its next checkpoint's links.
+    Safe at any point in the monitor's life (warm-up included). Given
+    the cursor of the monitor's last checkpoint or resume, one record is
+    appended to its journal; otherwise a new generation is written and
+    committed by the manifest swap. Returns the next checkpoint's cursor.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    committed = _committed_manifest(directory)
-    generation = _generation_after(committed)
-    ledger = _write_generation(monitor, directory, generation, committed)
-    _publish(directory, generation, ledger.state_crc)
-    _collect_garbage(directory, generation)
+    if journal is not None and journal.continues(directory):
+        _append(monitor, journal)
+    else:
+        levels = (directory, *directory.parents)
+        for level in reversed(list(takewhile(lambda d: not d.is_dir(), levels))):
+            # each new entry is durable once its parent is
+            level.mkdir()
+            _fsync_dir(level.parent)
+        _committed_manifest(directory)  # a damaged manifest fails typed
+        number = max(_numbered(_GENERATION, directory), default=-1) + 1
+        fresh = Journal(Path(os.path.abspath(directory)), f"gen-{number:06d}")
+        os.mkdir(fresh.path)
+        _append(monitor, fresh)
+        # the commit point: swap the manifest in atomically
+        tmp = directory / (_MANIFEST + ".tmp")
+        manifest = {"version": _FORMAT_VERSION, "generation": fresh.generation}
+        _write_file(tmp, json.dumps(manifest).encode())
+        os.replace(tmp, directory / _MANIFEST)
+        # the rename is directory metadata: durable once the directory is
+        _fsync_dir(directory)
+        fresh.manifest = _identity(directory / _MANIFEST)
+        _drop_generations(fresh)
+        journal = fresh
     metrics().inc("resilience.checkpoints_written")
-    return directory / _MANIFEST, ledger
+    return journal
 
 
-def _generation_after(committed: dict[str, Any] | None) -> str:
-    number = 0 if committed is None else int(committed["generation"][4:]) + 1
-    return f"gen-{number:06d}"
-
-
-def _next_generation_name(directory: Path) -> str:
-    return _generation_after(_committed_manifest(directory))
-
-
-def _committed_ledger(
-    monitor: Any, directory: Path, committed: dict[str, Any] | None
-) -> _WriteLedger | None:
-    """The monitor's ledger, if it still names ``directory``'s commit.
-
-    A ledger for another directory, or for a commit the manifest no
-    longer names (another writer committed since), is ignored: its
-    files are not what the directory has committed.
-    """
-    ledger: _WriteLedger | None = monitor.checkpoint_ledger
-    if (
-        ledger is None
-        or committed is None
-        or committed["generation"] != ledger.generation
-        or committed["state_crc"] != ledger.state_crc
-        or ledger.directory != directory.resolve()
-    ):
-        return None
-    return ledger
-
-
-def _write_generation(
-    monitor: Any,
-    directory: Path,
-    generation: str,
-    committed: dict[str, Any] | None = None,
-) -> _WriteLedger:
-    """Write one (uncommitted) generation dir.
-
-    ``committed`` is the manifest the caller already read, if any;
-    without one the directory's manifest is read here. Returns the
-    ledger of the files the generation holds, state.json's CRC
-    included, which the caller adopts only once the generation is
-    published. Split from :func:`_publish` so the crash suite can produce a
-    realistic torn checkpoint: a fully or partially written generation
-    that never got its manifest swap.
-    """
-    if committed is None:
-        committed = _committed_manifest(directory)
-    previous = _committed_ledger(monitor, directory, committed)
-    gen_dir = directory / generation
-    if gen_dir.exists():
-        # a torn write from a previous life; its manifest never
-        # committed, so the bytes are garbage
-        shutil.rmtree(gen_dir)
-    gen_dir.mkdir(parents=True)
-    # plain strings: a checkpoint joins a path per file it holds
-    target = os.fspath(gen_dir)
-    last: _WriteLedger | None = monitor.checkpoint_ledger
-    ledger = _WriteLedger(directory.resolve(), generation)
-    if last is not None:
-        ledger.packer, ledger.reference_crc = last.packer, last.reference_crc
+def _append(monitor: Any, journal: Journal) -> None:
+    """Append the monitor's state as one record and make it durable."""
+    seq = journal.seq + 1
+    held: dict[int, tuple[Any, Any]] = {}
     files: dict[str, int] = {}
-    sink = metrics()
-    rows_suffix = ".rows" if monitor.kind == "transactions" else ".npz"
+    new_files: list[tuple[str, bytes]] = []
+    blobs: list[bytes] = []
 
-    def put_bytes(name: str, payload: bytes) -> None:
-        _write_synced(os.path.join(target, name), payload)
-        files[name] = zlib.crc32(payload)
-        sink.inc("resilience.checkpoint_bytes_written", len(payload))
-
-    def put_rows(name: str, rows: Any) -> None:
-        buffer = io.BytesIO()
-        if monitor.kind == "transactions":
-            save_transactions(rows, buffer)
+    def keep(obj: Any, encode: Callable[[], bytes], name: str = "") -> Any:
+        """``obj``'s ref: the journal's, else a new blob (or file ``name``)."""
+        hit = journal.held.get(id(obj))
+        if hit is not None and hit[0] is obj and isinstance(hit[1], str) == bool(name):
+            ref = hit[1]
+            if name:
+                files[ref] = journal.files[ref]
+        elif name:
+            ref = name
+            new_files.append((name, encode()))
+            files[name] = zlib.crc32(new_files[-1][1])
         else:
-            save_tabular(rows, buffer)
-        sink.inc("resilience.checkpoint_rows_written", len(rows))
-        put_bytes(name, buffer.getvalue())
-
-    def persist(obj: Any, name: str, write: Callable[[str], None]) -> str:
-        """Link ``obj``'s committed file in as ``name``, else ``write``."""
-        hit = None if previous is None else previous.lookup(obj)
-        if hit is not None and _link(hit[0], os.path.join(target, name)):
-            files[name] = hit[1]
-            sink.inc("resilience.checkpoint_files_linked")
-        else:
-            write(name)
-        ledger.record(obj, name, files[name])
-        return name
+            blobs.append(encode())
+            ref = [seq, len(blobs) - 1]
+        held[id(obj)] = (obj, ref)
+        return ref
 
     live = monitor.state()
     inner = dict(live["monitor"])
     inner["history_blocks"] = [
-        persist(
-            block,
-            f"history-{k:04d}.json",
-            lambda name, block=block: put_bytes(name, _encode_block(block)),
+        keep(
+            b,
+            lambda b=b: json.dumps([o.to_row() for o in b]).encode(),
+            f"history-{seq:06d}-{k:04d}.json",
         )
-        for k, block in enumerate(inner["history_blocks"])
+        for k, b in enumerate(inner["history_blocks"])
     ]
-    # the live rows and manager are persisted as files, named below
     state: dict[str, Any] = {
         "version": _FORMAT_VERSION,
         "config": _fingerprint(monitor),
         **live,
         "monitor": inner,
-        "reference": None,
-        "buffer": None,
         "windows": None,
+        "files": files,
     }
-    if live["buffer"] is not None:
-        state["buffer"] = "buffer" + rows_suffix
-        put_rows(state["buffer"], live["buffer"])
-    reference = live["reference"]
-    if reference is not None:
-        state["reference"] = persist(
-            reference,
-            "reference" + rows_suffix,
-            lambda name: put_rows(name, reference),
-        )
+    suffix = ".rows" if monitor.kind == "transactions" else ".npz"
+    for key, name in (("buffer", ""), ("reference", f"reference-{seq:06d}{suffix}")):
+        if (data := live[key]) is not None:
+            state[key] = keep(data, lambda d=data: _rows(monitor, d), name)
     manager = live["windows"]
     if manager is not None:
-        state["reference_crc"] = _reference_crc(monitor, ledger)
-        chunks = []
-        for i, (sketch, chunk) in enumerate(manager.ring):
-            rows_name = persist(
-                chunk,
-                f"chunk-{i:04d}" + rows_suffix,
-                lambda name, chunk=chunk: put_rows(name, chunk),
-            )
-            sketch_name = persist(
-                sketch,
-                f"chunk-{i:04d}.sketch",
-                lambda name, sketch=sketch: put_bytes(
-                    name, _pack_sketch(monitor, ledger, sketch)
-                ),
-            )
-            chunks.append({"rows": rows_name, "sketch": sketch_name})
+        state["reference_crc"] = _reference_crc(monitor, journal)
         state["windows"] = {
             "row_offset": manager.row_offset,
             "windows_emitted": manager.windows_emitted,
             "rows_sketched": manager.rows_sketched,
-            "chunks": chunks,
+            "chunks": [
+                {
+                    "rows": keep(chunk, lambda c=chunk: _rows(monitor, c)),
+                    "sketch": keep(
+                        sketch, lambda s=sketch: _pack_sketch(monitor, journal, s)
+                    ),
+                }
+                for sketch, chunk in manager.ring
+            ],
         }
-
-    state["files"] = files
-    payload = json.dumps(state).encode()
-    _write_synced(os.path.join(target, _STATE), payload)
-    sink.inc("resilience.checkpoint_bytes_written", len(payload))
-    # a linked file was synced by the generation that created it; each
-    # new file was synced as it was written, and the directory entries
-    # (links included) need one more sync
-    if os.name == "posix":
-        _fsync_path(gen_dir)
-    ledger.state_crc = zlib.crc32(payload)
-    return ledger
-
-
-def _publish(directory: Path, generation: str, state_crc: int) -> None:
-    """Swap the manifest in atomically -- the single commit point."""
-    manifest = json.dumps(
-        {
-            "version": _FORMAT_VERSION,
-            "generation": generation,
-            "state_crc": state_crc,
-        }
-    ).encode()
-    tmp = directory / (_MANIFEST + ".tmp")
-    with tmp.open("wb") as f:
-        f.write(manifest)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, directory / _MANIFEST)
-    if os.name == "posix":
-        # the rename is directory metadata: durable only once the
-        # directory itself is synced
-        _fsync_path(directory)
+    record = _frame(seq, state, blobs)
+    for name, data in new_files:
+        _write_file(journal.path / name, data)
+    if new_files and journal.segments:
+        # their entries must be durable before a record names them (a
+        # new generation commits only after its directory is synced)
+        _fsync_dir(journal.path)
+    if journal.size > journal.end:
+        # a torn tail a dead writer left: cut it before anything follows
+        os.truncate(journal.segment(journal.segments[-1]), journal.end)
+        _write_file(journal.segment(journal.segments[-1]), b"", os.O_APPEND)
+    per = monitor.window_size // monitor.step
+    if per == 1:  # tumbling: the ring is empty at every checkpoint
+        per = _TUMBLING_RECORDS
+    rotate = not journal.segments or journal.records >= per
+    if rotate:
+        journal.segments.append(seq)
+        journal.end = journal.records = 0
+    _write_file(journal.segment(journal.segments[-1]), record, os.O_APPEND)
+    if not journal.records:
+        # a new segment (or an empty one a dead writer created) is
+        # durable only once its directory entry is
+        _fsync_dir(journal.path)
+    # what the record before this one names stays too, so a torn tail
+    # rolls back onto whole files
+    kept = _named(journal)
+    journal.seq, journal.records = seq, journal.records + 1
+    journal.end = journal.size = journal.end + len(record)
+    journal.held, journal.files = held, files
+    if rotate:
+        _sweep(journal, kept | _named(journal))
 
 
-def _collect_garbage(directory: Path, keep: str) -> None:
-    for path in directory.iterdir():
-        if path.is_dir() and path.name.startswith("gen-") and path.name != keep:
-            shutil.rmtree(path, ignore_errors=True)
+def _frame(seq: int, state: dict[str, Any], blobs: list[bytes]) -> bytes:
+    """One record: the header, the state JSON's length, the JSON, the blobs."""
+    head = json.dumps({**state, "blobs": [len(b) for b in blobs]}).encode()
+    payload = b"".join([struct.pack("<I", len(head)), head, *blobs])
+    crc = zlib.crc32(payload, zlib.crc32(struct.pack("<QI", seq, len(payload))))
+    return _FRAME.pack(seq, len(payload), crc) + payload
 
 
-def _link(source: str, target: str) -> bool:
-    """Hard-link ``source`` as ``target``; False if the OS refuses.
+def _named(journal: Journal) -> set[Any]:
+    """The side files and record sequence numbers the last record names."""
+    refs = [ref for _, ref in journal.held.values() if not isinstance(ref, str)]
+    return {*journal.files, journal.seq, *(ref[0] for ref in refs)}
 
-    Refusal covers a filesystem without hard links and a source deleted
-    behind the writer's back; the caller then writes from memory.
-    """
+
+def _sweep(journal: Journal, kept: set[Any]) -> None:
+    """Delete every file of the generation but the side files and the
+    segments of the records in ``kept``, and, once the generation is
+    committed, the other generations."""
+    firsts = journal.segments
+    live = {firsts[-1]}
+    for seq in kept:
+        if isinstance(seq, int) and seq >= firsts[0]:
+            live.add(firsts[bisect_right(firsts, seq) - 1])
+    journal.segments = [first for first in firsts if first in live]
+    for name in os.listdir(journal.path):
+        match = _SEGMENT.fullmatch(name)
+        if not (int(match[1]) in live if match else name in kept):
+            os.unlink(journal.path / name)
+    if journal.manifest is not None:  # until then the manifest names another
+        _drop_generations(journal)
+
+
+def _drop_generations(journal: Journal) -> None:
+    for name in os.listdir(journal.directory):
+        if _GENERATION.fullmatch(name) and name != journal.generation:
+            shutil.rmtree(journal.directory / name, ignore_errors=True)
+
+
+def _numbered(pattern: re.Pattern[str], directory: Path) -> list[int]:
+    return [int(m[1]) for m in map(pattern.fullmatch, os.listdir(directory)) if m]
+
+
+def _identity(path: Path) -> tuple[int, int, int]:
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _write_file(path: Path, payload: bytes, mode: int = os.O_TRUNC) -> None:
+    """Write ``payload`` (truncating, or appending) and fsync the file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | mode, 0o644)
     try:
-        os.link(source, target)
-    except OSError:
-        return False
-    return True
-
-
-def _write_synced(path: str, payload: bytes) -> None:
-    """Write a new file and fsync it before closing."""
-    with open(path, "xb") as f:
-        f.write(payload)
-        f.flush()
-        os.fsync(f.fileno())
-
-
-def _fsync_path(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(fd, view) :]
+        _fsync(fd)
     finally:
         os.close(fd)
+    metrics().inc("resilience.checkpoint_bytes_written", len(payload))
+
+
+def _fsync(fd: int) -> None:
+    os.fsync(fd)
+    metrics().inc("resilience.checkpoint_fsyncs")
+
+
+def _fsync_dir(path: Path) -> None:
+    if os.name != "posix":  # pragma: no cover - directory fsync is POSIX
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        _fsync(fd)
+    finally:
+        os.close(fd)
+
+
+# --------------------------------------------------------------------- #
+# Reading
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class _Committed:
+    """A verified checkpoint: state, checked side files (format 2: all
+    files), records as ``(segment, start, stop, payload)``, the cursor."""
+
+    state: dict[str, Any]
+    files: dict[str, bytes]
+    journal: Journal
+    records: dict[int, tuple[Path, int, int, memoryview]] = field(default_factory=dict)
+
+    def read(self, ref: Any) -> tuple[bytes, Path]:
+        """The bytes a state ref names, with the file they came from."""
+        if isinstance(ref, str) and ref in self.files:
+            return self.files[ref], self.journal.path / ref
+        if not isinstance(ref, list) or ref[0] not in self.records:
+            raise _damaged(self.journal.path, f"state names {ref!r}, which it lacks")
+        segment, _, _, payload = self.records[ref[0]]
+        head, start = _record_head(payload, segment)
+        start += sum(head["blobs"][: ref[1]])
+        return bytes(payload[start : start + head["blobs"][ref[1]]]), segment
+
+
+def _read_committed(directory: Path) -> _Committed:
+    """Read and verify the checkpoint the manifest commits."""
+    manifest = _committed_manifest(directory)
+    if manifest is None:
+        raise CheckpointError(
+            f"no committed checkpoint under {directory} (missing {_MANIFEST})",
+            path=str(directory),
+        )
+    here = Path(os.path.abspath(directory))
+    journal = Journal(here, manifest["generation"], _identity(here / _MANIFEST))
+    gen_dir = journal.path
+    if manifest["version"] == 2:
+        path = gen_dir / "state.json"
+        payload = _read_bytes(path)
+        if zlib.crc32(payload) != manifest["state_crc"]:
+            raise _damaged(path, "state failed its CRC (manifest and state disagree)")
+        state = _parse_state(payload, path)
+        files = _check_files(gen_dir, state["files"])
+        return _Committed(state, files, journal)
+    numbers = sorted(_numbered(_SEGMENT, gen_dir)) if gen_dir.is_dir() else []
+    records: dict[int, tuple[Path, int, int, memoryview]] = {}
+    last, end, size, path, fault = -1, 0, 0, gen_dir, None
+    for number in numbers:
+        if fault is not None:
+            raise _damaged(path, fault)
+        path = journal.segment(number)
+        data = memoryview(_read_bytes(path))
+        journal.segments.append(number)
+        end, size, journal.records = 0, len(data), 0
+        while end < size:
+            # a segment is named for its first record; a rotation may
+            # have deleted the segments between two live ones
+            seq = last + 1 if journal.records else max(number, last + 1)
+            if (fault := _fault(data, end, seq)) is not None:
+                break
+            stop = end + _FRAME.size + _FRAME.unpack_from(data, end)[1]
+            records[seq] = (path, end, stop, data[end + _FRAME.size : stop])
+            last, end, journal.records = seq, stop, journal.records + 1
+    # only the final append can be torn (cut short, or zeros or stale
+    # bytes at its full length): damage a whole record follows is not
+    if fault is not None and _whole_record(data, end, seq + 1):
+        raise _damaged(path, fault)
+    if not records:
+        raise _damaged(path, "journal holds no record")
+    journal.seq, journal.end, journal.size = last, end, size
+    state, _ = _record_head(records[last][3], records[last][0])
+    files = _check_files(gen_dir, state["files"])
+    return _Committed(state, files, journal, records)
+
+
+def _fault(data: memoryview, at: int, seq: int) -> str | None:
+    """Why the bytes at ``at`` are not whole record ``seq``, if they are not."""
+    start = at + _FRAME.size
+    if len(data) < start or len(data) < start + _FRAME.unpack_from(data, at)[1]:
+        return f"journal segment ends mid-record at byte {at}"
+    found, n, crc = _FRAME.unpack_from(data, at)
+    if zlib.crc32(data[start : start + n], zlib.crc32(data[at : at + 12])) != crc:
+        return f"journal record at byte {at} failed its CRC"
+    return None if found == seq else f"journal record {found} is where {seq} belongs"
+
+
+def _whole_record(data: memoryview, at: int, seq: int) -> bool:
+    """True when a whole record ``seq`` starts after byte ``at``."""
+    blob, key = data.tobytes(), struct.pack("<Q", seq)
+    while (at := blob.find(key, at + 1)) >= 0:
+        if _fault(data, at, seq) is None:
+            return True
+    return False
+
+
+def _record_head(payload: memoryview, path: Path) -> tuple[dict[str, Any], int]:
+    """A record's state JSON and the offset of its first blob."""
+    n = int.from_bytes(payload[:4], "little")
+    return _parse_state(payload[4 : 4 + n], path, "blobs"), 4 + n
+
+
+def _committed_manifest(directory: Path) -> dict[str, Any] | None:
+    """The validated manifest under ``directory``; ``None`` if absent."""
+    path = directory / _MANIFEST
+    try:
+        manifest = dict(json.loads(path.read_bytes()))
+        version = manifest["version"]
+        if version not in (2, _FORMAT_VERSION):
+            raise CheckpointError(
+                f"unsupported checkpoint format version {version!r}: this "
+                f"build resumes versions 2 and {_FORMAT_VERSION} only. "
+                "Restart the stream without this checkpoint",
+                path=str(path),
+            )
+        # format 2 pins its state.json by CRC; format 3's records carry
+        # their own, so its manifest names the generation only
+        fields = {"version", "generation"} | ({"state_crc"} if version == 2 else set())
+        crc = manifest.get("state_crc", 0)
+        if set(manifest) != fields or not isinstance(crc, int) or crc is True:
+            raise ValueError(f"fields {manifest} are not a version {version} manifest")
+        # the generation is joined onto the directory: only the writer's
+        # own names may reach the filesystem
+        if not _GENERATION.fullmatch(str(manifest["generation"])):
+            raise ValueError(f"invalid generation {manifest['generation']!r}")
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError as exc:
+        raise CheckpointError(f"manifest unreadable: {exc}", path=str(path)) from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(
+            f"checkpoint manifest is corrupt: {exc}", path=str(path)
+        ) from exc
+    return manifest
+
+
+def _damaged(path: Path, what: str) -> CheckpointError:
+    return CheckpointError(
+        f"checkpoint {what}; refusing to resume from damaged state", path=str(path)
+    )
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(
+            f"checkpoint file missing or unreadable: {exc}", path=str(path)
+        ) from exc
+
+
+def _parse_state(payload: Any, path: Path, *extra: str) -> dict[str, Any]:
+    try:
+        state: dict[str, Any] = json.loads(bytes(payload))
+        for key in (
+            "config", "rows_ingested", "monitor", "rng_state",
+            "reference", "buffer", "windows", "files", *extra,
+        ):
+            state[key]
+        state["monitor"]["history_blocks"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _damaged(path, f"state is corrupt: {exc}") from exc
+    return state
+
+
+def _check_files(gen_dir: Path, files: dict[str, Any]) -> dict[str, bytes]:
+    """Each named file's bytes, once its CRC matches."""
+    checked = {name: _read_bytes(gen_dir / name) for name in files}
+    for name, crc in files.items():
+        if zlib.crc32(checked[name]) != int(crc):
+            raise _damaged(gen_dir / name, f"file {name!r} failed its CRC")
+    return checked
 
 
 # --------------------------------------------------------------------- #
@@ -366,15 +520,15 @@ def _fsync_path(path: Path) -> None:
 # --------------------------------------------------------------------- #
 
 
-def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
+def resume_checkpoint(monitor: Any, directory: str | Path) -> Journal:
     """Restore the committed checkpoint into a *fresh* ``monitor``.
 
-    The monitor must be newly constructed (nothing pushed) with the
-    configuration that wrote the checkpoint; both are verified before
-    any state is touched. After the restore, pushing the stream's rows
-    from offset ``monitor.rows_ingested`` onward yields bit-identical
-    observations to the run that never died. Returns the ledger of the
-    resumed generation's files, which serve the next checkpoint's links.
+    The monitor must be newly constructed with the configuration that
+    wrote the checkpoint; both are verified before any state is touched,
+    and nothing under ``directory`` is written. Pushing the stream's rows
+    from ``monitor.rows_ingested`` on then yields bit-identical
+    observations to the run that never died. Returns the next
+    checkpoint's cursor (after format 2, one that starts a journal).
     """
     directory = Path(directory)
     if monitor.rows_ingested or monitor.windows is not None:
@@ -382,147 +536,43 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> _WriteLedger:
             "resume requires a freshly constructed monitor; this one has "
             f"already ingested {monitor.rows_ingested} rows"
         )
-    manifest = _read_manifest(directory)
-    gen_dir = directory / str(manifest["generation"])
-    state = _read_state(gen_dir, int(manifest["state_crc"]))
+    committed = _read_committed(directory)
+    state, journal = committed.state, committed.journal
     _check_fingerprint(monitor, state["config"], state["rng_state"], directory)
-    _check_files(gen_dir, state["files"])
 
-    def rows(name: str | None) -> Any:
-        return None if name is None else _load_rows(monitor, gen_dir / name)
+    def rows(ref: Any) -> Any:
+        return None if ref is None else _load_rows(monitor, *committed.read(ref))
 
-    block_names = state["monitor"]["history_blocks"]
-    blocks = [_load_block(gen_dir / name) for name in block_names]
+    names = state["monitor"]["history_blocks"]
+    blocks = [_load_block(*committed.read(name)) for name in names]
+    loaded = {key: rows(state[key]) for key in ("reference", "buffer")}
     # a started monitor re-mines the persisted reference rows, then
     # adopts the persisted ring on its freshly built manager
-    monitor.restore(
-        {
-            **state,
-            "monitor": {**state["monitor"], "history_blocks": blocks},
-            "reference": rows(state["reference"]),
-            "buffer": rows(state["buffer"]),
-        }
-    )
-    # the files just verified serve the next checkpoint's links
-    ledger = _WriteLedger(
-        directory.resolve(), manifest["generation"], manifest["state_crc"]
-    )
-    saved_crc = state.get("reference_crc")  # absent before this check
-    if saved_crc is not None and _reference_crc(monitor, ledger) != saved_crc:
+    inner = {**state["monitor"], "history_blocks": blocks}
+    monitor.restore({**state, **loaded, "monitor": inner})
+    saved_crc = state.get("reference_crc")  # absent in older checkpoints
+    if saved_crc is not None and _reference_crc(monitor, journal) != saved_crc:
         raise CheckpointError(
             "the re-fitted reference does not match the checkpoint's (its "
             "model parameters differ); resume with the model parameters "
             "that wrote it",
             path=str(directory),
         )
-    live = monitor.state()
-    named = [(live["reference"], state["reference"])]
-    # a block the monitor re-sealed no longer matches its file
-    named += [
-        (block, name)
-        for block, loaded, name in zip(
-            live["monitor"]["history_blocks"], blocks, block_names
-        )
-        if block is loaded
-    ]
     if state["windows"] is not None:
-        _restore_windows(monitor, gen_dir, state["windows"])
-        # the manager adopted the loaded (sketch, chunk) objects as-is
-        for (sketch, chunk), entry in zip(
-            live["windows"].ring, state["windows"]["chunks"]
-        ):
-            named += [(chunk, entry["rows"]), (sketch, entry["sketch"])]
+        _restore_windows(monitor, committed, state["windows"])
     metrics().inc("resilience.checkpoints_resumed")
-    for obj, name in named:
-        if name in state["files"]:
-            ledger.record(obj, name, int(state["files"][name]))
-    return ledger
-
-
-def _read_manifest(directory: Path) -> dict[str, Any]:
-    manifest = _committed_manifest(directory)
-    if manifest is None:
-        raise CheckpointError(
-            f"no committed checkpoint under {directory} (missing "
-            f"{_MANIFEST})",
-            path=str(directory),
-        )
-    return manifest
-
-
-def _committed_manifest(directory: Path) -> dict[str, Any] | None:
-    """The validated manifest under ``directory``; ``None`` if absent."""
-    manifest_path = directory / _MANIFEST
-    try:
-        payload = manifest_path.read_bytes()
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    except OSError as exc:
-        raise CheckpointError(
-            f"checkpoint manifest is unreadable: {exc}",
-            path=str(manifest_path),
-        ) from exc
-    try:
-        manifest = json.loads(payload)
-        if manifest["version"] != _FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format version "
-                f"{manifest['version']!r}: this build resumes version "
-                f"{_FORMAT_VERSION} only. Restart the stream without this "
-                "checkpoint",
-                path=str(manifest_path),
-            )
-        generation, state_crc = manifest["generation"], manifest["state_crc"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(
-            f"checkpoint manifest is corrupt: {exc}", path=str(manifest_path)
-        ) from exc
-    # the generation is joined onto the directory: only the writer's own
-    # names may reach the filesystem
-    if not isinstance(generation, str) or not _GENERATION.fullmatch(
-        generation
-    ):
-        raise CheckpointError(
-            f"checkpoint manifest names an invalid generation "
-            f"{generation!r}",
-            path=str(manifest_path),
-        )
-    if not isinstance(state_crc, int) or isinstance(state_crc, bool):
-        raise CheckpointError(
-            f"checkpoint manifest holds an invalid state CRC {state_crc!r}",
-            path=str(manifest_path),
-        )
-    return manifest
-
-
-def _read_state(gen_dir: Path, expected_crc: int) -> dict[str, Any]:
-    state_path = gen_dir / _STATE
-    try:
-        payload = state_path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(
-            f"committed checkpoint state is unreadable: {exc}",
-            path=str(state_path),
-        ) from exc
-    if zlib.crc32(payload) != expected_crc:
-        raise CheckpointError(
-            "checkpoint state failed its CRC (manifest and state "
-            "disagree); refusing to resume from damaged state",
-            path=str(state_path),
-        )
-    try:
-        state: dict[str, Any] = json.loads(payload)
-        for key in (
-            "config", "rows_ingested", "monitor", "rng_state",
-            "reference", "buffer", "windows", "files",
-        ):
-            state[key]
-        state["monitor"]["history_blocks"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(
-            f"checkpoint state is corrupt: {exc}", path=str(state_path)
-        ) from exc
-    return state
+    if journal.size > journal.end:
+        metrics().inc("resilience.checkpoint_torn_tails")
+    # the journal holds the objects just restored, so the next record
+    # writes none of them again
+    named = [(loaded[key], state[key]) for key in loaded] + list(zip(blocks, names))
+    if state["windows"] is not None:
+        chunks = state["windows"]["chunks"]
+        for (sketch, chunk), entry in zip(monitor.windows.ring, chunks):
+            named += [(chunk, entry["rows"]), (sketch, entry["sketch"])]
+    journal.held = {id(obj): (obj, ref) for obj, ref in named if obj is not None}
+    journal.files = {name: int(crc) for name, crc in state["files"].items()}
+    return journal
 
 
 def _check_fingerprint(
@@ -531,25 +581,19 @@ def _check_fingerprint(
     current = _fingerprint(monitor)
     # a checkpoint without the key predates versioned draws (scheme 1)
     scheme = saved.get("draw_scheme", 1)
-    if scheme != DRAW_SCHEME:
-        if rng_state is not None:
-            raise CheckpointError(
-                f"checkpoint was written under bootstrap draw scheme "
-                f"{scheme}, but this engine draws with scheme "
-                f"{DRAW_SCHEME}: its saved generator state would resume on "
-                "a different random stream. Restart the stream without "
-                "this checkpoint",
-                path=str(directory),
-            )
-        # no generator state (n_boot=0): nothing random to resume, so
-        # the checkpoint means the same under every scheme
-        saved = {**saved, "draw_scheme": DRAW_SCHEME}
-    if current != saved:
-        diff = sorted(
-            k
-            for k in set(current) | set(saved)
-            if current.get(k) != saved.get(k)
+    if scheme != DRAW_SCHEME and rng_state is not None:
+        raise CheckpointError(
+            f"checkpoint was written under bootstrap draw scheme {scheme}, "
+            f"but this engine draws with scheme {DRAW_SCHEME}: its saved "
+            "generator state would resume on a different random stream. "
+            "Restart the stream without this checkpoint",
+            path=str(directory),
         )
+    # no generator state (n_boot=0): nothing random to resume, so the
+    # checkpoint means the same under every scheme
+    saved = {**saved, "draw_scheme": DRAW_SCHEME}
+    if current != saved:
+        diff = sorted(k for k in current | saved if current.get(k) != saved.get(k))
         raise CheckpointError(
             "monitor configuration does not match the checkpoint "
             f"(differing: {diff}); resume with the configuration that "
@@ -558,69 +602,40 @@ def _check_fingerprint(
         )
 
 
-def _check_files(gen_dir: Path, files: dict[str, Any]) -> None:
-    for name, crc in files.items():
-        path = gen_dir / name
-        try:
-            payload = path.read_bytes()
-        except OSError as exc:
-            raise CheckpointError(
-                f"checkpoint file missing or unreadable: {exc}",
-                path=str(path),
-            ) from exc
-        if zlib.crc32(payload) != int(crc):
-            raise CheckpointError(
-                f"checkpoint file {name!r} failed its CRC; refusing to "
-                "resume from damaged state",
-                path=str(path),
-            )
-
-
 def _restore_windows(
-    monitor: Any, gen_dir: Path, saved: dict[str, Any]
+    monitor: Any, committed: _Committed, saved: dict[str, Any]
 ) -> None:
     """Adopt the persisted ring on the freshly built window manager.
 
-    The reference was just re-mined, so its canonical itemsets / counting
-    plan are fresh objects; each persisted sketch's counts are adopted
-    onto them (the fast-path constructors) only after an exact
-    structure-equality guard. A mismatch means the checkpoint and the
-    re-mined reference disagree -- damaged state, typed and loud.
+    Each persisted sketch's counts are adopted onto the re-mined
+    reference's fresh itemsets / counting plan only after an exact
+    structure-equality guard; a mismatch is damaged state.
     """
     manager = monitor.windows
     sketcher = manager.sketcher
+    lits = monitor.kind == "transactions"
+    unpack = unpack_support_sketch if lits else unpack_partition_sketch
     entries = []
     for entry in saved["chunks"]:
-        chunk = sketcher.normalize(_load_rows(monitor, gen_dir / entry["rows"]))
-        path = gen_dir / entry["sketch"]
+        chunk = sketcher.normalize(_load_rows(monitor, *committed.read(entry["rows"])))
+        payload, path = committed.read(entry["sketch"])
         try:
-            if monitor.kind == "transactions":
-                decoded = unpack_support_sketch(path.read_bytes())
-                matches = tuple(decoded.itemsets) == tuple(sketcher.itemsets)
-            else:
-                decoded = unpack_partition_sketch(path.read_bytes())
-                matches = decoded.key == sketcher.plan.structure.counts_key
+            decoded = unpack(payload)
         except FocusError as exc:
-            raise CheckpointError(
-                f"checkpoint sketch failed to decode: {exc}", path=str(path)
-            ) from exc
-        if not matches:
-            raise CheckpointError(
-                "persisted sketch does not match the re-mined reference "
-                "structure",
-                path=str(path),
-            )
-        if monitor.kind == "transactions":
+            raise _damaged(path, f"sketch failed to decode: {exc}") from exc
+        if lits and tuple(decoded.itemsets) == tuple(sketcher.itemsets):
             sketch = SupportSketch._from_canonical(
                 sketcher.itemsets,
                 decoded.counts,
                 decoded.n_transactions,
                 decoded.n_items,
             )
-        else:
+        elif not lits and decoded.key == sketcher.plan.structure.counts_key:
             sketch = PartitionSketch._trusted(
                 sketcher.plan, decoded.counts, decoded.n_rows
             )
+        else:
+            raise _damaged(path, "sketch does not match the re-mined reference")
         entries.append((sketch, chunk))
     manager.restore(
         entries,
@@ -630,75 +645,64 @@ def _restore_windows(
     )
 
 
-# --------------------------------------------------------------------- #
-# Helpers: fingerprint, rows, sketches
-# --------------------------------------------------------------------- #
-
-
 def _fingerprint(monitor: Any) -> dict[str, Any]:
     inner = monitor.monitor
     return {
         # the persisted rng state only reproduces the uninterrupted run
         # under the draw scheme that consumed it
         "draw_scheme": DRAW_SCHEME,
-        "kind": monitor.kind,
-        "n_items": monitor.n_items,
-        "window_size": monitor.window_size,
-        "step": monitor.step,
-        "n_boot": inner.n_boot,
-        "threshold": inner.threshold,
-        "delta_threshold": inner.delta_threshold,
-        "policy": inner.policy,
-        "refit_models": inner.refit_models,
+        **{k: getattr(monitor, k) for k in ("kind", "n_items", "window_size", "step")},
+        **{k: getattr(inner, k) for k in ("n_boot", "threshold", "delta_threshold")},
+        **{k: getattr(inner, k) for k in ("policy", "refit_models")},
     }
 
 
-def _load_rows(monitor: Any, path: Path) -> Any:
+def _rows(monitor: Any, rows: Any) -> bytes:
+    buffer = io.BytesIO()
+    if monitor.kind == "transactions":
+        save_transactions(rows, buffer)
+    else:
+        save_tabular(rows, buffer)
+    metrics().inc("resilience.checkpoint_rows_written", len(rows))
+    return buffer.getvalue()
+
+
+def _load_rows(monitor: Any, payload: bytes, path: Path) -> Any:
     try:
         if monitor.kind == "transactions":
-            return load_transactions(path)
-        return load_tabular(path)
+            return load_transactions(io.BytesIO(payload))
+        return load_tabular(io.BytesIO(payload))
     except (FocusError, OSError, ValueError, KeyError) as exc:
-        raise CheckpointError(
-            f"checkpoint rows failed to load: {exc}", path=str(path)
-        ) from exc
+        raise _damaged(path, f"rows failed to load: {exc}") from exc
 
 
-def _encode_block(block: tuple[Observation, ...]) -> bytes:
-    return json.dumps([o.to_row() for o in block]).encode()
-
-
-def _load_block(path: Path) -> tuple[Observation, ...]:
+def _load_block(payload: bytes, path: Path) -> tuple[Observation, ...]:
     try:
-        rows = json.loads(path.read_bytes())
-        return tuple(Observation.from_row(row) for row in rows)
-    except (OSError, ValueError, TypeError) as exc:
-        raise CheckpointError(
-            f"checkpoint history block failed to load: {exc}", path=str(path)
-        ) from exc
+        return tuple(Observation.from_row(row) for row in json.loads(payload))
+    except (ValueError, TypeError) as exc:
+        raise _damaged(path, f"history block failed to load: {exc}") from exc
 
 
-def _reference_crc(monitor: Any, ledger: _WriteLedger) -> int:
+def _reference_crc(monitor: Any, journal: Journal) -> int:
     """CRC-32 of the reference's empty window sketch's wire bytes (its
     itemsets, or its partition structure and model), once per model."""
     model = monitor.monitor.reference.model
-    if ledger.reference_crc is None or ledger.reference_crc[0] is not model:
-        empty = monitor.windows.sketcher.empty()
-        crc = zlib.crc32(_pack_sketch(monitor, ledger, empty))
-        ledger.reference_crc = (model, crc)
-    return ledger.reference_crc[1]
+    if journal.reference_crc is None or journal.reference_crc[0] is not model:
+        empty = _pack_sketch(monitor, journal, monitor.windows.sketcher.empty())
+        journal.reference_crc = (model, zlib.crc32(empty))
+    return journal.reference_crc[1]
 
 
-def _pack_sketch(monitor: Any, ledger: _WriteLedger, sketch: Any) -> bytes:
+def _pack_sketch(monitor: Any, journal: Journal, sketch: Any) -> bytes:
     """The sketch's wire bytes; a tabular sketch embeds the reference
-    model, encoded once per reference through the ledger's packer."""
+    model, encoded once per reference through the journal's packer."""
     if monitor.kind == "transactions":
         return pack(sketch)
     model = monitor.monitor.reference.model
     try:
-        if ledger.packer is None or ledger.packer[0] is not model:
-            ledger.packer = (model, partition_sketch_packer(model))
-        return ledger.packer[1](sketch)
+        if journal.packer is None or journal.packer[0] is not model:
+            journal.packer = (model, partition_sketch_packer(model))
+        return journal.packer[1](sketch)
     except FocusError as exc:
         raise CheckpointError(
             "window sketches could not be wire-packed (checkpointing a "

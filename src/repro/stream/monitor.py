@@ -204,10 +204,9 @@ class OnlineChangeMonitor:
         self._warmup: Any = None
         self._windows: WindowManager | None = None
         self._cache: _ReferenceCache | None = None
-        # Files of the last checkpoint generation this monitor committed
-        # or resumed from: the next generation hard-links them instead of
-        # rewriting (see repro.resilience.checkpoint).
-        self._checkpoint_ledger: Any = None
+        # cursor of the checkpoint journal this monitor appends to (see
+        # repro.resilience.checkpoint); None before the first checkpoint
+        self._journal: Any = None
 
     # ------------------------------------------------------------------ #
     # Stream consumption
@@ -280,15 +279,18 @@ class OnlineChangeMonitor:
     def checkpoint(self, directory: Any) -> Any:
         """Persist the full monitor state durably under ``directory``.
 
-        A kill at *any* point leaves the previous committed checkpoint
-        intact, and files the previous generation already holds are
-        hard-linked, so a steady-state checkpoint writes one chunk.
+        Appends one CRC-framed record to the directory's journal and
+        fsyncs it once: the rows and sketch of each chunk that entered
+        the ring since the last checkpoint, and the small state. A kill
+        at *any* point leaves the last whole record to resume from.
         Returns the manifest path; see :mod:`repro.resilience.checkpoint`.
         """
         from repro.resilience.checkpoint import write_checkpoint
 
-        manifest, self._checkpoint_ledger = write_checkpoint(self, directory)
-        return manifest
+        # a failed checkpoint leaves no cursor: the next starts afresh
+        journal, self._journal = self._journal, None
+        self._journal = write_checkpoint(self, directory, journal)
+        return self._journal.directory / "CHECKPOINT.json"
 
     def resume(self, directory: Any) -> "OnlineChangeMonitor":
         """Restore the last committed checkpoint into this fresh monitor.
@@ -301,7 +303,7 @@ class OnlineChangeMonitor:
         """
         from repro.resilience.checkpoint import resume_checkpoint
 
-        self._checkpoint_ledger = resume_checkpoint(self, directory)
+        self._journal = resume_checkpoint(self, directory)
         return self
 
     def state(self) -> dict[str, Any]:
@@ -361,11 +363,6 @@ class OnlineChangeMonitor:
     def windows(self) -> WindowManager | None:
         """The window manager; ``None`` until the reference is fitted."""
         return self._windows
-
-    @property
-    def checkpoint_ledger(self) -> Any:
-        """Files of the last checkpoint committed or resumed, or ``None``."""
-        return self._checkpoint_ledger
 
     @property
     def history(self) -> list[Observation]:

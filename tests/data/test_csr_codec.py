@@ -331,8 +331,9 @@ class TestTypedErrors:
 
         path = _write(tmp_path, "# n_items=5\n3 x\n")
         monitor = _monitor(5)
-        with pytest.raises(CheckpointError):
-            _load_rows(monitor, path)
+        with pytest.raises(CheckpointError) as exc:
+            _load_rows(monitor, path.read_bytes(), path)
+        assert exc.value.path == str(path)
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,8 @@
 ``tabular`` scenarios, ``golden_v2/`` version-2 checkpoints of those
 and of ``history``, whose history spans sealed blocks, all under
 bootstrap draw scheme 2; ``golden_scheme3/`` holds version-2,
-scheme-3 checkpoints of the two bootstrap scenarios. Shared by
+scheme-3 checkpoints of the two bootstrap scenarios, and
+``golden_v3/`` version-3 journals of all three under scheme 3. Shared by
 ``make_golden.py`` (which wrote the committed checkpoints) and the
 golden tests (which resume them): the monitor configuration here must
 match the fingerprint the checkpoints carry.

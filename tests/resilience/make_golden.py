@@ -3,18 +3,18 @@
 Run from the repository root with the directory to write and,
 optionally, the scenarios to write (all three by default)::
 
-    PYTHONPATH=src python tests/resilience/make_golden.py tests/resilience/golden_v2
-    PYTHONPATH=src python tests/resilience/make_golden.py \
-        tests/resilience/golden_scheme3 transactions tabular
+    PYTHONPATH=src python tests/resilience/make_golden.py tests/resilience/golden_v3
 
 The checkpoints are written in the current format version and draw
 scheme. Only run this when one of those is deliberately bumped, into a
 new directory: each golden directory pins what a checkpoint written by
 an older build means, so the committed files never regenerate on CI,
 and a scenario directory that already exists is refused rather than
-overwritten (``golden/`` holds the version-1 fixtures, which no
-current build can write; ``golden/`` and ``golden_v2/`` hold scheme-2
-bootstrap checkpoints, ``golden_scheme3/`` their scheme-3 successors).
+overwritten (``golden/`` holds the version-1 fixtures and
+``golden_v2/`` and ``golden_scheme3/`` version-2 ones, which no current
+build can write; ``golden/`` and ``golden_v2/`` hold scheme-2 bootstrap
+checkpoints, ``golden_scheme3/`` their scheme-3 successors, and
+``golden_v3/`` the version-3 journals of all three scenarios).
 
 Each scenario is pushed in chunks that do not align with the monitor's
 step, checkpointing after every push, until the monitor is past at

@@ -75,6 +75,27 @@ def make_monitor(**overrides):
     return OnlineChangeMonitor(builder, N_ITEMS, **kwargs)
 
 
+def committed(directory):
+    """The committed checkpoint under ``directory``, read and verified."""
+    return ckpt._read_committed(Path(directory))
+
+
+def segments(directory):
+    return sorted(committed(directory).journal.path.glob("segment-*.log"))
+
+
+def rewrite_last_state(directory, edit):
+    """Re-frame the journal's last record around an edited state, under
+    a valid CRC, as an older writer would have framed it."""
+    found = committed(directory)
+    seq = max(found.records)
+    path, offset, _, payload = found.records[seq]
+    head, _ = ckpt._record_head(payload, path)
+    blobs = [found.read([seq, k])[0] for k in range(len(head.pop("blobs")))]
+    edit(head)
+    path.write_bytes(path.read_bytes()[:offset] + ckpt._frame(seq, head, blobs))
+
+
 def interrupted_run(stream, tmp_path, cut, **overrides):
     """Push ``cut`` rows, checkpoint, resume fresh, push the rest."""
     first = make_monitor(**overrides)
@@ -252,17 +273,12 @@ class TestRefusals:
         a different random stream, so it must fail typed instead."""
         m = make_monitor()
         m.push(stream[:1_100])
-        manifest_path = m.checkpoint(tmp_path)
-        manifest = json.loads(manifest_path.read_text())
-        state_path = tmp_path / manifest["generation"] / "state.json"
-        state = json.loads(state_path.read_text())
-        assert state["config"].pop("draw_scheme") == DRAW_SCHEME
-        # re-commit the legacy state under a valid CRC, as the old
-        # writer would have
-        payload = json.dumps(state).encode()
-        state_path.write_bytes(payload)
-        manifest["state_crc"] = zlib.crc32(payload)
-        manifest_path.write_text(json.dumps(manifest))
+        m.checkpoint(tmp_path)
+        schemes = []
+        rewrite_last_state(
+            tmp_path, lambda state: schemes.append(state["config"].pop("draw_scheme"))
+        )
+        assert schemes == [DRAW_SCHEME]
         with pytest.raises(CheckpointError, match="draw scheme 1"):
             make_monitor().resume(tmp_path)
 
@@ -285,9 +301,10 @@ class TestRefusals:
         self, stream, tmp_path, field, value
     ):
         """Both the next checkpoint and a resume refuse a manifest whose
-        generation is not a writer-made ``gen-NNNNNN`` name or whose
-        state CRC is not an int, naming the manifest -- never an untyped
-        crash or a path outside the directory."""
+        generation is not a writer-made ``gen-NNNNNN`` name or that
+        carries a state CRC (format 3 keeps its CRCs in the journal
+        records), naming the manifest -- never an untyped crash or a
+        path outside the directory."""
         m = make_monitor()
         m.push(stream[:600])
         manifest_path = m.checkpoint(tmp_path)
@@ -315,62 +332,103 @@ class TestRefusals:
 class TestKillMidCheckpoint:
     @pytest.mark.chaos
     def test_torn_generation_rolls_back_to_committed(self, stream, tmp_path):
-        """A kill between generation write and manifest swap loses only
-        the rows since the previous committed checkpoint."""
+        """A kill mid-append tears the final record: resume rolls back
+        exactly that checkpoint, counts the torn tail, and loses only
+        the rows since the checkpoint before it."""
         expected = make_monitor().push(stream)
 
         live = make_monitor()
         live.push(stream[:1_000])
         live.checkpoint(tmp_path)
-        committed = json.loads(
-            (tmp_path / "CHECKPOINT.json").read_text()
-        )["generation"]
-
-        # The crash: push on, write the next generation fully, die
-        # before _publish. Damage the torn bytes for good measure.
         live.push(stream[1_000:1_400])
-        torn = ckpt._next_generation_name(tmp_path)
-        ckpt._write_generation(live, tmp_path, torn)
-        torn_state = tmp_path / torn / "state.json"
-        torn_state.write_bytes(torn_state.read_bytes()[: 40])
+        live.checkpoint(tmp_path)
+        torn = corrupt_checkpoint(tmp_path, mode="tear")
+        assert torn == segments(tmp_path)[-1]
 
-        assert json.loads(
-            (tmp_path / "CHECKPOINT.json").read_text()
-        )["generation"] == committed
-
+        registry = MetricsRegistry()
         resumed = make_monitor()
-        resumed.resume(tmp_path)
+        with use_registry(registry):
+            resumed.resume(tmp_path)
         assert resumed.rows_ingested == 1_000
+        assert registry.counter("resilience.checkpoint_torn_tails") == 1
         got = list(resumed.history) + resumed.push(
             stream[resumed.rows_ingested:]
         )
         assert observed(got) == observed(expected)
 
     @pytest.mark.chaos
+    @pytest.mark.parametrize("fill", [0x00, 0xA5])
+    def test_a_final_record_of_zeros_or_stale_bytes_is_a_torn_tail(
+        self, stream, tmp_path, fill
+    ):
+        """Power lost mid-append can leave the final record at its full
+        length but reading zeros or stale bytes: resume rolls back
+        exactly that checkpoint and counts the torn tail. The same
+        damage to the record before it, which a whole record follows in
+        the same segment, is refused."""
+        expected = make_monitor().push(stream)
+        live, origin = make_monitor(), tmp_path / "origin"
+        live.push(stream[:1_000])
+        for start in range(1_000, 1_800, 200):
+            live.push(stream[start : start + 200])
+            live.checkpoint(origin)
+
+        def overwrite(index):
+            directory = tmp_path / f"record-{index}"
+            shutil.copytree(origin, directory)
+            records = list(committed(directory).records.values())
+            path, start, stop, _ = records[index]
+            assert path == records[-1][0]
+            with open(path, "r+b") as f:
+                f.seek(start)
+                f.write(bytes([fill]) * (stop - start))
+            return directory, path
+
+        directory, _ = overwrite(-1)
+        registry = MetricsRegistry()
+        resumed = make_monitor()
+        with use_registry(registry):
+            resumed.resume(directory)
+        assert resumed.rows_ingested == 1_600
+        assert registry.counter("resilience.checkpoint_torn_tails") == 1
+        got = list(resumed.history) + resumed.push(stream[1_600:])
+        assert observed(got) == observed(expected)
+
+        directory, path = overwrite(-2)
+        with pytest.raises(CheckpointError, match="CRC|mid-record") as exc:
+            make_monitor().resume(directory)
+        assert exc.value.path == str(path)
+
+    @pytest.mark.chaos
     def test_next_checkpoint_collects_the_torn_generation(
         self, stream, tmp_path
     ):
+        """Resume never writes; the first checkpoint after it truncates
+        the torn tail before appending, so the journal reads whole."""
         live = make_monitor()
         live.push(stream[:800])
         live.checkpoint(tmp_path)
-        torn = ckpt._next_generation_name(tmp_path)
-        ckpt._write_generation(live, tmp_path, torn)
-        assert (tmp_path / torn).exists()
+        live.push(stream[800:1_000])
+        live.checkpoint(tmp_path)
+        torn = corrupt_checkpoint(tmp_path, mode="tear")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
 
         resumed = make_monitor()
         resumed.resume(tmp_path)
+        after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == before
         resumed.push(stream[resumed.rows_ingested : 1_200])
         resumed.checkpoint(tmp_path)
-        # the new commit adopted the torn generation's number or swept
-        # it; either way exactly one generation remains
-        gens = [p for p in tmp_path.iterdir() if p.name.startswith("gen-")]
-        assert len(gens) == 1
+        found = committed(tmp_path)
+        assert found.journal.size == found.journal.end
+        assert found.records[max(found.records)][0] == torn
+        registry = MetricsRegistry()
+        again = make_monitor()
+        with use_registry(registry):
+            again.resume(tmp_path)
+        assert again.rows_ingested == 1_200
+        assert registry.counter("resilience.checkpoint_torn_tails") == 0
         assert has_checkpoint(tmp_path)
-
-
-def committed_generation(directory):
-    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
-    return directory / manifest["generation"]
 
 
 class Killed(BaseException):
@@ -378,84 +436,88 @@ class Killed(BaseException):
 
 
 class TestLinkedGenerations:
+    """The journal links nothing: kills between its writes, damage to
+    records other checkpoints share, and copies all resume exactly."""
+
     @pytest.mark.chaos
     def test_kill_between_link_and_swap_keeps_committed_files(
-        self, stream, tmp_path
+        self, stream, tmp_path, monkeypatch
     ):
-        """A torn generation that linked the committed chunks, with one
-        of its *new* files damaged: resume lands on the committed
-        generation bit-identically, and sweeping the torn directory
-        leaves the committed chunk files' bytes (shared inodes) intact."""
-        expected = make_monitor().push(stream)
+        """A kill after a promotion wrote its new reference file but
+        before the record naming it: resume lands on the committed
+        record bit-identically, the committed files keep their bytes,
+        and the stray file is deleted when a segment next rotates."""
+        overrides = dict(policy="reset_on_drift")
+        expected = make_monitor(**overrides).push(stream)
+        live = make_monitor(**overrides)
+        real_write_file = ckpt._write_file
 
-        live = make_monitor()
-        live.push(stream[:1_000])
-        live.checkpoint(tmp_path)
-        committed = committed_generation(tmp_path)
-        before = {
-            p.stat().st_ino: zlib.crc32(p.read_bytes())
-            for p in committed.iterdir()
-            if p.name.startswith("chunk-")
-        }
+        def dying_write_file(path, payload, mode=os.O_TRUNC):
+            if path.name.startswith("segment-") and len(refs(path.parent)) > 1:
+                raise Killed("killed before the record")
+            real_write_file(path, payload, mode)
 
-        live.push(stream[1_000:1_200])
-        torn = tmp_path / ckpt._next_generation_name(tmp_path)
-        ckpt._write_generation(live, tmp_path, torn.name)
-        linked = [p for p in torn.iterdir() if p.stat().st_nlink > 1]
-        assert any(p.name.startswith("chunk-") for p in linked)
-        new = sorted(
-            p for p in torn.iterdir()
-            if p.stat().st_nlink == 1 and p.name != "state.json"
-        )
-        assert new, "the torn generation wrote its entering chunk"
-        new[0].write_bytes(b"torn")
+        def refs(gen_dir):
+            return sorted(gen_dir.glob("reference-*"))
 
-        resumed = make_monitor()
+        with monkeypatch.context() as patch:
+            patch.setattr(ckpt, "_write_file", dying_write_file)
+            with pytest.raises(Killed):
+                for chunk in iter_chunks(stream, 200):
+                    live.push(chunk)
+                    live.checkpoint(tmp_path)
+        found = committed(tmp_path)
+        stray = [p for p in refs(found.journal.path) if p.name not in found.files]
+        assert len(stray) == 1
+        before = {p: zlib.crc32(p.read_bytes()) for p in found.journal.path.iterdir()}
+        before.pop(stray[0])
+
+        resumed = make_monitor(**overrides)
         resumed.resume(tmp_path)
-        assert resumed.rows_ingested == 1_000
-        got = list(resumed.history) + resumed.push(stream[1_000:1_200])
-        resumed.checkpoint(tmp_path)
-        gens = [p for p in tmp_path.iterdir() if p.name.startswith("gen-")]
-        assert gens == [committed_generation(tmp_path)]
-        survivors = {
-            p.stat().st_ino: zlib.crc32(p.read_bytes())
-            for p in gens[0].iterdir()
-            if p.stat().st_ino in before
-        }
-        assert survivors, "the next generation linked the committed chunk"
-        assert survivors == {ino: before[ino] for ino in survivors}
-
-        final = make_monitor()
-        final.resume(tmp_path)
-        got += final.push(stream[final.rows_ingested:])
+        assert resumed.rows_ingested == live.rows_ingested - 200
+        assert {
+            p: zlib.crc32(p.read_bytes()) for p in before if p.exists()
+        }.items() <= before.items()
+        got = list(resumed.history)
+        for chunk in iter_chunks(stream[resumed.rows_ingested:], 200):
+            got += resumed.push(chunk)
+            resumed.checkpoint(tmp_path)
+        assert not stray[0].exists() or stray[0].name in committed(tmp_path).files
         assert observed(got) == observed(expected)
 
     @pytest.mark.chaos
     def test_kill_during_garbage_collection(
         self, stream, tmp_path, monkeypatch
     ):
+        """A kill while a rotation deletes dead segments leaves them
+        behind; resume is exact and the next rotation deletes them."""
         expected = make_monitor().push(stream)
         live = make_monitor()
-        live.push(stream[:800])
-        live.checkpoint(tmp_path)
-        live.push(stream[800:1_000])
+        for chunk in iter_chunks(stream[:1_000], 200):
+            live.push(chunk)
+            live.checkpoint(tmp_path)
+        real_unlink = os.unlink
 
-        def dying_rmtree(path, *args, **kwargs):
-            sorted(Path(path).iterdir())[0].unlink()
-            raise Killed("killed mid-GC")
+        def dying_unlink(path, *args, **kwargs):
+            raise Killed("killed mid-sweep")
 
         with monkeypatch.context() as patch:
-            patch.setattr(shutil, "rmtree", dying_rmtree)
+            patch.setattr(os, "unlink", dying_unlink)
             with pytest.raises(Killed):
-                live.checkpoint(tmp_path)
-        assert len(list(tmp_path.glob("gen-*"))) == 2
+                for chunk in iter_chunks(stream[1_000:1_400], 200):
+                    live.push(chunk)
+                    live.checkpoint(tmp_path)
+        assert os.unlink is real_unlink
+        leftover = segments(tmp_path)
+        assert len(leftover) == 3
 
         resumed = make_monitor()
         resumed.resume(tmp_path)
-        assert resumed.rows_ingested == 1_000
-        got = list(resumed.history) + resumed.push(stream[1_000:1_200])
-        resumed.checkpoint(tmp_path)
-        assert len(list(tmp_path.glob("gen-*"))) == 1
+        got = list(resumed.history)
+        for chunk in iter_chunks(stream[resumed.rows_ingested : 1_800], 200):
+            got += resumed.push(chunk)
+            resumed.checkpoint(tmp_path)
+        assert not set(leftover[:2]) & set(segments(tmp_path))
         final = make_monitor()
         final.resume(tmp_path)
         got += final.push(stream[final.rows_ingested:])
@@ -466,18 +528,15 @@ class TestLinkedGenerations:
     def test_corrupting_a_shared_chunk_file_refuses_to_resume(
         self, stream, tmp_path, mode
     ):
+        """Damage to an earlier record or segment, which holds a chunk
+        the ring still uses, refuses the resume, naming the segment."""
         live = make_monitor()
-        live.push(stream[:1_000])
-        live.checkpoint(tmp_path)
-        live.push(stream[1_000:1_200])
-        torn = ckpt._next_generation_name(tmp_path)
-        ckpt._write_generation(live, tmp_path, torn)
-
-        victim = corrupt_checkpoint(tmp_path, seed=1, mode=mode)
-        # the damaged inode is shared by the committed and torn dirs
-        assert victim.name.startswith("chunk-")
-        assert victim.stat().st_nlink == 2
-        with pytest.raises(CheckpointError, match="CRC") as exc:
+        for chunk in iter_chunks(stream[:1_400], 200):
+            live.push(chunk)
+            live.checkpoint(tmp_path)
+        victim = corrupt_checkpoint(tmp_path, seed=0, mode=mode)
+        assert victim.name.startswith("segment-")
+        with pytest.raises(CheckpointError, match="CRC|mid-record") as exc:
             make_monitor().resume(tmp_path)
         assert exc.value.path == str(victim)
 
@@ -485,18 +544,22 @@ class TestLinkedGenerations:
     def test_link_refused_falls_back_to_writing(
         self, stream, tmp_path, monkeypatch
     ):
+        """No checkpoint links a file: with ``os.link`` refused, every
+        checkpoint commits and resumes exactly."""
+        linked = []
+
         def refuse(*args, **kwargs):
+            linked.append(args)
             raise OSError("hard links not supported")
 
         expected = make_monitor().push(stream)
-        registry = MetricsRegistry()
         live = make_monitor()
-        with monkeypatch.context() as patch, use_registry(registry):
+        with monkeypatch.context() as patch:
             patch.setattr(os, "link", refuse)
             for chunk in iter_chunks(stream[:1_200], 200):
                 live.push(chunk)
                 live.checkpoint(tmp_path)
-        assert registry.counter("resilience.checkpoint_files_linked") == 0
+        assert linked == []
         resumed = make_monitor()
         resumed.resume(tmp_path)
         got = resumed.push(stream[resumed.rows_ingested:])
@@ -506,8 +569,8 @@ class TestLinkedGenerations:
     def test_copied_checkpoint_resumes_and_links_again(
         self, stream, tmp_path
     ):
-        """``copytree`` breaks the links; the copy is still a complete
-        checkpoint, and a monitor resumed from it links its next one."""
+        """A ``copytree`` copy is a complete checkpoint, and a monitor
+        resumed from it appends one record of one step to the copy."""
         expected = make_monitor().push(stream)
         origin, copy = tmp_path / "origin", tmp_path / "copy"
         live = make_monitor()
@@ -516,9 +579,6 @@ class TestLinkedGenerations:
         live.push(stream[800:1_000])
         live.checkpoint(origin)
         shutil.copytree(origin, copy)
-        assert all(
-            p.stat().st_nlink == 1 for p in committed_generation(copy).iterdir()
-        )
 
         resumed = make_monitor()
         resumed.resume(copy)
@@ -526,8 +586,9 @@ class TestLinkedGenerations:
         with use_registry(registry):
             got = list(resumed.history) + resumed.push(stream[1_000:1_200])
             resumed.checkpoint(copy)
-        # reference, surviving chunk rows and its sketch
-        assert registry.counter("resilience.checkpoint_files_linked") == 3
+        assert registry.counter("resilience.checkpoint_rows_written") == 200
+        assert registry.counter("resilience.checkpoint_fsyncs") <= 2
+        assert committed(copy).journal.seq == committed(origin).journal.seq + 1
         final = make_monitor()
         final.resume(copy)
         got += final.push(stream[final.rows_ingested:])
@@ -539,13 +600,16 @@ class TestWriteOnce:
         self, stream, tmp_path, monkeypatch
     ):
         """Past warm-up, a checkpoint after a ``step``-row push writes
-        exactly ``step`` rows and packs one sketch; the reference and
-        the surviving chunk are hard-linked, never rewritten."""
+        exactly ``step`` rows, packs one sketch and fsyncs once (plus
+        the directory when it starts a segment), and outside a rotation
+        it links, unlinks, renames and creates nothing; the reference
+        file and the surviving chunk are never rewritten."""
         step = 200
         m = make_monitor(step=step)
         m.push(stream[:600])
         m.checkpoint(tmp_path)
-        reference = committed_generation(tmp_path) / "reference.rows"
+        found = committed(tmp_path)
+        reference = found.journal.path / found.state["reference"]
         ref_inode = reference.stat().st_ino
 
         packs = []
@@ -553,39 +617,58 @@ class TestWriteOnce:
         monkeypatch.setattr(
             ckpt, "pack", lambda *a, **k: packs.append(1) or real_pack(*a, **k)
         )
+        changed = []
+        for name in ("link", "unlink", "rename", "replace", "mkdir", "rmdir"):
+            real = getattr(os, name)
+
+            def counting(*args, real=real, name=name, **kwargs):
+                changed.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, counting)
+        rotations = 0
         for start in range(600, 1_600, step):
             registry = MetricsRegistry()
             packs.clear()
+            changed.clear()
+            before = segments(tmp_path)
             with use_registry(registry):
                 m.push(stream[start:start + step])
                 m.checkpoint(tmp_path)
+            rotated = segments(tmp_path)[-1] not in before
+            rotations += rotated
             assert registry.counter("resilience.checkpoint_rows_written") == step
-            assert registry.counter("resilience.checkpoint_files_linked") == 3
+            assert registry.counter("resilience.checkpoint_fsyncs") == 1 + rotated
+            assert rotated or changed == []
             assert len(packs) == 1
-            gen = committed_generation(tmp_path)
-            assert (gen / "reference.rows").stat().st_ino == ref_inode
+            found = committed(tmp_path)
+            assert found.journal.path / found.state["reference"] == reference
+            assert reference.stat().st_ino == ref_inode
+        assert 0 < rotations < 5
 
     def test_another_writer_commit_drops_the_ledger(
         self, stream, tmp_path, monkeypatch
     ):
-        """Two monitors sharing a directory: a writer whose ledger names
-        a generation the manifest no longer does writes in full, even
-        while that generation's files still exist."""
+        """Two monitors sharing a directory: a writer whose cursor names
+        a generation the manifest no longer does writes a new generation
+        in full, even while its old journal's files still exist."""
         expected = make_monitor().push(stream)
         first, second = make_monitor(), make_monitor()
         first.push(stream[:1_000])
         first.checkpoint(tmp_path)
         second.push(stream[:800])
         with monkeypatch.context() as patch:
-            # the second writer dies before collecting the first's files
-            patch.setattr(ckpt, "_collect_garbage", lambda *a: None)
+            # the second writer dies before removing the first's files
+            patch.setattr(ckpt, "_drop_generations", lambda *a: None)
             second.checkpoint(tmp_path)
         assert len(list(tmp_path.glob("gen-*"))) == 2
         first.push(stream[1_000:1_200])
         registry = MetricsRegistry()
         with use_registry(registry):
             first.checkpoint(tmp_path)
-        assert registry.counter("resilience.checkpoint_files_linked") == 0
+        # the reference and both ring chunks, written again
+        assert registry.counter("resilience.checkpoint_rows_written") == 800
+        assert [p.name for p in tmp_path.glob("gen-*")] == ["gen-000002"]
         resumed = make_monitor()
         resumed.resume(tmp_path)
         assert resumed.rows_ingested == 1_200
@@ -596,7 +679,7 @@ class TestWriteOnce:
         self, stream, tmp_path
     ):
         """reset_on_drift promotes new references and re-sketches the
-        ring mid-stream; linked checkpoints across those resets still
+        ring mid-stream; journal checkpoints across those resets still
         resume exactly."""
         overrides = dict(policy="reset_on_drift")
         expected = make_monitor(**overrides).push(stream)
@@ -635,7 +718,6 @@ class TestWriteOnce:
             for chunk in iter_tabular_chunks(table.slice_rows(0, 1_000), 200):
                 got.extend(live.push(chunk))
                 live.checkpoint(tmp_path)
-        assert registry.counter("resilience.checkpoint_files_linked") > 0
         # the 200-row warm-up buffer, the reference once, each chunk once
         assert registry.counter("resilience.checkpoint_rows_written") == (
             200 + 400 + 3 * 200
@@ -651,13 +733,13 @@ class TestWriteOnce:
     def test_directories_are_fsynced_around_the_swap(
         self, stream, tmp_path, monkeypatch
     ):
-        """New files, then the generation directory, then the manifest,
-        the swap, and the checkpoint directory -- linked files are not
-        re-synced."""
-        m = make_monitor()
-        m.push(stream[:600])
-        m.checkpoint(tmp_path)
-        m.push(stream[600:800])
+        """The first checkpoint into a new directory syncs the parent of
+        each directory it creates, the segment, the generation
+        directory, the manifest, then swaps it in and syncs the
+        checkpoint directory; a steady checkpoint syncs the segment
+        only; a rotation the new segment, then the generation
+        directory."""
+        directory = tmp_path / "a" / "b" / "ckpt"  # three new levels
         events = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -670,18 +752,44 @@ class TestWriteOnce:
             events.append(("replace", None))
             real_replace(*args, **kwargs)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "fsync", fsync)
-            patch.setattr(os, "replace", replace)
-            m.checkpoint(tmp_path)
-        gen = committed_generation(tmp_path)
-        *files, gen_sync, manifest_sync, swap, dir_sync = events
-        # state.json plus the entering chunk's rows and sketch
-        assert [is_dir for is_dir, _ in files] == [False] * 3
-        assert gen_sync == (True, gen.stat().st_ino)
-        assert manifest_sync[0] is False
-        assert swap == ("replace", None)
-        assert dir_sync == (True, tmp_path.stat().st_ino)
+        def checkpoint(m):
+            events.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fsync", fsync)
+                patch.setattr(os, "replace", replace)
+                m.checkpoint(directory)
+            return list(events)
+
+        def ino(path):
+            return path.stat().st_ino
+
+        m = make_monitor()
+        m.push(stream[:200])  # warm-up rows only: no reference file yet
+        first = checkpoint(m)
+        gen = committed(directory).journal.path
+        assert first == [
+            (True, ino(tmp_path)),
+            (True, ino(tmp_path / "a")),
+            (True, ino(tmp_path / "a" / "b")),
+            (False, ino(gen / "segment-00000000.log")),
+            (True, ino(gen)),
+            (False, first[-3][1]),  # the manifest, before its swap
+            ("replace", None),
+            (True, ino(directory)),
+        ]
+        assert first[-3][1] == ino(directory / "CHECKPOINT.json")
+        m.push(stream[200:1_000])
+        checkpoint(m)  # writes the reference file
+        steady = []
+        for start in range(1_000, 1_600, 200):
+            m.push(stream[start : start + 200])
+            steady.append((checkpoint(m), segments(directory)[-1]))
+        assert any(len(events) == 1 for events, _ in steady)
+        for events, segment in steady:
+            if len(events) == 1:  # a steady checkpoint
+                assert events == [(False, ino(segment))]
+            else:  # a rotation
+                assert events == [(False, ino(segment)), (True, ino(gen))]
 
 
 class TestObsCounters:

@@ -1,15 +1,15 @@
-"""Checkpoint format 2: sealed history blocks, raw rows, scheme-3 goldens.
+"""Sealed history blocks, raw rows, and the committed golden checkpoints.
 
-A version-2 generation keeps the history's full blocks of
-``_HISTORY_BLOCK`` observations in write-once ``history-NNNN.json``
-files, linked by later generations like ring chunks, and only the open
-tail inline in ``state.json``. These tests pin that the blocks resume
-exactly (edited or not) and that ``state.json`` stops growing with
-the stream. Of the committed fixtures, ``golden_v2/history`` (no
-generator state) resumes bit-identically, the version-1 checkpoints in
-``golden/`` and the scheme-2 bootstrap checkpoints in ``golden_v2/``
-are refused typed, and the ``golden_scheme3/`` ones resume
-bit-identically.
+A checkpoint keeps the history's full blocks of ``_HISTORY_BLOCK``
+observations in write-once history files, named again by later
+records, and only the open tail inline in each record's state. These
+tests pin that the blocks resume exactly (edited or not) and that the
+state stops growing with the stream. Of the committed fixtures,
+``golden_v2/history`` (no generator state) resumes bit-identically,
+the version-1 checkpoints in ``golden/`` and the scheme-2 bootstrap
+checkpoints in ``golden_v2/`` are refused typed, and the
+``golden_scheme3/`` (format 2) and ``golden_v3/`` (format 3) ones
+resume bit-identically.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.data.io import load_tabular, load_transactions
 from repro.data.quest_basket import generate_basket
 from repro.errors import CheckpointError
 from repro.obs import MetricsRegistry, use_registry
+from repro.resilience import checkpoint as ckpt
 from repro.stream.chunks import iter_chunks, iter_tabular_chunks
 from repro.stream.monitor import OnlineChangeMonitor
 from repro.wire import pack, unpack_partition_payload
@@ -78,11 +79,17 @@ def generation(directory: Path) -> Path:
 
 
 def state_of(directory: Path) -> dict:
-    return json.loads((generation(directory) / "state.json").read_text())
+    """The committed state: format 2's ``state.json``, format 3's last
+    journal record."""
+    return ckpt._read_committed(directory).state
 
 
 def inodes(directory: Path) -> dict[str, int]:
     return {p.name: p.stat().st_ino for p in generation(directory).iterdir()}
+
+
+def blocks_of(directory: Path) -> list[str]:
+    return state_of(directory)["monitor"]["history_blocks"]
 
 
 def rest_chunks(golden: Path, scenario: str) -> list:
@@ -129,11 +136,12 @@ class TestHistoryBlocks:
         blocks = m.monitor.state()["monitor"]["history_blocks"]
         assert [len(b) for b in blocks] == [merged]
         m.checkpoint(tmp_path)
-        before = inodes(tmp_path)
+        before, [name] = inodes(tmp_path), blocks_of(tmp_path)
         m.push(through_window(rows, merged + _HISTORY_BLOCK)[m.rows_ingested :])
         m.checkpoint(tmp_path)
-        assert inodes(tmp_path)["history-0000.json"] == before["history-0000.json"]
-        assert len(state_of(tmp_path)["monitor"]["history_blocks"]) == 2
+        assert blocks_of(tmp_path)[0] == name
+        assert inodes(tmp_path)[name] == before[name]
+        assert len(blocks_of(tmp_path)) == 2
         resumed = tiny_monitor()
         resumed.resume(tmp_path)
         assert resumed.history == m.history
@@ -150,19 +158,21 @@ class TestHistoryBlocks:
         )
 
     def test_checkpoint_links_sealed_blocks(self, rows, tmp_path):
+        """Sealed blocks are written once: the next record names the
+        same files and the checkpoint syncs the segment alone."""
         m = tiny_monitor()
         m.push(through_window(rows, 3 * _HISTORY_BLOCK + 5))
         m.checkpoint(tmp_path)
-        before = inodes(tmp_path)
+        before, blocks = inodes(tmp_path), blocks_of(tmp_path)
+        assert len(blocks) == 3
         m.push(rows[m.rows_ingested : m.rows_ingested + WINDOW])
         registry = MetricsRegistry()
         with use_registry(registry):
             m.checkpoint(tmp_path)
         after = inodes(tmp_path)
-        blocks = [f"history-{k:04d}.json" for k in range(3)]
-        assert state_of(tmp_path)["monitor"]["history_blocks"] == blocks
+        assert blocks_of(tmp_path) == blocks
         assert all(after[name] == before[name] for name in blocks)
-        assert registry.counter("resilience.checkpoint_files_linked") >= 3
+        assert registry.counter("resilience.checkpoint_fsyncs") == 1
 
     def test_edited_history_is_resealed_and_resumes_as_edited(
         self, rows, tmp_path
@@ -170,14 +180,15 @@ class TestHistoryBlocks:
         m = tiny_monitor()
         m.push(through_window(rows, 3 * _HISTORY_BLOCK + 5))
         m.checkpoint(tmp_path)
-        before = inodes(tmp_path)
+        before, names = inodes(tmp_path), blocks_of(tmp_path)
         k = _HISTORY_BLOCK + 7  # inside block 1
         m.history[k] = replace(m.history[k], deviation=-1.0, drifted=True)
         m.checkpoint(tmp_path)
-        after = inodes(tmp_path)
-        assert after["history-0000.json"] == before["history-0000.json"]
-        assert after["history-0001.json"] != before["history-0001.json"]
-        assert after["history-0002.json"] == before["history-0002.json"]
+        after, resealed = inodes(tmp_path), blocks_of(tmp_path)
+        assert [resealed[0], resealed[2]] == [names[0], names[2]]
+        assert resealed[1] not in before
+        assert after[names[0]] == before[names[0]]
+        assert after[names[2]] == before[names[2]]
 
         resumed = tiny_monitor()
         resumed.resume(tmp_path)
@@ -187,10 +198,8 @@ class TestHistoryBlocks:
         # a truncated history drops its blocks past the new end
         del m.history[_HISTORY_BLOCK + 1 :]
         m.checkpoint(tmp_path)
-        assert state_of(tmp_path)["monitor"]["history_blocks"] == [
-            "history-0000.json"
-        ]
-        assert inodes(tmp_path)["history-0000.json"] == before["history-0000.json"]
+        assert blocks_of(tmp_path) == [names[0]]
+        assert inodes(tmp_path)[names[0]] == before[names[0]]
         again = tiny_monitor()
         again.resume(tmp_path)
         assert again.history == m.history
@@ -201,24 +210,25 @@ class TestHistoryBlocks:
         m = tiny_monitor()
         m.push(through_window(rows, 2 * _HISTORY_BLOCK + 5))
         m.checkpoint(tmp_path)
-        before = inodes(tmp_path)
+        before, names = inodes(tmp_path), blocks_of(tmp_path)
         resumed = tiny_monitor()
         resumed.resume(tmp_path)
         resumed.checkpoint(tmp_path)
         after = inodes(tmp_path)
-        for name in ("history-0000.json", "history-0001.json"):
+        assert blocks_of(tmp_path) == names and len(names) == 2
+        for name in names:
             assert after[name] == before[name]
 
     def test_state_json_stops_growing_with_the_stream(self, rows, tmp_path):
         """The largest inline tail comes just before the second block
-        seals; 5,000 windows later state.json is no larger."""
+        seals; 5,000 windows later the record's state is no larger."""
         m = tiny_monitor()
         sizes = {}
         for n in (2 * _HISTORY_BLOCK - 1, 2 * _HISTORY_BLOCK, 5_000):
             m.push(through_window(rows, n)[m.rows_ingested :])
             assert len(m.history) == n
             m.checkpoint(tmp_path)
-            sizes[n] = (generation(tmp_path) / "state.json").stat().st_size
+            sizes[n] = len(json.dumps(state_of(tmp_path)))
         assert sizes[5_000] <= max(
             sizes[2 * _HISTORY_BLOCK - 1], sizes[2 * _HISTORY_BLOCK]
         )
@@ -236,7 +246,8 @@ class TestHistoryBlocks:
 
 class TestBytesWritten:
     def test_steady_checkpoint_counts_only_what_it_writes(self, tmp_path):
-        """The entering chunk's rows and sketch, and state.json."""
+        """One record: the entering chunk's rows and sketch, and the
+        state."""
         stream = list(
             generate_basket(1_200, n_items=40, avg_transaction_len=5, seed=3)
         )
@@ -247,21 +258,25 @@ class TestBytesWritten:
         )
         m.push(stream[:800])
         m.checkpoint(tmp_path)
-        before = inodes(tmp_path)
+        gen = generation(tmp_path)
+        sizes = {p.name: p.stat().st_size for p in gen.iterdir()}
         m.push(stream[800:1_000])
         registry = MetricsRegistry()
         with use_registry(registry):
             m.checkpoint(tmp_path)
-        gen = generation(tmp_path)
-        # the ring shifted: the surviving chunk is linked under a new name
-        new = sorted(
-            name for name, ino in inodes(tmp_path).items()
-            if ino not in before.values()
-        )
-        assert new == ["chunk-0001.rows", "chunk-0001.sketch", "state.json"]
-        assert registry.counter("resilience.checkpoint_bytes_written") == sum(
-            (gen / name).stat().st_size for name in new
-        )
+        grown = {
+            p.name: p.stat().st_size - sizes.get(p.name, 0) for p in gen.iterdir()
+        }
+        # the ring shifted: only the segment grew, by one record
+        assert {name for name, n in grown.items() if n} == {"segment-00000000.log"}
+        found = ckpt._read_committed(tmp_path)
+        _, offset, stop, _ = found.records[max(found.records)]
+        record = stop - offset
+        assert offset == sizes["segment-00000000.log"]
+        assert grown["segment-00000000.log"] == record
+        assert registry.counter("resilience.checkpoint_bytes_written") == record
+        # the entering chunk's rows and its sketch
+        assert len(found.state["blobs"]) == 2
 
 
 def refuses_scheme_2(directory: Path, scenario: str) -> None:
@@ -276,7 +291,7 @@ def refuses_scheme_2(directory: Path, scenario: str) -> None:
 
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular"])
-def test_v1_golden_upgrades_in_place(scenario, tmp_path):
+def test_v1_golden_is_refused_untouched(scenario, tmp_path):
     """A version-1 checkpoint is refused typed, naming its version,
     before the monitor or the directory is touched: it is never
     upgraded, and the directory stays a version-1 checkpoint."""
@@ -357,6 +372,61 @@ class TestGoldenScheme3:
         ).read_text()
 
 
+@pytest.mark.parametrize("scenario", ["transactions", "tabular", "history"])
+class TestGoldenV3:
+    """Format-3 journals written past a promotion with buffered rows
+    (and, for ``history``, a merged block) resume exactly."""
+
+    golden = HERE / "golden_v3"
+
+    def test_checkpoint_is_v3_past_a_promotion_with_buffered_rows(
+        self, scenario
+    ):
+        directory = self.golden / scenario / "checkpoint"
+        manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+        assert manifest == {"version": 3, "generation": "gen-000000"}
+        state = state_of(directory)
+        assert state["version"] == 3
+        assert state["config"]["draw_scheme"] == 3
+        assert state["buffer"] is not None
+        assert state["monitor"]["reference_index"] > 0
+        assert (state["rng_state"] is None) is (scenario == "history")
+        blocks = [len(_load(directory, name)) for name in blocks_of(directory)]
+        n = sum(blocks) + len(state["monitor"]["history"])
+        assert blocks == [z for _, z in _block_layout(n)]
+        assert (max(blocks, default=0) > _HISTORY_BLOCK) is (scenario == "history")
+
+    def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
+        directory = tmp_path / "checkpoint"
+        shutil.copytree(self.golden / scenario / "checkpoint", directory)
+        assert resumed_lines(directory, self.golden, scenario) == (
+            self.golden / scenario / "expected.txt"
+        ).read_text()
+
+
+def _load(directory: Path, name: str) -> list:
+    return json.loads((generation(directory) / name).read_text())
+
+
+def test_the_first_checkpoint_after_a_v2_resume_starts_a_journal(tmp_path):
+    """A format-2 checkpoint resumes; the next checkpoint writes a
+    format-3 generation beside it, commits it and removes the old one,
+    and the journal then resumes to the uninterrupted output."""
+    golden = HERE / "golden_v2"
+    directory = tmp_path / "checkpoint"
+    shutil.copytree(golden / "history" / "checkpoint", directory)
+    old = generation(directory)
+    monitor = gs.make_monitor("history")
+    monitor.resume(directory)
+    assert monitor.checkpoint(directory) == directory / "CHECKPOINT.json"
+    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+    assert manifest["version"] == 3
+    assert manifest["generation"] > old.name and not old.exists()
+    assert resumed_lines(directory, golden, "history") == (
+        golden / "history" / "expected.txt"
+    ).read_text()
+
+
 def test_observation_rows_round_trip():
     o = Observation(3, 0.1 + 0.2, 97.5, True, 1)
     assert Observation.from_row(json.loads(json.dumps(o.to_row()))) == o
@@ -398,10 +468,12 @@ class TestSketchPacking:
             model = monitor.monitor.reference.model
             if not references or references[-1] is not model:
                 references.append(model)
-            for path in generation(tmp_path).glob("chunk-*.sketch"):
-                sketch = unpack_partition_payload(path.read_bytes())[0]
+            found = ckpt._read_committed(tmp_path)
+            for entry in found.state["windows"]["chunks"]:
+                payload, _ = found.read(entry["sketch"])
+                sketch = unpack_partition_payload(payload)[0]
                 sketches += 1
-                assert pack(sketch, model=model) == path.read_bytes()
+                assert pack(sketch, model=model) == payload
         # past a promotion, with more sketches written than references
         assert len(references) > 1 and sketches > 2 * len(references)
         assert [id(m) for m in packed] == [id(m) for m in references]
