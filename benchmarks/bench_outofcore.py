@@ -123,30 +123,23 @@ def _write_payload(update: dict) -> None:
 def test_handle_fan_beats_buffer_copy_fan(benchmark, stores):
     """Process fans: shipping a stripe handle vs pickling 128 MiB."""
     _, mm_index, ram_index = stores
-    ref = sharded_index_sketch(mm_index, ITEMSETS, n_shards=1).counts
+    ref = sharded_index_sketch(mm_index, ITEMSETS).counts
 
+    # one shard per worker: the pool's width is the fan's
     pool = ProcessExecutor(max_workers=FAN_SHARDS)
     try:
         # Warm the pool (worker spawn + first-import costs) so the
         # timed gap isolates the shipping cost.
-        sharded_index_sketch(
-            mm_index, ITEMSETS, n_shards=FAN_SHARDS, executor=pool
-        )
+        sharded_index_sketch(mm_index, ITEMSETS, executor=pool)
         fan_mm = benchmark(
-            lambda: sharded_index_sketch(
-                mm_index, ITEMSETS, n_shards=FAN_SHARDS, executor=pool
-            )
+            lambda: sharded_index_sketch(mm_index, ITEMSETS, executor=pool)
         )
         t_mm, _ = _best_of(
-            lambda: sharded_index_sketch(
-                mm_index, ITEMSETS, n_shards=FAN_SHARDS, executor=pool
-            ),
+            lambda: sharded_index_sketch(mm_index, ITEMSETS, executor=pool),
             repeats=3,
         )
         t_ram, fan_ram = _best_of(
-            lambda: sharded_index_sketch(
-                ram_index, ITEMSETS, n_shards=FAN_SHARDS, executor=pool
-            ),
+            lambda: sharded_index_sketch(ram_index, ITEMSETS, executor=pool),
             repeats=2,
         )
     finally:
@@ -156,12 +149,14 @@ def test_handle_fan_beats_buffer_copy_fan(benchmark, stores):
     assert np.array_equal(fan_ram.counts, ref)
     speedup = t_ram / max(t_mm, 1e-9)
 
-    # Enabled rerun (untimed, fresh owned pool): the zero-copy invariant.
+    # Enabled rerun (untimed, fresh pool): the zero-copy invariant.
     registry = MetricsRegistry()
-    with use_registry(registry):
-        sharded_index_sketch(
-            mm_index, ITEMSETS, n_shards=FAN_SHARDS, executor="process"
-        )
+    fresh = ProcessExecutor(max_workers=FAN_SHARDS)
+    try:
+        with use_registry(registry):
+            sharded_index_sketch(mm_index, ITEMSETS, executor=fresh)
+    finally:
+        fresh.shutdown()
     counters = registry.snapshot()["counters"]
     assert counters.get("storage.bytes_shipped", 0) == 0
     assert counters["stream.shards.sketched"] == FAN_SHARDS

@@ -78,25 +78,24 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         )
     )
 
-    bare = ThreadExecutor(max_workers=2)
+    # one shard per worker: the pool's width is the fan's
+    bare = ThreadExecutor(max_workers=N_SHARDS)
     t0 = time.perf_counter()
     try:
-        plain = sharded_support_sketch(
-            rows, ITEMSETS, N_ITEMS, n_shards=N_SHARDS, executor=bare
-        )
+        plain = sharded_support_sketch(rows, ITEMSETS, N_ITEMS, executor=bare)
     finally:
         bare.close()
     t_bare = time.perf_counter() - t0
 
     registry = MetricsRegistry()
-    supervised = SupervisedExecutor("thread", max_workers=2)
+    supervised = SupervisedExecutor("thread", max_workers=N_SHARDS)
     t1 = time.perf_counter()
     try:
         with use_registry(registry):
             guarded = benchmark.pedantic(
                 sharded_support_sketch,
                 args=(rows, ITEMSETS, N_ITEMS),
-                kwargs={"n_shards": N_SHARDS, "executor": supervised},
+                kwargs={"executor": supervised},
                 rounds=1, iterations=1,
             )
     finally:

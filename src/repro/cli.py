@@ -134,11 +134,8 @@ def _add_boot_args(p, default_boot: int = 0) -> None:
     p.add_argument(
         "--boot-executor", choices=("serial", "thread", "process"),
         default="serial",
-        help="backend for fanning bootstrap replicate blocks",
-    )
-    p.add_argument(
-        "--boot-blocks", type=int, default=1,
-        help="replicate blocks to fan over --boot-executor",
+        help="backend for fanning bootstrap replicate blocks, one block "
+        "per worker",
     )
 
 
@@ -348,9 +345,9 @@ def _add_monitor_stream(sub) -> None:
     p.add_argument("--policy", choices=("fixed", "reset_on_drift"),
                    default="fixed")
     p.add_argument("--executor", choices=("serial", "thread", "process"),
-                   default="serial")
-    p.add_argument("--shards", type=int, default=1,
-                   help="map-merge shards per chunk")
+                   default="serial",
+                   help="backend counting each chunk, one map-merge shard "
+                   "per worker")
     p.add_argument("--seed", type=int, default=0,
                    help="bootstrap RNG seed (default 0: reproducible "
                    "drift verdicts)")
@@ -520,7 +517,7 @@ def _cmd_compare_lits(args, out) -> int:
             d1, d2, builder, n_boot=args.boot,
             rng=np.random.default_rng(args.seed),
             models=(m1, m2),
-            executor=args.boot_executor, n_blocks=args.boot_blocks,
+            executor=args.boot_executor,
         )
         print(
             f"significance = {sig.significance_percent:.1f}% "
@@ -550,7 +547,7 @@ def _cmd_compare_dt(args, out) -> int:
             d1, d2, builder, n_boot=args.boot,
             rng=np.random.default_rng(args.seed),
             models=(m1, m2),
-            executor=args.boot_executor, n_blocks=args.boot_blocks,
+            executor=args.boot_executor,
         )
         print(
             f"significance = {sig.significance_percent:.1f}% "
@@ -642,7 +639,6 @@ def _cmd_monitor_stream(args, out) -> int:
         policy=args.policy,
         rng=np.random.default_rng(args.seed),
         executor=_resolve_cli_executor(args),
-        n_shards=args.shards,
     )
     if args.kind == "tabular":
         _, chunks = stream_tabular_chunks(args.data, chunk_rows)

@@ -59,12 +59,14 @@ POLICIES = ("fixed", "reset_on_drift")
 _HISTORY_BLOCK = 64
 #: Blocks of one size merge into one of the next once this many fill:
 #: the sizes are ``_HISTORY_BLOCK * _HISTORY_FANOUT**j``, largest first,
-#: so a history of ``n`` observations spans O(log n) block files. A
-#: checkpoint links every block file and the next one unlinks it again
-#: (about 40 us per file on a 2-core VM's ext4), so fixed-size blocks
-#: alone would leave a cost linear in the history: 78 files at 5,000
-#: windows instead of 6. The small first size keeps the tail, which
-#: every checkpoint re-encodes, short.
+#: so a history of ``n`` observations spans O(log n) blocks. The
+#: checkpoint journal writes each block once, as a write-once file,
+#: and every journal record names each live block, so fixed-size blocks
+#: alone would grow every record and the checkpoint directory linearly
+#: with the history: 78 blocks at 5,000 windows instead of 6. A merge
+#: writes the merged block anew, so an observation is written O(log n)
+#: times over the history's life. The small first size keeps the tail,
+#: which every checkpoint re-encodes, short.
 _HISTORY_FANOUT = 4
 
 
@@ -197,9 +199,10 @@ class ChangeMonitor:
         and qualifies through the count-space engine (one pooled scan
         per qualification instead of ``n_boot`` rescans), drawing
         replicates only until the verdict is settled.
-    executor, n_blocks:
+    executor:
         Fan the engine's replicate blocks over a
-        :mod:`repro.stream.executor` backend for large ``n_boot``. A
+        :mod:`repro.stream.executor` backend for large ``n_boot``, one
+        block per worker (:func:`~repro.stream.executor.fan_width`). A
         name is resolved to one executor instance at construction, so a
         pooled backend owns a single worker pool across every
         qualification; release it with :meth:`close` when done.
@@ -215,7 +218,6 @@ class ChangeMonitor:
     rng: np.random.Generator | None = None
     refit_models: bool = False
     executor: str | object = "serial"  # name or executor instance
-    n_blocks: int = 1
     history: list[Observation] = field(default_factory=list)
     _reference: Reference | None = None
     _next_index: int = 0
@@ -424,9 +426,7 @@ class ChangeMonitor:
         assert self.rng is not None  # __post_init__ creates it for n_boot > 0
         reference, n_boot = self.reference, self.n_boot
         child = np.random.default_rng(int(self.rng.integers(0, 2**63)))
-        engine: dict[str, Any] = dict(
-            f=self.f, g=self.g, executor=self.executor, n_blocks=self.n_blocks
-        )
+        engine: dict[str, Any] = dict(f=self.f, g=self.g, executor=self.executor)
         models = None
         if plan is None and not self.refit_models:
             m2 = model if model is not None else self.model_builder(snapshot)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -145,6 +145,11 @@ class Conjunction:
             if not (isinstance(c, Interval) and c.is_universal)
         }
         object.__setattr__(self, "constraints", MappingProxyType(items))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # a mapping proxy does not pickle; process fans ship partition
+        # plans, whose regions carry conjunctions
+        return (Conjunction, (dict(self.constraints),))
 
     def __hash__(self) -> int:
         return hash(frozenset(self.constraints.items()))

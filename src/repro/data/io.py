@@ -1,7 +1,10 @@
 """Flat-file persistence for datasets.
 
 Tabular datasets round-trip through an uncompressed ``.npz`` (matrix +
-labels) plus an embedded JSON schema; transaction datasets use the
+labels) plus an embedded strict-JSON schema, written by the one
+attribute-space codec the model files share (an unbounded attribute's
+bound is a signed ``"inf"`` string; schemas an older build wrote with
+``Infinity`` still load); transaction datasets use the
 classic one-line-per-transaction text format that Apriori
 implementations exchange: UTF-8, whitespace-separated integer items, a
 blank line for an empty transaction. The first ``# n_items=N`` line
@@ -18,6 +21,7 @@ makes each block a canonical
 from __future__ import annotations
 
 import json
+import math
 from contextlib import nullcontext
 from itertools import chain
 from os import PathLike
@@ -40,14 +44,38 @@ _MAX_DIGITS = 18
 _HEADER = "n_items="
 
 
+def _bound_to_json(value: float) -> float | str:
+    # unbounded attributes carry +/-inf bounds, which strict JSON
+    # cannot express -- encode them as signed "inf" strings
+    v = float(value)
+    if math.isfinite(v):
+        return v
+    if math.isnan(v):
+        raise InvalidParameterError("attribute bound is NaN")
+    return "inf" if v > 0 else "-inf"
+
+
+def _bound_from_json(value: float | int | str) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"attribute bound must be a number or a signed 'inf' string, "
+            f"got {value!r}"
+        ) from None
+    if math.isnan(v):
+        raise InvalidParameterError("attribute bound is NaN")
+    return v
+
+
 def _space_to_dict(space: AttributeSpace) -> dict[str, Any]:
     return {
         "attributes": [
             {
                 "name": a.name,
                 "kind": a.kind.value,
-                "low": a.low,
-                "high": a.high,
+                "low": _bound_to_json(a.low),
+                "high": _bound_to_json(a.high),
                 "values": list(a.values),
             }
             for a in space.attributes
@@ -57,17 +85,19 @@ def _space_to_dict(space: AttributeSpace) -> dict[str, Any]:
 
 
 def _space_from_dict(d: dict[str, Any]) -> AttributeSpace:
-    attributes = tuple(
-        Attribute(
-            name=a["name"],
-            kind=AttributeKind(a["kind"]),
-            low=a["low"],
-            high=a["high"],
-            values=tuple(a["values"]),
-        )
-        for a in d["attributes"]
+    return AttributeSpace(
+        tuple(
+            Attribute(
+                name=a["name"],
+                kind=AttributeKind(a["kind"]),
+                low=_bound_from_json(a["low"]),
+                high=_bound_from_json(a["high"]),
+                values=tuple(a["values"]),
+            )
+            for a in d["attributes"]
+        ),
+        tuple(d["class_labels"]),
     )
-    return AttributeSpace(attributes, tuple(d["class_labels"]))
 
 
 def save_tabular(dataset: TabularDataset, path: str | Path | BinaryIO) -> None:
@@ -78,7 +108,7 @@ def save_tabular(dataset: TabularDataset, path: str | Path | BinaryIO) -> None:
     takes 0.37 ms raw at 78 KiB, 4.9 ms compressed at 47 KiB), and
     checkpoints write one per pushed chunk.
     """
-    schema = json.dumps(_space_to_dict(dataset.space))
+    schema = json.dumps(_space_to_dict(dataset.space), allow_nan=False)
     arrays = {"X": dataset.X, "schema": np.array(schema)}
     if dataset.y is not None:
         arrays["y"] = dataset.y

@@ -20,15 +20,14 @@ the compact checksummed wire envelope instead of JSON.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.attribute import Attribute, AttributeKind, AttributeSpace
 from repro.core.dtree_model import DtModel
 from repro.core.lits import LitsModel
+from repro.data.io import _space_from_dict, _space_to_dict
 from repro.errors import InvalidParameterError
 from repro.mining.tree.splits import CategoricalSplit, NumericSplit
 from repro.mining.tree.tree import DecisionTree, Node
@@ -75,62 +74,6 @@ def load_lits_model(path: str | Path) -> LitsModel:
     if payload.get("kind") != "lits-model":
         raise InvalidParameterError(f"{path} does not contain a lits-model")
     return lits_model_from_dict(payload)
-
-
-def _bound_to_json(value: float) -> float | str:
-    # unbounded numeric attributes carry +/-inf bounds, which strict
-    # JSON cannot express -- encode them as signed "inf" strings
-    v = float(value)
-    if math.isfinite(v):
-        return v
-    if math.isnan(v):
-        raise InvalidParameterError("attribute bound is NaN")
-    return "inf" if v > 0 else "-inf"
-
-
-def _bound_from_json(value: float | int | str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f"attribute bound must be a number or a signed 'inf' string, "
-            f"got {value!r}"
-        ) from None
-    if math.isnan(v):
-        raise InvalidParameterError("attribute bound is NaN")
-    return v
-
-
-def _space_to_dict(space: AttributeSpace) -> dict[str, Any]:
-    return {
-        "attributes": [
-            {
-                "name": a.name,
-                "kind": a.kind.value,
-                "low": _bound_to_json(a.low),
-                "high": _bound_to_json(a.high),
-                "values": list(a.values),
-            }
-            for a in space.attributes
-        ],
-        "class_labels": list(space.class_labels),
-    }
-
-
-def _space_from_dict(d: dict[str, Any]) -> AttributeSpace:
-    return AttributeSpace(
-        tuple(
-            Attribute(
-                name=a["name"],
-                kind=AttributeKind(a["kind"]),
-                low=_bound_from_json(a["low"]),
-                high=_bound_from_json(a["high"]),
-                values=tuple(a["values"]),
-            )
-            for a in d["attributes"]
-        ),
-        tuple(d["class_labels"]),
-    )
 
 
 def _node_to_dict(node: Node) -> dict[str, Any]:

@@ -35,13 +35,7 @@ from repro.core.partition_plan import cell_assignments
 from repro.data.transactions import SupportCountingPlan
 from repro.errors import InvalidParameterError
 from repro.obs import metrics
-from repro.stream.executor import (
-    fan,
-    get_executor,
-    process_backed,
-    release,
-    shipped_index_bytes,
-)
+from repro.stream.executor import fan, process_backed, shipped_index_bytes
 
 
 def _count_support_payload(payload: tuple[Any, ...]) -> np.ndarray:
@@ -95,18 +89,13 @@ def prime_partition_passes(
         with metrics().span("fleet.store.assign"):
             cell_assignments(models[i].structure.assigner, datasets[i])
 
-    runner = get_executor(executor)
-    try:
-        if process_backed(runner) and not getattr(runner, "degradable", False):
-            # a degradable supervised fan is allowed through: its process
-            # rung will break on the unpicklable closures and the ladder
-            # lands the work on the thread/serial rungs below
-            raise InvalidParameterError(
-                "the process executor cannot fan out partition fleets (GCR "
-                "overlay assigners are closures and the assignment memo "
-                "lives in-process); use the serial or thread executor"
-            )
-        fan(_prime, list(dict.fromkeys(indices)), runner)
-    finally:
-        if isinstance(executor, str):
-            release(runner)
+    if process_backed(executor) and not getattr(executor, "degradable", False):
+        # a degradable supervised fan is allowed through: its process
+        # rung will break on the unpicklable closures and the ladder
+        # lands the work on the thread/serial rungs below
+        raise InvalidParameterError(
+            "the process executor cannot fan out partition fleets (GCR "
+            "overlay assigners are closures and the assignment memo "
+            "lives in-process); use the serial or thread executor"
+        )
+    fan(_prime, list(dict.fromkeys(indices)), executor)

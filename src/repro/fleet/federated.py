@@ -45,7 +45,6 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro._typing import ExecutorLike
 from repro.core.aggregate import SUM, AggregateFunction
 # span targets ``core.deviate``, ``core.gcr`` and ``core.bound`` of
 # pipebench's traced run, which patches the names here; pair values,
@@ -292,8 +291,6 @@ class SketchFleet(_FleetEngine):
         rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
-        executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> BootstrapResult:
         """Bootstrap one pair's significance from the sketches alone.
 
@@ -323,12 +320,4 @@ class SketchFleet(_FleetEngine):
         assert isinstance(sketch_i, PartitionSketch)
         assert isinstance(sketch_j, PartitionSketch)
         plan = CountsResamplePlan.from_sketches(sketch_i, sketch_j)
-        return plan.significance(
-            n_boot,
-            rng,
-            f=self._f,
-            g=self._g,
-            seed=seed,
-            executor=executor,
-            n_blocks=n_blocks,
-        )
+        return plan.significance(n_boot, rng, f=self._f, g=self._g, seed=seed)

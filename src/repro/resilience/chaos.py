@@ -125,7 +125,7 @@ class FaultPlan:
     @classmethod
     def seeded(
         cls,
-        n_shards: int,
+        shards: int,
         *,
         seed: int,
         rate: float = 0.3,
@@ -141,7 +141,7 @@ class FaultPlan:
         """
         rng = np.random.default_rng(seed)
         faults: dict[tuple[int, int], Fault] = {}
-        for shard in range(n_shards):
+        for shard in range(shards):
             for attempt in range(1, max_attempts + 1):
                 if rng.random() < rate:
                     kind = kinds[int(rng.integers(len(kinds)))]

@@ -48,6 +48,7 @@ from repro.stream.executor import (
     _merge_collected,
     _sketch_partition_shard,
     _sketch_shard,
+    fan_width,
     release,
 )
 from repro.stream.sketch import (
@@ -225,6 +226,11 @@ class SupervisedExecutor:
     def process_backed(self) -> bool:
         """True while the current rung fans out to worker processes."""
         return isinstance(self._rungs[self._rung], ProcessExecutor)
+
+    @property
+    def fan_width(self) -> int:
+        """How many pieces a fan cuts its work into on the current rung."""
+        return fan_width(self._rungs[self._rung])
 
     @property
     def degradable(self) -> bool:

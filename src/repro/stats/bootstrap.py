@@ -149,7 +149,6 @@ def deviation_significance(
     refit_models: bool = False,
     models: tuple[ModelLike, ModelLike] | None = None,
     executor: ExecutorLike = "serial",
-    n_blocks: int = 1,
 ) -> BootstrapResult:
     """Bootstrap significance of the FOCUS deviation between two datasets.
 
@@ -188,11 +187,12 @@ def deviation_significance(
     rng, seed:
         The resampling generator, or a seed for one. Omitting both
         warns and uses an unseeded generator (irreproducible).
-    executor, n_blocks:
+    executor:
         Fan the count-space replicate blocks over a
         :mod:`repro.stream.executor` backend (``"serial"``,
-        ``"thread"``, ``"process"``) -- worthwhile for large ``n_boot``.
-        The null vector is identical on every backend.
+        ``"thread"``, ``"process"``), one block per worker --
+        worthwhile for large ``n_boot``. The null vector is identical on
+        every backend.
     """
     if n_boot < 1:
         raise InvalidParameterError("n_boot must be >= 1")
@@ -234,9 +234,7 @@ def deviation_significance(
 
     plan = compile_resample_plan(structure, dataset1, dataset2)
     if plan is not None:
-        return plan.significance(
-            n_boot, rng, f=f, g=g, executor=executor, n_blocks=n_blocks
-        )
+        return plan.significance(n_boot, rng, f=f, g=g, executor=executor)
 
     # No count-space representation for this structure/dataset kind:
     # fall back to the per-replicate measurement loop.

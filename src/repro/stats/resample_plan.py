@@ -47,10 +47,10 @@ because significance numbers published from an unseeded run cannot be
 reproduced.
 
 Large ``B`` can fan replicate blocks over the streaming layer's
-executors (``executor="thread"``/``"process"`` with ``n_blocks > 1``);
+executors (``executor="thread"``/``"process"``, one block per worker);
 blocks are deterministic -- multiplicities are drawn up front in the
-caller's process -- and integer-exact, so every backend produces the
-identical null vector.
+caller's process -- and integer-exact, so every backend and width
+produces the identical null vector.
 """
 
 from __future__ import annotations
@@ -304,18 +304,19 @@ def _fan_blocks(
     payload_of: Callable[[np.ndarray], tuple[Any, ...]],
     w: np.ndarray,
     executor: ExecutorLike,
-    n_blocks: int,
 ) -> np.ndarray:
     """Map a block worker over replicate blocks on the chosen executor.
 
-    Each payload carries the plan's compiled state (membership parts or
-    the assignment vector) alongside its multiplicity block. Threads
-    share that state by reference; the ``"process"`` backend pickles it
-    once per block, so fan processes only when the per-block compute
-    (huge region counts, very large ``B``) clearly outweighs shipping
-    the compiled state ``n_blocks`` times -- ``"thread"`` is the safe
-    default for parallelism, since the underlying GEMM/bincount kernels
-    release the GIL.
+    The replicates split into one block per worker
+    (:func:`repro.stream.executor.fan_width`); the serial backend runs
+    them as one block in-process. Each payload carries the plan's
+    compiled state (membership parts or the assignment vector)
+    alongside its multiplicity block. Threads share that state by
+    reference; the ``"process"`` backend pickles it once per block, so
+    fan processes only when the per-block compute (huge region counts,
+    very large ``B``) clearly outweighs shipping the compiled state to
+    every worker -- ``"thread"`` is the safe default for parallelism,
+    since the underlying GEMM/bincount kernels release the GIL.
 
     Lifecycle (:func:`repro.stream.executor.fan`): an executor given by
     *name* is released before returning (a one-shot call must not leak
@@ -323,15 +324,14 @@ def _fan_blocks(
     its pool alive for reuse across calls (the online monitor's shape --
     see :meth:`repro.stream.monitor.OnlineChangeMonitor.close`).
     """
-    if n_blocks < 1:
-        raise InvalidParameterError("n_blocks must be >= 1")
-    if n_blocks == 1:
+    from repro.stream.executor import fan, fan_width
+
+    width = fan_width(executor)
+    if width == 1:
         # a single block has nothing to parallelise: never pay a pool
         # spawn (or, for processes, a full compiled-state pickle) for it
         return worker(payload_of(w))
-    from repro.stream.executor import fan
-
-    blocks = np.array_split(w, n_blocks)
+    blocks = np.array_split(w, width)
     return np.vstack(fan(worker, [payload_of(b) for b in blocks], executor))
 
 
@@ -370,7 +370,6 @@ class ResamplePlan(ABC):
         n_boot: int,
         rng: np.random.Generator,
         executor: ExecutorLike,
-        n_blocks: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n_boot`` replicate ``(counts1, counts2)`` matrices."""
 
@@ -422,20 +421,19 @@ class ResamplePlan(ABC):
         g: AggregateFunction = SUM,
         seed: int | None = None,
         executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> np.ndarray:
         """The whole bootstrap null vector, in count-space.
 
         Draws are made up front in the caller's process (one rng stream,
         independent of executor and blocking), so the result is
-        deterministic for a given generator state.
+        deterministic for a given generator state. A row-level plan
+        counts its replicates in one block per worker of ``executor``;
+        the counts-only plan draws its multinomials in-process.
         """
         if n_boot < 1:
             raise InvalidParameterError("n_boot must be >= 1")
         rng = _resolve_rng(rng, seed, "null_deviations")
-        counts1, counts2 = self._replicate_count_pairs(
-            n_boot, rng, executor, n_blocks
-        )
+        counts1, counts2 = self._replicate_count_pairs(n_boot, rng, executor)
         return self._null_from_count_pairs(counts1, counts2, f, g)
 
     def significance(
@@ -447,15 +445,12 @@ class ResamplePlan(ABC):
         g: AggregateFunction = SUM,
         seed: int | None = None,
         executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> "BootstrapResult":
         """Observed deviation + count-space null as a ``BootstrapResult``."""
         from repro.stats.bootstrap import BootstrapResult
 
         observed = self.observed_deviation(f, g).value
-        null = self.null_deviations(
-            n_boot, rng, f=f, g=g, seed=seed, executor=executor, n_blocks=n_blocks
-        )
+        null = self.null_deviations(n_boot, rng, f=f, g=g, seed=seed, executor=executor)
         return BootstrapResult(observed=observed, null_values=null)
 
 
@@ -472,7 +467,6 @@ class RowResamplePlan(ResamplePlan):
         n_boot: int,
         rng: np.random.Generator,
         executor: ExecutorLike,
-        n_blocks: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         # multiplicities are bounded by the side sizes
         dtype = np.int32 if max(self.n1, self.n2) < 2**31 else np.int64
@@ -492,9 +486,7 @@ class RowResamplePlan(ResamplePlan):
             stacked_w = draw_multiplicities(
                 self.n_pooled, (self.n1, self.n2), b, rng, dtype=dtype
             )
-            stacked = self.replicate_counts(
-                stacked_w, executor=executor, n_blocks=n_blocks
-            )
+            stacked = self.replicate_counts(stacked_w, executor=executor)
             parts1.append(stacked[:b])
             parts2.append(stacked[b:])
         return np.vstack(parts1), np.vstack(parts2)
@@ -505,7 +497,6 @@ class RowResamplePlan(ResamplePlan):
         multiplicities: np.ndarray,
         *,
         executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> np.ndarray:
         """``(B, n_pooled)`` multiplicities -> exact ``(B, R)`` counts."""
 
@@ -526,7 +517,6 @@ class RowResamplePlan(ResamplePlan):
         f: DifferenceFunction = ABSOLUTE,
         g: AggregateFunction = SUM,
         executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> np.ndarray:
         """The null vector for externally supplied multiplicity draws.
 
@@ -534,8 +524,8 @@ class RowResamplePlan(ResamplePlan):
         the same draws here and to the per-replicate loop oracle and the
         two nulls must be exactly equal.
         """
-        counts1 = self.replicate_counts(w1, executor=executor, n_blocks=n_blocks)
-        counts2 = self.replicate_counts(w2, executor=executor, n_blocks=n_blocks)
+        counts1 = self.replicate_counts(w1, executor=executor)
+        counts2 = self.replicate_counts(w2, executor=executor)
         return self._null_from_count_pairs(counts1, counts2, f, g)
 
 
@@ -640,18 +630,13 @@ class LitsResamplePlan(RowResamplePlan):
         multiplicities: np.ndarray,
         *,
         executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> np.ndarray:
         w = self._check_multiplicities(multiplicities)
         # counted parent-side so the tally is executor-independent
         metrics().inc("bootstrap.replicates.gemm", int(w.shape[0]))
         parts, offsets = self._parts, self._offsets
         return _fan_blocks(
-            _lits_block_counts,
-            lambda block: (parts, offsets, block),
-            w,
-            executor,
-            n_blocks,
+            _lits_block_counts, lambda block: (parts, offsets, block), w, executor
         )
 
 
@@ -784,7 +769,6 @@ class PackedLitsResamplePlan(RowResamplePlan):
         multiplicities: np.ndarray,
         *,
         executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> np.ndarray:
         w = self._check_multiplicities(multiplicities)
         # counted parent-side so the tally is executor-independent
@@ -796,7 +780,6 @@ class PackedLitsResamplePlan(RowResamplePlan):
             lambda block: (packed, rows, offs, block_rows, dtype, block),
             w,
             executor,
-            n_blocks,
         )
 
 
@@ -869,7 +852,6 @@ class PartitionResamplePlan(RowResamplePlan):
         multiplicities: np.ndarray,
         *,
         executor: ExecutorLike = "serial",
-        n_blocks: int = 1,
     ) -> np.ndarray:
         w = self._check_multiplicities(multiplicities)
         # counted parent-side so the tally is executor-independent
@@ -880,7 +862,6 @@ class PartitionResamplePlan(RowResamplePlan):
             lambda block: (assignments, n_regions, block),
             w,
             executor,
-            n_blocks,
         )
 
 
@@ -990,8 +971,9 @@ class CountsResamplePlan(ResamplePlan):
         n_boot: int,
         rng: np.random.Generator,
         executor: ExecutorLike,
-        n_blocks: int,
     ) -> tuple[np.ndarray, np.ndarray]:
+        # one multinomial per side and replicate over a few bins: drawn
+        # in-process on every executor, since there is nothing to fan
         metrics().inc("bootstrap.replicates.multinomial", n_boot)
         r = len(self._counts1)
         # replicate-major, side 1 then side 2 per replicate: consecutive

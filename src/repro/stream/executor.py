@@ -14,7 +14,10 @@ and sum. The *executor* decides where the map runs:
 
 All three produce bit-identical merged sketches; the Hypothesis
 property suite pins ``sum(shard sketches) == single-scan counts`` for
-arbitrary partitions, including empty shards.
+arbitrary partitions, including empty shards. How many pieces a fan
+cuts is therefore a pure performance choice, and the executor makes it:
+:func:`fan_width` is 1 for the serial backend and a pool's worker count
+otherwise, so every worker gets one near-even share.
 
 Every fan-out site -- the shard sketches here, the fleet store scans,
 the bootstrap replicate blocks -- maps through one primitive,
@@ -32,6 +35,7 @@ counter.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -217,13 +221,46 @@ def process_backed(executor: ExecutorLike) -> bool:
 
     The fan call sites use this to decide pickling-cost accounting
     (``storage.bytes_shipped``) and closure-shipping guards. Plain
-    executors answer by type; wrappers such as
-    :class:`repro.resilience.SupervisedExecutor` answer for their
-    *current* rung via a ``process_backed`` attribute.
+    executors answer by type, and a backend name as the executor it
+    resolves to (``"supervised"`` tops its ladder with processes);
+    wrappers such as :class:`repro.resilience.SupervisedExecutor`
+    answer for their *current* rung via a ``process_backed`` attribute.
     """
+    if isinstance(executor, str):
+        return executor in ("process", "supervised")
     if isinstance(executor, ProcessExecutor):
         return True
     return bool(getattr(executor, "process_backed", False))
+
+
+def fan_width(executor: ExecutorLike) -> int:
+    """How many pieces a fan over ``executor`` cuts its work into.
+
+    1 for the serial backend; a pool's ``max_workers``, or the CPU
+    count when it is unset; a backend name as the executor it resolves
+    to. Wrappers such as :class:`repro.resilience.SupervisedExecutor`
+    answer for their *current* rung via a ``fan_width`` attribute, and
+    any other executor by its ``max_workers`` attribute, or as one
+    worker when it has none. Shard merges and replicate blocks are
+    exact at every width, so the width only decides how the work
+    spreads over the workers.
+    """
+    if isinstance(executor, str):
+        runner = get_executor(executor)
+        try:
+            return fan_width(runner)
+        finally:
+            release(runner)
+    width = getattr(executor, "fan_width", None)
+    if width is None:
+        width = getattr(executor, "max_workers", 1)
+    if width is None:
+        width = os.cpu_count() or 1
+    if width < 1:
+        raise InvalidParameterError(
+            f"an executor needs at least one worker, got max_workers={width}"
+        )
+    return int(width)
 
 
 def release(runner: Any) -> None:
@@ -367,17 +404,17 @@ def sharded_support_sketch(
     transactions: Sequence[Any],
     itemsets: Iterable[Iterable[int]],
     n_items: int,
-    n_shards: int = 1,
     executor: ExecutorLike = "serial",
 ) -> SupportSketch:
     """Map-merge support counting: shard, sketch in parallel, sum.
 
     Equivalent to a single-scan :meth:`SupportSketch.from_transactions`
     over the whole bag (the property suite enforces this), but the map
-    step fans out over the executor's workers.
+    step fans out over the executor's workers, one shard each
+    (:func:`fan_width`).
     """
     canon = canonical_itemsets(itemsets)
-    shards = shard_transactions(transactions, n_shards)
+    shards = shard_transactions(transactions, fan_width(executor))
     sketches = fan(
         _sketch_shard,
         [(shard, canon, n_items) for shard in shards],
@@ -412,7 +449,6 @@ def _sketch_index_shard(payload: tuple[Any, ...]) -> SupportSketch:
 def sharded_index_sketch(
     index: BitmapIndex,
     itemsets: Iterable[Iterable[int]],
-    n_shards: int = 1,
     executor: ExecutorLike = "serial",
 ) -> SupportSketch:
     """Map-merge counting over a shared index: range-split, sketch, sum.
@@ -425,11 +461,12 @@ def sharded_index_sketch(
     shared-medium (mmap) store pickles as a stripe handle --
     ``storage.bytes_shipped`` stays 0 and workers attach zero-copy --
     while a RAM store must ship its packed bits to every worker,
-    tallied in the same counter. The result equals one full-scan sketch
-    of the index on every backend and executor.
+    tallied in the same counter. The index is split into one row range
+    per worker (:func:`fan_width`), and the result equals one full-scan
+    sketch of the index on every backend and executor.
     """
     canon = canonical_itemsets(itemsets)
-    ranges = shard_ranges(index.n_transactions, n_shards)
+    ranges = shard_ranges(index.n_transactions, fan_width(executor))
     sketches = fan(
         _sketch_index_shard,
         [(index, start, stop, canon) for start, stop in ranges],
@@ -475,21 +512,22 @@ def shard_dataset(dataset: DatasetLike, n_shards: int) -> list[Any]:
 def sharded_partition_sketch(
     dataset: DatasetLike,
     structure_or_plan: StructureOrPlan,
-    n_shards: int = 1,
     executor: ExecutorLike = "serial",
 ) -> PartitionSketch:
     """Map-merge partition counting: shard rows, sketch in parallel, sum.
 
     Equivalent to a single-scan :meth:`PartitionSketch.from_dataset`
     over the whole dataset (the property suite enforces this), but the
-    map step fans out over the executor's workers.
+    map step fans out over the executor's workers, one shard each
+    (:func:`fan_width`).
     """
     plan = as_partition_plan(structure_or_plan)
-    if n_shards == 1:
+    width = fan_width(executor)
+    if width == 1:
         # Single-shard fast path: skip the slice/merge round trip (the
         # streaming hot path sketches every chunk through here).
         return PartitionSketch.from_dataset(dataset, plan)
-    shards = shard_dataset(dataset, n_shards)
+    shards = shard_dataset(dataset, width)
     sketches = fan(
         _sketch_partition_shard, [(shard, plan) for shard in shards], executor
     )

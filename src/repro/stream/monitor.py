@@ -116,14 +116,12 @@ class OnlineChangeMonitor:
         Forwarded to the inner :class:`ChangeMonitor` (see there;
         ``n_boot=0`` plus ``delta_threshold`` is the cheap fully
         incremental mode).
-    executor, n_shards:
-        How each chunk is counted (see :mod:`repro.stream.executor`).
-        ``executor`` is also forwarded to the inner monitor, so the
-        count-space bootstrap fans its replicate blocks over the same
-        backend.
-    n_blocks:
-        Replicate blocks the bootstrap fans over ``executor`` (see
-        :meth:`~repro.stats.resample_plan.ResamplePlan.null_deviations`).
+    executor:
+        Where each chunk is counted: one map-merged shard per worker
+        (see :func:`repro.stream.executor.fan_width`). The bootstrap
+        stays in-process: a window's replicates are a few small draws,
+        and a process fan would ship the compiled membership to every
+        block of every window.
     """
 
     def __init__(
@@ -143,8 +141,6 @@ class OnlineChangeMonitor:
         rng: np.random.Generator | None = None,
         refit_models: bool = False,
         executor: ExecutorLike = "serial",
-        n_shards: int = 1,
-        n_blocks: int = 1,
     ) -> None:
         if kind not in KINDS:
             raise InvalidParameterError(
@@ -170,11 +166,9 @@ class OnlineChangeMonitor:
         self.window_size = window_size
         self.step = step
         # resolved once: every sketcher (including post-reset rebuilds)
-        # and the inner monitor's bootstrap share one executor instance,
-        # so a pooled backend owns exactly one worker pool, releasable
-        # deterministically via close()
+        # shares one executor instance, so a pooled backend owns exactly
+        # one worker pool, releasable deterministically via close()
         self.executor = get_executor(executor)
-        self.n_shards = n_shards
         self.monitor = ChangeMonitor(
             model_builder,
             f=f,
@@ -185,11 +179,6 @@ class OnlineChangeMonitor:
             policy=policy,
             rng=rng,
             refit_models=refit_models,
-            # the resolved instance, not the name: the bootstrap's fanned
-            # blocks then reuse this monitor's one pool (released by
-            # close()) instead of spawning a pool per qualification
-            executor=self.executor,
-            n_blocks=n_blocks,
         )
         if n_items is None:
             self._buffer = ChunkBuffer(PartitionChunkSketcher.normalize)
@@ -396,16 +385,9 @@ class OnlineChangeMonitor:
         if self.kind == "transactions":
             assert self.n_items is not None  # enforced by __init__
             return TransactionChunkSketcher(
-                structure.itemsets,
-                self.n_items,
-                executor=self.executor,
-                n_shards=self.n_shards,
+                structure.itemsets, self.n_items, self.executor
             )
-        return PartitionChunkSketcher(
-            structure.plan,
-            executor=self.executor,
-            n_shards=self.n_shards,
-        )
+        return PartitionChunkSketcher(structure.plan, self.executor)
 
     def _reference_cache(self) -> _ReferenceCache:
         """The cache of the inner monitor's current reference.

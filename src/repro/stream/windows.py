@@ -88,8 +88,9 @@ class TransactionChunkSketcher:
     """Sketch transaction chunks against a fixed itemset collection.
 
     Each chunk is a :class:`TransactionDataset`, bit-indexed once and
-    counted over contiguous row ranges of that one index on the
-    sketcher's executor (:func:`~repro.stream.executor.sharded_index_sketch`).
+    counted over contiguous row ranges of that one index, one per worker
+    of the sketcher's executor
+    (:func:`~repro.stream.executor.sharded_index_sketch`).
     """
 
     kind = "transactions"
@@ -99,12 +100,10 @@ class TransactionChunkSketcher:
         itemsets: Iterable[Iterable[int]],
         n_items: int,
         executor: ExecutorLike = "serial",
-        n_shards: int = 1,
     ) -> None:
         self.itemsets = canonical_itemsets(itemsets)
         self.n_items = n_items
         self.executor = get_executor(executor)
-        self.n_shards = n_shards
 
     def close(self) -> None:
         """Release pooled executor workers (no-op for the serial backend).
@@ -120,12 +119,7 @@ class TransactionChunkSketcher:
         return TransactionDataset.of(chunk, self.n_items)
 
     def sketch(self, chunk: TransactionDataset) -> SupportSketch:
-        return sharded_index_sketch(
-            chunk.index,
-            self.itemsets,
-            n_shards=self.n_shards,
-            executor=self.executor,
-        )
+        return sharded_index_sketch(chunk.index, self.itemsets, self.executor)
 
     def empty(self) -> SupportSketch:
         return SupportSketch.empty(self.itemsets, self.n_items)
@@ -145,11 +139,9 @@ class PartitionChunkSketcher:
         self,
         structure_or_plan: StructureOrPlan,
         executor: ExecutorLike = "serial",
-        n_shards: int = 1,
     ) -> None:
         self.plan = as_partition_plan(structure_or_plan)
         self.executor = get_executor(executor)
-        self.n_shards = n_shards
 
     def close(self) -> None:
         """Release pooled executor workers (no-op for the serial backend).
@@ -170,12 +162,7 @@ class PartitionChunkSketcher:
         return chunk
 
     def sketch(self, chunk: DatasetLike) -> PartitionSketch:
-        return sharded_partition_sketch(
-            chunk,
-            self.plan,
-            n_shards=self.n_shards,
-            executor=self.executor,
-        )
+        return sharded_partition_sketch(chunk, self.plan, self.executor)
 
     def empty(self) -> PartitionSketch:
         return PartitionSketch.empty(self.plan)
@@ -217,8 +204,8 @@ class WindowManager:
         over (the transaction form; ``n_items`` is then required), or
         any :class:`ChunkSketcher` -- e.g. a
         :class:`PartitionChunkSketcher` for tabular streams -- in which
-        case ``n_items``, ``executor`` and ``n_shards`` are ignored
-        (the sketcher owns them).
+        case ``n_items`` and ``executor`` are ignored (the sketcher owns
+        them).
     n_items:
         Item universe size (transaction form only).
     window_chunks:
@@ -226,9 +213,9 @@ class WindowManager:
     policy:
         ``"sliding"`` (step of one chunk, overlap ``W - 1``) or
         ``"tumbling"`` (disjoint windows).
-    executor, n_shards:
+    executor:
         Forwarded to the transaction sketcher: each chunk is counted as
-        ``n_shards`` map-merged shards on the chosen backend.
+        map-merged shards, one per worker of the chosen backend.
 
     Notes
     -----
@@ -245,7 +232,6 @@ class WindowManager:
         window_chunks: int | None = None,
         policy: str = "sliding",
         executor: ExecutorLike = "serial",
-        n_shards: int = 1,
     ) -> None:
         if isinstance(itemsets, ChunkSketcher) and not isinstance(
             itemsets, (list, tuple, set, frozenset)
@@ -260,9 +246,7 @@ class WindowManager:
                 raise InvalidParameterError(
                     "the itemset form needs the n_items universe size"
                 )
-            sketcher = TransactionChunkSketcher(
-                itemsets, n_items, executor=executor, n_shards=n_shards
-            )
+            sketcher = TransactionChunkSketcher(itemsets, n_items, executor)
         if window_chunks is None or window_chunks < 1:
             raise InvalidParameterError("window_chunks must be >= 1")
         if policy not in POLICIES:

@@ -108,6 +108,18 @@ class TestConjunction:
         assert TRUE.is_universal
         assert not TRUE.is_empty
 
+    def test_pickle_round_trip(self):
+        """Process fans ship partition plans, whose regions carry
+        conjunctions over a read-only mapping."""
+        import pickle
+
+        c = interval_constraint("age", 0, 50).intersect(
+            value_constraint("car", [1, 2])
+        )
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and hash(copy) == hash(c)
+        assert set(copy.constraints) == {"age", "car"}
+
     def test_universal_constraints_dropped(self):
         c = Conjunction({"x": Interval()})
         assert c.is_universal

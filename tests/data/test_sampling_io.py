@@ -85,6 +85,48 @@ class TestIo:
         assert loaded.y is None
         assert np.array_equal(loaded.X, data.X)
 
+    def test_unbounded_schema_is_strict_json(self, tmp_path):
+        """An unbounded attribute's schema is JSON a strict parser
+        accepts (no ``Infinity``), and it loads back equal."""
+        import json
+
+        from repro.core.attribute import AttributeSpace, numeric
+        from repro.data.tabular import TabularDataset
+
+        data = TabularDataset(
+            AttributeSpace((numeric("x"),), ()), np.array([[1.0], [-2.5]])
+        )
+        path = tmp_path / "unbounded.npz"
+        save_tabular(data, path)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with np.load(path) as archive:
+            json.loads(str(archive["schema"]), parse_constant=refuse)
+        loaded = load_tabular(path)
+        assert loaded.space == data.space
+        assert np.array_equal(loaded.X, data.X)
+
+    def test_schema_written_with_infinity_still_loads(self, tmp_path):
+        import json
+
+        from repro.core.attribute import Attribute, AttributeKind
+
+        attribute = {"name": "x", "kind": "numeric", "values": []}
+        schema = {"attributes": [attribute], "class_labels": []}
+        path = tmp_path / "older.npz"
+        attribute.update(low=-float("inf"), high=float("inf"))
+        np.savez(path, X=np.zeros((1, 1)), schema=np.array(json.dumps(schema)))
+        assert load_tabular(path).space.attributes == (
+            Attribute("x", AttributeKind.NUMERIC),
+        )
+        # a categorical attribute's bounds go unchecked by Attribute itself
+        attribute.update(kind="categorical", values=[0, 1], low=float("nan"))
+        np.savez(path, X=np.zeros((1, 1)), schema=np.array(json.dumps(schema)))
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            load_tabular(path)
+
     def test_transactions_roundtrip(self, small_transactions, tmp_path):
         path = tmp_path / "txns.txt"
         save_transactions(small_transactions, path)

@@ -8,12 +8,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.deviation import deviation
+from repro.core.upper_bound import upper_bound_deviation
+from repro.data.quest_basket import generate_basket
+from repro.experiments.builders import lits_builder
 from repro.experiments.config import Scale
 from repro.experiments.deviation_tables import figure_13, figure_14
 from repro.experiments.figures import dt_sd_family, lits_sd_family
 from repro.experiments.me_correlation import figure_15
 from repro.experiments.reporting import format_curves, format_table
 from repro.experiments.significance_tables import table_1, table_2
+from repro.obs import MetricsRegistry, use_registry
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +94,35 @@ class TestDeviationTables:
         for row in rows:
             assert row.delta >= 0
             assert row.delta_star >= row.delta - 1e-9  # Theorem 4.2
-            assert row.time_delta_star < row.time_delta  # models-only is faster
         # Cross-process datasets deviate more than the same-process one.
         assert rows[1].delta > rows[0].delta
+
+    def test_delta_star_reads_models_only(self, micro):
+        """Why delta* is the cheap column of Figure 13: it touches no
+        dataset, so no bitmap counter moves, while delta scans both."""
+        builder = lits_builder(micro, micro.min_supports[0])
+        d1, d2 = (
+            generate_basket(
+                micro.base_transactions, n_items=micro.n_items,
+                avg_transaction_len=micro.avg_transaction_len,
+                n_patterns=micro.n_patterns,
+                avg_pattern_len=micro.avg_pattern_len, seed=seed,
+            )
+            for seed in (1, 2)
+        )
+        m1, m2 = builder(d1), builder(d2)
+        d1.drop_index()
+        d2.drop_index()
+
+        def bitmap_counters(compute):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                compute()
+            counters = registry.snapshot()["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("bitmap.")}
+
+        assert bitmap_counters(lambda: upper_bound_deviation(m1, m2)) == {}
+        assert bitmap_counters(lambda: deviation(m1, m2, d1, d2)) != {}
 
     def test_figure_14_rows(self, micro):
         rows = figure_14(micro, n_boot=5)

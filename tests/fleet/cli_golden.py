@@ -5,8 +5,9 @@ tabular stores. :func:`run_all` copies the corpus into a scratch
 directory, runs every :data:`STEPS` command there with relative paths,
 and returns each artifact by name: a step's stdout and stderr, plus
 every file the commands wrote (directories, such as a checkpoint
-directory, are left out). ``golden_cli/expected/`` holds the committed
-artifacts; ``make_cli_golden.py`` rewrites them.
+directory, are left out). :func:`run_monitor_steps` reruns the
+``monitor-stream`` steps on another executor. ``golden_cli/expected/``
+holds the committed artifacts; ``make_cli_golden.py`` rewrites them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextlib
 import io
 import shutil
 from pathlib import Path
+from typing import Iterable
 
 from repro.cli import main
 
@@ -93,18 +95,36 @@ STEPS: list[tuple[str, list[str]]] = [
 
 def run_all(workdir: Path) -> dict[str, bytes]:
     """Every step's stdout/stderr and every written file, by name."""
+    artifacts = _run_steps(workdir, range(len(STEPS)), [])
+    for path in sorted(workdir.iterdir()):
+        if path.is_file() and not (CORPUS / path.name).exists():
+            artifacts[path.name] = path.read_bytes()
+    return artifacts
+
+
+def run_monitor_steps(workdir: Path, executor: str) -> dict[str, bytes]:
+    """The ``monitor-stream`` steps' stdout under ``--executor executor``,
+    named as :func:`run_all` names the serial run's."""
+    steps = [k for k, (_, argv) in enumerate(STEPS) if argv[0] == "monitor-stream"]
+    artifacts = _run_steps(workdir, steps, ["--executor", executor])
+    return {name: out for name, out in artifacts.items() if name.endswith(".stdout")}
+
+
+def _run_steps(
+    workdir: Path, steps: Iterable[int], extra: list[str]
+) -> dict[str, bytes]:
+    """Run the numbered steps, each with ``extra`` appended, in a copy of
+    the corpus; return their stdout and stderr by name."""
     for path in CORPUS.iterdir():
         shutil.copy(path, workdir / path.name)
     artifacts: dict[str, bytes] = {}
     with contextlib.chdir(workdir):
-        for k, (name, argv) in enumerate(STEPS):
+        for k in steps:
+            name, argv = STEPS[k]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = main(argv, out=out)
+                code = main([*argv, *extra], out=out)
             assert code == 0, (name, err.getvalue())
             artifacts[f"{k:02d}-{name}.stdout"] = out.getvalue().encode()
             artifacts[f"{k:02d}-{name}.stderr"] = err.getvalue().encode()
-    for path in sorted(workdir.iterdir()):
-        if path.is_file() and not (CORPUS / path.name).exists():
-            artifacts[path.name] = path.read_bytes()
     return artifacts

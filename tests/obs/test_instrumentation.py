@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from wide_executors import wide
 
 from repro.core.dtree_model import DtModel
 from repro.core.lits import LitsModel
@@ -59,23 +60,22 @@ class TestExecutorSnapshotEquality:
             )
         )
 
-    @pytest.mark.parametrize("n_shards", [1, 3, 5])
+    @pytest.mark.parametrize("workers", [1, 3, 5])
     def test_support_sketch_counters_match_across_backends(
-        self, transactions, n_shards
+        self, transactions, workers
     ):
         itemsets = [(0,), (1,), (0, 1), ()]
         snapshots = {}
         sketches = {}
         for executor in EXECUTORS:
             registry = MetricsRegistry()
-            with use_registry(registry):
+            with wide(executor, workers) as runner, use_registry(registry):
                 sketches[executor] = sharded_support_sketch(
-                    transactions, itemsets, 20,
-                    n_shards=n_shards, executor=executor,
+                    transactions, itemsets, 20, executor=runner
                 )
             snapshots[executor] = registry.snapshot()
         base = _comparable(snapshots["serial"])
-        assert base["counters"]["stream.shards.sketched"] == n_shards
+        assert base["counters"]["stream.shards.sketched"] == workers
         for executor in EXECUTORS[1:]:
             assert _comparable(snapshots[executor]) == base
             assert sketches[executor] == sketches["serial"]
@@ -88,10 +88,8 @@ class TestExecutorSnapshotEquality:
         snapshots = {}
         for executor in EXECUTORS:
             registry = MetricsRegistry()
-            with use_registry(registry):
-                sharded_support_sketch(
-                    rows, itemsets, 20, n_shards=6, executor=executor
-                )
+            with wide(executor, 6) as runner, use_registry(registry):
+                sharded_support_sketch(rows, itemsets, 20, executor=runner)
             snapshots[executor] = registry.snapshot()
         base = _comparable(snapshots["serial"])
         assert base["counters"]["stream.shards.sketched"] == 6
@@ -103,29 +101,25 @@ class TestExecutorSnapshotEquality:
         for executor in EXECUTORS[1:]:
             assert _comparable(snapshots[executor]) == base
 
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_partition_sketch_counters_match_across_backends(self, n_shards):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_partition_sketch_counters_match_across_backends(self, workers):
         dataset = generate_classification(200, function=1, seed=6)
         structure = DtModel.fit(
             dataset, TreeParams(max_depth=3, min_leaf=20)
         ).structure
         snapshots = {}
-        # partition plans carry in-process memo state that does not
-        # pickle, so (as with the fleet engine) the process backend is
-        # out of scope here; serial vs thread pins the merge equality
-        for executor in ("serial", "thread"):
+        # a tree plan pickles (the fleet engine's GCR overlays do not),
+        # so every backend ships it
+        for executor in EXECUTORS:
             registry = MetricsRegistry()
-            with use_registry(registry):
+            with wide(executor, workers) as runner, use_registry(registry):
                 sharded_partition_sketch(
-                    dataset.slice_rows(0, len(dataset)),
-                    structure.plan,
-                    n_shards=n_shards,
-                    executor=executor,
+                    dataset.slice_rows(0, len(dataset)), structure.plan, runner
                 )
             snapshots[executor] = registry.snapshot()
-        assert _comparable(snapshots["thread"]) == _comparable(
-            snapshots["serial"]
-        )
+        base = _comparable(snapshots["serial"])
+        for executor in EXECUTORS[1:]:
+            assert _comparable(snapshots[executor]) == base
 
 
 class TestWindowCountersAreTheSourceOfTruth:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from wide_executors import WIDE, WideSerial
 
 from repro.core.deviation import deviation_over_structure
 from repro.core.difference import SCALED
@@ -39,6 +40,7 @@ from repro.stats.resample_plan import (
     lits_membership,
     multiplicities_from_indices,
 )
+from repro.stream.executor import SerialExecutor, ThreadExecutor, release
 
 N_ITEMS = 10
 
@@ -348,39 +350,40 @@ class TestExecutorFannedBlocks:
         return compile_resample_plan(structure, d1, d2)
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
-    @pytest.mark.parametrize("n_blocks", [2, 3, 7, 64])
-    def test_blocked_null_equals_unblocked(self, lits_plan, executor, n_blocks):
+    @pytest.mark.parametrize("workers", [2, 3, 7, 64])
+    def test_blocked_null_equals_unblocked(self, lits_plan, executor, workers):
         rng = np.random.default_rng(5)
         w1 = draw_multiplicities(lits_plan.n_pooled, lits_plan.n1, 9, rng)
         w2 = draw_multiplicities(lits_plan.n_pooled, lits_plan.n2, 9, rng)
         base = lits_plan.null_from_multiplicities(w1, w2)
-        fanned = lits_plan.null_from_multiplicities(
-            w1, w2, executor=executor, n_blocks=n_blocks
-        )
+        runner = WIDE[executor](max_workers=workers)
+        try:
+            fanned = lits_plan.null_from_multiplicities(w1, w2, executor=runner)
+        finally:
+            release(runner)
         assert np.array_equal(base, fanned)
 
     def test_null_deviations_deterministic_across_backends(self, lits_plan):
-        nulls = [
-            lits_plan.null_deviations(
-                8,
-                np.random.default_rng(3),
-                executor=executor,
-                n_blocks=n_blocks,
-            )
-            for executor, n_blocks in (
-                ("serial", 1),
-                ("serial", 4),
-                ("thread", 4),
-            )
-        ]
+        runners = [SerialExecutor(), WideSerial(4), ThreadExecutor(max_workers=4)]
+        try:
+            nulls = [
+                lits_plan.null_deviations(
+                    8, np.random.default_rng(3), executor=runner
+                )
+                for runner in runners
+            ]
+        finally:
+            release(runners[2])
         assert np.array_equal(nulls[0], nulls[1])
         assert np.array_equal(nulls[0], nulls[2])
 
     def test_invalid_blocks_rejected(self, lits_plan):
         w = draw_multiplicities(lits_plan.n_pooled, lits_plan.n1, 2,
                                 np.random.default_rng(0))
-        with pytest.raises(InvalidParameterError):
-            lits_plan.null_from_multiplicities(w, w, n_blocks=0)
+        with pytest.raises(InvalidParameterError, match="at least one worker"):
+            lits_plan.null_from_multiplicities(
+                w, w, executor=ThreadExecutor(max_workers=0)
+            )
 
 
 class TestDrawHelpers:
@@ -517,9 +520,7 @@ class TestCountsResamplePlan:
             len(d1),
             len(d2),
         )
-        c1, c2 = plan._replicate_count_pairs(
-            7, np.random.default_rng(2), "serial", 1
-        )
+        c1, c2 = plan._replicate_count_pairs(7, np.random.default_rng(2), "serial")
         # partition regions are exhaustive here: every resampled row
         # lands in exactly one region
         assert (c1.sum(axis=1) == len(d1)).all()
@@ -716,15 +717,12 @@ class TestChunkedDraws:
             pooled.take(np.arange(30)),
             pooled.take(np.arange(30, 60)),
         )
-        plan.null_deviations(6, np.random.default_rng(1),
-                             executor="thread", n_blocks=3)
+        plan.null_deviations(6, np.random.default_rng(1), executor="thread")
         assert created, "fan did not resolve the named executor"
         assert all(e._pool is None for e in created), "pool leaked"
 
     def test_instance_executor_pool_is_left_to_its_owner(self):
-        from repro.stream.executor import ThreadExecutor
-
-        owner = ThreadExecutor()
+        owner = ThreadExecutor(max_workers=3)
         txns = [(0,), (1,), (0, 1)] * 20
         pooled = TransactionDataset(txns, N_ITEMS)
         plan = compile_resample_plan(
@@ -732,8 +730,7 @@ class TestChunkedDraws:
             pooled.take(np.arange(30)),
             pooled.take(np.arange(30, 60)),
         )
-        plan.null_deviations(6, np.random.default_rng(1),
-                             executor=owner, n_blocks=3)
+        plan.null_deviations(6, np.random.default_rng(1), executor=owner)
         assert owner._pool is not None  # still warm for reuse
         owner.shutdown()
         assert owner._pool is None

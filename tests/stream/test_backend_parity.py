@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from wide_executors import wide
 
 from repro.core.attribute import AttributeSpace, numeric
 from repro.core.gcr import gcr
@@ -78,20 +79,18 @@ class TestSupportCountParity:
     @given(
         txns=transactions_strategy,
         itemsets=itemsets_strategy,
-        n_shards=st.integers(min_value=1, max_value=5),
+        workers=st.integers(min_value=1, max_value=5),
         executor=st.sampled_from(["serial", "thread"]),
     )
     @settings(max_examples=25, deadline=None)
     def test_sharded_index_sketch_matches(
-        self, txns, itemsets, n_shards, executor
+        self, txns, itemsets, workers, executor
     ):
         ref = SupportSketch.from_transactions(txns, itemsets, N_ITEMS)
-        with tempfile.TemporaryDirectory() as d:
+        with tempfile.TemporaryDirectory() as d, wide(executor, workers) as runner:
             ram, mm = _both_logs(txns, d)
             for log in (ram, mm):
-                merged = sharded_index_sketch(
-                    log.index, itemsets, n_shards=n_shards, executor=executor
-                )
+                merged = sharded_index_sketch(log.index, itemsets, runner)
                 assert np.array_equal(merged.counts, ref.counts)
                 assert merged.n_transactions == ref.n_transactions
 
@@ -236,10 +235,8 @@ class TestZeroCopyFan:
         )
         ref = SupportSketch.from_transactions(rows, self.ITEMSETS, N_ITEMS)
         registry = MetricsRegistry()
-        with use_registry(registry):
-            merged = sharded_index_sketch(
-                mm.index, self.ITEMSETS, n_shards=4, executor="process"
-            )
+        with wide("process", 4) as runner, use_registry(registry):
+            merged = sharded_index_sketch(mm.index, self.ITEMSETS, runner)
         counters = registry.snapshot()["counters"]
         assert counters.get("storage.bytes_shipped", 0) == 0
         assert counters["stream.shards.sketched"] == 4
@@ -253,20 +250,19 @@ class TestZeroCopyFan:
         ram.append(self._rows(30))
         index = ram.index
         assert index._bits.nbytes < index._buf.nbytes  # spare capacity
-        fans = (
-            lambda: sharded_index_sketch(
-                index, self.ITEMSETS, n_shards=3, executor="process"
-            ),
-            lambda: count_lits_stores(
-                [index] * 3, SupportCountingPlan(self.ITEMSETS), executor="process"
-            ),
-        )
-        for fan_out in fans:
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                fan_out()
-            counters = registry.snapshot()["counters"]
-            assert counters["storage.bytes_shipped"] == 3 * index._bits.nbytes
+        with wide("process", 3) as runner:
+            fans = (
+                lambda: sharded_index_sketch(index, self.ITEMSETS, runner),
+                lambda: count_lits_stores(
+                    [index] * 3, SupportCountingPlan(self.ITEMSETS), runner
+                ),
+            )
+            for fan_out in fans:
+                registry = MetricsRegistry()
+                with use_registry(registry):
+                    fan_out()
+                counters = registry.snapshot()["counters"]
+                assert counters["storage.bytes_shipped"] == 3 * index._bits.nbytes
 
     def test_budget_exceeded_scan_completes_with_exact_accounting(
         self, tmp_path

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from wide_executors import wide
 
 from repro.errors import ExecutorError, InvalidParameterError
 from repro.stream.executor import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
+    fan_width,
     get_executor,
+    process_backed,
     shard_transactions,
     sharded_support_sketch,
 )
@@ -55,6 +60,50 @@ class TestGetExecutor:
             get_executor(42)
 
 
+class TestFanWidth:
+    """A fan cuts one piece per worker; the executor says how many."""
+
+    def test_serial_is_one(self):
+        assert fan_width(SerialExecutor()) == 1
+        assert fan_width("serial") == 1
+
+    @pytest.mark.parametrize("pool", [ThreadExecutor, ProcessExecutor])
+    def test_pool_width_is_max_workers_or_the_cpu_count(self, pool):
+        assert fan_width(pool(max_workers=3)) == 3
+        assert fan_width(pool()) == (os.cpu_count() or 1)
+        assert fan_width(pool.name) == (os.cpu_count() or 1)
+
+    def test_supervised_answers_for_its_current_rung(self):
+        from repro.resilience import SupervisedExecutor
+
+        runner = SupervisedExecutor("thread", max_workers=3, on_failure="degrade")
+        try:
+            assert fan_width(runner) == 3
+            runner._rung += 1  # degraded to the serial rung
+            assert fan_width(runner) == 1
+        finally:
+            runner.close()
+
+    def test_custom_executor_without_a_width_is_one_worker(self):
+        class Custom:
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        assert fan_width(Custom()) == 1
+
+    def test_no_workers_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one worker"):
+            fan_width(ThreadExecutor(max_workers=0))
+        with pytest.raises(InvalidParameterError, match="unknown executor"):
+            fan_width("bogus")
+
+    def test_process_backed_answers_for_names(self):
+        assert process_backed("process")
+        assert process_backed("supervised")  # its ladder starts at process
+        assert not process_backed("thread")
+        assert not process_backed("serial")
+
+
 class TestBackendEquivalence:
     @pytest.fixture(scope="class")
     def single_scan(self):
@@ -62,17 +111,14 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_backend_matches_single_scan(self, backend, single_scan):
-        merged = sharded_support_sketch(
-            TXNS, ITEMSETS, 4, n_shards=4, executor=backend
-        )
+        with wide(backend, 4) as runner:
+            merged = sharded_support_sketch(TXNS, ITEMSETS, 4, runner)
         assert merged == single_scan
 
     @pytest.mark.slow
     def test_process_backend_matches_single_scan(self, single_scan):
-        merged = sharded_support_sketch(
-            TXNS, ITEMSETS, 4, n_shards=2,
-            executor=ProcessExecutor(max_workers=2),
-        )
+        with wide("process", 2) as runner:
+            merged = sharded_support_sketch(TXNS, ITEMSETS, 4, runner)
         assert merged == single_scan
 
 

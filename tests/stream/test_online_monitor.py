@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from wide_executors import wide
 
 from repro.core.deviation import deviation_over_structure
 from repro.core.lits import LitsModel
@@ -12,6 +13,7 @@ from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream.chunks import iter_chunks
+from repro.stream.executor import SerialExecutor, ThreadExecutor
 from repro.stream.monitor import OnlineChangeMonitor
 
 N_ITEMS = 50
@@ -315,15 +317,12 @@ class TestCountSpaceQualification:
 
         def run():
             built.clear()
-            monitor = OnlineChangeMonitor(
-                builder, N_ITEMS, window_size=1_000, step=250, n_boot=6,
-                rng=np.random.default_rng(9), executor=executor,
-                n_shards=2,
-            )
-            try:
+            with wide(executor, 2) as runner:
+                monitor = OnlineChangeMonitor(
+                    builder, N_ITEMS, window_size=1_000, step=250, n_boot=6,
+                    rng=np.random.default_rng(9), executor=runner,
+                )
                 observations = monitor.push(stream[:3_000])
-            finally:
-                monitor.close()
             return [
                 (o.index, o.deviation, o.significance, o.drifted,
                  o.reference_index)
@@ -407,22 +406,23 @@ class TestCountSpaceQualification:
             >= 95.0
         )
 
-    def test_bootstrap_fanning_plumbs_through(self, drifting_stream):
-        """executor/n_blocks reach the inner monitor's bootstrap (the
-        tutorial's fanning claim), and verdicts match the serial run
-        given the same generator state."""
+    def test_bootstrap_stays_in_process(self, drifting_stream):
+        """A pooled executor fans the chunk sketches only: the inner
+        monitor's bootstrap runs serially, and verdicts match the serial
+        run given the same generator state."""
         stream, _ = drifting_stream
         kwargs = dict(window_size=1_000, step=1_000, n_boot=6)
         serial = OnlineChangeMonitor(
             builder, N_ITEMS, rng=np.random.default_rng(21), **kwargs
         )
-        fanned = OnlineChangeMonitor(
-            builder, N_ITEMS, rng=np.random.default_rng(21),
-            executor="thread", n_blocks=3, **kwargs,
-        )
-        assert fanned.monitor.n_blocks == 3
-        a = serial.push(stream[:3_000])
-        b = fanned.push(stream[:3_000])
+        with wide("thread", 3) as runner:
+            fanned = OnlineChangeMonitor(
+                builder, N_ITEMS, rng=np.random.default_rng(21),
+                executor=runner, **kwargs,
+            )
+            assert isinstance(fanned.monitor.executor, SerialExecutor)
+            a = serial.push(stream[:3_000])
+            b = fanned.push(stream[:3_000])
         assert [(o.significance, o.drifted) for o in a] == [
             (o.significance, o.drifted) for o in b
         ]
@@ -434,7 +434,8 @@ class TestCountSpaceQualification:
         stream, _ = drifting_stream
         monitor = OnlineChangeMonitor(
             builder, N_ITEMS, window_size=500, step=500,
-            n_boot=0, delta_threshold=3.0, executor="thread", n_shards=2,
+            n_boot=0, delta_threshold=3.0,
+            executor=ThreadExecutor(max_workers=2),
         )
         monitor.push(stream[:1_500])
         assert monitor.executor._pool is not None  # pool was used

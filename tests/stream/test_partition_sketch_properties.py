@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from wide_executors import WideSerial
 
 from repro.core.attribute import AttributeSpace, categorical, numeric
 from repro.core.model import PartitionStructure
@@ -118,9 +119,10 @@ class TestPartitionShardMergeProperty:
         rows, _ = data
         structure = LABELLED if labelled else UNLABELLED
         whole = _dataset(rows, labelled)
-        for n_shards in (1, 3, len(rows) + 1):
+        # more workers than rows leaves trailing shards empty
+        for workers in (1, 3, len(rows) + 1):
             merged = sharded_partition_sketch(
-                whole, structure.plan, n_shards=n_shards
+                whole, structure.plan, WideSerial(workers)
             )
             assert merged == PartitionSketch.from_dataset(whole, structure)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from wide_executors import WideSerial
 
 from repro.data.transactions import BitmapIndex, TransactionDataset
 from repro.stream.executor import sharded_support_sketch
@@ -77,9 +78,10 @@ class TestShardMergeProperty:
     @settings(max_examples=30, deadline=None)
     def test_sharded_helper_equals_single_scan(self, data, itemsets):
         txns, _ = data
-        for n_shards in (1, 3, len(txns) + 1):
+        # more workers than rows leaves trailing shards empty
+        for workers in (1, 3, len(txns) + 1):
             merged = sharded_support_sketch(
-                txns, itemsets, N_ITEMS, n_shards=n_shards
+                txns, itemsets, N_ITEMS, WideSerial(workers)
             )
             assert merged == SupportSketch.from_transactions(
                 txns, itemsets, N_ITEMS

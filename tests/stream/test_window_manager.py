@@ -8,6 +8,7 @@ import pytest
 from repro.data.quest_basket import generate_basket
 from repro.errors import InvalidParameterError
 from repro.stream.chunks import iter_chunks
+from repro.stream.executor import ThreadExecutor
 from repro.stream.sketch import SupportSketch
 from repro.stream.windows import WindowManager
 
@@ -86,14 +87,18 @@ class TestSlidingWindows:
 
     def test_sharded_executor_same_windows(self, stream):
         serial = WindowManager(ITEMSETS, N_ITEMS, window_chunks=3)
+        runner = ThreadExecutor(max_workers=3)
         sharded = WindowManager(
-            ITEMSETS, N_ITEMS, window_chunks=3, executor="thread", n_shards=3
+            ITEMSETS, N_ITEMS, window_chunks=3, executor=runner
         )
-        for chunk in iter_chunks(stream[:400], CHUNK):
-            a, b = serial.push(chunk), sharded.push(chunk)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.sketch == b.sketch
+        try:
+            for chunk in iter_chunks(stream[:400], CHUNK):
+                a, b = serial.push(chunk), sharded.push(chunk)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.sketch == b.sketch
+        finally:
+            runner.shutdown()
 
 
 class TestTumblingWindows:
