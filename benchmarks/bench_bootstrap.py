@@ -26,15 +26,27 @@ child generators. Verdicts must be equal, a stationary window that
 settles must stop after the first block (three fifths of ``B``), and
 every drifted window must draw all ``B``.
 
+One stream window of the same shape -- a 4,000-row reference plus four
+1,000-row chunks, the reference's mined itemsets, ``B = 12`` -- gates
+the per-window fixed costs against in-process oracles:
+
+* the compiled membership (one gather per itemset length) is >= 3x
+  faster than one ``intersection_bits`` call per itemset;
+* drawing ``B = 20`` as the sequential monitor's 12 + 8 split costs at
+  most 1.25x one ``B = 20`` call.
+
 The measured numbers are also written to ``BENCH_bootstrap.json`` next
 to this file (machine-readable: speedup, n_boot, rows, timings, and the
-``"sequential"`` replicate counts) so CI can archive the perf
-trajectory as an artifact.
+``"sequential"`` replicate counts, the ``"stream_window"`` ratios) so
+CI can archive the perf trajectory as an artifact.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -51,7 +63,9 @@ from repro.data.transactions import TransactionDataset
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.bootstrap import BootstrapResult, deviation_significance
 from repro.stats.resample_plan import (
+    LitsResamplePlan,
     compile_resample_plan,
+    lits_membership,
     multiplicities_from_indices,
 )
 from repro.stream.chunks import iter_chunks
@@ -70,6 +84,9 @@ N_BOOT_ORACLE = 8
 MIN_SPEEDUP = 5.0
 
 JSON_PATH = Path(__file__).parent / "BENCH_bootstrap.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: the thread-count variables pipebench pins to one BLAS thread
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: The sequential-qualification streams: stream-lits' shape (500 items,
 #: 1,000 patterns, sliding 4,000-row windows in 1,000-row steps, B=20
@@ -80,6 +97,11 @@ SEQ_STEP = 1_000
 SEQ_ROWS = 16_000
 SEQ_BOOT = 20
 SEQ_THRESHOLD = 95.0
+
+#: The stream-window case: replicates of one window, and its gates.
+WINDOW_BOOT = 12
+MIN_MEMBERSHIP_SPEEDUP = 3.0
+MAX_SPLIT_RATIO = 1.25
 
 
 def _write_json(update: dict) -> None:
@@ -350,3 +372,117 @@ def test_sequential_qualification_stops_only_settled_windows():
     assert stationary["mean_replicates"] < SEQ_BOOT
     assert drifted["drifted"] == drifted["windows"]
     assert drifted["min_replicates"] == drifted["max_replicates"] == SEQ_BOOT
+
+
+def _membership_loop(structure, index):
+    """The per-itemset oracle: one ``intersection_bits`` call each,
+    stacked, unpacked and transposed into the GEMM's float32 layout."""
+    n = index.n_transactions
+    packed = np.stack([index.intersection_bits(s) for s in structure.itemsets])
+    bits = np.unpackbits(packed, axis=1, count=n)
+    return np.ascontiguousarray(bits.T).astype(np.float32)
+
+
+def _best_interleaved(fn_a, fn_b, repeats: int) -> tuple[float, float]:
+    """Best-of-``repeats`` times of two callables run turn about, so a
+    slow spell of the host hits both sides of a ratio alike."""
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for side, fn in enumerate((fn_a, fn_b)):
+            t0 = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0], best[1]
+
+
+def _stream_window_timings() -> dict:
+    """The stream-window case's timings (run in a one-BLAS-thread child)."""
+    rows = _seq_rows(drifted=False)[: SEQ_WINDOW + 4 * SEQ_STEP]
+    reference = TransactionDataset(rows[:SEQ_WINDOW], SEQ_ITEMS)
+    chunks = [
+        TransactionDataset(rows[start : start + SEQ_STEP], SEQ_ITEMS)
+        for start in range(SEQ_WINDOW, len(rows), SEQ_STEP)
+    ]
+    structure = LitsModel.mine(reference, 0.02, max_len=2).structure
+    indexes = [d.index for d in (reference, *chunks)]
+
+    parts = [lits_membership(structure, index) for index in indexes]
+    for index, part in zip(indexes, parts):
+        assert np.array_equal(part, _membership_loop(structure, index))
+
+    # each block is dropped before the next is built, as the allocator
+    # would otherwise time fresh pages rather than the kernels
+    def compiled():
+        for index in indexes:
+            lits_membership(structure, index)
+
+    def loop():
+        for index in indexes:
+            _membership_loop(structure, index)
+
+    t_compiled, t_loop = _best_interleaved(compiled, loop, 40)
+
+    plan = LitsResamplePlan(structure, parts, SEQ_WINDOW, 4 * SEQ_STEP)
+
+    def one_call():
+        return plan.null_deviations(SEQ_BOOT, np.random.default_rng(5))
+
+    def two_calls():
+        rng = np.random.default_rng(5)
+        first = plan.null_deviations(WINDOW_BOOT, rng)
+        return np.concatenate(
+            [first, plan.null_deviations(SEQ_BOOT - WINDOW_BOOT, rng)]
+        )
+
+    assert one_call().shape == two_calls().shape == (SEQ_BOOT,)
+    t_one, t_split = _best_interleaved(one_call, two_calls, 60)
+    return {
+        "reference_rows": SEQ_WINDOW,
+        "chunk_rows": SEQ_STEP,
+        "n_chunks": len(chunks),
+        "n_regions": len(structure.regions),
+        "n_boot": WINDOW_BOOT,
+        "t_membership_compiled_s": round(t_compiled, 6),
+        "t_membership_loop_s": round(t_loop, 6),
+        "membership_speedup": round(t_loop / t_compiled, 2),
+        "min_membership_speedup_asserted": MIN_MEMBERSHIP_SPEEDUP,
+        "t_null_one_call_s": round(t_one, 6),
+        "t_null_split_s": round(t_split, 6),
+        "split_ratio": round(t_split / t_one, 3),
+        "max_split_ratio_asserted": MAX_SPLIT_RATIO,
+    }
+
+
+def test_stream_window_fixed_costs():
+    """One stream-lits window: the compiled membership against the
+    per-itemset loop, and a 12 + 8 replicate split against one B=20
+    call.
+
+    Timed in a child process with one BLAS thread, as pipebench runs:
+    a thread pool's start-up cost would otherwise swamp products this
+    small.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.update(dict.fromkeys(BLAS_VARS, "1"))
+    child = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True,
+        check=True, timeout=600,
+    )
+    window = json.loads(child.stdout.splitlines()[-1])
+    _write_json({"stream_window": window})
+    print(
+        f"\nstream window ({window['n_regions']} regions): membership "
+        f"{window['t_membership_compiled_s'] * 1e3:.2f} ms compiled vs "
+        f"{window['t_membership_loop_s'] * 1e3:.2f} ms per itemset "
+        f"({window['membership_speedup']:.1f}x); B={SEQ_BOOT} as "
+        f"{WINDOW_BOOT} + {SEQ_BOOT - WINDOW_BOOT}: "
+        f"{window['t_null_split_s'] * 1e3:.2f} ms vs "
+        f"{window['t_null_one_call_s'] * 1e3:.2f} ms in one call "
+        f"({window['split_ratio']:.2f}x)"
+    )
+    assert window["membership_speedup"] >= MIN_MEMBERSHIP_SPEEDUP
+    assert window["split_ratio"] <= MAX_SPLIT_RATIO
+
+
+if __name__ == "__main__":
+    print(json.dumps(_stream_window_timings()))

@@ -106,8 +106,10 @@ class _Canonical(tuple[frozenset[int], ...]):
     ``canonical_itemsets`` short-circuit on it, so the canonicalisation
     cost is paid once per itemset collection -- not once per sketch or
     structure built over it (the streaming hot path builds hundreds of
-    sketches over one collection). The counting plan the bitmap index
-    consumes is cached for the same reason.
+    sketches over one collection). Every :class:`LitsStructure` holds
+    its itemsets as one. The counting plan the bitmap index consumes is
+    cached for the same reason, and the lits bootstrap's membership
+    gather reuses it.
     """
 
     # no __slots__: variable-length tuple subtypes cannot declare them;
@@ -142,14 +144,14 @@ class LitsStructure(Structure):
 
     def __init__(self, itemsets: Sequence[frozenset[int]]) -> None:
         if isinstance(itemsets, _Canonical):
-            self._itemsets: tuple[frozenset[int], ...] = itemsets
+            self._itemsets: _Canonical = itemsets
         else:
             unique = {frozenset(s) for s in itemsets}
-            self._itemsets = tuple(_Canonical.ordered(unique))
+            self._itemsets = _Canonical.ordered(unique)
         self._regions: tuple[Region, ...] | None = None
 
     @property
-    def itemsets(self) -> tuple[frozenset[int], ...]:
+    def itemsets(self) -> _Canonical:
         return self._itemsets
 
     @property

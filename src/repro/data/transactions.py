@@ -177,16 +177,27 @@ def _intersection_counts(
     padded = n_bytes + (-n_bytes) % 8
     full = np.zeros((ids.shape[0], padded), dtype=np.uint8)
     acc = full[:, :n_bytes]
-    chunk = max(1, _MAX_STRIPE_BYTES // max(1, ids.shape[1] * n_bytes))
-    for start in range(0, ids.shape[0], chunk):
-        stripes = bits[ids[start : start + chunk]]
-        acc[start : start + chunk] = np.bitwise_and.reduce(stripes, axis=1)
+    _intersect_into(acc, bits, ids)
     if n_bytes:
         if first_mask != 0xFF:
             acc[:, 0] &= np.uint8(first_mask)
         if last_mask != 0xFF:
             acc[:, -1] &= np.uint8(last_mask)
     return _popcount_rows(full)
+
+
+def _intersect_into(out: np.ndarray, bits: np.ndarray, ids: np.ndarray) -> None:
+    """AND the item stripes of each ``ids`` row into the matching ``out`` row.
+
+    ``bits`` is a ``(n_items, n_bytes)`` packed slice, ``ids`` an ``(m,
+    length)`` array of item ids and ``out`` an ``(m, n_bytes)`` uint8
+    matrix; the stripe gather is chunked so that no gathered block
+    exceeds :data:`_MAX_STRIPE_BYTES`.
+    """
+    chunk = max(1, _MAX_STRIPE_BYTES // max(1, ids.shape[1] * bits.shape[1]))
+    for start in range(0, ids.shape[0], chunk):
+        stop = start + chunk
+        np.bitwise_and.reduce(bits[ids[start:stop]], axis=1, out=out[start:stop])
 
 
 def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
@@ -622,7 +633,9 @@ class SupportCountingPlan:
 
     A plan is index-independent: it can be executed against any
     :class:`BitmapIndex` whose item universe covers the plan's items --
-    every per-shard and per-chunk index of the same stream.
+    every per-shard and per-chunk index of the same stream. The same
+    gather ids also yield every itemset's packed membership vector
+    (:meth:`intersection_bits`), the lits bootstrap's per-row state.
     """
 
     def __init__(self, itemsets: Sequence[Iterable[int]]) -> None:
@@ -638,9 +651,13 @@ class SupportCountingPlan:
         #: Gram product over ``items``; ``local`` holds each pair's two
         #: positions in ``items``
         self._gram: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: every non-empty length group, the Gram-counted pairs included:
+        #: what :meth:`intersection_bits` gathers
+        self._gathers: list[tuple[np.ndarray, np.ndarray]] = []
         for length, positions in sorted(by_len.items()):
             pos_arr = np.array(positions, dtype=np.intp)
             ids = np.array([canon[p] for p in positions], dtype=np.int64)
+            self._gathers.append((pos_arr, ids))
             if length == 2:
                 items = np.unique(ids)
                 k, m = items.size, len(positions)
@@ -649,6 +666,13 @@ class SupportCountingPlan:
                     self._gram = (pos_arr, items, local)
                     continue
             self._groups.append((pos_arr, ids))
+
+    def _check_universe(self, index: BitmapIndex) -> None:
+        if self.max_item >= index.n_items:
+            raise InvalidParameterError(
+                f"plan references item {self.max_item} outside the index's "
+                f"universe [0, {index.n_items})"
+            )
 
     def count(
         self, index: BitmapIndex, *, start: int = 0, stop: int | None = None
@@ -670,11 +694,7 @@ class SupportCountingPlan:
             raise InvalidParameterError(
                 f"row range [{start}, {stop}) outside [0, {n}]"
             )
-        if self.max_item >= index.n_items:
-            raise InvalidParameterError(
-                f"plan references item {self.max_item} outside the index's "
-                f"universe [0, {index.n_items})"
-            )
+        self._check_universe(index)
         out = np.empty(self.n_itemsets, dtype=np.int64)
         if self._empty.size:
             out[self._empty] = stop - start
@@ -692,6 +712,29 @@ class SupportCountingPlan:
         first_mask, last_mask = 0xFF >> (start & 7), _last_byte_mask(stop)
         for pos_arr, ids in self._groups:
             out[pos_arr] = _intersection_counts(bits, ids, first_mask, last_mask)
+        return out
+
+    def intersection_bits(self, index: BitmapIndex) -> np.ndarray:
+        """Packed membership vectors of the planned itemsets over ``index``.
+
+        Row ``i`` of the ``(n_itemsets, ceil(n/8))`` uint8 result is
+        :meth:`BitmapIndex.intersection_bits` of itemset ``i``, built
+        from one stripe gather and stacked ``bitwise_and`` per itemset
+        length instead of one call per itemset. Bits past the index's
+        last row are zero, also on an attached snapshot whose owner
+        appended rows after the attach.
+        """
+        self._check_universe(index)
+        n = index.n_transactions
+        bits = index._bits
+        out = np.empty((self.n_itemsets, bits.shape[1]), dtype=np.uint8)
+        out[self._empty] = 0xFF
+        for pos_arr, ids in self._gathers:
+            acc = np.empty((ids.shape[0], bits.shape[1]), dtype=np.uint8)
+            _intersect_into(acc, bits, ids)
+            out[pos_arr] = acc
+        if n & 7:
+            out[:, -1] &= np.uint8(_last_byte_mask(n))
         return out
 
 

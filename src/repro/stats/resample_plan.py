@@ -15,9 +15,11 @@ vector ``w``, and the count of region ``r`` under the resample is
 scanned **once**, into a per-row region-membership representation:
 
 * :class:`LitsResamplePlan` -- an ``(n_rows x n_regions)`` 0/1
-  membership matrix, unpacked from the bitmap index's intersection
-  bits; all ``B`` replicates' counts are one
-  ``(B x n_rows) @ (n_rows x n_regions)`` product.
+  membership matrix (:func:`lits_membership`: one stripe gather per
+  itemset length through the collection's cached
+  :class:`~repro.data.transactions.SupportCountingPlan`, unpacked
+  straight into the GEMM's layout and dtype); all ``B`` replicates'
+  counts are one ``(B x n_rows) @ (n_rows x n_regions)`` product.
 * :class:`PartitionResamplePlan` -- the pooled cell-assignment vector
   from the partition structure's counting plan (regions are disjoint,
   so membership collapses to one index per row); replicate counts are
@@ -31,12 +33,15 @@ scanned **once**, into a per-row region-membership representation:
 
 Exactness: multiplicities and memberships are small non-negative
 integers, so every partial sum in the products is an integer below the
-float mantissa limit -- replicate counts are *exact*, and feeding them
-through :func:`repro.core.deviation.deviation_from_counts` reproduces
-the per-replicate loop's null values bit for bit under shared draws.
-The row-level plans also draw their multiplicities from the exact
-generator stream the loop consumes (:func:`draw_multiplicities`), so
-their null equals
+float mantissa limit -- replicate counts are *exact*. The row-level
+plans draw their multiplicities straight into the products' float
+dtype (float32 below 2**24 pooled rows, where every count is an exact
+float32 integer), from the exact generator stream the loop consumes
+(:func:`draw_multiplicities`). The null is
+assembled in one shot -- ``f`` over the stacked ``(B, R)`` count
+matrices, ``g`` once per replicate row -- which is element for element
+what :func:`repro.core.deviation.deviation_from_counts` computes per
+replicate, so the null equals
 :func:`repro.stats.bootstrap.significance_of_statistic`'s under the
 same seed, not just under shared draws (the property suite pins both).
 
@@ -78,6 +83,17 @@ if TYPE_CHECKING:
 #: stay far below 2**53).
 _FLOAT32_EXACT_ROWS = 1 << 24
 
+
+def _exact_dtype(n_pooled: int) -> type[np.floating[Any]]:
+    """The float dtype a lits pool of ``n_pooled`` rows counts in exactly.
+
+    Multiplicities, memberships and every partial sum of the replicate
+    GEMM are integers no larger than ``n_pooled``: float32 holds them
+    exactly below 2**24 rows, float64 far beyond.
+    """
+    return np.float64 if n_pooled >= _FLOAT32_EXACT_ROWS else np.float32
+
+
 #: Version of the bootstrap's random stream, part of the seed contract:
 #: a seeded null reproduces only under the same scheme, so monitor
 #: checkpoints record it and refuse to resume across a change.
@@ -92,10 +108,11 @@ _FLOAT32_EXACT_ROWS = 1 << 24
 DRAW_SCHEME = 3
 
 #: Cap on the transient draw state per replicate chunk: the int64 pick
-#: matrix plus the stacked multiplicity rows. Beyond it, replicates are
-#: drawn and counted in chunks -- numpy's generator draws are
-#: sequential, so chunked draws consume the identical stream (pinned by
-#: test) and same-seed results never depend on the cap.
+#: matrix, the int64 counts of both sides and their cast to the plan's
+#: float dtype (:meth:`RowResamplePlan._replicate_count_pairs`). Beyond
+#: it, replicates are drawn and counted in chunks -- numpy's generator
+#: draws are sequential, so chunked draws consume the identical stream
+#: (pinned by test) and same-seed results never depend on the cap.
 _MAX_DRAW_BYTES = 1 << 28  # 256 MiB
 
 #: Cap on the dense lits membership matrix (float32 bytes). A pool
@@ -141,7 +158,7 @@ def draw_multiplicities(
     n_sample: int | Sequence[int],
     n_boot: int,
     rng: np.random.Generator,
-    dtype: type[np.signedinteger[Any]] = np.int64,
+    dtype: type[np.number[Any]] = np.int64,
 ) -> np.ndarray:
     """Multiplicity vectors of ``n_boot`` with-replacement resamples.
 
@@ -160,6 +177,11 @@ def draw_multiplicities(
     replicate, so a count-space null equals the per-replicate loop's
     under the same seed (:data:`DRAW_SCHEME` 2). Drawing the replicates
     in consecutive chunks consumes the same stream as one call.
+
+    Every side is counted by one offset ``bincount``: the picks of side
+    ``s`` in replicate ``b`` are shifted in place into the bins of
+    output row ``s * n_boot + b``. ``dtype`` is the result's; a float
+    dtype hands the counts straight to a plan's exact-float product.
     """
     sizes = (
         [int(n_sample)] if isinstance(n_sample, (int, np.integer))
@@ -170,14 +192,14 @@ def draw_multiplicities(
     if n_boot < 0 or any(n < 0 for n in sizes):
         raise InvalidParameterError("n_sample and n_boot must be >= 0")
     picks = rng.integers(0, n_rows, size=(n_boot, sum(sizes)))
-    out = np.empty((len(sizes) * n_boot, n_rows), dtype=dtype)
+    replicate = np.arange(n_boot, dtype=np.int64)[:, None]
     start = 0
     for side, size in enumerate(sizes):
-        out[side * n_boot : (side + 1) * n_boot] = multiplicities_from_indices(
-            picks[:, start : start + size], n_rows
-        )
+        picks[:, start : start + size] += (side * n_boot + replicate) * n_rows
         start += size
-    return out
+    counts = np.bincount(picks.ravel(), minlength=len(sizes) * n_boot * n_rows)
+    del picks  # freed before the cast allocates, to keep the peak down
+    return counts.reshape(-1, n_rows).astype(dtype, copy=False)
 
 
 def multiplicities_from_indices(indices: np.ndarray, n_rows: int) -> np.ndarray:
@@ -203,23 +225,38 @@ def multiplicities_from_indices(indices: np.ndarray, n_rows: int) -> np.ndarray:
     return counts.reshape(n_boot, n_rows)
 
 
-def lits_membership(structure: LitsStructure, index: object) -> np.ndarray:
-    """``(n_transactions, n_regions)`` 0/1 membership from a bitmap index.
-
-    One column per itemset region, unpacked from the index's packed
-    intersection bits; column sums equal the structure's support counts
-    (property-tested). This is the plan-compilation scan for
-    lits-structures: the index itself embodies one pass over the rows,
-    and everything after it is bit unpacking.
-    """
-    n = index.n_transactions
+def _membership_bits(structure: LitsStructure, index: Any) -> np.ndarray:
+    """Packed ``(n_regions, ceil(n/8))`` membership: the lits plans'
+    compilation scan, through the counting plan the itemset collection
+    caches (shared with the chunk sketcher)."""
     metrics().inc("bootstrap.membership.scans")
-    itemsets = structure.itemsets
-    if not itemsets:
-        return np.zeros((n, 0), dtype=np.uint8)
-    packed = np.stack([index.intersection_bits(s) for s in itemsets])
-    bits = np.unpackbits(packed, axis=1, count=n)
-    return np.ascontiguousarray(bits.T)
+    return structure.itemsets.plan().intersection_bits(index)
+
+
+def lits_membership(structure: LitsStructure, index: Any) -> np.ndarray:
+    """``(n_transactions, n_regions)`` 0/1 float32 membership of an index.
+
+    Column ``r`` is the index's ``intersection_bits`` of itemset ``r``
+    (property-tested), from one compiled stripe gather per itemset
+    length, unpacked straight into the C-contiguous layout the replicate
+    GEMM reads, in float32: the GEMM's exact dtype below 2**24 pooled
+    rows, so a plan adopts the block uncopied.
+    """
+    packed = _membership_bits(structure, index)
+    n_regions, n_bytes = packed.shape
+    # plane k holds bit k (MSB first) of every (byte, region) cell; row
+    # 8 * byte + k of the result is plane k's row ``byte``, so one
+    # masking cast interleaves the planes into the C layout
+    by_byte = np.ascontiguousarray(packed.T)
+    planes = np.empty((8, n_bytes, n_regions), dtype=np.uint8)
+    for bit in range(8):
+        np.right_shift(by_byte, 7 - bit, out=planes[bit])
+    rows = np.empty((8 * n_bytes, n_regions), dtype=np.float32)
+    np.bitwise_and(
+        planes.transpose(1, 0, 2), 1,
+        out=rows.reshape(n_bytes, 8, n_regions), casting="unsafe",
+    )
+    return rows[: index.n_transactions]
 
 
 # --------------------------------------------------------------------- #
@@ -230,16 +267,18 @@ def lits_membership(structure: LitsStructure, index: object) -> np.ndarray:
 def _lits_block_counts(payload: tuple[Any, ...]) -> np.ndarray:
     """Replicate counts of one multiplicity block via part-wise matmul.
 
-    ``parts`` are row blocks of the pooled membership matrix (already in
-    the exact float dtype); the block's counts are the sum of one GEMM
-    per part. Every term is a small non-negative integer, so all partial
-    sums stay exactly representable and the rounded result is exact.
+    ``parts`` are row blocks of the pooled membership matrix and ``w``
+    the multiplicities, both already in the exact float dtype; the
+    block's counts are the sum of one GEMM per part, each reading its
+    column slice of ``w`` in place. Every term is a small non-negative
+    integer, so all partial sums stay exactly representable and the
+    rounded result is exact.
     """
     parts, offsets, w = payload
     n_regions = parts[0].shape[1] if parts else 0
-    acc = np.zeros((w.shape[0], n_regions), dtype=parts[0].dtype if parts else np.float64)
+    acc = np.zeros((w.shape[0], n_regions), dtype=w.dtype)
     for part, off in zip(parts, offsets):
-        acc += w[:, off : off + part.shape[0]].astype(part.dtype) @ part
+        acc += w[:, off : off + part.shape[0]] @ part
     return np.rint(acc).astype(np.int64)
 
 
@@ -264,9 +303,7 @@ def _packed_block_counts(payload: tuple[Any, ...]) -> np.ndarray:
             block = np.unpackbits(
                 packed[:, start >> 3 : (stop + 7) >> 3], axis=1, count=stop - start
             )
-            acc += w[:, off + start : off + stop].astype(dtype) @ block.T.astype(
-                dtype
-            )
+            acc += w[:, off + start : off + stop] @ block.T.astype(dtype)
     return np.rint(acc).astype(np.int64)
 
 
@@ -286,15 +323,13 @@ def _partition_block_counts(payload: tuple[Any, ...]) -> np.ndarray:
     """Replicate counts of one multiplicity block via weighted bincount.
 
     The trailing bin (index ``n_regions``) collects rows excluded by an
-    active focus and is dropped; float64 accumulation is exact for
-    integer weights below 2**53.
+    active focus and is dropped; the float64 weights accumulate exactly
+    for integer values below 2**53.
     """
     assignments, n_regions, w = payload
     out = np.empty((w.shape[0], n_regions), dtype=np.int64)
     for b in range(w.shape[0]):
-        binned = np.bincount(
-            assignments, weights=w[b].astype(np.float64), minlength=n_regions + 1
-        )
+        binned = np.bincount(assignments, weights=w[b], minlength=n_regions + 1)
         out[b] = np.rint(binned[:n_regions]).astype(np.int64)
     return out
 
@@ -399,18 +434,14 @@ class ResamplePlan(ABC):
     ) -> np.ndarray:
         """Per-replicate ``delta_1`` values from stacked count matrices.
 
-        Applied replicate-by-replicate through the same
-        ``deviation_from_counts`` code path the serial oracle uses, so
-        the emitted floats are bit-identical to it.
+        ``f`` is elementwise over regions, so one call over the ``(B,
+        R)`` matrices gives every replicate's per-region deviations, and
+        ``g`` folds each row -- the floats ``deviation_from_counts``
+        computes replicate by replicate, bit for bit, without building a
+        result object per replicate.
         """
-        return np.array(
-            [
-                deviation_from_counts(
-                    self.structure, c1, c2, self.n1, self.n2, f, g
-                ).value
-                for c1, c2 in zip(counts1, counts2)
-            ]
-        )
+        per_region = f(counts1, counts2, self.n1, self.n2)
+        return np.array([g(row) for row in per_region], dtype=np.float64)
 
     def null_deviations(
         self,
@@ -459,8 +490,12 @@ class RowResamplePlan(ResamplePlan):
 
     Replicate ``b`` picks ``n1`` pool rows for side 1 and then ``n2``
     for side 2 (:func:`draw_multiplicities`), so under the same seed the
-    null equals the per-replicate loop oracle's value for value.
+    null equals the per-replicate loop oracle's value for value. The
+    multiplicities are drawn in the plan's exact float dtype ``_dtype``,
+    the dtype its count kernel multiplies in.
     """
+
+    _dtype: type[np.floating[Any]] = np.float64
 
     def _replicate_count_pairs(
         self,
@@ -468,11 +503,11 @@ class RowResamplePlan(ResamplePlan):
         rng: np.random.Generator,
         executor: ExecutorLike,
     ) -> tuple[np.ndarray, np.ndarray]:
-        # multiplicities are bounded by the side sizes
-        dtype = np.int32 if max(self.n1, self.n2) < 2**31 else np.int64
-        # per replicate: its int64 pick row, its two stacked multiplicity
-        # rows, and one side's int64 bincount temporary
-        per_replicate = (16 + 2 * np.dtype(dtype).itemsize) * self.n_pooled
+        # per replicate, at the draw's peak: both sides' int64 bincount
+        # rows, plus either its int64 pick row (freed once counted) or
+        # the two rows of their cast to the draw dtype
+        itemsize = np.dtype(self._dtype).itemsize
+        per_replicate = (16 + max(8, 2 * itemsize)) * self.n_pooled
         chunk = max(1, _MAX_DRAW_BYTES // per_replicate)
         parts1: list[np.ndarray] = []
         parts2: list[np.ndarray] = []
@@ -484,7 +519,7 @@ class RowResamplePlan(ResamplePlan):
         for start in range(0, n_boot, chunk):
             b = min(chunk, n_boot - start)
             stacked_w = draw_multiplicities(
-                self.n_pooled, (self.n1, self.n2), b, rng, dtype=dtype
+                self.n_pooled, (self.n1, self.n2), b, rng, dtype=self._dtype
             )
             stacked = self.replicate_counts(stacked_w, executor=executor)
             parts1.append(stacked[:b])
@@ -501,13 +536,15 @@ class RowResamplePlan(ResamplePlan):
         """``(B, n_pooled)`` multiplicities -> exact ``(B, R)`` counts."""
 
     def _check_multiplicities(self, w: np.ndarray) -> np.ndarray:
+        """Validated multiplicities in the kernel's dtype (only external
+        draws need the cast)."""
         w = np.asarray(w)
         if w.ndim != 2 or w.shape[1] != self.n_pooled:
             raise InvalidParameterError(
                 f"multiplicities must be (n_boot, {self.n_pooled}), got "
                 f"shape {tuple(w.shape)}"
             )
-        return w
+        return w.astype(self._dtype, copy=False)
 
     def null_from_multiplicities(
         self,
@@ -563,9 +600,7 @@ class LitsResamplePlan(RowResamplePlan):
     ) -> None:
         super().__init__(structure, n1, n2)
         n_regions = len(structure.regions)
-        dtype = (
-            np.float64 if self.n_pooled >= _FLOAT32_EXACT_ROWS else np.float32
-        )
+        self._dtype = dtype = _exact_dtype(self.n_pooled)
         parts: list[np.ndarray] = []
         offsets: list[int] = []
         offset = 0
@@ -712,9 +747,7 @@ class PackedLitsResamplePlan(RowResamplePlan):
         self._packed_parts = tuple(parts)
         self._part_rows = tuple(rows_list)
         self._offsets = tuple(offsets)
-        self._dtype = (
-            np.float64 if self.n_pooled >= _FLOAT32_EXACT_ROWS else np.float32
-        )
+        self._dtype = _exact_dtype(self.n_pooled)
         per_row = max(1, np.dtype(self._dtype).itemsize * n_regions)
         self._block_rows = max(8, (_MEMBERSHIP_BLOCK_BYTES // per_row) & ~7)
 
@@ -726,20 +759,12 @@ class PackedLitsResamplePlan(RowResamplePlan):
         dataset2: DatasetLike,
     ) -> "PackedLitsResamplePlan":
         """Compile from the two bitmap indexes, never unpacking membership."""
-
-        def packed_of(index: Any, n: int) -> np.ndarray:
-            metrics().inc("bootstrap.membership.scans")
-            itemsets = structure.itemsets
-            if not itemsets:
-                return np.zeros((0, (n + 7) >> 3), dtype=np.uint8)
-            return np.stack([index.intersection_bits(s) for s in itemsets])
-
         n1, n2 = len(dataset1), len(dataset2)
         return cls(
             structure,
             (
-                packed_of(dataset1.index, n1),
-                packed_of(dataset2.index, n2),
+                _membership_bits(structure, dataset1.index),
+                _membership_bits(structure, dataset2.index),
             ),
             (n1, n2),
             n1,
@@ -1010,7 +1035,7 @@ def compile_resample_plan(
         n_pooled = len(dataset1) + len(dataset2)
         # the same dtype rule the plans themselves apply: huge pools
         # need float64 columns, doubling the bytes the cap must cover
-        item_bytes = 8 if n_pooled >= _FLOAT32_EXACT_ROWS else 4
+        item_bytes = np.dtype(_exact_dtype(n_pooled)).itemsize
         metrics().inc("bootstrap.pooled_scans")
         if item_bytes * n_pooled * len(structure.regions) > _MAX_MEMBERSHIP_BYTES:
             return PackedLitsResamplePlan.from_datasets(

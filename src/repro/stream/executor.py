@@ -432,7 +432,8 @@ def _sketch_index_shard(payload: tuple[Any, ...]) -> SupportSketch:
     medium is a byte-cheap :class:`~repro.data.storage.StripeHandle`
     the worker re-maps zero-copy (``BitmapIndex.__reduce_ex__``) -- the
     attach happens during payload deserialisation, the counting under
-    the call's registry.
+    the call's registry -- and for a RAM store the range's own stripe
+    slice (:func:`_range_piece`).
     """
     index, start, stop, canon = payload
     sink = metrics()
@@ -444,6 +445,24 @@ def _sketch_index_shard(payload: tuple[Any, ...]) -> SupportSketch:
     sink.inc("stream.shards.sketched")
     sink.observe("stream.shard.rows", float(stop - start))
     return sketch
+
+
+def _range_piece(
+    index: BitmapIndex, start: int, stop: int
+) -> tuple[BitmapIndex, int, int]:
+    """The byte-aligned stripe slice holding rows ``[start, stop)``.
+
+    Returned as an index over the slice's rows with the range rebased
+    into it. It views the parent's bytes, so building it copies nothing,
+    and pickling it ships only the slice. The slice's first and last
+    bytes may hold rows of the neighbouring ranges; the ranged count
+    masks them off.
+    """
+    first = start >> 3
+    piece = BitmapIndex._from_packed(
+        index._bits[:, first : (stop + 7) >> 3], stop - 8 * first, index.n_items
+    )
+    return piece, start - 8 * first, stop - 8 * first
 
 
 def sharded_index_sketch(
@@ -460,18 +479,24 @@ def sharded_index_sketch(
     backend the shipping cost depends on the index's store: a
     shared-medium (mmap) store pickles as a stripe handle --
     ``storage.bytes_shipped`` stays 0 and workers attach zero-copy --
-    while a RAM store must ship its packed bits to every worker,
-    tallied in the same counter. The index is split into one row range
-    per worker (:func:`fan_width`), and the result equals one full-scan
-    sketch of the index on every backend and executor.
+    while a RAM store ships each worker only the byte-aligned stripe
+    slice of its row range (:func:`_range_piece`), so the counter
+    totals one index plus the boundary bytes two ranges share. The
+    index is split into one row range per worker (:func:`fan_width`),
+    and the result equals one full-scan sketch of the index on every
+    backend and executor.
     """
     canon = canonical_itemsets(itemsets)
     ranges = shard_ranges(index.n_transactions, fan_width(executor))
+    if process_backed(executor) and index.handle() is None:
+        shards = [_range_piece(index, start, stop) for start, stop in ranges]
+    else:
+        shards = [(index, start, stop) for start, stop in ranges]
     sketches = fan(
         _sketch_index_shard,
-        [(index, start, stop, canon) for start, stop in ranges],
+        [(*shard, canon) for shard in shards],
         executor,
-        shipped_bytes=lambda: shipped_index_bytes([index] * len(ranges)),
+        shipped_bytes=lambda: shipped_index_bytes(shard[0] for shard in shards),
     )
     return sum(sketches, SupportSketch.empty(canon, index.n_items))
 

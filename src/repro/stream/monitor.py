@@ -518,12 +518,13 @@ class OnlineChangeMonitor:
                 len(window),
             )
         if cache.membership is None:
-            # float32 up front: the plan's exact-matmul dtype, so the
-            # long-lived blocks are adopted without a per-window copy
-            # (windows this size keep the pool far below 2**24).
+            # lits_membership unpacks straight to float32, the plan's
+            # exact-matmul dtype, so the long-lived blocks are adopted
+            # without a per-window copy (windows this size keep the pool
+            # far below 2**24 rows).
             cache.membership = lits_membership(
                 structure, cache.reference.dataset.index
-            ).astype(np.float32)
+            )
         surviving: dict[int, tuple[Any, np.ndarray]] = {}
         parts: list[np.ndarray] = [cache.membership]
         for chunk in window.chunks:
@@ -531,10 +532,7 @@ class OnlineChangeMonitor:
             entry = cache.chunks.get(key)
             if entry is None or entry[0] is not chunk:
                 # the index the sketcher built for this chunk's count
-                membership = lits_membership(
-                    structure, chunk.index
-                ).astype(np.float32)
-                entry = (chunk, membership)
+                entry = (chunk, lits_membership(structure, chunk.index))
             surviving[key] = entry
             parts.append(entry[1])
         # retain exactly the current window's chunks: retired chunks

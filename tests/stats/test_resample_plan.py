@@ -20,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from wide_executors import WIDE, WideSerial
 
-from repro.core.deviation import deviation_over_structure
-from repro.core.difference import SCALED
-from repro.core.aggregate import MAX
+from repro.core.deviation import deviation_from_counts, deviation_over_structure
+from repro.core.difference import ABSOLUTE, SCALED, chi_squared_difference
+from repro.core.aggregate import MAX, SUM
 from repro.core.dtree_model import DtModel
 from repro.core.model import LitsStructure
 from repro.data.quest_classify import generate_classification
@@ -413,15 +413,8 @@ class TestDrawHelpers:
         with pytest.raises(InvalidParameterError):
             multiplicities_from_indices(np.array([[-1, 0]]), 4)
 
-    def test_plan_counts_int32_pair_draws(self, monkeypatch):
-        """Stacked sides, exact side sums, non-negative int32."""
-        txns = [(0,), (1,), (0, 1), (2,)] * 5
-        pooled = TransactionDataset(txns, N_ITEMS)
-        plan = compile_resample_plan(
-            LitsStructure([frozenset([0])]),
-            pooled.take(np.arange(7)),
-            pooled.take(np.arange(7, 20)),
-        )
+    @staticmethod
+    def _captured_draws(plan, monkeypatch):
         seen = []
         real = plan.replicate_counts
 
@@ -432,11 +425,73 @@ class TestDrawHelpers:
         monkeypatch.setattr(plan, "replicate_counts", capture)
         plan.null_deviations(6, np.random.default_rng(2))
         (w,) = seen
-        assert w.dtype == np.int32
+        return w
+
+    @pytest.mark.parametrize(
+        "exact_rows, dtype", [(1 << 24, np.float32), (20, np.float64)],
+        ids=["float32", "float64"],
+    )
+    def test_plan_draws_in_exact_float_dtype(
+        self, monkeypatch, exact_rows, dtype
+    ):
+        """Stacked sides, exact side sums, non-negative, drawn in the
+        lits GEMM's dtype: float32 below the float32-exact pool size,
+        float64 at or above it; the same picks either way."""
+        from repro.stats import resample_plan as rp
+
+        monkeypatch.setattr(rp, "_FLOAT32_EXACT_ROWS", exact_rows)
+        txns = [(0,), (1,), (0, 1), (2,)] * 5
+        pooled = TransactionDataset(txns, N_ITEMS)
+        plan = compile_resample_plan(
+            LitsStructure([frozenset([0])]),
+            pooled.take(np.arange(7)),
+            pooled.take(np.arange(7, 20)),
+        )
+        w = self._captured_draws(plan, monkeypatch)
+        assert w.dtype == dtype
         assert w.shape == (12, 20)
         assert (w[:6].sum(axis=1) == 7).all()
         assert (w[6:].sum(axis=1) == 13).all()
         assert w.min() >= 0
+        assert np.array_equal(
+            w, draw_multiplicities(20, (7, 13), 6, np.random.default_rng(2))
+        )
+
+    def test_partition_plan_draws_float64(self, monkeypatch):
+        """The weighted bincount's own dtype: no per-replicate cast."""
+        pooled = generate_classification(60, function=1, seed=3)
+        structure = DtModel.fit(
+            pooled, TreeParams(max_depth=3, min_leaf=3)
+        ).structure
+        plan = compile_resample_plan(
+            structure, pooled.take(np.arange(25)),
+            pooled.take(np.arange(25, 60)),
+        )
+        assert isinstance(plan, PartitionResamplePlan)
+        w = self._captured_draws(plan, monkeypatch)
+        assert w.dtype == np.float64
+        assert (w[:6].sum(axis=1) == 25).all()
+        assert (w[6:].sum(axis=1) == 35).all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_chunked_pair_draws_equal_one_call(self, dtype):
+        """Replicates drawn in consecutive chunks consume the stream of
+        one call: the same side-major rows, in any dtype."""
+        sizes, n_rows = (7, 13), 20
+        whole = draw_multiplicities(
+            n_rows, sizes, 9, np.random.default_rng(4), dtype=dtype
+        )
+        assert whole.dtype == dtype
+        rng = np.random.default_rng(4)
+        chunks = [
+            draw_multiplicities(n_rows, sizes, b, rng, dtype=dtype)
+            for b in (4, 1, 4)
+        ]
+        for side in range(2):
+            assert np.array_equal(
+                np.vstack([c.reshape(2, -1, n_rows)[side] for c in chunks]),
+                whole.reshape(2, -1, n_rows)[side],
+            )
 
     def test_multiplicity_moments_match_the_multinomial(self):
         """Every cell is Binomial(n, 1/N) marginally -- mean n/N,
@@ -469,6 +524,75 @@ class TestDrawHelpers:
         )
         empty_col = structure.itemsets.index(frozenset())
         assert (membership[:, empty_col] == 1).all()
+
+
+@st.composite
+def count_pair_cases(draw):
+    """Stacked replicate counts of a pool, one side possibly empty."""
+    n1 = draw(st.integers(min_value=0, max_value=30))
+    n2 = draw(st.integers(min_value=0 if n1 else 1, max_value=30))
+    n_boot = draw(st.integers(min_value=1, max_value=6))
+    n_regions = draw(st.integers(min_value=0, max_value=7))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    counts1 = rng.integers(0, n1 + 1, size=(n_boot, n_regions))
+    counts2 = rng.integers(0, n2 + 1, size=(n_boot, n_regions))
+    return n1, n2, counts1, counts2
+
+
+class TestOneShotNull:
+    """``f`` over the stacked count matrices and ``g`` per row give the
+    per-replicate ``deviation_from_counts`` values bit for bit."""
+
+    @pytest.mark.parametrize("g", [SUM, MAX], ids=["g_sum", "g_max"])
+    @pytest.mark.parametrize(
+        "f", [ABSOLUTE, SCALED, chi_squared_difference()],
+        ids=["f_a", "f_s", "f_chi"],
+    )
+    @given(case=count_pair_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_replicate_loop(self, f, g, case):
+        n1, n2, counts1, counts2 = case
+        n_regions = counts1.shape[1]
+        structure = LitsStructure(
+            [frozenset([i]) for i in range(n_regions)]
+        )
+        plan = LitsResamplePlan(
+            structure, [np.zeros((n1 + n2, n_regions))], n1, n2
+        )
+        loop = np.array(
+            [
+                deviation_from_counts(structure, c1, c2, n1, n2, f, g).value
+                for c1, c2 in zip(counts1, counts2)
+            ]
+        )
+        one_shot = plan._null_from_count_pairs(counts1, counts2, f, g)
+        assert one_shot.dtype == np.float64
+        assert np.array_equal(one_shot, loop)
+
+    def test_no_result_object_per_replicate(self, monkeypatch):
+        """The null path builds no ``DeviationResult``: only the observed
+        deviation goes through ``deviation_from_counts``."""
+        from repro.stats import resample_plan as rp
+
+        calls = []
+        real = rp.deviation_from_counts
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rp, "deviation_from_counts", counting)
+        txns = [(0,), (1,), (0, 1), (2,)] * 10
+        pooled = TransactionDataset(txns, N_ITEMS)
+        plan = compile_resample_plan(
+            LitsStructure([frozenset([0]), frozenset([0, 1])]),
+            pooled.take(np.arange(15)),
+            pooled.take(np.arange(15, 40)),
+        )
+        result = plan.significance(12, np.random.default_rng(5))
+        assert result.null_values.shape == (12,)
+        assert len(calls) == 1
 
 
 class TestTiedDeviations:

@@ -243,26 +243,60 @@ class TestZeroCopyFan:
         assert np.array_equal(merged.counts, ref.counts)
 
     def test_process_fan_on_ram_backend_pays_the_bytes(self):
-        """A RAM index ships its occupied packed bits once per shipped
-        copy, never the spare append capacity behind them
-        (``BitmapIndex.__reduce_ex__`` pickles only ``_bits``)."""
+        """A RAM index ships its occupied packed bits, never the spare
+        append capacity behind them (``BitmapIndex.__reduce_ex__``
+        pickles only ``_bits``): a store fan ships one copy per store,
+        and a range fan over one index ships each worker its range's
+        byte-aligned stripe slice, one index plus the boundary bytes."""
         ram = TransactionLog(N_ITEMS, self._rows())
         ram.append(self._rows(30))
         index = ram.index
         assert index._bits.nbytes < index._buf.nbytes  # spare capacity
+        n = index.n_transactions
+        # ranges [0, 210) [210, 420) [420, 630): byte 26 holds rows of
+        # the first two, byte 52 of the last two
+        assert n == 630
         with wide("process", 3) as runner:
             fans = (
-                lambda: sharded_index_sketch(index, self.ITEMSETS, runner),
-                lambda: count_lits_stores(
-                    [index] * 3, SupportCountingPlan(self.ITEMSETS), runner
+                (
+                    lambda: sharded_index_sketch(index, self.ITEMSETS, runner),
+                    index._bits.nbytes + 2 * N_ITEMS,
+                ),
+                (
+                    lambda: count_lits_stores(
+                        [index] * 3, SupportCountingPlan(self.ITEMSETS), runner
+                    ),
+                    3 * index._bits.nbytes,
                 ),
             )
-            for fan_out in fans:
+            for fan_out, shipped in fans:
                 registry = MetricsRegistry()
                 with use_registry(registry):
                     fan_out()
                 counters = registry.snapshot()["counters"]
-                assert counters["storage.bytes_shipped"] == 3 * index._bits.nbytes
+                assert counters["storage.bytes_shipped"] == shipped
+
+    @pytest.mark.parametrize("n_rows", [600, 603])
+    def test_ram_range_fan_equals_the_serial_sketch(self, n_rows):
+        """Four process workers, each counting only its shipped stripe
+        slice, sum to the serial full-scan sketch -- also when ranges
+        start and stop inside a byte and the last byte is partial."""
+        rows = self._rows(n_rows)
+        index = TransactionLog(N_ITEMS, rows).index
+        serial = sharded_index_sketch(index, self.ITEMSETS)
+        registry = MetricsRegistry()
+        with wide("process", 4) as runner, use_registry(registry):
+            merged = sharded_index_sketch(index, self.ITEMSETS, runner)
+        assert np.array_equal(merged.counts, serial.counts)
+        assert merged.n_transactions == serial.n_transactions == n_rows
+        counters = registry.snapshot()["counters"]
+        assert counters["stream.shards.sketched"] == 4
+        # one index plus at most one shared byte per inner boundary
+        assert (
+            index._bits.nbytes
+            <= counters["storage.bytes_shipped"]
+            <= index._bits.nbytes + 3 * N_ITEMS
+        )
 
     def test_budget_exceeded_scan_completes_with_exact_accounting(
         self, tmp_path
