@@ -22,12 +22,12 @@ import pytest
 
 from repro.data.quest_basket import build_pattern_pool, generate_basket
 from repro.mining.apriori import apriori
-from repro.mining.fpgrowth import fpgrowth
 from repro.obs import MetricsRegistry, use_registry
 
-# the tuple-join oracle lives with the miner's tests
+# the tuple-join and FP-growth oracles live with the miner's tests
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "mining"))
 from apriori_oracle import apriori_tuple_join  # noqa: E402
+from fpgrowth_oracle import fpgrowth  # noqa: E402
 
 
 @pytest.fixture(scope="module")

@@ -161,6 +161,8 @@ def _pair_kernels(index, pairs):
     local = np.searchsorted(items, ids)
 
     def gram():
+        # gram_counts never reads the index's pair-count memo (pair_counts
+        # does), so every repeat times a real product
         return index.gram_counts(items)[local[:, 0], local[:, 1]]
 
     return gram, lambda: index.itemset_counts(ids)

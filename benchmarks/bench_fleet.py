@@ -19,7 +19,11 @@ fleet -- 20 healthy stores cloned from one regional buying process plus
   ``from_sketches(...).exhaustive()``) is bit-equal to the row-level
   ``exhaustive()``, decodes 25 itemset tables (24 models plus the one
   shared probe table) and takes at most 2.5x the row-level matrix
-  (best of 5 alternating runs each).
+  (best of 5 alternating runs each);
+* **one pair-count product per store**: a pass over shared datasets
+  (exhaustive, then pruned, then the federated leg) multiplies each
+  store's Gram product once; the other two legs read the index's memo,
+  so ``bitmap.gram.memo_hits`` is twice the store count.
 """
 
 from __future__ import annotations
@@ -252,4 +256,34 @@ def test_federated_leg_decodes_each_table_once(fleet):
         f"\nfederated leg {t_federated * 1e3:.0f}ms vs row-level "
         f"exhaustive {t_row_level * 1e3:.0f}ms ({ratio:.2f}x); "
         f"{counters['wire.itemset_tables_decoded']} itemset tables decoded"
+    )
+
+
+def test_one_pair_count_product_per_store(fleet):
+    """A pass-shaped sequence: N Gram products and 2N memo hits."""
+    models, datasets = fleet
+    threshold = drift_threshold(FleetDeviationMatrix(models, datasets).bound_matrix())
+    for dataset in datasets:
+        dataset.drop_index()  # as in a fresh pass: no index, no memo
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        exhaustive = FleetDeviationMatrix(models, datasets).exhaustive()
+        pruned = FleetDeviationMatrix(models, datasets).pruned(threshold)
+        federated = federated_leg(models, datasets)
+    counters = registry.snapshot()["counters"]
+    assert np.array_equal(federated.values, exhaustive.values)
+    assert np.array_equal(
+        pruned.values[pruned.exact_mask], exhaustive.values[pruned.exact_mask]
+    )
+    # every store is scanned by the pruned leg: each pairs with a drifted one
+    assert counters["fleet.store.scans"] == 2 * N_STORES, counters
+    assert counters["bitmap.gram.blocks"] == N_STORES, counters
+    assert counters["bitmap.gram.memo_hits"] == 2 * N_STORES, counters
+
+    payload = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
+    payload["pass_counters"] = counters
+    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print(
+        f"\none pass: {counters['bitmap.gram.blocks']} Gram products, "
+        f"{counters['bitmap.gram.memo_hits']} memo hits over {N_STORES} stores"
     )

@@ -122,8 +122,14 @@ class _Canonical(tuple[frozenset[int], ...]):
     @classmethod
     def ordered(cls, unique: Iterable[frozenset[int]]) -> "_Canonical":
         """Distinct frozensets of ints, sorted into canonical order
-        (size, then lexicographic)."""
-        return cls(sorted(unique, key=lambda s: (len(s), tuple(sorted(s)))))
+        (size, then lexicographic): one ``lexsort`` per size block over
+        the collection's array form, the same objects in the order
+        ``sorted(key=(len, sorted items))`` gives them."""
+        from repro.data.transactions import canonical_order, itemset_arrays
+
+        itemsets = tuple(unique)
+        order = canonical_order(*itemset_arrays(itemsets))
+        return cls(map(itemsets.__getitem__, order.tolist()))
 
     def plan(self) -> SupportCountingPlan:
         """The precompiled counting plan for this collection, built once
@@ -131,8 +137,8 @@ class _Canonical(tuple[frozenset[int], ...]):
         try:
             return self._plan
         except AttributeError:
-            # runtime import: repro.data's package init reaches back
-            # into repro.core
+            # runtime imports here and in ordered(): repro.data's
+            # package init reaches back into repro.core
             from repro.data.transactions import SupportCountingPlan
 
             self._plan = SupportCountingPlan(self)

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.aggregate import SUM, AggregateFunction
 from repro.core.lits import LitsModel
+from repro.core.model import _Canonical
 from repro.errors import IncompatibleModelsError
 
 
@@ -49,10 +50,7 @@ def upper_bound_deviation(
                 f"delta* (Definition 4.1) is defined for lits-models only, "
                 f"got a {type(model).__name__}"
             )
-    union = sorted(
-        set(model1.itemsets) | set(model2.itemsets),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    union = _Canonical.ordered(set(model1.itemsets) | set(model2.itemsets))
     values = np.empty(len(union))
     for i, itemset in enumerate(union):
         s1 = model1.supports.get(itemset)

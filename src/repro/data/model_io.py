@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.dtree_model import DtModel
 from repro.core.lits import LitsModel
+from repro.core.model import _Canonical
 from repro.data.io import _space_from_dict, _space_to_dict
 from repro.errors import InvalidParameterError
 from repro.mining.tree.splits import CategoricalSplit, NumericSplit
@@ -43,11 +44,8 @@ def lits_model_to_dict(model: LitsModel) -> dict[str, Any]:
         "min_support": model.min_support,
         "n_items": model.n_items,
         "itemsets": [
-            {"items": sorted(itemset), "support": support}
-            for itemset, support in sorted(
-                model.supports.items(),
-                key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))),
-            )
+            {"items": sorted(itemset), "support": model.supports[itemset]}
+            for itemset in _Canonical.ordered(model.supports)
         ],
     }
 

@@ -19,6 +19,19 @@ reads every pair over ``k`` items off one blocked float32 Gram product
 of the unpacked stripes -- Apriori's level 2, and the pair group of a
 :class:`SupportCountingPlan` when its cost rule favours it.
 
+Pair counts are reused: an index keeps its last full-range Gram product
+(:meth:`BitmapIndex.pair_counts`), so every plan that counts the same
+pair items over it -- a fleet's exhaustive, pruned and federated
+matrices over one vocabulary -- multiplies once. The memo drops on
+:meth:`BitmapIndex.append` and is never pickled, attached or shipped;
+ranged counts and the miner call :meth:`BitmapIndex.gram_counts`, which
+never reads it.
+
+Itemset collections enter as ``(sizes, items)`` arrays
+(:func:`itemset_arrays`, each itemset sorted and deduplicated): canonical
+order, the counting plan's compile and the batched counts are numpy work
+per itemset length, with no Python per itemset.
+
 :class:`TransactionDataset` is the one transaction row container, from
 a parsed block or stream chunk to a window or reference: CSR arrays
 (row ``i`` is ``indices[indptr[i]:indptr[i+1]]``), sorted and
@@ -114,11 +127,7 @@ def csr_take(
 def canonical_csr(
     indptr: np.ndarray, indices: np.ndarray, n_items: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort and dedup every row; reject items outside ``[0, n_items)``.
-
-    Only rows failing a strictly-increasing check are ``lexsort``-ed and
-    deduplicated; canonical arrays come back as they are.
-    """
+    """Sort and dedup every row; reject items outside ``[0, n_items)``."""
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= n_items):
@@ -127,6 +136,17 @@ def canonical_csr(
         raise InvalidParameterError(
             f"transaction {row} has items outside [0, {n_items})"
         )
+    return _sorted_rows(indptr, indices)
+
+
+def _sorted_rows(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays with every row sorted and deduplicated.
+
+    Only rows failing a strictly-increasing check are ``lexsort``-ed and
+    deduplicated; canonical arrays come back as they are.
+    """
     n_rows = indptr.shape[0] - 1
     row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
     same_row = row_of[1:] == row_of[:-1]
@@ -142,6 +162,60 @@ def canonical_csr(
     keep[1:] = (out[1:] != out[:-1]) | ~same_row
     lengths = np.bincount(row_of[keep], minlength=n_rows)
     return np.concatenate(([0], lengths.cumsum())), out[keep]
+
+
+def itemset_arrays(
+    itemsets: Iterable[Iterable[int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """An itemset collection as ``(sizes, items)`` int64 arrays.
+
+    ``items`` holds the itemsets end to end, each one's items sorted and
+    deduplicated, and ``sizes`` their lengths, in the collection's order.
+    The one array form that itemset canonical order
+    (:func:`canonical_order`), the batched counts, the counting plan and
+    the wire tables are built from: two ``fromiter`` passes and the
+    :func:`canonical_csr` sort, with no Python work per itemset.
+    """
+    rows: Any = itemsets
+    try:
+        sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    except TypeError:  # an unsized collection or itemset: materialise once
+        rows = [tuple(s) for s in itemsets]
+        sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    flat = np.fromiter(chain.from_iterable(rows), np.int64, int(indptr[-1]))
+    indptr, flat = _sorted_rows(indptr, flat)
+    return np.diff(indptr), flat
+
+
+def _length_blocks(
+    sizes: np.ndarray, items: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(length, positions, ids)`` per itemset length, shortest first.
+
+    ``positions`` are the ascending positions of the itemsets of that
+    length in :func:`itemset_arrays` output and ``ids`` their ``(m,
+    length)`` item matrix.
+    """
+    starts = np.cumsum(sizes) - sizes
+    for length in np.unique(sizes).tolist():
+        positions = np.flatnonzero(sizes == length)
+        yield length, positions, items[starts[positions, None] + np.arange(length)]
+
+
+def canonical_order(sizes: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Positions of :func:`itemset_arrays` rows in canonical order.
+
+    Canonical order is size, then lexicographic on the sorted items:
+    one ``lexsort`` per size block. The sort is stable, so equal
+    itemsets keep their input order.
+    """
+    blocks = [
+        positions[np.lexsort(ids.T[::-1])] if length else positions
+        for length, positions, ids in _length_blocks(sizes, items)
+    ]
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
 
 
 def _last_byte_mask(stop: int) -> int:
@@ -233,6 +307,12 @@ class BitmapIndex:
     automatically). :meth:`scan_counts` streams a log larger than the
     scan budget through block-masked ranged counting.
     """
+
+    #: ``(items, counts)`` of the last :meth:`pair_counts` product: the
+    #: read-only full-range Gram matrix of the sorted ``items``. ``None``
+    #: on a new, reopened, attached or unpickled index and after an
+    #: append, so the memo never outlives the rows it counted.
+    _gram_memo: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(
         self,
@@ -392,6 +472,7 @@ class BitmapIndex:
         n_rows = indptr.shape[0] - 1
         if not n_rows:
             return
+        self._gram_memo = None
         n_new = self.n_transactions + n_rows
         need_bytes = (n_new + 7) // 8
         cap_bytes = self._buf.shape[1]
@@ -467,17 +548,12 @@ class BitmapIndex:
         canonicalisation and grouping out of the loop.
         """
         metrics().inc("bitmap.support_counts.calls")
-        canon = [tuple(sorted({int(i) for i in s})) for s in itemsets]
-        out = np.empty(len(canon), dtype=np.int64)
-        by_len: dict[int, list[int]] = {}
-        for pos, t in enumerate(canon):
-            by_len.setdefault(len(t), []).append(pos)
-        for length, positions in sorted(by_len.items()):
-            if length == 0:
-                out[positions] = self.n_transactions
-                continue
-            group = np.array([canon[p] for p in positions], dtype=np.int64)
-            out[positions] = self.itemset_counts(group)
+        sizes, items = itemset_arrays(itemsets)
+        out = np.empty(sizes.size, dtype=np.int64)
+        for length, positions, ids in _length_blocks(sizes, items):
+            out[positions] = (
+                self.itemset_counts(ids) if length else self.n_transactions
+            )
         return out
 
     def itemset_counts(self, ids: np.ndarray) -> np.ndarray:
@@ -530,6 +606,31 @@ class BitmapIndex:
             out += (block @ block.T).astype(np.int64)
             sink.inc("bitmap.gram.blocks")
         return out
+
+    def pair_counts(self, items: np.ndarray) -> np.ndarray:
+        """:meth:`gram_counts` of ``items`` over every row, memoised.
+
+        The index keeps its last product. A request for the same items
+        returns that matrix, and one for a subset of them (``items``
+        sorted and distinct, as the counting plan's are) reads its rows
+        and columns off it; ``bitmap.gram.memo_hits`` counts both. Any
+        other request runs the product and replaces the memo. The
+        matrix returned is read-only. :meth:`gram_counts` itself never
+        reads the memo, so the miner and ranged counts always multiply.
+        """
+        memo = self._gram_memo
+        if memo is not None and items.size <= memo[0].size:
+            known, gram = memo
+            at = np.minimum(np.searchsorted(known, items), known.size - 1)
+            if np.array_equal(known[at], items):
+                metrics().inc("bitmap.gram.memo_hits")
+                if at.size < known.size:
+                    gram = gram[np.ix_(at, at)]
+                return gram
+        gram = self.gram_counts(items)
+        gram.flags.writeable = False
+        self._gram_memo = (np.array(items, dtype=np.intp), gram)
+        return gram
 
     def support_counts_loop(
         self, itemsets: Sequence[Iterable[int]]
@@ -639,13 +740,10 @@ class SupportCountingPlan:
     """
 
     def __init__(self, itemsets: Sequence[Iterable[int]]) -> None:
-        canon = [tuple(sorted({int(i) for i in s})) for s in itemsets]
-        self.n_itemsets = len(canon)
-        self.max_item = max((t[-1] for t in canon if t), default=-1)
-        by_len: dict[int, list[int]] = {}
-        for pos, t in enumerate(canon):
-            by_len.setdefault(len(t), []).append(pos)
-        self._empty = np.array(by_len.pop(0, []), dtype=np.intp)
+        sizes, items = itemset_arrays(itemsets)
+        self.n_itemsets = sizes.size
+        self.max_item = int(items.max()) if items.size else -1
+        self._empty = np.empty(0, dtype=np.intp)
         self._groups: list[tuple[np.ndarray, np.ndarray]] = []
         #: ``(positions, items, local)``: the pair group counted by one
         #: Gram product over ``items``; ``local`` holds each pair's two
@@ -654,16 +752,17 @@ class SupportCountingPlan:
         #: every non-empty length group, the Gram-counted pairs included:
         #: what :meth:`intersection_bits` gathers
         self._gathers: list[tuple[np.ndarray, np.ndarray]] = []
-        for length, positions in sorted(by_len.items()):
-            pos_arr = np.array(positions, dtype=np.intp)
-            ids = np.array([canon[p] for p in positions], dtype=np.int64)
+        for length, pos_arr, ids in _length_blocks(sizes, items):
+            if not length:
+                self._empty = pos_arr
+                continue
             self._gathers.append((pos_arr, ids))
             if length == 2:
-                items = np.unique(ids)
-                k, m = items.size, len(positions)
+                pair_items = np.unique(ids)
+                k, m = pair_items.size, pos_arr.size
                 if k >= _GRAM_MIN_ITEMS and k**2 <= _GRAM_PAIRS_RATIO * m:
-                    local = np.searchsorted(items, ids)
-                    self._gram = (pos_arr, items, local)
+                    local = np.searchsorted(pair_items, ids)
+                    self._gram = (pos_arr, pair_items, local)
                     continue
             self._groups.append((pos_arr, ids))
 
@@ -685,9 +784,13 @@ class SupportCountingPlan:
         masked off, so a ranged count equals building a fresh index from
         exactly those rows and counting it (property-tested). Contiguous
         ranges are how shard fans and chunked scans split a *shared*
-        index without copying a single stripe.
+        index without copying a single stripe. A count over every row
+        (no ``start``/``stop`` given) reads a Gram pair group through
+        the index's :meth:`~BitmapIndex.pair_counts` memo; a ranged one
+        always multiplies.
         """
         metrics().inc("bitmap.plan.count_calls")
+        full = start == 0 and stop is None
         n = index.n_transactions
         stop = n if stop is None else stop
         if not 0 <= start <= stop <= n:
@@ -700,7 +803,11 @@ class SupportCountingPlan:
             out[self._empty] = stop - start
         if self._gram is not None:
             pos_arr, items, local = self._gram
-            gram = index.gram_counts(items, start=start, stop=stop)
+            gram = (
+                index.pair_counts(items)
+                if full
+                else index.gram_counts(items, start=start, stop=stop)
+            )
             out[pos_arr] = gram[local[:, 0], local[:, 1]]
         # Boundary masks (bits are MSB-first): the first byte keeps the
         # positions >= start % 8, the last keeps those < stop % 8. Also

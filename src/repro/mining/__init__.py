@@ -1,7 +1,6 @@
-"""Mining substrates: Apriori, FP-growth, decision trees, and clustering."""
+"""Mining substrates: Apriori, decision trees, and clustering."""
 
 from repro.mining.apriori import apriori, apriori_from_index
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.itemsets import (
     brute_force_frequent,
     brute_force_support_count,
@@ -16,7 +15,6 @@ __all__ = [
     "apriori_from_index",
     "brute_force_frequent",
     "brute_force_support_count",
-    "fpgrowth",
     "frequent_items",
     "sort_itemsets",
     "support_counts",

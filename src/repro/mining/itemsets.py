@@ -36,10 +36,7 @@ def support_counts(
 
 
 def frequent_items(dataset: TransactionDataset, min_count: int) -> dict[int, int]:
-    """Items meeting ``min_count``, from one vectorised popcount pass.
-
-    The shared pass-1 of both level-wise miners (Apriori, FP-growth).
-    """
+    """Items meeting ``min_count``, from one vectorised popcount pass."""
     counts = dataset.index.item_support_counts()
     return {
         item: int(c) for item, c in enumerate(counts) if c >= min_count

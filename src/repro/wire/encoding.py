@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from repro.core.model import _Canonical
+from repro.data.transactions import _length_blocks, itemset_arrays
 from repro.errors import WireFormatError
 from repro.obs import metrics
 
@@ -171,9 +171,7 @@ def itemset_sections(
     """
     if isinstance(itemsets, _Canonical) and "_sections" in vars(itemsets):
         return itemsets._sections
-    sizes = np.fromiter(map(len, itemsets), np.int64, len(itemsets))
-    flat = np.fromiter(chain.from_iterable(itemsets), np.int64, sizes.sum())
-    flat = flat[np.lexsort((flat, np.repeat(np.arange(sizes.size), sizes)))]
+    sizes, flat = itemset_arrays(itemsets)
     sections = pack_array(sizes), pack_array(flat)
     if isinstance(itemsets, _Canonical):
         itemsets._sections = sections
@@ -253,14 +251,11 @@ def itemsets_from_sections(
         )
     if flat.size and int(flat.min()) < 0:
         raise WireFormatError("negative item id", section=items_section)
-    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
     # every duplicate-item check runs before any order check, so a
     # table with both faults reports the duplicate item
     blocks: list[np.ndarray] = []
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        block = np.sort(flat[offsets[rows, None] + np.arange(size)], axis=1)
+    for size, _, rows in _length_blocks(sizes, flat):
+        block = np.sort(rows, axis=1)
         if size > 1 and (block[:, 1:] == block[:, :-1]).any():
             raise WireFormatError(
                 "duplicate items within one itemset",
@@ -277,7 +272,7 @@ def itemsets_from_sections(
             section=items_section,
         )
     items = flat.tolist()
-    bounds = offsets.tolist()
+    bounds = [0, *sizes.cumsum().tolist()]
     table = _Canonical(
         frozenset(items[a:b]) for a, b in zip(bounds, bounds[1:])
     )

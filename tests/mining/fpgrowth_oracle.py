@@ -1,10 +1,12 @@
 """FP-growth frequent-itemset mining (Han, Pei & Yin, SIGMOD 2000).
 
-A second, candidate-generation-free miner for lits-models. The paper's
-experiments use Apriori; FP-growth produces the identical model (the
-test-suite asserts equality on random inputs), so it slots into every
-FOCUS pipeline through :meth:`repro.core.lits.LitsModel` -- useful when
-the pattern distribution makes Apriori's candidate space explode.
+A second, candidate-generation-free miner, kept as a test oracle: it
+shares no code with the array-native Apriori of
+:mod:`repro.mining.apriori` beyond the level-1 item counts, so equal
+models from the two are an independent check on both. The tests and
+the miner ablation bench import it from here, as they import
+``apriori_oracle``; it is 35-85x slower than the array Apriori on a
+fleet of stores, so no engine path uses it.
 
 Implementation: a standard FP-tree with header-table node links;
 conditional pattern bases are mined recursively, with the usual

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from fpgrowth_oracle import fpgrowth
 from hypothesis import given, settings, strategies as st
 
 from repro.data.quest_basket import generate_basket
 from repro.data.transactions import TransactionDataset
 from repro.errors import InvalidParameterError
 from repro.mining.apriori import apriori
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.itemsets import brute_force_frequent
 
 
