@@ -18,8 +18,12 @@ fleet -- 20 healthy stores cloned from one regional buying process plus
   sketch over the fleet's probe collection, then
   ``from_sketches(...).exhaustive()``) is bit-equal to the row-level
   ``exhaustive()``, decodes 25 itemset tables (24 models plus the one
-  shared probe table) and takes at most 2.5x the row-level matrix
-  (best of 5 alternating runs each);
+  shared probe table), builds one frozenset per probe itemset
+  (``wire.itemsets_materialised``), and takes at most 2.5x the
+  row-level matrix (best of 5 alternating runs each);
+* **vocabulary from keys**: ``LitsVocabulary`` over the 24 models equals
+  the set-union and position-dict build it replaced and beats it by
+  ``MIN_VOCAB_SPEEDUP`` (best of alternating runs, one process);
 * **one pair-count product per store**: a pass over shared datasets
   (exhaustive, then pruned, then the federated leg) multiplies each
   store's Gram product once; the other two legs read the index's memo,
@@ -38,8 +42,14 @@ import pytest
 from repro import wire
 from repro.core.deviation import deviation
 from repro.core.lits import LitsModel
+from repro.core.model import _Canonical
 from repro.data.quest_basket import build_pattern_pool, generate_basket
-from repro.fleet import FleetDeviationMatrix, components, probe_itemsets
+from repro.fleet import (
+    FleetDeviationMatrix,
+    LitsVocabulary,
+    components,
+    probe_itemsets,
+)
 from repro.obs import MetricsRegistry, use_registry
 from repro.stream.sketch import SupportSketch
 
@@ -57,6 +67,11 @@ MAX_FEDERATED_RATIO = 2.5
 #: alternating timed repetitions per leg; each leg's best run is compared,
 #: since a shared host only ever adds time to a run
 REPEATS = 5
+#: key-built vocabulary vs its set-union oracle: half the speedup
+#: measured when the key build landed (1.84-1.89x, best of 30 each)
+MIN_VOCAB_SPEEDUP = 0.9
+#: alternating timed builds per vocabulary variant
+VOCAB_REPEATS = 30
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +250,9 @@ def test_federated_leg_decodes_each_table_once(fleet):
         federated_leg(models, datasets)
     counters = registry.snapshot()["counters"]
     assert counters["wire.itemset_tables_decoded"] == N_STORES + 1, counters
+    # one frozenset per distinct itemset: the probe table's
+    n_probe = len(probe_itemsets(models))
+    assert counters["wire.itemsets_materialised"] == n_probe, counters
 
     t_row_level = min(row_level_s)
     t_federated = min(federated_s)
@@ -250,6 +268,7 @@ def test_federated_leg_decodes_each_table_once(fleet):
         "federated_ratio": round(ratio, 2),
         "max_federated_ratio": MAX_FEDERATED_RATIO,
         "federated_counters": counters,
+        "n_probe_itemsets": n_probe,
     })
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(
@@ -286,4 +305,66 @@ def test_one_pair_count_product_per_store(fleet):
     print(
         f"\none pass: {counters['bitmap.gram.blocks']} Gram products, "
         f"{counters['bitmap.gram.memo_hits']} memo hits over {N_STORES} stores"
+    )
+
+
+def vocabulary_oracle(models):
+    """The set-union vocabulary the key build replaced (a timing oracle):
+    ``(itemsets, member, supports)`` from a set union, a position dict
+    and one dict lookup per model itemset."""
+    union: set[frozenset[int]] = set()
+    for model in models:
+        union.update(model.structure.itemsets)
+    itemsets = _Canonical.ordered(union)
+    position = {s: k for k, s in enumerate(itemsets)}
+    member = np.zeros((len(models), len(itemsets)), dtype=bool)
+    supports = np.zeros(member.shape)
+    for i, model in enumerate(models):
+        ids = np.fromiter(
+            (position[s] for s in model.supports), dtype=np.intp,
+            count=len(model.supports),
+        )
+        member[i, ids] = True
+        supports[i, ids] = np.fromiter(
+            model.supports.values(), dtype=np.float64, count=len(ids)
+        )
+    return itemsets, member, supports
+
+
+def test_vocabulary_from_keys_beats_the_set_union_oracle(fleet):
+    """Equal to the oracle, and >= MIN_VOCAB_SPEEDUP faster than it."""
+    models, _ = fleet
+    vocab = LitsVocabulary(models)
+    itemsets, member, supports = vocabulary_oracle(models)
+    assert len(vocab.itemsets) == len(itemsets)
+    assert all(a is b for a, b in zip(vocab.itemsets, itemsets))
+    assert np.array_equal(vocab.member, member)
+    assert np.array_equal(vocab.supports, supports)
+
+    keys_s, oracle_s = [], []
+    for _ in range(VOCAB_REPEATS):
+        t0 = time.perf_counter()
+        LitsVocabulary(models)
+        t1 = time.perf_counter()
+        vocabulary_oracle(models)
+        t2 = time.perf_counter()
+        keys_s.append(t1 - t0)
+        oracle_s.append(t2 - t1)
+    t_keys, t_oracle = min(keys_s), min(oracle_s)
+    speedup = t_oracle / t_keys
+    assert speedup >= MIN_VOCAB_SPEEDUP, (
+        f"vocabulary from keys {t_keys * 1e3:.2f}ms is only {speedup:.2f}x "
+        f"the set-union oracle {t_oracle * 1e3:.2f}ms"
+    )
+    payload = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
+    payload.update({
+        "t_vocab_keys_s": round(t_keys, 5),
+        "t_vocab_oracle_s": round(t_oracle, 5),
+        "vocab_speedup": round(speedup, 2),
+        "min_vocab_speedup": MIN_VOCAB_SPEEDUP,
+    })
+    JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print(
+        f"\nvocabulary of {len(vocab)} itemsets: keys {t_keys * 1e3:.2f}ms "
+        f"vs set-union oracle {t_oracle * 1e3:.2f}ms ({speedup:.2f}x)"
     )

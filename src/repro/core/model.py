@@ -107,16 +107,17 @@ class _Canonical(tuple[frozenset[int], ...]):
     cost is paid once per itemset collection -- not once per sketch or
     structure built over it (the streaming hot path builds hundreds of
     sketches over one collection). Every :class:`LitsStructure` holds
-    its itemsets as one. The counting plan the bitmap index consumes is
-    cached for the same reason, and the lits bootstrap's membership
-    gather reuses it.
+    its itemsets as one, with its read-only ``(sizes, items)`` arrays
+    (:func:`~repro.data.transactions.itemset_arrays`), which the
+    counting plan, the wire sections and the fleet vocabulary read. The
+    plan is cached too: the lits bootstrap's membership gather reuses it.
     """
 
     # no __slots__: variable-length tuple subtypes cannot declare them;
-    # the per-collection __dict__ holds the lazily cached counting plan
-    # and wire sections, and a decoded table's largest item
+    # the per-collection __dict__ holds the arrays, the lazily cached
+    # counting plan, and a decoded table's largest item
+    _arrays: tuple[np.ndarray, np.ndarray]
     _plan: SupportCountingPlan
-    _sections: tuple[bytes, bytes]
     _top: int
 
     @classmethod
@@ -125,11 +126,14 @@ class _Canonical(tuple[frozenset[int], ...]):
         (size, then lexicographic): one ``lexsort`` per size block over
         the collection's array form, the same objects in the order
         ``sorted(key=(len, sorted items))`` gives them."""
-        from repro.data.transactions import canonical_order, itemset_arrays
+        from repro.data.transactions import _read_only, canonical_order, itemset_arrays
 
         itemsets = tuple(unique)
-        order = canonical_order(*itemset_arrays(itemsets))
-        return cls(map(itemsets.__getitem__, order.tolist()))
+        sizes, items = itemset_arrays(itemsets)
+        order, items = canonical_order(sizes, items)
+        canonical = cls(map(itemsets.__getitem__, order.tolist()))
+        canonical._arrays = _read_only(sizes[order], items)
+        return canonical
 
     def plan(self) -> SupportCountingPlan:
         """The precompiled counting plan for this collection, built once

@@ -172,10 +172,28 @@ def itemset_arrays(
     ``items`` holds the itemsets end to end, each one's items sorted and
     deduplicated, and ``sizes`` their lengths, in the collection's order.
     The one array form that itemset canonical order
-    (:func:`canonical_order`), the batched counts, the counting plan and
-    the wire tables are built from: two ``fromiter`` passes and the
-    :func:`canonical_csr` sort, with no Python work per itemset.
+    (:func:`canonical_order`), the batched counts, the counting plan,
+    the wire tables and the fleet vocabulary are built from: two
+    ``fromiter`` passes and the :func:`canonical_csr` sort, with no
+    Python work per itemset. A canonical collection keeps them,
+    read-only: Apriori and the wire decoder set them where the
+    collection is born, and any other one computes them on first use.
     """
+    # runtime import: repro.core reaches this module while it loads
+    from repro.core.model import _Canonical
+
+    if isinstance(itemsets, _Canonical):
+        try:
+            return itemsets._arrays
+        except AttributeError:
+            itemsets._arrays = _read_only(*_itemset_rows(itemsets))
+            return itemsets._arrays
+    return _itemset_rows(itemsets)
+
+
+def _itemset_rows(
+    itemsets: Iterable[Iterable[int]],
+) -> tuple[np.ndarray, np.ndarray]:
     rows: Any = itemsets
     try:
         sizes = np.fromiter(map(len, rows), np.int64, len(rows))
@@ -189,6 +207,13 @@ def itemset_arrays(
     return np.diff(indptr), flat
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, items)`` as int64 arrays nobody can write through."""
+    sizes, items = (np.asarray(a, dtype=np.int64) for a in arrays)
+    sizes.flags.writeable = items.flags.writeable = False
+    return sizes, items
+
+
 def _length_blocks(
     sizes: np.ndarray, items: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -199,23 +224,53 @@ def _length_blocks(
     length)`` item matrix.
     """
     starts = np.cumsum(sizes) - sizes
-    for length in np.unique(sizes).tolist():
+    for length in np.flatnonzero(np.bincount(sizes)).tolist():
         positions = np.flatnonzero(sizes == length)
         yield length, positions, items[starts[positions, None] + np.arange(length)]
 
 
-def canonical_order(sizes: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Positions of :func:`itemset_arrays` rows in canonical order.
+#: the int64 sign bit: flipped, it makes unsigned order signed order
+_SIGN = np.uint64(1 << 63)
+
+
+def row_keys(ids: np.ndarray) -> np.ndarray:
+    """One exact key per row of an ``(m, length)`` block of sorted itemsets.
+
+    Each row becomes one fixed-width void scalar holding its items as
+    big-endian bytes, sign bit flipped, so two keys are equal exactly
+    when the itemsets are, and byte order -- what numpy sorts,
+    ``unique``-s and ``searchsorted``-s void scalars by -- is
+    lexicographic item order. No radix is involved, so the key is exact
+    for any universe and any itemset length. The empty itemset's rows
+    get one constant word.
+    """
+    m, length = ids.shape
+    rows = np.zeros((m, max(length, 1)), dtype=">u8")
+    rows[:, :length] = np.asarray(ids, np.int64).view(np.uint64) ^ _SIGN
+    return rows.view(f"V{rows.shape[1] * 8}").ravel()
+
+
+def canonical_order(
+    sizes: np.ndarray, items: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of :func:`itemset_arrays` rows in canonical order, and
+    the items array of the reordered rows.
 
     Canonical order is size, then lexicographic on the sorted items:
     one ``lexsort`` per size block. The sort is stable, so equal
     itemsets keep their input order.
     """
-    blocks = [
-        positions[np.lexsort(ids.T[::-1])] if length else positions
-        for length, positions, ids in _length_blocks(sizes, items)
-    ]
-    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.intp)
+    orders: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    for length, positions, ids in _length_blocks(sizes, items):
+        if length:
+            order = np.lexsort(ids.T[::-1])
+            positions, ids = positions[order], ids[order]
+        orders.append(positions)
+        rows.append(ids.ravel())
+    if not orders:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    return np.concatenate(orders), np.concatenate(rows)
 
 
 def _last_byte_mask(stop: int) -> int:

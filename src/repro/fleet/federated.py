@@ -20,7 +20,10 @@ decoded sketches. The decisions are exact, not approximate:
   a pair is the same id-array gather the row-level source feeds --
   bit-equal values to the exhaustive oracle. A pair whose GCR a sketch
   does not cover fails typed. Every store ships the same probe table,
-  so one call decodes each distinct table's bytes once.
+  so one call decodes each distinct table's bytes once, and its decode
+  context (:class:`~repro.wire.encoding.TableMemo`) interns itemsets:
+  the models' tables are subsets of the probe table, so the call builds
+  one frozenset per probe itemset and every decoded model shares them.
 * **partition fleets** -- a store ships one partition-sketch payload
   (its dt-/cluster-model travels embedded). Federated exactness needs a
   fleet-shared structure: the GCR of two *identical* partitions is the
@@ -119,8 +122,9 @@ class SketchFleet(_FleetEngine):
                 "one store's shipment"
             )
         names = _store_names(names, len(payloads))
-        # one decode per distinct itemset table, for this call only
-        tables: TableMemo = {}
+        # this call's decode context: one decode per distinct itemset
+        # table, one frozenset per distinct itemset
+        tables = TableMemo()
         bytes_per_store: list[int] = []
         models: list[LitsModel | PartitionModel] = []
         sketches: list[SupportSketch | PartitionSketch] = []

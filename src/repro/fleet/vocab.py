@@ -20,6 +20,18 @@ into a membership row plus a support row:
   missing from one model has support row value 0, and ``|s - 0| == s``
   exactly, which is Definition 4.1's one-model term.
 
+Ids are assigned from keys, not from a dict of frozensets. Each model's
+itemsets carry their ``(sizes, items)`` arrays; per itemset length, the
+rows of every model become exact keys
+(:func:`~repro.data.transactions.row_keys`, whose byte order is
+lexicographic order), and one ``np.unique`` with inverse over them
+yields the union in canonical order plus each model itemset's id, which
+one scatter turns into ``member`` and ``supports``. The union reuses
+the frozenset each itemset has in the first model holding it -- what a
+set union keeps -- and builds none. :meth:`LitsVocabulary.ids` and
+:meth:`LitsVocabulary.remap` ``searchsorted`` other collections' keys
+into the vocabulary's.
+
 Every reduction runs over the gathered GCR only. Summing a zero-padded
 full-vocabulary row would give the same real number but a different
 float summation order, so no batched reduction replaces the per-pair
@@ -30,6 +42,7 @@ over 2.3k itemsets holds under half a MiB per matrix.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +50,16 @@ import numpy as np
 from repro.core.aggregate import AggregateFunction
 from repro.core.lits import LitsModel
 from repro.core.model import _Canonical
+from repro.data.transactions import (
+    _length_blocks,
+    _read_only,
+    itemset_arrays,
+    row_keys,
+)
+
+#: per itemset length: the first id of that length and the sorted keys
+#: of the collection's rows of that length
+_Blocks = dict[int, tuple[int, np.ndarray]]
 
 
 def probe_itemsets(models: Sequence[LitsModel]) -> _Canonical:
@@ -47,11 +70,39 @@ def probe_itemsets(models: Sequence[LitsModel]) -> _Canonical:
     every pair exactly comparable. Sites learn which itemsets to count
     from the fleet's models -- model payloads are what travels first.
     """
-    union: set[frozenset[int]] = set()
-    for model in models:
-        union.update(model.structure.itemsets)
-    # the structures' itemsets are canonical already: sort, never rebuild
-    return _Canonical.ordered(union)
+    return _union([model.itemsets for model in models])[0]
+
+
+def _union(
+    tables: Sequence[_Canonical],
+) -> tuple[_Canonical, np.ndarray, _Blocks]:
+    """The canonical union of canonical collections, by key.
+
+    Returns the union (each itemset as the object of the first
+    collection holding it), the union id of every input itemset, end to
+    end, and the union's key blocks.
+    """
+    arrays = [itemset_arrays(table) for table in tables]
+    sizes = np.concatenate([np.empty(0, np.int64), *(a[0] for a in arrays)])
+    items = np.concatenate([np.empty(0, np.int64), *(a[1] for a in arrays)])
+    ids = np.empty(sizes.size, dtype=np.intp)
+    picks, rows = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
+    blocks: _Blocks = {}
+    offset = 0
+    for length, positions, block in _length_blocks(sizes, items):
+        keys, first, inverse = np.unique(
+            row_keys(block), return_index=True, return_inverse=True
+        )
+        ids[positions] = offset + inverse
+        blocks[length] = (offset, keys)
+        picks.append(positions[first])
+        rows.append(block[first].ravel())
+        offset += keys.size
+    order = np.concatenate(picks)
+    objects = list(chain.from_iterable(tables))
+    union = _Canonical(map(objects.__getitem__, order.tolist()))
+    union._arrays = _read_only(sizes[order], np.concatenate(rows))
+    return union, ids, blocks
 
 
 class LitsVocabulary:
@@ -69,36 +120,39 @@ class LitsVocabulary:
         the store's model lacks the itemset.
     """
 
-    __slots__ = ("itemsets", "member", "supports", "_position")
+    __slots__ = ("itemsets", "member", "supports", "_blocks")
 
     def __init__(self, models: Sequence[LitsModel]) -> None:
-        self.itemsets = probe_itemsets(models)
-        self._position = {s: k for k, s in enumerate(self.itemsets)}
+        self.itemsets, ids, self._blocks = _union(
+            [model.itemsets for model in models]
+        )
         shape = (len(models), len(self.itemsets))
         self.member = np.zeros(shape, dtype=bool)
         self.supports = np.zeros(shape)
-        position = self._position
-        for i, model in enumerate(models):
-            ids = np.fromiter(
-                (position[s] for s in model.supports),
-                dtype=np.intp, count=len(model.supports),
-            )
-            self.member[i, ids] = True
-            self.supports[i, ids] = np.fromiter(
-                model.supports.values(), dtype=np.float64,
-                count=len(ids),
-            )
+        store = np.repeat(
+            np.arange(len(models)), [len(model.itemsets) for model in models]
+        )
+        self.member[store, ids] = True
+        self.supports[store, ids] = np.concatenate(
+            [np.empty(0), *(model.support_vector for model in models)]
+        )
 
     def __len__(self) -> int:
         return len(self.itemsets)
 
     def ids(self, itemsets: Sequence[frozenset[int]]) -> np.ndarray:
         """Vocabulary ids of ``itemsets``, ``-1`` where one is absent."""
-        position = self._position
-        return np.fromiter(
-            (position.get(s, -1) for s in itemsets),
-            dtype=np.intp, count=len(itemsets),
-        )
+        sizes, items = itemset_arrays(itemsets)
+        out = np.full(sizes.size, -1, dtype=np.intp)
+        for length, positions, block in _length_blocks(sizes, items):
+            if length not in self._blocks:
+                continue
+            offset, keys = self._blocks[length]
+            query = row_keys(block)
+            at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+            found = keys[at] == query
+            out[positions[found]] = offset + at[found]
+        return out
 
     def union(self, i: int, j: int) -> np.ndarray:
         """The ids of stores ``i`` and ``j``'s GCR, in canonical order."""

@@ -139,13 +139,32 @@ def apriori_from_index(
     the extended stripes without any rebuild, so this entry point takes
     the index itself rather than a dataset.
     """
+    ids, counts = apriori_levels(index, min_support, max_len)
+    result: dict[frozenset[int], float] = {}
+    for level_ids, level_counts in zip(ids, counts):
+        result.update(zip(
+            map(frozenset, level_ids.tolist()),
+            (level_counts / index.n_transactions).tolist(),
+        ))
+    return result
+
+
+def apriori_levels(
+    index: BitmapIndex,
+    min_support: float,
+    max_len: int | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """:func:`apriori_from_index` as arrays: per itemset length, the
+    ``(m, length)`` item matrix of the frequent itemsets in
+    lexicographic row order and their int64 counts. End to end, the
+    levels are in canonical order."""
     if not 0.0 < min_support <= 1.0:
         raise InvalidParameterError(
             f"min_support must be in (0, 1], got {min_support}"
         )
     n = index.n_transactions
     if n == 0:
-        return {}
+        return [], []
     # A set is frequent iff count/n >= min_support, i.e. count >= ceil(ms*n).
     min_count = max(int(np.ceil(min_support * n)), 1)
 
@@ -166,8 +185,4 @@ def apriori_from_index(
         frequent = found >= min_count
         levels.add(candidates[frequent], prefix_rows[frequent])
         counts.append(found[frequent])
-
-    result: dict[frozenset[int], float] = {}
-    for ids, level_counts in zip(levels.ids, counts):
-        result.update(zip(map(frozenset, ids.tolist()), (level_counts / n).tolist()))
-    return result
+    return levels.ids, counts

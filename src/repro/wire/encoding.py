@@ -14,9 +14,12 @@ codec is built from:
   produce byte-identical payloads, which the golden suite pins.
 * **itemset tables** -- an itemset collection as two aligned int64
   arrays (per-itemset sizes + flattened items), shared by lits-models
-  and support sketches. A canonical collection encodes once; a
-  :data:`TableMemo` decodes each distinct table's bytes once per call
-  (:func:`itemset_table`), whose items must lie in the payload's
+  and support sketches, packed from the collection's cached array form.
+  A :class:`TableMemo` is one call's decode context
+  (:func:`itemset_table`): it decodes each distinct table's bytes once,
+  and interns itemsets by key, so a decode builds a frozenset only for
+  an itemset no earlier table of the call held and every table sharing
+  it shares the object. Each payload's items must lie in its own
   ``n_items`` universe.
 
 Every decode failure raises :class:`~repro.errors.WireFormatError`
@@ -32,7 +35,12 @@ from typing import Any
 import numpy as np
 
 from repro.core.model import _Canonical
-from repro.data.transactions import _length_blocks, itemset_arrays
+from repro.data.transactions import (
+    _length_blocks,
+    _read_only,
+    itemset_arrays,
+    row_keys,
+)
 from repro.errors import WireFormatError
 from repro.obs import metrics
 
@@ -167,18 +175,64 @@ def itemset_sections(
     lexicographic) -- both producers (lits-models, support sketches)
     store it that way -- and items within an itemset are emitted sorted,
     so equal collections always encode to identical bytes. A canonical
-    collection keeps them: sketches over one probe table encode it once.
+    collection packs its cached arrays.
     """
-    if isinstance(itemsets, _Canonical) and "_sections" in vars(itemsets):
-        return itemsets._sections
     sizes, flat = itemset_arrays(itemsets)
-    sections = pack_array(sizes), pack_array(flat)
-    if isinstance(itemsets, _Canonical):
-        itemsets._sections = sections
-    return sections
+    return pack_array(sizes), pack_array(flat)
 
 
-TableMemo = dict[tuple[bytes, bytes], _Canonical]
+class TableMemo:
+    """One decode call's context: tables by bytes, itemsets by key.
+
+    :meth:`table` decodes only the first payload carrying a table's
+    exact section bytes. A decode interns its itemsets
+    (:meth:`itemsets`): per itemset length the context keeps the sorted
+    keys it has materialised (:func:`~repro.data.transactions.row_keys`)
+    and their frozensets, so a table builds frozensets only for keys new
+    to the call.
+    """
+
+    def __init__(self) -> None:
+        self._tables: dict[tuple[bytes, bytes], _Canonical] = {}
+        self._known: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def table(self, sizes_payload: bytes, items_payload: bytes) -> _Canonical:
+        """The decoded table of these section bytes, decoded once."""
+        key = (sizes_payload, items_payload)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = itemsets_from_sections(*key, memo=self)
+        return table
+
+    def itemsets(self, block: np.ndarray) -> np.ndarray:
+        """The frozensets of a validated block: same-length rows, items
+        sorted, rows strictly increasing; new keys are materialised."""
+        keys = row_keys(block)
+        known = self._known.get(block.shape[1])
+        if known is None:
+            objects = _materialise(block)
+            self._known[block.shape[1]] = keys, objects
+            return objects
+        seen, interned = known
+        at = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
+        new = seen[at] != keys
+        objects = interned[at]
+        if new.any():
+            objects[new] = _materialise(block[new])
+            at = np.searchsorted(seen, keys[new])
+            self._known[block.shape[1]] = (
+                np.insert(seen, at, keys[new]),
+                np.insert(interned, at, objects[new]),
+            )
+        return objects
+
+
+def _materialise(block: np.ndarray) -> np.ndarray:
+    """One new frozenset per row of ``block``, as an object array."""
+    metrics().inc("wire.itemsets_materialised", len(block))
+    return np.fromiter(
+        map(frozenset, block.tolist()), dtype=object, count=len(block)
+    )
 
 
 def itemset_table(
@@ -192,10 +246,7 @@ def itemset_table(
     if tables is None:
         table = itemsets_from_sections(sizes_payload, items_payload)
     else:
-        key = (sizes_payload, items_payload)
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = itemsets_from_sections(*key)
+        table = tables.table(sizes_payload, items_payload)
     if table._top >= max(n_items, 0):
         raise WireFormatError(
             f"item {table._top} lies outside the {n_items}-item universe",
@@ -210,6 +261,7 @@ def itemsets_from_sections(
     *,
     sizes_section: str = "sizes",
     items_section: str = "items",
+    memo: TableMemo | None = None,
 ) -> _Canonical:
     """Decode an itemset table, enforcing the canonical invariants.
 
@@ -224,8 +276,10 @@ def itemsets_from_sections(
     sorted (items within an itemset may arrive in any order), a zero
     step within a row is a duplicate item, and consecutive rows must
     increase strictly lexicographically. The result is the canonical
-    marker tuple, so sketches and models built from it never re-sort,
-    and it records its largest item for the universe check.
+    marker tuple, so sketches and models built from it never re-sort;
+    it keeps the sorted blocks as its array form and records its
+    largest item for the universe check. Its frozensets come from
+    ``memo``'s interned itemsets when one is given, else one per row.
     """
     metrics().inc("wire.itemset_tables_decoded")
     sizes = unpack_array(sizes_payload, sizes_section)
@@ -271,10 +325,13 @@ def itemsets_from_sections(
             "re-sort it against its positional counts",
             section=items_section,
         )
-    items = flat.tolist()
-    bounds = [0, *sizes.cumsum().tolist()]
+    build = _materialise if memo is None else memo.itemsets
+    objects = [build(block) for block in blocks]
     table = _Canonical(
-        frozenset(items[a:b]) for a, b in zip(bounds, bounds[1:])
+        np.concatenate(objects).tolist() if objects else ()
+    )
+    table._arrays = _read_only(
+        sizes, np.concatenate([flat[:0], *(b.ravel() for b in blocks)])
     )
     table._top = int(flat.max()) if flat.size else -1
     return table

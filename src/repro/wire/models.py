@@ -66,11 +66,7 @@ _DICT_SECTIONS = ("model",)
 
 def pack_lits_model(model: LitsModel) -> bytes:
     """Encode a lits-model (binary-exact supports)."""
-    itemsets = model.itemsets
-    supports = np.array(
-        [model.supports[s] for s in itemsets], dtype=np.float64
-    )
-    sizes, items = itemset_sections(itemsets)
+    sizes, items = itemset_sections(model.itemsets)
     meta = pack_json(
         {"min_support": model.min_support, "n_items": model.n_items}
     )
@@ -80,7 +76,7 @@ def pack_lits_model(model: LitsModel) -> bytes:
             ("meta", meta),
             ("sizes", sizes),
             ("items", items),
-            ("supports", pack_array(supports)),
+            ("supports", pack_array(model.support_vector)),
         ],
     )
 
@@ -110,13 +106,13 @@ def _lits_from_envelope(
             f"with the {len(itemsets)} itemsets",
             section="supports",
         )
-    supports = supports.astype(np.float64)
+    supports = supports.astype(np.float64, copy=False)
     # NaN fails both comparisons, so it is refused with the range
     if not ((supports >= 0.0) & (supports <= 1.0)).all():
         raise WireFormatError(
             "supports must be finite and lie in [0, 1]", section="supports"
         )
-    return LitsModel._from_canonical(itemsets, supports.tolist(), min_support, n_items)
+    return LitsModel._from_canonical(itemsets, supports, min_support, n_items)
 
 
 def unpack_lits_model(data: bytes) -> LitsModel:

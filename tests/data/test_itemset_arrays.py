@@ -37,6 +37,7 @@ from repro.data.transactions import (
     BitmapIndex,
     SupportCountingPlan,
     itemset_arrays,
+    row_keys,
 )
 from repro.fleet.counting import count_lits_stores
 from repro.obs import MetricsRegistry, use_registry
@@ -132,6 +133,47 @@ class TestOrdered:
 
     def test_empty_collection(self):
         assert _Canonical.ordered(set()) == ()
+
+    @settings(deadline=None, max_examples=100)
+    @given(unique=st.sets(frozen, max_size=40))
+    def test_keeps_the_array_form_of_its_order(self, unique):
+        got = _Canonical.ordered(list(unique))
+        sizes, flat = itemset_arrays(got)
+        assert not sizes.flags.writeable and not flat.flags.writeable
+        assert sizes.tolist() == [len(s) for s in got]
+        assert flat.tolist() == [i for s in got for i in sorted(s)]
+
+
+class TestRowKeys:
+    """Keys are equal iff rows are, and sort as rows sort, for any int64."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        length=st.integers(0, 5),
+        data=st.data(),
+    )
+    def test_key_order_is_row_order(self, length, data):
+        rows = data.draw(st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-3, 3),
+                    st.integers(-(2**63), -(2**63) + 2),
+                    st.integers(2**63 - 3, 2**63 - 1),
+                ),
+                min_size=length, max_size=length,
+            ),
+            min_size=1, max_size=20,
+        ))
+        ids = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+        keys = row_keys(ids)
+        assert keys.shape == (len(rows),)
+        order = np.argsort(keys, kind="stable")
+        assert order.tolist() == sorted(
+            range(len(rows)), key=lambda k: tuple(rows[k])
+        )
+        for a in range(len(rows)):
+            for b in range(len(rows)):
+                assert (keys[a] == keys[b]) == (rows[a] == rows[b])
 
 
 # --------------------------------------------------------------------- #
