@@ -167,9 +167,6 @@ class Conjunction:
     def is_empty(self) -> bool:
         return any(c.is_empty for c in self.constraints.values())
 
-    def constraint_for(self, name: str) -> Constraint | None:
-        return self.constraints.get(name)
-
     def intersect(self, other: "Conjunction") -> "Conjunction":
         """Per-attribute intersection; may produce an empty conjunction."""
         merged: dict[str, Constraint] = dict(self.constraints)

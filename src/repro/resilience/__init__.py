@@ -7,13 +7,13 @@ the engine (PRs 2-9 built the speed; this package makes it survive):
   supervision over the plain serial/thread/process backends, with the
   strict contract that a fan either completes bit-identically to the
   fault-free run or fails typed and loud
-  (:class:`~repro.errors.ShardFailedError` names the shards);
-* :func:`partial_support_sketch` / :func:`partial_partition_sketch` --
-  the opt-in partial mode: a merged sketch plus *exact* excluded-row
-  accounting, never a silently short merge;
+  (:class:`~repro.errors.ShardFailedError` names the shards); there is
+  no partial result;
 * :mod:`repro.resilience.checkpoint` -- crash-durable journal
   checkpoints for :class:`OnlineChangeMonitor`, one CRC-framed record
   and one fsync each (``monitor.checkpoint(dir)`` / ``monitor.resume(dir)``);
+  format 3 only, and a format-1 or format-2 directory is refused by
+  version, untouched;
 * :mod:`repro.resilience.chaos` -- the deterministic fault-injection
   harness (seeded :class:`FaultPlan`: worker death, injected
   exceptions, stalls, checkpoint corruption) the chaos suite drives;
@@ -45,29 +45,17 @@ from repro.resilience.checkpoint import (
     resume_checkpoint,
     write_checkpoint,
 )
-from repro.resilience.supervisor import (
-    FanReport,
-    PartialSketchReport,
-    ShardFailure,
-    SupervisedExecutor,
-    partial_partition_sketch,
-    partial_support_sketch,
-)
+from repro.resilience.supervisor import SupervisedExecutor
 
 __all__ = [
     "Fault",
     "FaultPlan",
     "FaultyCall",
-    "FanReport",
     "InjectedFault",
-    "PartialSketchReport",
-    "ShardFailure",
     "SupervisedExecutor",
     "backoff_delay",
     "corrupt_checkpoint",
     "has_checkpoint",
-    "partial_partition_sketch",
-    "partial_support_sketch",
     "resume_checkpoint",
     "sleep_backoff",
     "write_checkpoint",

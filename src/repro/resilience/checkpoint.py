@@ -36,8 +36,10 @@ write-ahead log of ARIES (Mohan et al., TODS 1992):
   rolls back one record and counts ``resilience.checkpoint_torn_tails``;
   other damage raises a typed :class:`CheckpointError` naming the file.
   A resume never writes: the next checkpoint truncates the tail.
-* Format 2 (a directory per checkpoint with a ``state.json``) still
-  resumes, and the next checkpoint starts a journal beside it.
+* Format 3 is the only one read: both a resume and a checkpoint refuse
+  a directory whose manifest names another version (1 and 2 kept one
+  ``state.json`` per checkpoint) with a :class:`CheckpointError` naming
+  it, before anything is read or written.
 """
 
 from __future__ import annotations
@@ -347,8 +349,8 @@ def _fsync_dir(path: Path) -> None:
 
 @dataclass
 class _Committed:
-    """A verified checkpoint: state, checked side files (format 2: all
-    files), records as ``(segment, start, stop, payload)``, the cursor."""
+    """A verified checkpoint: state, checked side files, records as
+    ``(segment, start, stop, payload)``, the cursor."""
 
     state: dict[str, Any]
     files: dict[str, bytes]
@@ -378,14 +380,6 @@ def _read_committed(directory: Path) -> _Committed:
     here = Path(os.path.abspath(directory))
     journal = Journal(here, manifest["generation"], _identity(here / _MANIFEST))
     gen_dir = journal.path
-    if manifest["version"] == 2:
-        path = gen_dir / "state.json"
-        payload = _read_bytes(path)
-        if zlib.crc32(payload) != manifest["state_crc"]:
-            raise _damaged(path, "state failed its CRC (manifest and state disagree)")
-        state = _parse_state(payload, path)
-        files = _check_files(gen_dir, state["files"])
-        return _Committed(state, files, journal)
     numbers = sorted(_numbered(_SEGMENT, gen_dir)) if gen_dir.is_dir() else []
     records: dict[int, tuple[Path, int, int, memoryview]] = {}
     last, end, size, path, fault = -1, 0, 0, gen_dir, None
@@ -440,7 +434,7 @@ def _whole_record(data: memoryview, at: int, seq: int) -> bool:
 def _record_head(payload: memoryview, path: Path) -> tuple[dict[str, Any], int]:
     """A record's state JSON and the offset of its first blob."""
     n = int.from_bytes(payload[:4], "little")
-    return _parse_state(payload[4 : 4 + n], path, "blobs"), 4 + n
+    return _parse_state(payload[4 : 4 + n], path), 4 + n
 
 
 def _committed_manifest(directory: Path) -> dict[str, Any] | None:
@@ -449,18 +443,16 @@ def _committed_manifest(directory: Path) -> dict[str, Any] | None:
     try:
         manifest = dict(json.loads(path.read_bytes()))
         version = manifest["version"]
-        if version not in (2, _FORMAT_VERSION):
+        if version != _FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format version {version!r}: this "
-                f"build resumes versions 2 and {_FORMAT_VERSION} only. "
+                f"build reads version {_FORMAT_VERSION} only. "
                 "Restart the stream without this checkpoint",
                 path=str(path),
             )
-        # format 2 pins its state.json by CRC; format 3's records carry
-        # their own, so its manifest names the generation only
-        fields = {"version", "generation"} | ({"state_crc"} if version == 2 else set())
-        crc = manifest.get("state_crc", 0)
-        if set(manifest) != fields or not isinstance(crc, int) or crc is True:
+        # the records carry their own CRCs: the manifest names the
+        # generation only
+        if set(manifest) != {"version", "generation"}:
             raise ValueError(f"fields {manifest} are not a version {version} manifest")
         # the generation is joined onto the directory: only the writer's
         # own names may reach the filesystem
@@ -492,12 +484,12 @@ def _read_bytes(path: Path) -> bytes:
         ) from exc
 
 
-def _parse_state(payload: Any, path: Path, *extra: str) -> dict[str, Any]:
+def _parse_state(payload: Any, path: Path) -> dict[str, Any]:
     try:
         state: dict[str, Any] = json.loads(bytes(payload))
         for key in (
             "config", "rows_ingested", "monitor", "rng_state",
-            "reference", "buffer", "windows", "files", *extra,
+            "reference", "buffer", "windows", "files", "blobs",
         ):
             state[key]
         state["monitor"]["history_blocks"]
@@ -528,7 +520,7 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> Journal:
     and nothing under ``directory`` is written. Pushing the stream's rows
     from ``monitor.rows_ingested`` on then yields bit-identical
     observations to the run that never died. Returns the next
-    checkpoint's cursor (after format 2, one that starts a journal).
+    checkpoint's cursor.
     """
     directory = Path(directory)
     if monitor.rows_ingested or monitor.windows is not None:
@@ -550,7 +542,7 @@ def resume_checkpoint(monitor: Any, directory: str | Path) -> Journal:
     # adopts the persisted ring on its freshly built manager
     inner = {**state["monitor"], "history_blocks": blocks}
     monitor.restore({**state, **loaded, "monitor": inner})
-    saved_crc = state.get("reference_crc")  # absent in older checkpoints
+    saved_crc = state.get("reference_crc")  # absent in warm-up records
     if saved_crc is not None and _reference_crc(monitor, journal) != saved_crc:
         raise CheckpointError(
             "the re-fitted reference does not match the checkpoint's (its "
@@ -579,7 +571,7 @@ def _check_fingerprint(
     monitor: Any, saved: dict[str, Any], rng_state: Any, directory: Path
 ) -> None:
     current = _fingerprint(monitor)
-    # a checkpoint without the key predates versioned draws (scheme 1)
+    # a record without the key is refused like any other scheme mismatch
     scheme = saved.get("draw_scheme", 1)
     if scheme != DRAW_SCHEME and rng_state is not None:
         raise CheckpointError(

@@ -15,47 +15,34 @@ them with the failure policy a production fan needs:
   budget on one rung, the fan drops a rung and tries again with a
   fresh budget;
 * **no silent loss**: a shard that fails its whole budget is
-  *quarantined*. :meth:`map` raises a typed
-  :class:`~repro.errors.ShardFailedError` naming the shards (strict
-  default); :meth:`map_report` returns a :class:`FanReport` whose
-  failed slots are explicit, and the partial-sketch helpers turn that
-  into exact excluded-row accounting. A supervised fan never returns a
-  silently short merge.
+  *quarantined*, and :meth:`SupervisedExecutor.map` raises a typed
+  :class:`~repro.errors.ShardFailedError` naming the shards and their
+  last causes. A supervised fan returns every shard's result or none.
 
 Because retries re-run the *same pure worker on the same payload*, a
 fan that completes is bit-identical to the fault-free run -- the chaos
-suite pins this across all three backends.
+suite pins this across all three backends. What the supervision did
+is tallied in the ``resilience.*`` counters of the active
+:mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro._typing import ExecutorLike
 
 from repro.errors import ExecutorError, InvalidParameterError, ShardFailedError
-from repro.obs import enabled, metrics
+from repro.obs import metrics
 from repro.resilience.backoff import backoff_delay, sleep_backoff
 from repro.stats.resample_plan import _resolve_rng
 from repro.stream.executor import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    _collected,
-    _merge_collected,
-    _sketch_partition_shard,
-    _sketch_shard,
     fan_width,
-    release,
-)
-from repro.stream.sketch import (
-    PartitionSketch,
-    SupportSketch,
-    as_partition_plan,
-    canonical_itemsets,
 )
 
 #: Degradation ladders, most capable rung first. A custom executor
@@ -71,51 +58,6 @@ _RUNG_TYPES: dict[str, type] = {
     "thread": ThreadExecutor,
     "serial": SerialExecutor,
 }
-
-
-@dataclass(frozen=True)
-class ShardFailure:
-    """One failed attempt: which shard, which try, on which rung, why."""
-
-    shard: int
-    attempt: int
-    backend: str
-    error: str
-
-
-@dataclass(frozen=True)
-class FanReport:
-    """The full outcome of one supervised fan.
-
-    ``results`` is in shard order with ``None`` at quarantined slots;
-    ``failed``/``errors`` are aligned (shard index, last rendered
-    cause). ``failures`` is the complete attempt-level log, in the
-    order failures were observed.
-    """
-
-    results: tuple[Any, ...]
-    failed: tuple[int, ...]
-    errors: tuple[str, ...]
-    failures: tuple[ShardFailure, ...]
-    retries: int
-    pool_rebuilds: int
-    degraded: bool
-    backend: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    def raise_if_failed(self) -> FanReport:
-        if self.failed:
-            raise ShardFailedError(
-                f"{len(self.failed)} shard(s) quarantined after exhausting "
-                f"their retry budget (final backend {self.backend!r}): "
-                f"shards {list(self.failed)}; last causes: {list(self.errors)}",
-                shards=self.failed,
-                errors=self.errors,
-            )
-        return self
 
 
 class SupervisedExecutor:
@@ -144,9 +86,10 @@ class SupervisedExecutor:
         :meth:`map` raise :class:`ShardFailedError`. ``"degrade"``:
         exhausting a rung drops to the next rung first; only a fan that
         fails on the *serial* rung quarantines.
-    seed / rng:
+    seed:
         Jitter seeding, resolved through the engine's single blessed
-        ``_resolve_rng`` path.
+        ``_resolve_rng`` path. The backoff's base and cap are
+        :func:`backoff_delay`'s defaults.
     fault_plan:
         A :class:`repro.resilience.chaos.FaultPlan` to arm (tests only).
     sleep:
@@ -162,10 +105,7 @@ class SupervisedExecutor:
         *,
         retries: int = 2,
         shard_timeout: float | None = None,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         seed: int | None = 0,
-        rng: Any = None,
         on_failure: str = "raise",
         max_workers: int | None = None,
         fault_plan: Any = None,
@@ -181,13 +121,11 @@ class SupervisedExecutor:
             )
         self.retries = retries
         self.shard_timeout = shard_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.on_failure = on_failure
         self.fault_plan = fault_plan
         self._sleep = sleep
         self._jitter_seed = int(
-            _resolve_rng(rng, seed, "SupervisedExecutor").integers(2**63)
+            _resolve_rng(None, seed, "SupervisedExecutor").integers(2**63)
         )
         if isinstance(inner, str):
             if inner not in _LADDERS:
@@ -242,18 +180,8 @@ class SupervisedExecutor:
     # ---------------------------------------------------------------- #
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Strict supervised map: all shards or a typed error."""
-        return list(self.map_report(fn, items).raise_if_failed().results)
-
-    def map_report(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> FanReport:
-        """Supervised map returning an explicit :class:`FanReport`.
-
-        Never raises for shard failures -- quarantined slots come back
-        as ``None`` with the shard indices and causes spelled out, so a
-        caller opting into partial results owns the accounting.
-        """
+        """Strict supervised map: every shard's result, in order, or a
+        :class:`ShardFailedError` naming the quarantined shards."""
         if self._closed:
             raise ExecutorError(
                 "supervised executor is closed; close() is permanent -- "
@@ -263,18 +191,15 @@ class SupervisedExecutor:
         results: list[Any] = [None] * len(items)
         pending = list(range(len(items)))
         attempts = [0] * len(items)
-        failures: list[ShardFailure] = []
         last_error: dict[int, str] = {}
         quarantined: list[int] = []
-        retries = rebuilds = 0
         degraded = False
         sink = metrics()
         budget = self.retries + 1
         while pending:
             runner = self._rungs[self._rung]
             failed_round, broken, stalled = self._run_round(
-                runner, fn, items, pending, attempts, budget, results,
-                failures, last_error,
+                runner, fn, items, pending, attempts, budget, results, last_error
             )
             if broken or (stalled and self.process_backed):
                 # Rebuild the pool: drop the carcass without joining dead
@@ -282,7 +207,6 @@ class SupervisedExecutor:
                 shutdown = getattr(runner, "shutdown", None)
                 if shutdown is not None:
                     shutdown(wait=False)
-                rebuilds += 1
                 sink.inc("resilience.pool_rebuilds")
             if not pending:
                 break
@@ -307,30 +231,23 @@ class SupervisedExecutor:
             for s in pending:
                 if s not in failed_round or attempts[s] >= budget:
                     continue
-                retries += 1
                 sink.inc("resilience.retries")
                 delay = max(
                     delay,
-                    backoff_delay(
-                        s,
-                        attempts[s],
-                        base=self.backoff_base,
-                        cap=self.backoff_cap,
-                        jitter_seed=self._jitter_seed,
-                    ),
+                    backoff_delay(s, attempts[s], jitter_seed=self._jitter_seed),
                 )
             self._sleep(delay)
-        quarantined.sort()
-        return FanReport(
-            results=tuple(results),
-            failed=tuple(quarantined),
-            errors=tuple(last_error.get(s, "<unknown>") for s in quarantined),
-            failures=tuple(failures),
-            retries=retries,
-            pool_rebuilds=rebuilds,
-            degraded=degraded,
-            backend=self.backend,
-        )
+        if quarantined:
+            quarantined.sort()
+            errors = tuple(last_error[s] for s in quarantined)
+            raise ShardFailedError(
+                f"{len(quarantined)} shard(s) quarantined after exhausting "
+                f"their retry budget (final backend {self.backend!r}): "
+                f"shards {quarantined}; last causes: {list(errors)}",
+                shards=tuple(quarantined),
+                errors=errors,
+            )
+        return results
 
     def _run_round(
         self,
@@ -341,7 +258,6 @@ class SupervisedExecutor:
         attempts: list[int],
         budget: int,
         results: list[Any],
-        failures: list[ShardFailure],
         last_error: dict[int, str],
     ) -> tuple[set[int], bool, bool]:
         """Submit every below-budget pending shard once; harvest in order.
@@ -361,11 +277,7 @@ class SupervisedExecutor:
         broken = stalled = False
 
         def record(shard: int, exc: BaseException) -> None:
-            cause = f"{type(exc).__name__}: {exc}"
-            failures.append(
-                ShardFailure(shard, attempts[shard], self.backend, cause)
-            )
-            last_error[shard] = cause
+            last_error[shard] = f"{type(exc).__name__}: {exc}"
             failed_round.add(shard)
 
         futures: list[tuple[int, Future[Any]]] = []
@@ -429,121 +341,3 @@ class SupervisedExecutor:
             if close is not None:
                 close()
         self._closed = True
-
-
-# --------------------------------------------------------------------- #
-# Partial-result fans: exact excluded-row accounting
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class PartialSketchReport:
-    """A merged sketch plus an exact account of what it is missing.
-
-    ``sketch`` merges only the shards that completed; ``excluded_rows``
-    counts every row of every quarantined shard. A consumer that treats
-    the sketch as complete when ``excluded_shards`` is non-empty does so
-    explicitly -- never by accident.
-    """
-
-    sketch: Any
-    included_shards: tuple[int, ...]
-    excluded_shards: tuple[int, ...]
-    excluded_rows: int
-    total_rows: int
-    errors: tuple[str, ...]
-    fan: FanReport
-
-    @property
-    def complete(self) -> bool:
-        return not self.excluded_shards
-
-    def describe(self) -> str:
-        if self.complete:
-            return f"complete: all {self.total_rows} rows sketched"
-        return (
-            f"partial: {self.excluded_rows}/{self.total_rows} rows excluded "
-            f"(shards {list(self.excluded_shards)})"
-        )
-
-
-def _partial_fan(
-    executor: ExecutorLike,
-    worker: Callable[[Any], Any],
-    payloads: list[tuple[Any, ...]],
-    row_counts: list[int],
-    merge_empty: Any,
-) -> PartialSketchReport:
-    supervisor = (
-        executor
-        if isinstance(executor, SupervisedExecutor)
-        else SupervisedExecutor(executor)
-    )
-    collect = enabled()
-    try:
-        if collect:
-            report = supervisor.map_report(
-                _collected, [(worker, p) for p in payloads]
-            )
-        else:
-            report = supervisor.map_report(worker, payloads)
-    finally:
-        if supervisor is not executor:
-            release(supervisor)
-    included = tuple(
-        i for i in range(len(payloads)) if i not in set(report.failed)
-    )
-    completed = [report.results[i] for i in included]
-    if collect:
-        completed = _merge_collected(completed)
-    sketch = sum(completed, merge_empty)
-    excluded_rows = sum(row_counts[i] for i in report.failed)
-    return PartialSketchReport(
-        sketch=sketch,
-        included_shards=included,
-        excluded_shards=report.failed,
-        excluded_rows=excluded_rows,
-        total_rows=sum(row_counts),
-        errors=report.errors,
-        fan=report,
-    )
-
-
-def partial_support_sketch(
-    shards: Sequence[Sequence[Any]],
-    itemsets: Iterable[Iterable[int]],
-    n_items: int,
-    executor: ExecutorLike = "process",
-) -> PartialSketchReport:
-    """Supervised transaction fan that *reports* loss instead of hiding it.
-
-    Every quarantined shard's rows are counted into
-    ``excluded_rows`` -- the opt-in alternative to the strict
-    :meth:`SupervisedExecutor.map` raise, and the only sanctioned way to
-    get a result out of a fan with dead shards.
-    """
-    canon = canonical_itemsets(itemsets)
-    rows = [list(shard) for shard in shards]
-    return _partial_fan(
-        executor,
-        _sketch_shard,
-        [(shard, canon, n_items) for shard in rows],
-        [len(shard) for shard in rows],
-        SupportSketch.empty(canon, n_items),
-    )
-
-
-def partial_partition_sketch(
-    shards: Sequence[Any],
-    structure_or_plan: Any,
-    executor: ExecutorLike = "process",
-) -> PartialSketchReport:
-    """Supervised tabular fan with exact excluded-row accounting."""
-    plan = as_partition_plan(structure_or_plan)
-    return _partial_fan(
-        executor,
-        _sketch_partition_shard,
-        [(shard, plan) for shard in shards],
-        [len(shard) for shard in shards],
-        PartitionSketch.empty(plan),
-    )

@@ -40,7 +40,6 @@ from repro.stream.executor import (
     get_executor,
     shard_dataset,
     shard_ranges,
-    shard_transactions,
     sharded_index_sketch,
     sharded_partition_sketch,
     sharded_support_sketch,
@@ -81,7 +80,6 @@ __all__ = [
     "iter_tabular_chunks",
     "shard_dataset",
     "shard_ranges",
-    "shard_transactions",
     "sharded_index_sketch",
     "sharded_partition_sketch",
     "sharded_support_sketch",

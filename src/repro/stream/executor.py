@@ -350,15 +350,6 @@ def shard_ranges(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def shipped_row_bytes(shards: Sequence[Sequence[Any]]) -> int:
-    """Approximate pickled payload bytes of row shards (8 bytes/item+row).
-
-    Feeds the ``storage.bytes_shipped`` counter when a *process* fan has
-    to ship the rows themselves.
-    """
-    return sum(8 * (len(shard) + sum(len(t) for t in shard)) for shard in shards)
-
-
 def shipped_index_bytes(indexes: Iterable[BitmapIndex]) -> int:
     """Pickled bytes of the bitmap indexes a process fan ships.
 
@@ -374,30 +365,8 @@ def shipped_index_bytes(indexes: Iterable[BitmapIndex]) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Transaction map-merge: row shards, or row ranges of one shared index
+# Transaction map-merge: row ranges of one shared index
 # --------------------------------------------------------------------- #
-
-
-def _sketch_shard(payload: tuple[Any, ...]) -> SupportSketch:
-    """Top-level map worker (must be picklable for the process backend)."""
-    transactions, itemsets, n_items = payload
-    sink = metrics()
-    with sink.span("stream.shard.sketch"):
-        sketch = SupportSketch.from_transactions(transactions, itemsets, n_items)
-    sink.inc("stream.shards.sketched")
-    sink.observe("stream.shard.rows", float(len(transactions)))
-    return sketch
-
-
-def shard_transactions(
-    transactions: Sequence[Any], n_shards: int
-) -> list[list[Any]]:
-    """Split transactions into ``n_shards`` contiguous, near-even shards."""
-    transactions = list(transactions)
-    return [
-        transactions[start:stop]
-        for start, stop in shard_ranges(len(transactions), n_shards)
-    ]
 
 
 def sharded_support_sketch(
@@ -406,22 +375,17 @@ def sharded_support_sketch(
     n_items: int,
     executor: ExecutorLike = "serial",
 ) -> SupportSketch:
-    """Map-merge support counting: shard, sketch in parallel, sum.
+    """Map-merge support counting over raw transactions.
 
-    Equivalent to a single-scan :meth:`SupportSketch.from_transactions`
-    over the whole bag (the property suite enforces this), but the map
-    step fans out over the executor's workers, one shard each
-    (:func:`fan_width`).
+    Indexes the rows once and counts them through
+    :func:`sharded_index_sketch`, one row range per worker
+    (:func:`fan_width`). Equivalent to a single-scan
+    :meth:`SupportSketch.from_transactions` over the whole bag (the
+    property suite enforces this) on every backend.
     """
-    canon = canonical_itemsets(itemsets)
-    shards = shard_transactions(transactions, fan_width(executor))
-    sketches = fan(
-        _sketch_shard,
-        [(shard, canon, n_items) for shard in shards],
-        executor,
-        shipped_bytes=lambda: shipped_row_bytes(shards),
+    return sharded_index_sketch(
+        BitmapIndex(list(transactions), n_items), itemsets, executor
     )
-    return sum(sketches, SupportSketch.empty(canon, n_items))
 
 
 def _sketch_index_shard(payload: tuple[Any, ...]) -> SupportSketch:

@@ -7,8 +7,9 @@ bootstrap draw scheme 2; ``golden_scheme3/`` holds version-2,
 scheme-3 checkpoints of the two bootstrap scenarios, and
 ``golden_v3/`` version-3 journals of all three under scheme 3. Shared by
 ``make_golden.py`` (which wrote the committed checkpoints) and the
-golden tests (which resume them): the monitor configuration here must
-match the fingerprint the checkpoints carry.
+golden tests (which resume the version-3 ones and see the others
+refused): the monitor configuration here must match the fingerprint
+the checkpoints carry.
 """
 
 from __future__ import annotations

@@ -26,6 +26,23 @@ def no_sleep(delay):
     """Chaos runs should replay fast; delays are computed, not waited."""
 
 
+def run_counted(runner, items):
+    """``runner.map(square, items)`` and the ``resilience.*`` counters
+    it left in a fresh registry; the runner is closed either way."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        try:
+            results = runner.map(square, items)
+        finally:
+            runner.close()
+    counters = registry.snapshot()["counters"]
+    return results, {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("resilience.")
+    }
+
+
 class TestFaultPrimitives:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -70,30 +87,20 @@ class TestBitIdentity:
         runner = SupervisedExecutor(
             backend, retries=3, fault_plan=plan, sleep=no_sleep
         )
-        try:
-            report = runner.map_report(square, self.ITEMS)
-        finally:
-            runner.close()
-        assert report.ok
-        assert list(report.results) == expected
-        assert report.retries >= 1
+        results, counters = run_counted(runner, self.ITEMS)
+        assert results == expected
+        assert counters["resilience.retries"] >= 1
+        assert "resilience.quarantined_shards" not in counters
 
     def test_real_worker_death_rebuilds_the_pool(self):
         plan = FaultPlan({(1, 1): Fault("die")})
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            runner = SupervisedExecutor(
-                "process", retries=2, fault_plan=plan, sleep=no_sleep,
-                max_workers=2,
-            )
-            try:
-                report = runner.map_report(square, self.ITEMS)
-            finally:
-                runner.close()
-        assert report.ok
-        assert list(report.results) == [square(x) for x in self.ITEMS]
-        assert report.pool_rebuilds >= 1
-        assert registry.counter("resilience.pool_rebuilds") >= 1
+        runner = SupervisedExecutor(
+            "process", retries=2, fault_plan=plan, sleep=no_sleep,
+            max_workers=2,
+        )
+        results, counters = run_counted(runner, self.ITEMS)
+        assert results == [square(x) for x in self.ITEMS]
+        assert counters["resilience.pool_rebuilds"] >= 1
 
     def test_stall_is_timed_out_and_recovered(self):
         plan = FaultPlan({(0, 1): Fault("stall", seconds=1.0)})
@@ -101,13 +108,9 @@ class TestBitIdentity:
             "thread", retries=1, shard_timeout=0.2, fault_plan=plan,
             sleep=no_sleep,
         )
-        try:
-            report = runner.map_report(square, [3, 4])
-        finally:
-            runner.close()
-        assert report.ok
-        assert list(report.results) == [9, 16]
-        assert any("stalled" in f.error for f in report.failures)
+        results, counters = run_counted(runner, [3, 4])
+        assert results == [9, 16]
+        assert counters["resilience.retries"] == 1
 
 
 class TestTypedFailure:
@@ -129,6 +132,7 @@ class TestTypedFailure:
         finally:
             runner.close()
         assert 2 in excinfo.value.shards
+        assert len(excinfo.value.errors) == len(excinfo.value.shards)
 
     def test_degraded_fan_survives_a_broken_rung(self):
         # Only the process rung is poisoned: a degradable fan must land
@@ -144,14 +148,10 @@ class TestTypedFailure:
             "process", retries=1, on_failure="degrade", fault_plan=plan,
             sleep=no_sleep, max_workers=2,
         )
-        try:
-            report = runner.map_report(square, list(range(4)))
-        finally:
-            runner.close()
-        assert report.ok
-        assert list(report.results) == [0, 1, 4, 9]
-        assert report.degraded
-        assert report.backend in ("thread", "serial")
+        results, counters = run_counted(runner, list(range(4)))
+        assert results == [0, 1, 4, 9]
+        assert counters["resilience.degraded_fans"] == 1
+        assert runner.backend in ("thread", "serial")
 
 
 class TestChaosDeterminism:
@@ -161,14 +161,12 @@ class TestChaosDeterminism:
         )
 
         def run():
+            delays = []
             runner = SupervisedExecutor(
-                "serial", retries=3, fault_plan=plan, sleep=no_sleep
+                "serial", retries=3, fault_plan=plan, sleep=delays.append
             )
-            try:
-                return runner.map_report(square, list(range(6)))
-            finally:
-                runner.close()
+            return run_counted(runner, list(range(6))), delays
 
         first, second = run(), run()
         assert first == second
-        assert first.failures == second.failures
+        assert first[0][1]["resilience.retries"] > 0

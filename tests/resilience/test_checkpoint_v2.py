@@ -4,12 +4,11 @@ A checkpoint keeps the history's full blocks of ``_HISTORY_BLOCK``
 observations in write-once history files, named again by later
 records, and only the open tail inline in each record's state. These
 tests pin that the blocks resume exactly (edited or not) and that the
-state stops growing with the stream. Of the committed fixtures,
-``golden_v2/history`` (no generator state) resumes bit-identically,
-the version-1 checkpoints in ``golden/`` and the scheme-2 bootstrap
-checkpoints in ``golden_v2/`` are refused typed, and the
-``golden_scheme3/`` (format 2) and ``golden_v3/`` (format 3) ones
-resume bit-identically.
+state stops growing with the stream. Of the committed fixtures, the
+``golden_v3/`` journals (format 3) resume bit-identically; the
+version-1 checkpoints in ``golden/`` and the version-2 ones in
+``golden_v2/`` and ``golden_scheme3/`` are refused typed, naming their
+version, by both a resume and a checkpoint, and stay byte-identical.
 """
 
 from __future__ import annotations
@@ -79,9 +78,22 @@ def generation(directory: Path) -> Path:
 
 
 def state_of(directory: Path) -> dict:
-    """The committed state: format 2's ``state.json``, format 3's last
-    journal record."""
+    """The committed state: the journal's last record."""
     return ckpt._read_committed(directory).state
+
+
+def old_state(directory: Path) -> dict:
+    """A format-1 or format-2 checkpoint's ``state.json``."""
+    return json.loads((generation(directory) / "state.json").read_text())
+
+
+def files_of(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory``, by relative path, with its bytes."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
 
 
 def inodes(directory: Path) -> dict[str, int]:
@@ -279,33 +291,33 @@ class TestBytesWritten:
         assert len(found.state["blobs"]) == 2
 
 
-def refuses_scheme_2(directory: Path, scenario: str) -> None:
-    """Resuming a scheme-2 bootstrap checkpoint fails typed, naming both
-    schemes, before the monitor or the directory is touched."""
-    before = sorted(p.name for p in directory.iterdir())
+def refuses_version(golden: Path, scenario: str, tmp_path: Path, version: int):
+    """A copy of ``golden``'s checkpoint of ``scenario`` is refused typed,
+    naming its version, by a fresh monitor's resume and by a running
+    monitor's checkpoint; the monitor stays fresh and every byte under
+    the directory stays as it was."""
+    directory = tmp_path / "checkpoint"
+    shutil.copytree(golden / scenario / "checkpoint", directory)
+    before = files_of(directory)
     monitor = gs.make_monitor(scenario)
-    with pytest.raises(CheckpointError, match="scheme 2.*scheme 3"):
+    with pytest.raises(CheckpointError, match=f"version {version}"):
         monitor.resume(directory)
     assert monitor.rows_ingested == 0 and monitor.history == []
-    assert sorted(p.name for p in directory.iterdir()) == before
+    monitor.push(rest_chunks(golden, scenario)[0])
+    with pytest.raises(CheckpointError, match=f"version {version}"):
+        monitor.checkpoint(directory)
+    assert files_of(directory) == before
 
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular"])
 def test_v1_golden_is_refused_untouched(scenario, tmp_path):
-    """A version-1 checkpoint is refused typed, naming its version,
-    before the monitor or the directory is touched: it is never
-    upgraded, and the directory stays a version-1 checkpoint."""
+    """A version-1 checkpoint is never upgraded or overwritten."""
     golden = HERE / "golden"
-    directory = tmp_path / "checkpoint"
-    shutil.copytree(golden / scenario / "checkpoint", directory)
-    before = sorted(p.name for p in directory.iterdir())
-    monitor = gs.make_monitor(scenario)
-    with pytest.raises(CheckpointError, match="version 1"):
-        monitor.resume(directory)
-    assert monitor.rows_ingested == 0 and monitor.history == []
-    assert sorted(p.name for p in directory.iterdir()) == before
-    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
+    manifest = json.loads(
+        (golden / scenario / "checkpoint" / "CHECKPOINT.json").read_text()
+    )
     assert manifest["version"] == 1
+    refuses_version(golden, scenario, tmp_path, 1)
 
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular", "history"])
@@ -318,7 +330,7 @@ class TestGoldenV2:
         directory = self.golden / scenario / "checkpoint"
         manifest = json.loads((directory / "CHECKPOINT.json").read_text())
         assert manifest["version"] == 2
-        state = state_of(directory)
+        state = old_state(directory)
         assert state["version"] == 2
         assert state["config"]["draw_scheme"] == 2
         assert state["buffer"] is not None
@@ -332,31 +344,22 @@ class TestGoldenV2:
         assert [len(b) for b in blocks] == [z for _, z in _block_layout(n)]
 
     def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
-        """``history`` (n_boot=0) drew no randomness, so its scheme-2
-        checkpoint resumes bit-identically under scheme 3; the bootstrap
-        scenarios carry a scheme-2 generator state and are refused."""
-        directory = tmp_path / "checkpoint"
-        shutil.copytree(self.golden / scenario / "checkpoint", directory)
-        if scenario != "history":
-            assert state_of(directory)["rng_state"] is not None
-            refuses_scheme_2(directory, scenario)
-            return
-        assert state_of(directory)["rng_state"] is None
-        assert resumed_lines(directory, self.golden, scenario) == (
-            self.golden / scenario / "expected.txt"
-        ).read_text()
+        """The format-2 run cannot be continued: the resume and the next
+        checkpoint refuse it, naming version 2, and leave it as it was
+        (``golden_v3/`` is the resume fixed point)."""
+        refuses_version(self.golden, scenario, tmp_path, 2)
 
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular"])
 class TestGoldenScheme3:
-    """Bootstrap checkpoints written under draw scheme 3 resume exactly."""
+    """Format-2 checkpoints written under draw scheme 3."""
 
     golden = HERE / "golden_scheme3"
 
     def test_checkpoint_is_scheme_3_past_a_promotion_with_buffered_rows(
         self, scenario
     ):
-        state = state_of(self.golden / scenario / "checkpoint")
+        state = old_state(self.golden / scenario / "checkpoint")
         assert state["version"] == 2
         assert state["config"]["draw_scheme"] == 3
         assert state["rng_state"] is not None
@@ -365,11 +368,8 @@ class TestGoldenScheme3:
         assert state["monitor"]["reference_index"] > 0
 
     def test_resume_reproduces_the_uninterrupted_run(self, scenario, tmp_path):
-        directory = tmp_path / "checkpoint"
-        shutil.copytree(self.golden / scenario / "checkpoint", directory)
-        assert resumed_lines(directory, self.golden, scenario) == (
-            self.golden / scenario / "expected.txt"
-        ).read_text()
+        """Refused like ``golden_v2/``: format 2, whatever the scheme."""
+        refuses_version(self.golden, scenario, tmp_path, 2)
 
 
 @pytest.mark.parametrize("scenario", ["transactions", "tabular", "history"])
@@ -406,25 +406,6 @@ class TestGoldenV3:
 
 def _load(directory: Path, name: str) -> list:
     return json.loads((generation(directory) / name).read_text())
-
-
-def test_the_first_checkpoint_after_a_v2_resume_starts_a_journal(tmp_path):
-    """A format-2 checkpoint resumes; the next checkpoint writes a
-    format-3 generation beside it, commits it and removes the old one,
-    and the journal then resumes to the uninterrupted output."""
-    golden = HERE / "golden_v2"
-    directory = tmp_path / "checkpoint"
-    shutil.copytree(golden / "history" / "checkpoint", directory)
-    old = generation(directory)
-    monitor = gs.make_monitor("history")
-    monitor.resume(directory)
-    assert monitor.checkpoint(directory) == directory / "CHECKPOINT.json"
-    manifest = json.loads((directory / "CHECKPOINT.json").read_text())
-    assert manifest["version"] == 3
-    assert manifest["generation"] > old.name and not old.exists()
-    assert resumed_lines(directory, golden, "history") == (
-        golden / "history" / "expected.txt"
-    ).read_text()
 
 
 def test_observation_rows_round_trip():

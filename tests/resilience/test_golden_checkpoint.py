@@ -5,10 +5,10 @@ written by ``make_golden.py`` mid-stream, past a ``reset_on_drift``
 promotion and with rows in the monitor's buffer; ``rest.*`` holds the
 stream's remaining rows and ``expected.txt`` the observations the
 uninterrupted run emitted for them under bootstrap draw scheme 2. The
-resume path reads format 2 only (every format-1 checkpoint carries a
-scheme-2 generator state, which no scheme-3 build can continue), so
+resume path reads format 3 only (and every format-1 checkpoint carries
+a scheme-2 generator state, which no scheme-3 build can continue), so
 resuming them must fail typed, naming version 1, instead of emitting
-observations on a different random stream. ``golden_scheme3/`` pins
+observations on a different random stream. ``golden_v3/`` pins
 bit-identical resume for the current format and scheme.
 """
 

@@ -177,17 +177,21 @@ def failed_append(chunks, directory):
     return monitor, sliding_monitor, lambda n: rows[n:]
 
 
-def v2_resume(chunks, directory):
-    """The format-2 golden's history monitor, resumed; as above."""
-    golden = HERE / "golden_v2" / "history"
+def v3_resume_elsewhere(chunks, directory):
+    """The format-3 golden's history monitor, resumed from one copy
+    while ``directory`` holds another (a commit its cursor does not
+    continue); as above."""
+    golden = HERE / "golden_v3" / "history"
+    source = directory.with_name(directory.name + "-source")
+    shutil.copytree(golden / "checkpoint", source)
     shutil.copytree(golden / "checkpoint", directory)
-    monitor = gs.make_monitor("history").resume(directory)
+    monitor = gs.make_monitor("history").resume(source)
     start, rest = monitor.rows_ingested, list(load_transactions(golden / "rest.rows"))
     return monitor, lambda: gs.make_monitor("history"), lambda n: rest[n - start :]
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("setup", [failed_append, v2_resume])
+@pytest.mark.parametrize("setup", [failed_append, v3_resume_elsewhere])
 def test_a_kill_writing_a_new_generation_keeps_the_committed_one(
     setup, chunks, tmp_path
 ):

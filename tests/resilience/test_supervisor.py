@@ -8,7 +8,6 @@ cross-backend chaos live in ``test_chaos.py``.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import (
@@ -23,10 +22,16 @@ from repro.resilience import (
     FaultPlan,
     SupervisedExecutor,
     backoff_delay,
-    partial_support_sketch,
 )
-from repro.stream.executor import get_executor
+from repro.stream.executor import get_executor, sharded_support_sketch
 from repro.stream.sketch import SupportSketch
+
+RESILIENCE = (
+    "resilience.retries",
+    "resilience.pool_rebuilds",
+    "resilience.degraded_fans",
+    "resilience.quarantined_shards",
+)
 
 
 def double(x):
@@ -42,6 +47,21 @@ def supervised(inner="serial", **kwargs):
     return SupervisedExecutor(inner, **kwargs)
 
 
+def counted(runner, items):
+    """``runner.map(double, items)`` under a fresh registry: the results,
+    or the raised :class:`ShardFailedError`, and the counters."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        try:
+            outcome = runner.map(double, items)
+        except ShardFailedError as exc:
+            outcome = exc
+        finally:
+            runner.close()
+    counters = registry.snapshot()["counters"]
+    return outcome, {name: counters.get(name, 0) for name in RESILIENCE}
+
+
 class TestHappyPath:
     def test_map_matches_plain_executor(self):
         runner = supervised("serial")
@@ -52,33 +72,14 @@ class TestHappyPath:
 
     def test_fault_free_report_is_all_zeros(self):
         runner = supervised("serial")
-        try:
-            report = runner.map_report(double, range(5))
-            assert report.ok
-            assert report.results == (0, 2, 4, 6, 8)
-            assert report.failed == ()
-            assert report.retries == 0
-            assert report.pool_rebuilds == 0
-            assert not report.degraded
-            assert report.backend == "serial"
-        finally:
-            runner.close()
+        results, counters = counted(runner, range(5))
+        assert results == [0, 2, 4, 6, 8]
+        assert counters == dict.fromkeys(RESILIENCE, 0)
+        assert runner.backend == "serial"
 
     def test_fault_free_fan_leaves_counters_at_zero(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            runner = supervised("thread")
-            try:
-                runner.map(double, range(8))
-            finally:
-                runner.close()
-        for counter in (
-            "resilience.retries",
-            "resilience.pool_rebuilds",
-            "resilience.degraded_fans",
-            "resilience.quarantined_shards",
-        ):
-            assert registry.counter(counter) == 0
+        _, counters = counted(supervised("thread"), range(8))
+        assert counters == dict.fromkeys(RESILIENCE, 0)
 
     def test_get_executor_resolves_supervised(self):
         runner = get_executor("supervised")
@@ -114,28 +115,27 @@ class TestValidation:
 class TestRetry:
     def test_transient_faults_are_retried_to_success(self):
         plan = FaultPlan({(0, 1): Fault("raise"), (2, 1): Fault("raise")})
-        runner = supervised("serial", retries=2, fault_plan=plan)
-        try:
-            report = runner.map_report(double, [1, 2, 3])
-        finally:
-            runner.close()
-        assert report.ok
-        assert report.results == (2, 4, 6)
-        assert report.retries == 2
-        assert {f.shard for f in report.failures} == {0, 2}
-        assert all(f.attempt == 1 for f in report.failures)
+        results, counters = counted(
+            supervised("serial", retries=2, fault_plan=plan), [1, 2, 3]
+        )
+        assert results == [2, 4, 6]
+        assert counters["resilience.retries"] == 2
+        assert counters["resilience.quarantined_shards"] == 0
 
     def test_identical_runs_report_identically(self):
         plan = FaultPlan.seeded(6, seed=9, rate=0.5, kinds=("raise",))
 
         def run():
-            runner = supervised("serial", retries=3, fault_plan=plan)
-            try:
-                return runner.map_report(double, range(6))
-            finally:
-                runner.close()
+            delays = []
+            runner = supervised(
+                "serial", retries=3, fault_plan=plan, sleep=delays.append
+            )
+            return counted(runner, range(6)), delays
 
-        assert run() == run()
+        first = run()
+        assert first == run()
+        assert first[0][0] == [2 * x for x in range(6)]
+        assert first[0][1]["resilience.retries"] > 0
 
     def test_retries_are_counted_in_obs(self):
         plan = FaultPlan({(1, 1): Fault("raise")})
@@ -168,21 +168,16 @@ class TestQuarantine:
         assert "1" in str(excinfo.value)
         assert isinstance(excinfo.value, FocusError)
 
-    def test_map_report_keeps_survivors_and_accounts_failures(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            runner = supervised(
-                "serial", retries=1, fault_plan=self.exhausted_plan(0, 2)
-            )
-            try:
-                report = runner.map_report(double, [1, 2, 3])
-            finally:
-                runner.close()
-        assert not report.ok
-        assert report.failed == (0,)
-        assert report.results == (None, 4, 6)
-        assert len(report.errors) == 1 and "InjectedFault" in report.errors[0]
-        assert registry.counter("resilience.quarantined_shards") == 1
+    def test_quarantine_is_counted_and_names_the_last_cause(self):
+        runner = supervised(
+            "serial", retries=1, fault_plan=self.exhausted_plan(0, 2)
+        )
+        error, counters = counted(runner, [1, 2, 3])
+        assert isinstance(error, ShardFailedError)
+        assert error.shards == (0,)
+        assert len(error.errors) == 1 and "InjectedFault" in error.errors[0]
+        assert counters["resilience.quarantined_shards"] == 1
+        assert counters["resilience.retries"] == 1
 
 
 class TestDegrade:
@@ -194,20 +189,13 @@ class TestDegrade:
                 for a in (1, 2)
             }
         )
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            runner = supervised(
-                "thread", retries=1, on_failure="degrade", fault_plan=plan
-            )
-            try:
-                report = runner.map_report(double, [1, 2, 3])
-            finally:
-                runner.close()
-        assert report.ok
-        assert report.results == (2, 4, 6)
-        assert report.degraded
-        assert report.backend == "serial"
-        assert registry.counter("resilience.degraded_fans") == 1
+        runner = supervised(
+            "thread", retries=1, on_failure="degrade", fault_plan=plan
+        )
+        results, counters = counted(runner, [1, 2, 3])
+        assert results == [2, 4, 6]
+        assert runner.backend == "serial"
+        assert counters["resilience.degraded_fans"] == 1
 
     def test_exhausting_every_rung_still_fails_typed(self):
         plan = FaultPlan(
@@ -230,13 +218,19 @@ class TestTimeout:
         runner = supervised(
             "thread", retries=1, shard_timeout=0.2, fault_plan=plan
         )
-        try:
-            report = runner.map_report(double, [7, 8])
-        finally:
-            runner.close()
-        assert report.ok
-        assert report.results == (14, 16)
-        assert any("stalled" in f.error for f in report.failures)
+        results, counters = counted(runner, [7, 8])
+        assert results == [14, 16]
+        assert counters["resilience.retries"] == 1
+
+    def test_a_shard_that_always_stalls_names_the_timeout(self):
+        plan = FaultPlan({(0, a): Fault("stall", seconds=0.5) for a in (1, 2)})
+        runner = supervised(
+            "thread", retries=1, shard_timeout=0.1, fault_plan=plan
+        )
+        error, _ = counted(runner, [7, 8])
+        assert isinstance(error, ShardFailedError)
+        assert error.shards == (0,)
+        assert "stalled" in error.errors[0]
 
 
 class TestLifecycle:
@@ -286,40 +280,21 @@ ITEMSETS = [(0,), (1, 2), (0, 3)]
 N_ITEMS = 4
 
 
-class TestPartialSketch:
-    def shards(self):
-        third = len(TXNS) // 3
-        return [TXNS[:third], TXNS[third : 2 * third], TXNS[2 * third :]]
-
+class TestSupervisedSketch:
     def test_complete_fan_equals_direct_sketch(self):
-        runner = supervised("serial")
+        runner = supervised("thread", max_workers=3)
         try:
-            report = partial_support_sketch(
-                self.shards(), ITEMSETS, N_ITEMS, executor=runner
-            )
+            sketch = sharded_support_sketch(TXNS, ITEMSETS, N_ITEMS, runner)
         finally:
             runner.close()
-        assert report.complete
-        assert report.excluded_rows == 0
-        direct = SupportSketch.from_transactions(TXNS, ITEMSETS, N_ITEMS)
-        np.testing.assert_array_equal(report.sketch.counts, direct.counts)
+        assert sketch == SupportSketch.from_transactions(TXNS, ITEMSETS, N_ITEMS)
 
-    def test_dead_shard_is_excluded_with_exact_row_accounting(self):
-        shards = self.shards()
+    def test_a_dead_shard_fails_the_sketch_typed(self):
         plan = FaultPlan({(1, a): Fault("raise") for a in (1, 2)})
-        runner = supervised("serial", retries=1, fault_plan=plan)
+        runner = supervised("thread", retries=1, fault_plan=plan, max_workers=3)
         try:
-            report = partial_support_sketch(
-                shards, ITEMSETS, N_ITEMS, executor=runner
-            )
+            with pytest.raises(ShardFailedError) as excinfo:
+                sharded_support_sketch(TXNS, ITEMSETS, N_ITEMS, runner)
         finally:
             runner.close()
-        assert not report.complete
-        assert report.excluded_shards == (1,)
-        assert report.included_shards == (0, 2)
-        assert report.excluded_rows == len(shards[1])
-        assert report.total_rows == len(TXNS)
-        assert "partial" in report.describe()
-        survivors = shards[0] + shards[2]
-        direct = SupportSketch.from_transactions(survivors, ITEMSETS, N_ITEMS)
-        np.testing.assert_array_equal(report.sketch.counts, direct.counts)
+        assert excinfo.value.shards == (1,)

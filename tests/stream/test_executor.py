@@ -8,6 +8,7 @@ import pytest
 from wide_executors import wide
 
 from repro.errors import ExecutorError, InvalidParameterError
+from repro.obs import MetricsRegistry, use_registry
 from repro.stream.executor import (
     ProcessExecutor,
     SerialExecutor,
@@ -15,7 +16,6 @@ from repro.stream.executor import (
     fan_width,
     get_executor,
     process_backed,
-    shard_transactions,
     sharded_support_sketch,
 )
 from repro.stream.sketch import SupportSketch
@@ -26,21 +26,36 @@ TXNS = [
 ITEMSETS = [(), (0,), (1, 2), (0, 3), (0, 1, 2)]
 
 
+def sharded(rows, width):
+    """The transaction fan over ``width`` in-process shards: its sketch
+    and the per-shard row histogram it records."""
+    registry = MetricsRegistry()
+    with wide("serial", width) as runner, use_registry(registry):
+        sketch = sharded_support_sketch(rows, ITEMSETS, 4, runner)
+    assert registry.counter("stream.shards.sketched") == width
+    return sketch, registry.snapshot()["histograms"]["stream.shard.rows"]
+
+
 class TestShardTransactions:
+    """The transaction fan cuts one near-even row range per worker."""
+
     def test_even_split_covers_everything(self):
-        shards = shard_transactions(TXNS, 3)
-        assert sum(len(s) for s in shards) == len(TXNS)
-        assert [t for s in shards for t in s] == list(TXNS)
-        assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
+        sketch, rows = sharded(TXNS, 3)
+        assert rows["count"] == 3 and rows["sum"] == len(TXNS)
+        assert sketch == SupportSketch.from_transactions(TXNS, ITEMSETS, 4)
 
     def test_more_shards_than_rows_gives_empty_shards(self):
-        shards = shard_transactions(TXNS[:2], 5)
-        assert len(shards) == 5
-        assert sum(len(s) for s in shards) == 2
+        sketch, rows = sharded(TXNS[:2], 5)
+        # two one-row shards and three empty ones, all in the first bucket
+        assert rows["count"] == 5 and rows["sum"] == 2
+        assert rows["counts"][0] == 5
+        assert sketch == SupportSketch.from_transactions(TXNS[:2], ITEMSETS, 4)
 
     def test_invalid_shard_count(self):
         with pytest.raises(InvalidParameterError):
-            shard_transactions(TXNS, 0)
+            sharded_support_sketch(
+                TXNS, ITEMSETS, 4, ThreadExecutor(max_workers=0)
+            )
 
 
 class TestGetExecutor:

@@ -31,7 +31,6 @@ from repro.stream.executor import (
     fan,
     shard_dataset,
     shard_ranges,
-    shard_transactions,
 )
 
 BACKENDS = ("serial", "thread", "process", "supervised")
@@ -212,10 +211,6 @@ class TestShardRanges:
         n_shards=st.integers(min_value=1, max_value=9),
     )
     def test_row_splitters_slice_by_the_ranges(self, n_rows, n_shards):
-        rows = [(i,) for i in range(n_rows)]
-        assert shard_transactions(rows, n_shards) == [
-            rows[a:b] for a, b in shard_ranges(n_rows, n_shards)
-        ]
         dataset = TABLE.slice_rows(0, n_rows)
         assert [s.X[:, 0].tolist() for s in shard_dataset(dataset, n_shards)] == [
             [float(i) for i in range(a, b)]
@@ -227,4 +222,4 @@ class TestShardRanges:
         with pytest.raises(InvalidParameterError):
             shard_ranges(10, n_shards)
         with pytest.raises(InvalidParameterError):
-            shard_transactions([(0,)], n_shards)
+            shard_dataset(TABLE.slice_rows(0, 1), n_shards)

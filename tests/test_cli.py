@@ -285,6 +285,36 @@ class TestMonitorStreamCheckpoint:
         # snapshots 1-2 came before the checkpoint
         assert resumed.splitlines() == uninterrupted.splitlines()[2:]
 
+    def test_a_format_2_checkpoint_dir_is_refused_untouched(self, tmp_path):
+        """A checkpoint directory an older build wrote (format 2) is
+        refused, naming its version, and no byte of it changes."""
+        import shutil
+        from pathlib import Path
+
+        from repro.errors import CheckpointError
+
+        golden = (
+            Path(__file__).parent / "resilience" / "golden_v2" / "transactions"
+        )
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(golden / "checkpoint", ckpt)
+
+        def files():
+            return {
+                str(p.relative_to(ckpt)): p.read_bytes()
+                for p in sorted(ckpt.rglob("*"))
+                if p.is_file()
+            }
+
+        before = files()
+        stream_file = tmp_path / "stream.txt"
+        run_cli(["generate-basket", "--out", str(stream_file), "--n", "1600",
+                 "--items", "40", "--avg-len", "5", "--seed", "3"])
+        with pytest.raises(CheckpointError, match="version 2"):
+            main(["monitor-stream", "--data", str(stream_file), *self.ARGS,
+                  "--checkpoint-dir", str(ckpt)], out=io.StringIO())
+        assert files() == before
+
     def test_fresh_dir_runs_from_scratch(self, tmp_path):
         stream_file = tmp_path / "stream.txt"
         run_cli(["generate-basket", "--out", str(stream_file), "--n", "1600",

@@ -7,11 +7,98 @@ import pytest
 
 import repro
 
+#: ``repro.__all__``, name for name and in order: the public surface a
+#: refactor must keep byte-identical.
+PUBLIC_ALL = [
+    "ABSOLUTE",
+    "AggregateFunction",
+    "AttributeSpace",
+    "BootstrapResult",
+    "CountsResamplePlan",
+    "LitsResamplePlan",
+    "PartitionResamplePlan",
+    "ResamplePlan",
+    "compile_resample_plan",
+    "BoxRegion",
+    "ChangeMonitor",
+    "ClusterModel",
+    "DeviationResult",
+    "DifferenceFunction",
+    "DtModel",
+    "EmptyRegionError",
+    "FleetDeviationMatrix",
+    "FleetMatrix",
+    "FocusError",
+    "IncompatibleModelsError",
+    "InvalidParameterError",
+    "ItemsetRegion",
+    "LitsModel",
+    "MAX",
+    "MetricsRegistry",
+    "NotFittedError",
+    "OnlineChangeMonitor",
+    "PartitionSketch",
+    "Region",
+    "SCALED",
+    "SUM",
+    "SchemaError",
+    "SupportSketch",
+    "TabularDataset",
+    "TabularLog",
+    "TransactionDataset",
+    "TransactionLog",
+    "WindowManager",
+    "__version__",
+    "agglomerate",
+    "box_focus",
+    "chi_squared_difference",
+    "chi_squared_statistic",
+    "chi_squared_statistics",
+    "classical_mds",
+    "deviation",
+    "deviation_from_counts",
+    "deviation_many",
+    "deviation_matrix",
+    "deviation_over_structure",
+    "deviation_over_structure_many",
+    "deviation_significance",
+    "embed_models",
+    "focussed_deviation",
+    "gcr",
+    "generate_basket",
+    "generate_classification",
+    "group_stores",
+    "itemset_focus",
+    "misclassification_error",
+    "misclassification_error_via_focus",
+    "misclassification_errors",
+    "parse_predicate",
+    "parse_region",
+    "predicted_dataset",
+    "rank",
+    "rank_sum_test",
+    "refines",
+    "sample",
+    "sharded_partition_sketch",
+    "sharded_support_sketch",
+    "significance_of_statistic",
+    "structural_difference",
+    "structural_intersection",
+    "structural_union",
+    "top_n",
+    "upper_bound_deviation",
+    "upper_bound_matrix",
+    "use_registry",
+]
+
 
 class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_all_is_pinned(self):
+        assert list(repro.__all__) == PUBLIC_ALL
 
     def test_subpackage_alls_resolve(self):
         import repro.core
@@ -20,12 +107,15 @@ class TestPublicSurface:
         import repro.fleet
         import repro.mining
         import repro.obs
+        import repro.resilience
         import repro.stats
         import repro.stream
+        import repro.wire
 
         for module in (
             repro.core, repro.data, repro.fleet, repro.mining, repro.obs,
-            repro.stats, repro.stream, repro.experiments,
+            repro.stats, repro.stream, repro.experiments, repro.resilience,
+            repro.wire,
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
