@@ -119,10 +119,23 @@ def _add_compare_models(sub) -> None:
     p.add_argument("--model2", required=True)
 
 
-def _add_boot_args(p, default_boot: int = 0) -> None:
+def _boot_count(text: str) -> int:
+    """``--boot``'s type: a replicate count, 0 to skip the bootstrap."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return value
+
+
+def _add_boot_args(p) -> None:
     """The shared bootstrap-qualification knobs of the compare commands."""
     p.add_argument(
-        "--boot", "--n-boot", dest="boot", type=int, default=default_boot,
+        "--boot", "--n-boot", dest="boot", type=_boot_count, default=0,
         help="bootstrap resamples (count-space engine: the pooled data "
         "is scanned once, never per replicate)",
     )
@@ -130,12 +143,6 @@ def _add_boot_args(p, default_boot: int = 0) -> None:
         "--seed", type=int, default=0,
         help="bootstrap RNG seed (default 0 so published significance "
         "numbers are reproducible; vary it to probe resampling noise)",
-    )
-    p.add_argument(
-        "--boot-executor", choices=("serial", "thread", "process"),
-        default="serial",
-        help="backend for fanning bootstrap replicate blocks, one block "
-        "per worker",
     )
 
 
@@ -335,7 +342,7 @@ def _add_monitor_stream(sub) -> None:
                    help="dt-model depth (tabular kind)")
     p.add_argument("--min-leaf", type=int, default=25,
                    help="dt-model min rows per leaf (tabular kind)")
-    p.add_argument("--boot", "--n-boot", dest="boot", type=int, default=8,
+    p.add_argument("--boot", "--n-boot", dest="boot", type=_boot_count, default=8,
                    help="bootstrap resamples (count-space, no window "
                    "materialisation); 0 = threshold on the deviation itself")
     p.add_argument("--threshold", type=float, default=95.0,
@@ -417,7 +424,7 @@ def _add_sketch(sub) -> None:
                     help="store names (default: file stems)")
     cp.add_argument("--threshold", type=float, default=None,
                     help="delta* pruning threshold (lits fleets)")
-    cp.add_argument("--boot", type=int, default=0,
+    cp.add_argument("--boot", type=_boot_count, default=0,
                     help="bootstrap resamples for per-pair significance "
                     "(partition fleets: counts-only CountsResamplePlan)")
     cp.add_argument("--seed", type=int, default=0)
@@ -517,7 +524,6 @@ def _cmd_compare_lits(args, out) -> int:
             d1, d2, builder, n_boot=args.boot,
             rng=np.random.default_rng(args.seed),
             models=(m1, m2),
-            executor=args.boot_executor,
         )
         print(
             f"significance = {sig.significance_percent:.1f}% "
@@ -547,7 +553,6 @@ def _cmd_compare_dt(args, out) -> int:
             d1, d2, builder, n_boot=args.boot,
             rng=np.random.default_rng(args.seed),
             models=(m1, m2),
-            executor=args.boot_executor,
         )
         print(
             f"significance = {sig.significance_percent:.1f}% "

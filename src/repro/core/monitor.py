@@ -10,8 +10,8 @@ time and effort."
 then feed successive snapshots; each observation computes the FOCUS
 deviation against the reference, qualifies it with the bootstrap
 (Section 3.4), and reports whether the snapshot needs a real look. The
-bootstrap stops drawing once no further replicate could change the
-verdict (see :meth:`ChangeMonitor._qualify`).
+bootstrap runs in-process and stops drawing once no further replicate
+could change the verdict (see :meth:`ChangeMonitor._qualify`).
 Reference policies:
 
 * ``"fixed"`` -- always compare against the original reference;
@@ -199,13 +199,6 @@ class ChangeMonitor:
         and qualifies through the count-space engine (one pooled scan
         per qualification instead of ``n_boot`` rescans), drawing
         replicates only until the verdict is settled.
-    executor:
-        Fan the engine's replicate blocks over a
-        :mod:`repro.stream.executor` backend for large ``n_boot``, one
-        block per worker (:func:`~repro.stream.executor.fan_width`). A
-        name is resolved to one executor instance at construction, so a
-        pooled backend owns a single worker pool across every
-        qualification; release it with :meth:`close` when done.
     """
 
     model_builder: ModelBuilder
@@ -217,7 +210,6 @@ class ChangeMonitor:
     policy: str = "fixed"
     rng: np.random.Generator | None = None
     refit_models: bool = False
-    executor: str | object = "serial"  # name or executor instance
     history: list[Observation] = field(default_factory=list)
     _reference: Reference | None = None
     _next_index: int = 0
@@ -249,25 +241,6 @@ class ChangeMonitor:
             # _resolve_rng warn-path; the cheap n_boot=0 mode never
             # consumes randomness, so it creates no generator at all
             self.rng = _resolve_rng(None, None, "ChangeMonitor")
-        # resolve a backend name to one instance now: fanned bootstrap
-        # blocks then reuse a single worker pool across qualifications
-        # instead of spawning one per observation (local import: the
-        # stream package imports this module)
-        from repro.stream.executor import get_executor
-
-        self.executor = get_executor(self.executor)
-
-    def close(self) -> None:
-        """Release the bootstrap executor's worker pool, if it has one.
-
-        A no-op for the serial backend; thread/process monitors that
-        observed their last snapshot should close instead of leaving
-        the pool to interpreter-exit teardown. The monitor stays usable
-        afterwards (pooled backends respawn workers lazily).
-        """
-        from repro.stream.executor import release
-
-        release(self.executor)
 
     @property
     def is_fitted(self) -> bool:
@@ -426,7 +399,7 @@ class ChangeMonitor:
         assert self.rng is not None  # __post_init__ creates it for n_boot > 0
         reference, n_boot = self.reference, self.n_boot
         child = np.random.default_rng(int(self.rng.integers(0, 2**63)))
-        engine: dict[str, Any] = dict(f=self.f, g=self.g, executor=self.executor)
+        engine: dict[str, Any] = dict(f=self.f, g=self.g)
         models = None
         if plan is None and not self.refit_models:
             m2 = model if model is not None else self.model_builder(snapshot)

@@ -1,6 +1,5 @@
-"""Clustering substrates: grid-density clustering and k-means."""
+"""Clustering substrates: grid-density clustering."""
 
 from repro.mining.cluster.grid import Grid, GridClustering, grid_cluster
-from repro.mining.cluster.kmeans import KMeans
 
-__all__ = ["Grid", "GridClustering", "KMeans", "grid_cluster"]
+__all__ = ["Grid", "GridClustering", "grid_cluster"]

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro._typing import DatasetLike, ExecutorLike, ModelBuilder, ModelLike
+from repro._typing import DatasetLike, ModelBuilder, ModelLike
 from repro.core.aggregate import SUM, AggregateFunction
 from repro.core.deviation import deviation, deviation_over_structure
 from repro.core.difference import ABSOLUTE, DifferenceFunction
@@ -148,7 +148,6 @@ def deviation_significance(
     seed: int | None = None,
     refit_models: bool = False,
     models: tuple[ModelLike, ModelLike] | None = None,
-    executor: ExecutorLike = "serial",
 ) -> BootstrapResult:
     """Bootstrap significance of the FOCUS deviation between two datasets.
 
@@ -187,12 +186,6 @@ def deviation_significance(
     rng, seed:
         The resampling generator, or a seed for one. Omitting both
         warns and uses an unseeded generator (irreproducible).
-    executor:
-        Fan the count-space replicate blocks over a
-        :mod:`repro.stream.executor` backend (``"serial"``,
-        ``"thread"``, ``"process"``), one block per worker --
-        worthwhile for large ``n_boot``. The null vector is identical on
-        every backend.
     """
     if n_boot < 1:
         raise InvalidParameterError("n_boot must be >= 1")
@@ -234,7 +227,7 @@ def deviation_significance(
 
     plan = compile_resample_plan(structure, dataset1, dataset2)
     if plan is not None:
-        return plan.significance(n_boot, rng, f=f, g=g, executor=executor)
+        return plan.significance(n_boot, rng, f=f, g=g)
 
     # No count-space representation for this structure/dataset kind:
     # fall back to the per-replicate measurement loop.

@@ -51,22 +51,21 @@ back to an *unseeded* generator and emits a :class:`UserWarning`,
 because significance numbers published from an unseeded run cannot be
 reproduced.
 
-Large ``B`` can fan replicate blocks over the streaming layer's
-executors (``executor="thread"``/``"process"``, one block per worker);
-blocks are deterministic -- multiplicities are drawn up front in the
-caller's process -- and integer-exact, so every backend and width
-produces the identical null vector.
+The null is computed in-process, in one path. Fanning replicate blocks
+over threads measured no faster (the lits GEMM already runs on the
+host's BLAS threads), and over processes several times slower (each
+block pickles the compiled membership).
 """
 
 from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro._typing import DatasetLike, ExecutorLike
+from repro._typing import DatasetLike
 from repro.core.aggregate import SUM, AggregateFunction
 from repro.core.deviation import deviation_from_counts
 from repro.core.difference import ABSOLUTE, DifferenceFunction
@@ -259,54 +258,6 @@ def lits_membership(structure: LitsStructure, index: Any) -> np.ndarray:
     return rows[: index.n_transactions]
 
 
-# --------------------------------------------------------------------- #
-# Block workers (top-level: picklable for the process executor)
-# --------------------------------------------------------------------- #
-
-
-def _lits_block_counts(payload: tuple[Any, ...]) -> np.ndarray:
-    """Replicate counts of one multiplicity block via part-wise matmul.
-
-    ``parts`` are row blocks of the pooled membership matrix and ``w``
-    the multiplicities, both already in the exact float dtype; the
-    block's counts are the sum of one GEMM per part, each reading its
-    column slice of ``w`` in place. Every term is a small non-negative
-    integer, so all partial sums stay exactly representable and the
-    rounded result is exact.
-    """
-    parts, offsets, w = payload
-    n_regions = parts[0].shape[1] if parts else 0
-    acc = np.zeros((w.shape[0], n_regions), dtype=w.dtype)
-    for part, off in zip(parts, offsets):
-        acc += w[:, off : off + part.shape[0]] @ part
-    return np.rint(acc).astype(np.int64)
-
-
-def _packed_block_counts(payload: tuple[Any, ...]) -> np.ndarray:
-    """Replicate counts of one multiplicity block from *packed* membership.
-
-    ``packed_parts`` hold the membership bits column-compressed (one
-    ``(n_regions, ceil(rows/8))`` uint8 matrix per pool part); each part
-    is unpacked in byte-aligned row blocks small enough to fit the
-    block budget and fed to the same exact-integer GEMM the dense plan
-    uses. Identical partial sums in a different association order of
-    exact integers -- the result is bit-identical to the dense path.
-    """
-    packed_parts, part_rows, offsets, block_rows, dtype, w = payload
-    n_regions = packed_parts[0].shape[0] if packed_parts else 0
-    acc = np.zeros((w.shape[0], n_regions), dtype=dtype)
-    for packed, rows, off in zip(packed_parts, part_rows, offsets):
-        for start in range(0, rows, block_rows):
-            stop = min(start + block_rows, rows)
-            # block starts are multiples of 8, so the byte slice is
-            # bit-aligned and ``count`` trims the tail exactly
-            block = np.unpackbits(
-                packed[:, start >> 3 : (stop + 7) >> 3], axis=1, count=stop - start
-            )
-            acc += w[:, off + start : off + stop] @ block.T.astype(dtype)
-    return np.rint(acc).astype(np.int64)
-
-
 def _packed_prefix_counts(packed: np.ndarray, n_bits: int) -> np.ndarray:
     """Per-row popcount of the first ``n_bits`` bits of packed rows."""
     n_bytes = n_bits >> 3
@@ -317,57 +268,6 @@ def _packed_prefix_counts(packed: np.ndarray, n_bits: int) -> np.ndarray:
         mask = np.uint8((0xFF << (8 - (n_bits & 7))) & 0xFF)
         counts += np.bitwise_count(packed[:, n_bytes] & mask).astype(np.int64)
     return counts
-
-
-def _partition_block_counts(payload: tuple[Any, ...]) -> np.ndarray:
-    """Replicate counts of one multiplicity block via weighted bincount.
-
-    The trailing bin (index ``n_regions``) collects rows excluded by an
-    active focus and is dropped; the float64 weights accumulate exactly
-    for integer values below 2**53.
-    """
-    assignments, n_regions, w = payload
-    out = np.empty((w.shape[0], n_regions), dtype=np.int64)
-    for b in range(w.shape[0]):
-        binned = np.bincount(assignments, weights=w[b], minlength=n_regions + 1)
-        out[b] = np.rint(binned[:n_regions]).astype(np.int64)
-    return out
-
-
-def _fan_blocks(
-    worker: Callable[[tuple[Any, ...]], np.ndarray],
-    payload_of: Callable[[np.ndarray], tuple[Any, ...]],
-    w: np.ndarray,
-    executor: ExecutorLike,
-) -> np.ndarray:
-    """Map a block worker over replicate blocks on the chosen executor.
-
-    The replicates split into one block per worker
-    (:func:`repro.stream.executor.fan_width`); the serial backend runs
-    them as one block in-process. Each payload carries the plan's
-    compiled state (membership parts or the assignment vector)
-    alongside its multiplicity block. Threads share that state by
-    reference; the ``"process"`` backend pickles it once per block, so
-    fan processes only when the per-block compute (huge region counts,
-    very large ``B``) clearly outweighs shipping the compiled state to
-    every worker -- ``"thread"`` is the safe default for parallelism,
-    since the underlying GEMM/bincount kernels release the GIL.
-
-    Lifecycle (:func:`repro.stream.executor.fan`): an executor given by
-    *name* is released before returning (a one-shot call must not leak
-    idle workers until interpreter exit); an executor *instance* keeps
-    its pool alive for reuse across calls (the online monitor's shape --
-    see :meth:`repro.stream.monitor.OnlineChangeMonitor.close`).
-    """
-    from repro.stream.executor import fan, fan_width
-
-    width = fan_width(executor)
-    if width == 1:
-        # a single block has nothing to parallelise: never pay a pool
-        # spawn (or, for processes, a full compiled-state pickle) for it
-        return worker(payload_of(w))
-    blocks = np.array_split(w, width)
-    return np.vstack(fan(worker, [payload_of(b) for b in blocks], executor))
 
 
 # --------------------------------------------------------------------- #
@@ -404,7 +304,6 @@ class ResamplePlan(ABC):
         self,
         n_boot: int,
         rng: np.random.Generator,
-        executor: ExecutorLike,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n_boot`` replicate ``(counts1, counts2)`` matrices."""
 
@@ -451,20 +350,17 @@ class ResamplePlan(ABC):
         f: DifferenceFunction = ABSOLUTE,
         g: AggregateFunction = SUM,
         seed: int | None = None,
-        executor: ExecutorLike = "serial",
     ) -> np.ndarray:
         """The whole bootstrap null vector, in count-space.
 
-        Draws are made up front in the caller's process (one rng stream,
-        independent of executor and blocking), so the result is
-        deterministic for a given generator state. A row-level plan
-        counts its replicates in one block per worker of ``executor``;
-        the counts-only plan draws its multinomials in-process.
+        Every draw comes from one rng stream, independent of how the
+        replicates are chunked, so the result is deterministic for a
+        given generator state.
         """
         if n_boot < 1:
             raise InvalidParameterError("n_boot must be >= 1")
         rng = _resolve_rng(rng, seed, "null_deviations")
-        counts1, counts2 = self._replicate_count_pairs(n_boot, rng, executor)
+        counts1, counts2 = self._replicate_count_pairs(n_boot, rng)
         return self._null_from_count_pairs(counts1, counts2, f, g)
 
     def significance(
@@ -475,13 +371,12 @@ class ResamplePlan(ABC):
         f: DifferenceFunction = ABSOLUTE,
         g: AggregateFunction = SUM,
         seed: int | None = None,
-        executor: ExecutorLike = "serial",
     ) -> "BootstrapResult":
         """Observed deviation + count-space null as a ``BootstrapResult``."""
         from repro.stats.bootstrap import BootstrapResult
 
         observed = self.observed_deviation(f, g).value
-        null = self.null_deviations(n_boot, rng, f=f, g=g, seed=seed, executor=executor)
+        null = self.null_deviations(n_boot, rng, f=f, g=g, seed=seed)
         return BootstrapResult(observed=observed, null_values=null)
 
 
@@ -501,7 +396,6 @@ class RowResamplePlan(ResamplePlan):
         self,
         n_boot: int,
         rng: np.random.Generator,
-        executor: ExecutorLike,
     ) -> tuple[np.ndarray, np.ndarray]:
         # per replicate, at the draw's peak: both sides' int64 bincount
         # rows, plus either its int64 pick row (freed once counted) or
@@ -514,25 +408,19 @@ class RowResamplePlan(ResamplePlan):
         # Paper-scale pools (millions of rows x many replicates) would
         # make the draw state multi-GB, so replicates are drawn and
         # counted in chunks; the stream is the same either way. Each
-        # chunk is one fan over both sides' stacked multiplicities, so
-        # pooled workers receive the compiled state once per block.
+        # chunk counts both sides' stacked multiplicities in one call.
         for start in range(0, n_boot, chunk):
             b = min(chunk, n_boot - start)
             stacked_w = draw_multiplicities(
                 self.n_pooled, (self.n1, self.n2), b, rng, dtype=self._dtype
             )
-            stacked = self.replicate_counts(stacked_w, executor=executor)
+            stacked = self.replicate_counts(stacked_w)
             parts1.append(stacked[:b])
             parts2.append(stacked[b:])
         return np.vstack(parts1), np.vstack(parts2)
 
     @abstractmethod
-    def replicate_counts(
-        self,
-        multiplicities: np.ndarray,
-        *,
-        executor: ExecutorLike = "serial",
-    ) -> np.ndarray:
+    def replicate_counts(self, multiplicities: np.ndarray) -> np.ndarray:
         """``(B, n_pooled)`` multiplicities -> exact ``(B, R)`` counts."""
 
     def _check_multiplicities(self, w: np.ndarray) -> np.ndarray:
@@ -553,7 +441,6 @@ class RowResamplePlan(ResamplePlan):
         *,
         f: DifferenceFunction = ABSOLUTE,
         g: AggregateFunction = SUM,
-        executor: ExecutorLike = "serial",
     ) -> np.ndarray:
         """The null vector for externally supplied multiplicity draws.
 
@@ -561,8 +448,8 @@ class RowResamplePlan(ResamplePlan):
         the same draws here and to the per-replicate loop oracle and the
         two nulls must be exactly equal.
         """
-        counts1 = self.replicate_counts(w1, executor=executor)
-        counts2 = self.replicate_counts(w2, executor=executor)
+        counts1 = self.replicate_counts(w1)
+        counts2 = self.replicate_counts(w2)
         return self._null_from_count_pairs(counts1, counts2, f, g)
 
 
@@ -660,19 +547,21 @@ class LitsResamplePlan(RowResamplePlan):
             np.rint(counts2).astype(np.int64),
         )
 
-    def replicate_counts(
-        self,
-        multiplicities: np.ndarray,
-        *,
-        executor: ExecutorLike = "serial",
-    ) -> np.ndarray:
+    def replicate_counts(self, multiplicities: np.ndarray) -> np.ndarray:
+        """Replicate counts via part-wise matmul.
+
+        The multiplicities are in the parts' exact float dtype; the
+        counts are the sum of one GEMM per membership part, each reading
+        its column slice of ``w`` in place. Every term is a small
+        non-negative integer, so all partial sums stay exactly
+        representable and the rounded result is exact.
+        """
         w = self._check_multiplicities(multiplicities)
-        # counted parent-side so the tally is executor-independent
         metrics().inc("bootstrap.replicates.gemm", int(w.shape[0]))
-        parts, offsets = self._parts, self._offsets
-        return _fan_blocks(
-            _lits_block_counts, lambda block: (parts, offsets, block), w, executor
-        )
+        acc = np.zeros((w.shape[0], len(self.structure.regions)), dtype=w.dtype)
+        for part, off in zip(self._parts, self._offsets):
+            acc += w[:, off : off + part.shape[0]] @ part
+        return np.rint(acc).astype(np.int64)
 
 
 class PackedLitsResamplePlan(RowResamplePlan):
@@ -789,23 +678,32 @@ class PackedLitsResamplePlan(RowResamplePlan):
                 counts2 += _packed_prefix_counts(packed, rows) - head
         return counts1, counts2
 
-    def replicate_counts(
-        self,
-        multiplicities: np.ndarray,
-        *,
-        executor: ExecutorLike = "serial",
-    ) -> np.ndarray:
+    def replicate_counts(self, multiplicities: np.ndarray) -> np.ndarray:
+        """Replicate counts from *packed* membership.
+
+        Each part is unpacked in byte-aligned row blocks small enough to
+        fit the block budget and fed to the same exact-integer GEMM the
+        dense plan uses. Identical partial sums in a different
+        association order of exact integers -- the result is
+        bit-identical to the dense path.
+        """
         w = self._check_multiplicities(multiplicities)
-        # counted parent-side so the tally is executor-independent
         metrics().inc("bootstrap.replicates.packed_gemm", int(w.shape[0]))
-        packed, rows, offs = self._packed_parts, self._part_rows, self._offsets
         block_rows, dtype = self._block_rows, self._dtype
-        return _fan_blocks(
-            _packed_block_counts,
-            lambda block: (packed, rows, offs, block_rows, dtype, block),
-            w,
-            executor,
-        )
+        acc = np.zeros((w.shape[0], len(self.structure.regions)), dtype=dtype)
+        for packed, rows, off in zip(
+            self._packed_parts, self._part_rows, self._offsets
+        ):
+            for start in range(0, rows, block_rows):
+                stop = min(start + block_rows, rows)
+                # block starts are multiples of 8, so the byte slice is
+                # bit-aligned and ``count`` trims the tail exactly
+                block = np.unpackbits(
+                    packed[:, start >> 3 : (stop + 7) >> 3],
+                    axis=1, count=stop - start,
+                )
+                acc += w[:, off + start : off + stop] @ block.T.astype(dtype)
+        return np.rint(acc).astype(np.int64)
 
 
 class PartitionResamplePlan(RowResamplePlan):
@@ -872,22 +770,21 @@ class PartitionResamplePlan(RowResamplePlan):
         counts2 = np.bincount(tail, minlength=r + 1)[:r].astype(np.int64)
         return counts1, counts2
 
-    def replicate_counts(
-        self,
-        multiplicities: np.ndarray,
-        *,
-        executor: ExecutorLike = "serial",
-    ) -> np.ndarray:
+    def replicate_counts(self, multiplicities: np.ndarray) -> np.ndarray:
+        """Replicate counts via one weighted bincount per replicate.
+
+        The trailing bin (index ``n_regions``) collects rows excluded by
+        an active focus and is dropped; the float64 weights accumulate
+        exactly for integer values below 2**53.
+        """
         w = self._check_multiplicities(multiplicities)
-        # counted parent-side so the tally is executor-independent
         metrics().inc("bootstrap.replicates.bincount", int(w.shape[0]))
-        assignments, n_regions = self._assignments, self._n_regions
-        return _fan_blocks(
-            _partition_block_counts,
-            lambda block: (assignments, n_regions, block),
-            w,
-            executor,
-        )
+        r = self._n_regions
+        out = np.empty((w.shape[0], r), dtype=np.int64)
+        for b in range(w.shape[0]):
+            binned = np.bincount(self._assignments, weights=w[b], minlength=r + 1)
+            out[b] = np.rint(binned[:r]).astype(np.int64)
+        return out
 
 
 class CountsResamplePlan(ResamplePlan):
@@ -995,10 +892,8 @@ class CountsResamplePlan(ResamplePlan):
         self,
         n_boot: int,
         rng: np.random.Generator,
-        executor: ExecutorLike,
     ) -> tuple[np.ndarray, np.ndarray]:
-        # one multinomial per side and replicate over a few bins: drawn
-        # in-process on every executor, since there is nothing to fan
+        # one multinomial per side and replicate over a few bins
         metrics().inc("bootstrap.replicates.multinomial", n_boot)
         r = len(self._counts1)
         # replicate-major, side 1 then side 2 per replicate: consecutive

@@ -19,18 +19,17 @@ cuts is therefore a pure performance choice, and the executor makes it:
 :func:`fan_width` is 1 for the serial backend and a pool's worker count
 otherwise, so every worker gets one near-even share.
 
-Every fan-out site -- the shard sketches here, the fleet store scans,
-the bootstrap replicate blocks -- maps through one primitive,
-:func:`fan`. It owns the runner lifecycle (a backend *name* is released
-before returning, an *instance* stays open for its owner), the
-``storage.bytes_shipped`` accounting of process fans, and the metrics
-hand-off: when a :mod:`repro.obs` registry is active in the *caller's*
-context, each map call collects into a fresh per-call registry (worker
-threads and processes never see the caller's context variable) that
-``fan`` merges back in payload order. Counters and histogram buckets
-are integer sums, so the merged snapshot is identical on every backend
--- the obs property suite pins serial == thread == process, counter for
-counter.
+Every fan-out site -- the shard sketches here and the fleet store
+scans -- maps through one primitive, :func:`fan`. It owns the runner
+lifecycle (a backend *name* is released before returning, an
+*instance* stays open for its owner), the ``storage.bytes_shipped``
+accounting of process fans, and the metrics hand-off: when a
+:mod:`repro.obs` registry is active in the *caller's* context, each map
+call collects into a fresh per-call registry (worker threads and
+processes never see the caller's context variable) that ``fan`` merges
+back in payload order. Counters and histogram buckets are integer
+sums, so the merged snapshot is identical on every backend -- the obs
+property suite pins serial == thread == process, counter for counter.
 """
 
 from __future__ import annotations
@@ -241,9 +240,8 @@ def fan_width(executor: ExecutorLike) -> int:
     to. Wrappers such as :class:`repro.resilience.SupervisedExecutor`
     answer for their *current* rung via a ``fan_width`` attribute, and
     any other executor by its ``max_workers`` attribute, or as one
-    worker when it has none. Shard merges and replicate blocks are
-    exact at every width, so the width only decides how the work
-    spreads over the workers.
+    worker when it has none. Shard merges are exact at every width, so
+    the width only decides how the work spreads over the workers.
     """
     if isinstance(executor, str):
         runner = get_executor(executor)

@@ -119,9 +119,8 @@ class OnlineChangeMonitor:
     executor:
         Where each chunk is counted: one map-merged shard per worker
         (see :func:`repro.stream.executor.fan_width`). The bootstrap
-        stays in-process: a window's replicates are a few small draws,
-        and a process fan would ship the compiled membership to every
-        block of every window.
+        never fans: like every count-space null it runs in-process
+        (:mod:`repro.stats.resample_plan`).
     """
 
     def __init__(

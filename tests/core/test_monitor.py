@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -261,26 +259,3 @@ class TestUnseededWarning:
         )
         with pytest.raises(InvalidParameterError, match="refit_models"):
             monitor.observe_precomputed(quiet_1, 1.0, resample_plan=plan)
-
-    def test_pooled_executor_resolved_once_and_closable(
-        self, snapshots, monkeypatch
-    ):
-        """A backend name becomes one executor instance at construction
-        (fanned bootstraps share its pool) and close() releases it."""
-        reference, quiet_1, _, _ = snapshots
-        # an unset pool width is the CPU count: make it two blocks
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monitor = ChangeMonitor(
-            builder, n_boot=6, executor="thread", rng=np.random.default_rng(9)
-        ).fit(reference)
-        first = monitor.executor
-        assert hasattr(first, "map")  # resolved, not a string
-        monitor.observe(quiet_1)
-        assert monitor.executor is first
-        assert first._pool is not None  # the bootstrap used this pool
-        monitor.close()
-        assert first._pool is None
-        # serial monitors close as a no-op
-        ChangeMonitor(
-            builder, n_boot=0, delta_threshold=1.0
-        ).close()

@@ -12,9 +12,9 @@ null could reach the threshold. These tests pin:
 * the drawn null is a prefix of the child's full-``B`` null on every
   plan kind, and the verdict is the full null's;
 * the batch path, the refit loop and the counters;
-* serial, thread and process executors emit identical observations:
-  a batch monitor fanning each block's replicates wider than the block,
-  and a stream fresh or resumed from a mid-stream checkpoint.
+* a stream fanning its chunk sketches over serial, thread and process
+  executors emits identical observations, fresh or resumed from a
+  mid-stream checkpoint.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.core.lits import LitsModel
 from repro.core.monitor import ChangeMonitor, _first_block, _settled
 from repro.data.quest_basket import build_pattern_pool, generate_basket
 from repro.data.quest_classify import generate_classification
-from repro.data.transactions import TransactionDataset
 from repro.mining.tree.builder import TreeParams
 from repro.obs import MetricsRegistry, use_registry
 from repro.stats.bootstrap import BootstrapResult, deviation_significance
@@ -355,44 +354,12 @@ def drifting_chunks():
     return list(iter_chunks(list(quiet) + list(shifted), 150))
 
 
-#: more blocks than either block of B=20 at 95% holds replicates
-N_BLOCKS = _first_block(20, 95.0) + 1
-
-
 def _stream_monitor(executor) -> OnlineChangeMonitor:
     return OnlineChangeMonitor(
         lits_builder, N_ITEMS, window_size=400, step=200, n_boot=20,
         policy="reset_on_drift", rng=np.random.default_rng(31),
         executor=executor,
     )
-
-
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_fanned_bootstrap_blocks_emit_identical_observations(
-    drifting_chunks, executor
-):
-    """Both sequential blocks split into more fan blocks than they hold
-    replicates, so some are empty; the verdicts stay the serial ones."""
-    first = _first_block(20, 95.0)
-    assert max(first, 20 - first) < N_BLOCKS
-    rows = [t for chunk in drifting_chunks for t in chunk]
-    snapshots = [
-        TransactionDataset(rows[i : i + 400], N_ITEMS)
-        for i in range(0, len(rows) - 399, 400)
-    ]
-
-    def observe(runner):
-        monitor = ChangeMonitor(
-            lits_builder, n_boot=20, policy="reset_on_drift",
-            rng=np.random.default_rng(31), executor=runner,
-        ).fit(snapshots[0])
-        return [monitor.observe(s) for s in snapshots[1:]]
-
-    expected = observe("serial")
-    assert any(o.drifted for o in expected)
-    assert any(not o.drifted for o in expected)
-    with wide(executor, N_BLOCKS) as runner:
-        assert observe(runner) == expected
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])

@@ -90,6 +90,16 @@ STEPS: list[tuple[str, list[str]]] = [
         ])
         for run in ("fresh", "resumed")
     ],
+    # pairwise significance: the count-space bootstrap of a lits and a
+    # partition structure
+    ("compare-lits-boot", [
+        "compare-lits", "--data1", "s1.txt", "--data2", "s2.txt", *LITS,
+        "--boot", "20", "--seed", "3",
+    ]),
+    ("compare-dt-boot", [
+        "compare-dt", "--data1", "t1.npz", "--data2", "t2.npz",
+        "--max-depth", "3", "--boot", "20", "--seed", "5",
+    ]),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Tests for grid clustering and k-means."""
+"""Tests for grid clustering."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import pytest
 
 from repro.core.attribute import AttributeSpace, numeric
 from repro.data.tabular import TabularDataset
-from repro.errors import InvalidParameterError, NotFittedError
+from repro.errors import InvalidParameterError
 from repro.mining.cluster.grid import Grid, grid_cluster
-from repro.mining.cluster.kmeans import KMeans
 
 
 @pytest.fixture
@@ -156,34 +155,3 @@ class TestClusterModelDeviation:
         # Overlay of 3x3 and 4x4 grids: at most 36 1-D cuts per axis...
         # exactly (3+4-1)^2 = 36 cells when cuts interleave.
         assert len(result.regions) == 36
-
-
-class TestKMeans:
-    def test_recovers_blob_centres(self, two_blobs, rng):
-        km = KMeans(n_clusters=2).fit(two_blobs, rng)
-        centres = np.sort(km.centroids[:, 0])
-        assert centres[0] == pytest.approx(2.5, abs=0.5)
-        assert centres[1] == pytest.approx(7.5, abs=0.5)
-
-    def test_predict_assigns_nearest(self, two_blobs, rng):
-        km = KMeans(n_clusters=2).fit(two_blobs, rng)
-        labels = km.predict(two_blobs)
-        assert set(labels.tolist()) == {0, 1}
-        # points in the same blob share a label
-        assert len(set(labels[:200].tolist())) == 1
-        assert len(set(labels[200:].tolist())) == 1
-
-    def test_inertia_decreases_with_k(self, two_blobs, rng):
-        i1 = KMeans(n_clusters=1).fit(two_blobs, rng).inertia(two_blobs)
-        i2 = KMeans(n_clusters=2).fit(two_blobs, rng).inertia(two_blobs)
-        assert i2 < i1
-
-    def test_unfitted_predict_rejected(self, two_blobs):
-        with pytest.raises(NotFittedError):
-            KMeans(n_clusters=2).predict(two_blobs)
-
-    def test_invalid_k_rejected(self, two_blobs, rng):
-        with pytest.raises(InvalidParameterError):
-            KMeans(n_clusters=0).fit(two_blobs, rng)
-        with pytest.raises(InvalidParameterError):
-            KMeans(n_clusters=10_000).fit(two_blobs, rng)

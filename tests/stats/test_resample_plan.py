@@ -6,8 +6,7 @@ loop consume the same multiplicity draws, the two null vectors must be
 equal bit for bit -- for lits structures (overlapping itemset regions,
 including never-occurring itemsets and the empty itemset), for
 partition structures (disjoint cell x class regions, including empty
-ones), at ``n1 = 1``, at ``B = 1``, under tied deviations, and
-regardless of how replicate blocks are fanned over executors. The
+ones), at ``n1 = 1``, at ``B = 1`` and under tied deviations. The
 row-level plans go further: they draw from the stream the loop
 consumes, so their null equals the loop's under the same seed.
 """
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from wide_executors import WIDE, WideSerial
 
 from repro.core.deviation import deviation_from_counts, deviation_over_structure
 from repro.core.difference import ABSOLUTE, SCALED, chi_squared_difference
@@ -40,7 +38,6 @@ from repro.stats.resample_plan import (
     lits_membership,
     multiplicities_from_indices,
 )
-from repro.stream.executor import SerialExecutor, ThreadExecutor, release
 
 N_ITEMS = 10
 
@@ -331,61 +328,6 @@ class TestSameSeedLoopOracle:
         )
 
 
-class TestExecutorFannedBlocks:
-    """Shard-merge: fanned replicate blocks reproduce the serial null."""
-
-    @pytest.fixture(scope="class")
-    def lits_plan(self):
-        rng = np.random.default_rng(11)
-        txns = [
-            tuple(np.flatnonzero(rng.random(N_ITEMS) < 0.3)) for _ in range(90)
-        ]
-        pooled = TransactionDataset(txns, N_ITEMS)
-        structure = LitsStructure(
-            [frozenset([i]) for i in range(N_ITEMS)]
-            + [frozenset([i, i + 1]) for i in range(N_ITEMS - 1)]
-        )
-        d1 = pooled.take(np.arange(40))
-        d2 = pooled.take(np.arange(40, 90))
-        return compile_resample_plan(structure, d1, d2)
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    @pytest.mark.parametrize("workers", [2, 3, 7, 64])
-    def test_blocked_null_equals_unblocked(self, lits_plan, executor, workers):
-        rng = np.random.default_rng(5)
-        w1 = draw_multiplicities(lits_plan.n_pooled, lits_plan.n1, 9, rng)
-        w2 = draw_multiplicities(lits_plan.n_pooled, lits_plan.n2, 9, rng)
-        base = lits_plan.null_from_multiplicities(w1, w2)
-        runner = WIDE[executor](max_workers=workers)
-        try:
-            fanned = lits_plan.null_from_multiplicities(w1, w2, executor=runner)
-        finally:
-            release(runner)
-        assert np.array_equal(base, fanned)
-
-    def test_null_deviations_deterministic_across_backends(self, lits_plan):
-        runners = [SerialExecutor(), WideSerial(4), ThreadExecutor(max_workers=4)]
-        try:
-            nulls = [
-                lits_plan.null_deviations(
-                    8, np.random.default_rng(3), executor=runner
-                )
-                for runner in runners
-            ]
-        finally:
-            release(runners[2])
-        assert np.array_equal(nulls[0], nulls[1])
-        assert np.array_equal(nulls[0], nulls[2])
-
-    def test_invalid_blocks_rejected(self, lits_plan):
-        w = draw_multiplicities(lits_plan.n_pooled, lits_plan.n1, 2,
-                                np.random.default_rng(0))
-        with pytest.raises(InvalidParameterError, match="at least one worker"):
-            lits_plan.null_from_multiplicities(
-                w, w, executor=ThreadExecutor(max_workers=0)
-            )
-
-
 class TestDrawHelpers:
     def test_multiplicities_shape_and_mass(self):
         w = draw_multiplicities(30, 12, 5, np.random.default_rng(1))
@@ -644,7 +586,7 @@ class TestCountsResamplePlan:
             len(d1),
             len(d2),
         )
-        c1, c2 = plan._replicate_count_pairs(7, np.random.default_rng(2), "serial")
+        c1, c2 = plan._replicate_count_pairs(7, np.random.default_rng(2))
         # partition regions are exhaustive here: every resampled row
         # lands in exactly one region
         assert (c1.sum(axis=1) == len(d1)).all()
@@ -818,46 +760,6 @@ class TestChunkedDraws:
         monkeypatch.setattr(rp, "_MAX_DRAW_BYTES", 8 * plan.n_pooled)
         chunked = plan.null_deviations(20, np.random.default_rng(6))
         assert np.array_equal(unchunked, chunked)
-
-    def test_string_executor_pool_is_released_per_call(self, monkeypatch):
-        """A fanned call that resolves its executor from a name must
-        shut the pool down before returning (no idle-worker leak)."""
-        from repro.stream import executor as executor_module
-
-        created = []
-        real = executor_module.ThreadExecutor
-
-        class Tracking(real):
-            def __init__(self, *a, **k):
-                super().__init__(*a, **k)
-                created.append(self)
-
-        monkeypatch.setattr(executor_module, "_EXECUTORS",
-                            {**executor_module._EXECUTORS, "thread": Tracking})
-        txns = [(0,), (1,), (0, 1)] * 20
-        pooled = TransactionDataset(txns, N_ITEMS)
-        plan = compile_resample_plan(
-            LitsStructure([frozenset([0]), frozenset([1])]),
-            pooled.take(np.arange(30)),
-            pooled.take(np.arange(30, 60)),
-        )
-        plan.null_deviations(6, np.random.default_rng(1), executor="thread")
-        assert created, "fan did not resolve the named executor"
-        assert all(e._pool is None for e in created), "pool leaked"
-
-    def test_instance_executor_pool_is_left_to_its_owner(self):
-        owner = ThreadExecutor(max_workers=3)
-        txns = [(0,), (1,), (0, 1)] * 20
-        pooled = TransactionDataset(txns, N_ITEMS)
-        plan = compile_resample_plan(
-            LitsStructure([frozenset([0]), frozenset([1])]),
-            pooled.take(np.arange(30)),
-            pooled.take(np.arange(30, 60)),
-        )
-        plan.null_deviations(6, np.random.default_rng(1), executor=owner)
-        assert owner._pool is not None  # still warm for reuse
-        owner.shutdown()
-        assert owner._pool is None
 
     def test_oversized_membership_pool_routes_to_packed(self, monkeypatch):
         """Past the membership-bytes cap the dense lits plan would not

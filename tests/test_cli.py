@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run_cli(argv) -> str:
@@ -695,3 +696,86 @@ class TestParser:
     def test_missing_required_arg_exits(self):
         with pytest.raises(SystemExit):
             main(["mine"])
+
+    @pytest.mark.parametrize("argv", [
+        ["compare-lits", "--data1", "a.txt", "--data2", "b.txt"],
+        ["compare-dt", "--data1", "a.npz", "--data2", "b.npz"],
+        ["sketch", "compare", "--in", "a.sketch", "b.sketch"],
+        ["monitor-stream", "--data", "a.txt"],
+    ], ids=lambda argv: argv[0] if argv[0] != "sketch" else "sketch-compare")
+    def test_negative_boot_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--boot", "-5"], out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "--boot" in capsys.readouterr().err
+
+
+#: Every subcommand's option strings, in declaration order (help
+#: omitted): adding or removing a knob shows up as an edit here.
+OPTION_SURFACE = {
+    "generate-basket": [
+        "--out", "--n", "--items", "--avg-len", "--patterns",
+        "--pattern-len", "--seed",
+    ],
+    "generate-classify": ["--out", "--n", "--function", "--seed"],
+    "mine": [
+        "--data", "--min-support", "--max-len", "--top", "--save",
+        "--backend", "--stripe-dir",
+    ],
+    "compare-lits": [
+        "--data1", "--data2", "--min-support", "--max-len", "--backend",
+        "--stripe-dir", "--boot", "--n-boot", "--seed", "--metrics",
+        "--profile",
+    ],
+    "compare-dt": [
+        "--data1", "--data2", "--max-depth", "--min-leaf", "--boot",
+        "--n-boot", "--seed", "--metrics", "--profile",
+    ],
+    "compare-models": ["--model1", "--model2"],
+    "fleet": [
+        "--data", "--kind", "--names", "--min-support", "--max-len",
+        "--max-depth", "--min-leaf", "--threshold", "--groups", "--linkage",
+        "--k", "--format", "--out", "--executor", "--retries",
+        "--shard-timeout", "--on-failure", "--metrics", "--profile",
+    ],
+    "monitor-stream": [
+        "--data", "--kind", "--window", "--step", "--min-support",
+        "--max-len", "--max-depth", "--min-leaf", "--boot", "--n-boot",
+        "--threshold", "--delta-threshold", "--policy", "--executor",
+        "--seed", "--checkpoint-dir", "--retries", "--shard-timeout",
+        "--on-failure", "--metrics", "--profile",
+    ],
+    "sketch": [],
+    "sketch pack": [
+        "--data", "--kind", "--out", "--model-out", "--min-support",
+        "--max-len", "--probe-models", "--ref", "--max-depth", "--min-leaf",
+        "--metrics", "--profile",
+    ],
+    "sketch merge": ["--in", "--out", "--metrics", "--profile"],
+    "sketch compare": [
+        "--in", "--models", "--names", "--threshold", "--boot", "--seed",
+        "--format", "--out", "--metrics", "--profile",
+    ],
+    "sketch inspect": ["--in"],
+}
+
+
+def _option_surface(parser, prefix=()):
+    """``{"command [subcommand]": option strings}`` of a parser tree."""
+    surface = {}
+    if prefix:
+        surface[" ".join(prefix)] = [
+            option
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        ]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                surface.update(_option_surface(sub, (*prefix, name)))
+    return surface
+
+
+def test_option_surface_is_pinned():
+    assert _option_surface(build_parser()) == OPTION_SURFACE
