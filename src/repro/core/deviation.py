@@ -110,11 +110,7 @@ def deviation_over_structure(
     g: AggregateFunction = SUM,
 ) -> DeviationResult:
     """``delta_1``: deviation over an already-common structural component."""
-    counts1 = structure.counts(dataset1)
-    counts2 = structure.counts(dataset2)
-    return _result(
-        structure, counts1, counts2, len(dataset1), len(dataset2), f, g
-    )
+    return deviation_over_structure_many(structure, dataset1, [dataset2], f, g)[0]
 
 
 def deviation(
@@ -148,9 +144,8 @@ def deviation(
 
     fast = _counts_from_models(model1, model2, structure, len(dataset1), len(dataset2))
     if fast is not None:
-        counts1, counts2 = fast
-        return _result(
-            structure, counts1, counts2, len(dataset1), len(dataset2), f, g
+        return deviation_from_counts(
+            structure, *fast, len(dataset1), len(dataset2), f, g
         )
     return deviation_over_structure(structure, dataset1, dataset2, f, g)
 
@@ -166,25 +161,13 @@ def deviation_from_counts(
 ) -> DeviationResult:
     """``delta_1`` from already-measured region counts (no dataset scan).
 
-    The streaming layer measures structures out-of-band -- reference
-    counts come from a stored model's measure component, window counts
-    from a mergeable :class:`~repro.stream.sketch.SupportSketch` -- and
-    only needs the difference/aggregate step applied. ``counts1`` and
-    ``counts2`` must align with ``structure.regions``.
+    Every deviation is assembled here. The streaming layer measures
+    structures out-of-band -- reference counts come from a stored
+    model's measure component, window counts from a mergeable
+    :class:`~repro.stream.sketch.SupportSketch` -- and only needs the
+    difference/aggregate step applied. ``counts1`` and ``counts2`` must
+    align with ``structure.regions``.
     """
-    return _result(structure, counts1, counts2, n1, n2, f, g)
-
-
-def _result(
-    structure: Structure,
-    counts1: np.ndarray,
-    counts2: np.ndarray,
-    n1: int,
-    n2: int,
-    f: DifferenceFunction,
-    g: AggregateFunction,
-) -> DeviationResult:
-    """Assemble a :class:`DeviationResult` from already-measured counts."""
     per_region = f(counts1, counts2, n1, n2)
     return DeviationResult(
         value=g(per_region),
@@ -209,18 +192,18 @@ def deviation_over_structure_many(
     """``delta_1`` of one reference dataset against many snapshots.
 
     The reference dataset is measured over ``structure`` exactly once;
-    each snapshot is then measured with a single scan of its own (via
-    ``structure.counts_many``, which for partition structures shares one
-    precompiled counting plan across the batch), so a series of ``W``
-    windows costs ``W + 1`` scans instead of ``2W``.
+    each snapshot is then measured with one ``structure.counts`` scan of
+    its own (partition structures share one precompiled counting plan
+    across the batch), so a series of ``W`` windows costs ``W + 1``
+    scans instead of ``2W``.
     """
     counts1 = np.asarray(structure.counts(dataset1))
     n1 = len(dataset1)
-    datasets = list(datasets)
-    batch = structure.counts_many(datasets)
     return [
-        _result(structure, counts1, np.asarray(counts2), n1, len(d), f, g)
-        for d, counts2 in zip(datasets, batch)
+        deviation_from_counts(
+            structure, counts1, np.asarray(structure.counts(d)), n1, len(d), f, g
+        )
+        for d in datasets
     ]
 
 
@@ -314,7 +297,7 @@ def deviation_many(
                 counts1 = np.asarray(s.counts(dataset1))
                 counts1_by_key[key] = counts1
             counts2 = np.asarray(s.counts(datasets[i]))
-        results.append(_result(s, counts1, counts2, n1, n2, f, g))
+        results.append(deviation_from_counts(s, counts1, counts2, n1, n2, f, g))
     return results
 
 

@@ -63,17 +63,6 @@ class Structure(ABC):
     def counts(self, dataset: DatasetLike) -> np.ndarray:
         """Absolute tuple counts per region (aligned with :attr:`regions`)."""
 
-    def counts_many(
-        self, datasets: Sequence[DatasetLike]
-    ) -> list[np.ndarray]:
-        """Counts of many snapshots over this one structure.
-
-        The default measures each snapshot independently; structures
-        with a precompiled counting plan override this to share the
-        compiled state across the whole batch (one scan per snapshot).
-        """
-        return [np.asarray(self.counts(d)) for d in datasets]
-
     @abstractmethod
     def focussed(self, region: Region) -> "Structure":
         """The structure with every region intersected with ``region``."""
@@ -311,12 +300,6 @@ class PartitionStructure(Structure):
         exactly like ``TabularDataset.box_mask`` does.
         """
         return self.plan.counts(dataset)
-
-    def counts_many(
-        self, datasets: Sequence[DatasetLike]
-    ) -> list[np.ndarray]:
-        """Counts of many snapshots, sharing one compiled plan."""
-        return self.plan.counts_many(datasets)
 
     def focussed(self, region: Region) -> "PartitionStructure":
         if not isinstance(region, BoxRegion):

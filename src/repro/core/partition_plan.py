@@ -10,11 +10,12 @@ construction, so measuring a snapshot is a single assigner pass plus one
 
 Two pieces make repeated measurement cheap:
 
-* **vectorised label routing** -- class labels are encoded with
-  ``np.searchsorted`` against a sorted table instead of a per-row dict
-  lookup, and a label outside the structure's alphabet raises
-  :class:`~repro.errors.IncompatibleModelsError` (naming the offending
-  label) instead of a bare ``KeyError``;
+* **one region router** -- :meth:`PartitionCountingPlan.region_assignments`
+  maps each row to its region, or to an excluded sentinel bin, and
+  :meth:`~PartitionCountingPlan.counts` is that vector's ``bincount``.
+  Class labels are encoded with ``np.searchsorted`` against a sorted
+  table, and a label outside the structure's alphabet raises
+  :class:`~repro.errors.IncompatibleModelsError` naming it;
 * **memoised cell assignments** -- :func:`cell_assignments` caches each
   assigner's pass over a dataset (weakly keyed by the dataset), so a GCR
   overlay that composes two base assigners, a focussed overlay of the
@@ -177,16 +178,14 @@ class PartitionCountingPlan:
     def region_assignments(self, dataset: DatasetLike) -> np.ndarray:
         """Row -> region index, with :attr:`n_regions` as the excluded bin.
 
-        The per-row form of :meth:`counts`: entry ``i`` is the index of
-        the region row ``i`` falls in (structure order), or the
-        sentinel ``n_regions`` when an active focus predicate or class
-        restriction excludes the row. ``counts`` equals the bincount of
-        this vector with the sentinel bin dropped (property-tested);
-        the count-space bootstrap consumes the vector directly so
-        resampled region counts become weighted bincounts.
+        Entry ``i`` is the index of the region row ``i`` falls in
+        (structure order), or the sentinel ``n_regions`` when an active
+        focus predicate or class restriction excludes the row.
+        :meth:`counts` is the bincount of this vector with the sentinel
+        bin dropped, and the count-space bootstrap consumes the vector
+        directly so resampled region counts become weighted bincounts.
         """
         cell_idx = self.cell_assignments(dataset)
-        n_regions = self.n_regions
         excluded: np.ndarray | None = None
         if self._focus_predicate is not None:
             excluded = ~dataset.predicate_mask(self._focus_predicate)
@@ -202,6 +201,9 @@ class PartitionCountingPlan:
             flat = cell_idx.astype(np.int64, copy=True)
             if self._focus_class is not None:
                 if dataset.y is None:
+                    # Mirrors TabularDataset.box_mask: a class-restricted
+                    # region cannot be measured against unlabelled data,
+                    # and silently dropping the restriction miscounts.
                     raise SchemaError(
                         "structure restricts the class but the dataset is "
                         "unlabelled"
@@ -213,57 +215,14 @@ class PartitionCountingPlan:
                     else excluded | class_excluded
                 )
         if excluded is not None:
-            flat = np.where(excluded, n_regions, flat)
+            flat = np.where(excluded, self.n_regions, flat)
         return flat
 
-    # ------------------------------------------------------------------ #
-    # Counting
-    # ------------------------------------------------------------------ #
-
     def counts(self, dataset: DatasetLike) -> np.ndarray:
-        """Absolute counts per region, aligned with ``structure.regions``.
-
-        One (memoised) assigner pass plus one ``bincount``; the label
-        routing is a vectorised table lookup.
-        """
-        cell_idx = self.cell_assignments(dataset)
-        keep: np.ndarray | None = None
-        if self._focus_predicate is not None:
-            keep = dataset.predicate_mask(self._focus_predicate)
-
-        if self.n_classes and self._focus_class is None:
-            y = dataset.y
-            if y is None:
-                raise IncompatibleModelsError(
-                    "structure has class regions but the dataset is unlabelled"
-                )
-            flat = cell_idx * self.n_classes + self.label_codes(y)
-            if keep is not None:
-                flat = flat[keep]
-            return np.bincount(
-                flat, minlength=self.n_cells * self.n_classes
-            ).astype(np.int64)
-
-        if self._focus_class is not None:
-            if dataset.y is None:
-                # Mirrors TabularDataset.box_mask: a class-restricted
-                # region cannot be measured against unlabelled data, and
-                # silently dropping the restriction miscounts.
-                raise SchemaError(
-                    "structure restricts the class but the dataset is "
-                    "unlabelled"
-                )
-            class_mask = dataset.y == self._focus_class
-            keep = class_mask if keep is None else keep & class_mask
-        if keep is not None:
-            cell_idx = cell_idx[keep]
-        return np.bincount(cell_idx, minlength=self.n_cells).astype(np.int64)
-
-    def counts_many(self, datasets: Sequence[DatasetLike]) -> list[np.ndarray]:
-        """Counts of many snapshots, reusing this plan's compiled tables.
-
-        Each snapshot still costs exactly one assigner pass (memoised,
-        so a snapshot appearing twice -- or already assigned through a
-        GCR overlay sharing the assigner -- is not re-scanned).
-        """
-        return [self.counts(d) for d in datasets]
+        """Absolute counts per region, aligned with ``structure.regions``:
+        the bincount of :meth:`region_assignments` without its excluded
+        sentinel bin."""
+        n_regions = self.n_regions
+        return np.bincount(
+            self.region_assignments(dataset), minlength=n_regions + 1
+        )[:n_regions].astype(np.int64)

@@ -413,7 +413,7 @@ class OnlineChangeMonitor:
             counts = np.asarray(
                 structure.counts(reference.dataset), dtype=np.int64
             )
-        elif not hasattr(model, "supports") or not hasattr(
+        elif not hasattr(model, "support_vector") or not hasattr(
             structure, "itemsets"
         ):
             raise InvalidParameterError(
@@ -422,11 +422,10 @@ class OnlineChangeMonitor:
                 f"supports); got {type(model).__name__}"
             )
         else:
+            # the stored supports, aligned with structure.itemsets, back
+            # to counts; rint rounds half to even, as round() does
             n_ref = len(reference.dataset)
-            counts = np.array(
-                [round(model.supports[s] * n_ref) for s in structure.itemsets],
-                dtype=np.int64,
-            )
+            counts = np.rint(model.support_vector * n_ref).astype(np.int64)
         self._cache = _ReferenceCache(reference, counts)
         return self._cache
 

@@ -17,7 +17,10 @@ which buys two things the streaming layer is built on:
   subtracting the leaving one. No row surviving in the window is
   ever rescanned (:class:`repro.stream.windows.WindowManager`).
 
-Two sketch kinds cover the paper's model classes:
+Two sketch kinds cover the paper's model classes, and share one merge
+algebra (``+``, the ``sum`` start value, ``-``, ``==``, ``hash``, the
+merge guard and relative measures) in a private base class; each kind
+adds only its constructors, its structure identity and its reads:
 
 * :class:`SupportSketch` -- support counts of an itemset collection over
   transactions (lits-models). The collection is canonicalised exactly
@@ -36,7 +39,7 @@ Either way the deviation engine consumes the counts vector directly via
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Self, Sequence
 
 from repro._typing import DatasetLike, StructureOrPlan
 
@@ -57,7 +60,84 @@ def canonical_itemsets(
     return _Canonical.ordered({frozenset(int(i) for i in s) for s in itemsets})
 
 
-class SupportSketch:
+class _CountSketch:
+    """The merge algebra of both sketch kinds.
+
+    A sketch is an aligned ``counts`` vector over ``n_rows`` rows of one
+    fixed structure. A subclass supplies :attr:`key`,
+    :meth:`_same_structure` (its structure-equality test, with an
+    identity fast path: every chunk sketch of a stream shares one
+    structure object) and :meth:`_with` (a sketch over the same
+    structure); every combination here runs :meth:`_check_mergeable`
+    before it touches ``counts``.
+    """
+
+    __slots__ = ("counts", "n_rows")
+
+    counts: np.ndarray
+    n_rows: int
+
+    @property
+    def key(self) -> Any:
+        raise NotImplementedError
+
+    def _same_structure(self, other: Any) -> bool:
+        raise NotImplementedError
+
+    def _with(self, counts: np.ndarray, n_rows: int) -> Self:
+        raise NotImplementedError
+
+    def _check_mergeable(self, other: Any) -> None:
+        if not isinstance(other, type(self)):
+            raise IncompatibleModelsError(
+                f"cannot combine {type(self).__name__} with "
+                f"{type(other).__name__}"
+            )
+        if not self._same_structure(other):
+            raise IncompatibleModelsError(
+                "sketches measure different structures (itemsets, item "
+                "universes, or the same regions in a different order) and "
+                "cannot be combined"
+            )
+
+    def __add__(self, other: Any) -> Self:
+        if isinstance(other, int) and other == 0:
+            return self  # so sum(sketches) works with its default start
+        self._check_mergeable(other)
+        return self._with(self.counts + other.counts, self.n_rows + other.n_rows)
+
+    def __radd__(self, other: Any) -> Self:
+        return self.__add__(other)
+
+    def __sub__(self, other: Self) -> Self:
+        self._check_mergeable(other)
+        n = self.n_rows - other.n_rows
+        if n < 0:
+            raise InvalidParameterError(
+                "cannot subtract a sketch over more rows than this one"
+            )
+        return self._with(self.counts - other.counts, n)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.n_rows == other.n_rows
+            and self._same_structure(other)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.n_rows, self.counts.tobytes()))
+
+    def selectivities(self) -> np.ndarray:
+        """Relative measures per region; zeros over zero rows."""
+        if self.n_rows == 0:
+            return np.zeros(len(self.counts))
+        return self.counts / self.n_rows
+
+
+class SupportSketch(_CountSketch):
     """Support counts of a fixed itemset collection over a transaction bag.
 
     Parameters
@@ -73,7 +153,7 @@ class SupportSketch:
         never merge).
     """
 
-    __slots__ = ("itemsets", "counts", "n_transactions", "n_items")
+    __slots__ = ("itemsets", "n_items")
 
     def __init__(
         self,
@@ -92,7 +172,7 @@ class SupportSketch:
         if n_transactions < 0:
             raise InvalidParameterError("n_transactions must be >= 0")
         self.counts = counts
-        self.n_transactions = int(n_transactions)
+        self.n_rows = int(n_transactions)
         self.n_items = int(n_items)
 
     # ------------------------------------------------------------------ #
@@ -106,12 +186,12 @@ class SupportSketch:
         counts: np.ndarray,
         n_transactions: int,
         n_items: int,
-    ) -> "SupportSketch":
+    ) -> Self:
         """Internal fast path: trusted canonical itemsets, aligned counts."""
         self = object.__new__(cls)
         self.itemsets = itemsets
         self.counts = counts
-        self.n_transactions = n_transactions
+        self.n_rows = n_transactions
         self.n_items = n_items
         return self
 
@@ -159,7 +239,7 @@ class SupportSketch:
         )
 
     # ------------------------------------------------------------------ #
-    # Merge algebra
+    # Structure identity
     # ------------------------------------------------------------------ #
 
     @property
@@ -168,78 +248,28 @@ class SupportSketch:
         return (frozenset(self.itemsets), self.n_items)
 
     @property
-    def n_rows(self) -> int:
-        """Rows sketched (alias of ``n_transactions``; the kind-agnostic
-        name the generalised window manager reads)."""
-        return self.n_transactions
+    def n_transactions(self) -> int:
+        """Size of the transaction bag (the lits-model name of
+        ``n_rows``, the kind-agnostic count every sketch holds)."""
+        return self.n_rows
 
-    def _check_mergeable(self, other: "SupportSketch") -> None:
-        if not isinstance(other, SupportSketch):
-            raise IncompatibleModelsError(
-                f"cannot combine SupportSketch with {type(other).__name__}"
-            )
+    def _same_structure(self, other: "SupportSketch") -> bool:
         # Canonical ordering makes tuple equality set equality; the `is`
         # test makes the streaming hot path (every chunk sketch shares
         # one canonical tuple) constant-time.
-        if self.n_items != other.n_items or (
-            self.itemsets is not other.itemsets
-            and self.itemsets != other.itemsets
-        ):
-            raise IncompatibleModelsError(
-                "sketches track different itemset collections or item "
-                "universes and cannot be combined"
-            )
-
-    def __add__(self, other: Any) -> "SupportSketch":
-        if isinstance(other, int) and other == 0:
-            return self  # so sum(sketches) works with its default start
-        self._check_mergeable(other)
-        return SupportSketch._from_canonical(
-            self.itemsets,
-            self.counts + other.counts,
-            self.n_transactions + other.n_transactions,
-            self.n_items,
+        return self.n_items == other.n_items and (
+            self.itemsets is other.itemsets or self.itemsets == other.itemsets
         )
 
-    def __radd__(self, other: Any) -> "SupportSketch":
-        return self.__add__(other)
-
-    def __sub__(self, other: "SupportSketch") -> "SupportSketch":
-        self._check_mergeable(other)
-        n = self.n_transactions - other.n_transactions
-        if n < 0:
-            raise InvalidParameterError(
-                "cannot subtract a sketch over more transactions than this one"
-            )
-        return SupportSketch._from_canonical(
-            self.itemsets, self.counts - other.counts, n, self.n_items
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SupportSketch):
-            return NotImplemented
-        return (
-            self.n_items == other.n_items
-            and self.n_transactions == other.n_transactions
-            and (
-                self.itemsets is other.itemsets
-                or self.itemsets == other.itemsets
-            )
-            and np.array_equal(self.counts, other.counts)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.key, self.n_transactions, self.counts.tobytes()))
+    def _with(self, counts: np.ndarray, n_rows: int) -> Self:
+        return self._from_canonical(self.itemsets, counts, n_rows, self.n_items)
 
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
 
-    def supports(self) -> np.ndarray:
-        """Relative supports (selectivities); zeros over zero transactions."""
-        if self.n_transactions == 0:
-            return np.zeros(len(self.itemsets))
-        return self.counts / self.n_transactions
+    #: Relative supports: the lits-model name of :meth:`selectivities`.
+    supports = _CountSketch.selectivities
 
     def count_of(self, itemset: Iterable[int]) -> int:
         """The absolute count of one tracked itemset."""
@@ -281,7 +311,7 @@ def as_partition_plan(structure_or_plan: StructureOrPlan) -> PartitionCountingPl
     )
 
 
-class PartitionSketch:
+class PartitionSketch(_CountSketch):
     """Region counts of a partition structure over a bag of tabular rows.
 
     The partition-model sibling of :class:`SupportSketch`: ``counts``
@@ -302,7 +332,7 @@ class PartitionSketch:
         Size of the underlying row bag.
     """
 
-    __slots__ = ("plan", "counts", "n_rows")
+    __slots__ = ("plan",)
 
     def __init__(
         self, plan: StructureOrPlan, counts: np.ndarray, n_rows: int
@@ -327,7 +357,7 @@ class PartitionSketch:
     @classmethod
     def _trusted(
         cls, plan: PartitionCountingPlan, counts: np.ndarray, n_rows: int
-    ) -> "PartitionSketch":
+    ) -> Self:
         """Internal fast path: plan already resolved, counts aligned."""
         self = object.__new__(cls)
         self.plan = plan
@@ -357,7 +387,7 @@ class PartitionSketch:
         return cls._trusted(plan, plan.counts(dataset), len(dataset))
 
     # ------------------------------------------------------------------ #
-    # Merge algebra
+    # Structure identity
     # ------------------------------------------------------------------ #
 
     @property
@@ -370,62 +400,13 @@ class PartitionSketch:
         """
         return self.plan.structure.counts_key
 
-    def _check_mergeable(self, other: "PartitionSketch") -> None:
-        if not isinstance(other, PartitionSketch):
-            raise IncompatibleModelsError(
-                f"cannot combine PartitionSketch with {type(other).__name__}"
-            )
+    def _same_structure(self, other: "PartitionSketch") -> bool:
         # Sharing the structure's cached plan makes the streaming hot
         # path (every chunk sketch holds one plan object) constant-time.
-        if self.plan is not other.plan and self.key != other.key:
-            raise IncompatibleModelsError(
-                "sketches measure different partition structures (or the "
-                "same regions in a different order) and cannot be combined"
-            )
+        return self.plan is other.plan or self.key == other.key
 
-    def __add__(self, other: Any) -> "PartitionSketch":
-        if isinstance(other, int) and other == 0:
-            return self  # so sum(sketches) works with its default start
-        self._check_mergeable(other)
-        return PartitionSketch._trusted(
-            self.plan, self.counts + other.counts, self.n_rows + other.n_rows
-        )
-
-    def __radd__(self, other: Any) -> "PartitionSketch":
-        return self.__add__(other)
-
-    def __sub__(self, other: "PartitionSketch") -> "PartitionSketch":
-        self._check_mergeable(other)
-        n = self.n_rows - other.n_rows
-        if n < 0:
-            raise InvalidParameterError(
-                "cannot subtract a sketch over more rows than this one"
-            )
-        return PartitionSketch._trusted(
-            self.plan, self.counts - other.counts, n
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartitionSketch):
-            return NotImplemented
-        return (
-            self.n_rows == other.n_rows
-            and (self.plan is other.plan or self.key == other.key)
-            and np.array_equal(self.counts, other.counts)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.key, self.n_rows, self.counts.tobytes()))
-
-    # ------------------------------------------------------------------ #
-    # Reads
-    # ------------------------------------------------------------------ #
-
-    def selectivities(self) -> np.ndarray:
-        """Relative measures per region; zeros over zero rows."""
-        if self.n_rows == 0:
-            return np.zeros(len(self.counts))
-        return self.counts / self.n_rows
+    def _with(self, counts: np.ndarray, n_rows: int) -> Self:
+        return self._trusted(self.plan, counts, n_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -5,7 +5,7 @@ Covers the vectorised label routing (including the
 alphabet), the ``SchemaError`` parity with ``TabularDataset.box_mask``
 for class-restricted structures over unlabelled data, the memoised
 assigner passes (GCR overlays and repeat measurements reuse one scan),
-and the ``counts_many`` batched path.
+and the batched deviation path.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.attribute import AttributeSpace, numeric
-from repro.core.deviation import deviation_over_structure_many
+from repro.core.deviation import (
+    deviation_over_structure,
+    deviation_over_structure_many,
+)
 from repro.core.gcr import gcr
 from repro.core.model import PartitionStructure
 from repro.core.partition_plan import LabelEncoder, PartitionCountingPlan
@@ -80,19 +83,30 @@ class TestVectorisedCounts:
         empty = _dataset(np.empty(0), np.empty(0, dtype=np.int64))
         assert structure.counts(empty).tolist() == [0] * 6
 
-    def test_counts_many_equals_per_snapshot_counts(self):
+    def test_deviation_many_equals_per_snapshot_deviation(self):
+        """The batched deviation path, empty snapshot included, matches
+        one ``deviation_over_structure`` per snapshot bit for bit."""
         rng = np.random.default_rng(6)
         structure = _age_partition((3, 1, 7))
+        reference = _dataset(
+            rng.uniform(0, 100, size=90), rng.choice([3, 1, 7], size=90)
+        )
         snapshots = [
             _dataset(
                 rng.uniform(0, 100, size=n), rng.choice([3, 1, 7], size=n)
             )
             for n in (0, 17, 120)
         ]
-        batch = structure.counts_many(snapshots)
+        batch = deviation_over_structure_many(structure, reference, snapshots)
         assert len(batch) == len(snapshots)
-        for snapshot, counts in zip(snapshots, batch):
-            np.testing.assert_array_equal(counts, structure.counts(snapshot))
+        for snapshot, result in zip(snapshots, batch):
+            single = deviation_over_structure(structure, reference, snapshot)
+            assert result.value == single.value
+            assert (result.n1, result.n2) == (single.n1, single.n2)
+            for field in ("per_region", "counts1", "counts2"):
+                np.testing.assert_array_equal(
+                    getattr(result, field), getattr(single, field)
+                )
 
 
 class TestLabelRouting:

@@ -15,6 +15,7 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.stream.chunks import iter_chunks
 from repro.stream.executor import ThreadExecutor
 from repro.stream.monitor import OnlineChangeMonitor
+from repro.wire import pack, unpack
 
 N_ITEMS = 50
 
@@ -208,6 +209,53 @@ class TestValidation:
         )
         with pytest.raises(InvalidParameterError):
             monitor.push(stream[:1_000])
+
+    def test_model_without_support_vector_rejected(self, drifting_stream):
+        """Itemsets and a supports dict are not enough: the reference
+        counts are read off ``support_vector``, and its absence gets the
+        typed refusal."""
+        stream, _ = drifting_stream
+
+        class SupportsOnly:
+            def __init__(self, dataset):
+                lits = builder(dataset)
+                self.structure, self.supports = lits.structure, lits.supports
+
+        monitor = OnlineChangeMonitor(
+            SupportsOnly, N_ITEMS, window_size=500, step=500,
+            n_boot=0, delta_threshold=1.0,
+        )
+        with pytest.raises(InvalidParameterError, match="lits-models"):
+            monitor.push(stream[:1_000])
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["mined", "wire"])
+    @pytest.mark.parametrize(
+        "window,step", [(777, 777), (1_237, 1_237), (2_001, 667)]
+    )
+    def test_reference_counts_round_stored_supports(
+        self, drifting_stream, decoded, window, step
+    ):
+        """The reference counts read off ``support_vector`` equal the
+        per-itemset ``round(supports[s] * n)``, for mined and for
+        wire-decoded models, at odd reference sizes."""
+        stream, _ = drifting_stream
+
+        def build(dataset):
+            model = builder(dataset)
+            return unpack(pack(model)) if decoded else model
+
+        monitor = OnlineChangeMonitor(
+            build, N_ITEMS, window_size=window, step=step,
+            n_boot=0, delta_threshold=1.0,
+        )
+        monitor.push(stream[: window + step])
+        reference = monitor.monitor.reference
+        model, n = reference.model, len(reference.dataset)
+        assert n == window
+        expected = [round(model.supports[s] * n) for s in model.itemsets]
+        counts = monitor._reference_cache().counts
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected
 
     def test_monitor_stream_generator(self, drifting_stream):
         stream, _ = drifting_stream

@@ -126,6 +126,53 @@ class TestRL002:
         )
         assert codes(src) == []
 
+    def test_subclass_override_without_guard_fires(self):
+        """A guarded base does not bless a subclass's own merge."""
+        src = (
+            "class _CountSketch:\n"
+            "    def __add__(self, other):\n"
+            "        self._check_mergeable(other)\n"
+            "        return self._with(self.counts + other.counts)\n"
+            "class SupportSketch(_CountSketch):\n"
+            "    def __add__(self, other):\n"
+            "        return self._with(self.counts + other.counts)\n"
+        )
+        findings = lint_source(src, "pkg/module.py", RULES)
+        assert [(f.code, f.line) for f in findings] == [("RL002", 6)]
+
+    def test_merges_in_a_guarded_base_class_are_clean(self):
+        src = (
+            "class _CountSketch:\n"
+            "    def _check_mergeable(self, other):\n"
+            "        if not self._same_structure(other):\n"
+            "            raise ValueError('incompatible')\n"
+            "    def __add__(self, other):\n"
+            "        self._check_mergeable(other)\n"
+            "        return self._with(self.counts + other.counts)\n"
+            "    def __radd__(self, other):\n"
+            "        return self.__add__(other)\n"
+            "    def __sub__(self, other):\n"
+            "        self._check_mergeable(other)\n"
+            "        return self._with(self.counts - other.counts)\n"
+            "class SupportSketch(_CountSketch):\n"
+            "    def _same_structure(self, other):\n"
+            "        return self.itemsets == other.itemsets\n"
+            "class PartitionSketch(_CountSketch):\n"
+            "    def _same_structure(self, other):\n"
+            "        return self.plan is other.plan\n"
+        )
+        assert codes(src) == []
+
+    def test_unguarded_base_class_merge_fires(self):
+        src = (
+            "class _CountSketch:\n"
+            "    def __sub__(self, other):\n"
+            "        return self._with(self.counts - other.counts)\n"
+            "class PartitionSketch(_CountSketch):\n"
+            "    pass\n"
+        )
+        assert codes(src) == ["RL002"]
+
     def test_non_sketch_class_is_exempt(self):
         src = (
             "class Interval:\n"
