@@ -18,6 +18,12 @@ The fault-tolerance layer's acceptance bars, pinned at tiny scale:
   the generation on disk stays within 2x the bytes of the live state.
   CI asserts ``steady_rows_written_per_checkpoint == step``, the fsync
   count and the disk ratio from ``BENCH_resilience.json``;
+* **sketch-only checkpoints**: a tabular monitor under the fixed policy
+  with a counts-only bootstrap never reads a ring chunk's rows again,
+  so its steady checkpoints write no rows at all, with the same one
+  fsync (plus the directory's when a segment starts). CI asserts
+  ``sketch_only_rows_written_per_checkpoint == 0`` and the fsync count;
+  the bytes per record are recorded;
 * **checkpoints that do not grow with the stream**: a steady checkpoint
   after 5,000 windows takes at most 1.5x one after 50 -- the history's
   sealed blocks are written once, and each record holds only its open
@@ -30,11 +36,16 @@ import json
 import shutil
 import time
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.data.quest_basket import generate_basket
+from repro.data.quest_classify import generate_classification
+from repro.core.dtree_model import DtModel
 from repro.core.lits import LitsModel
+from repro.mining.tree.builder import TreeParams
+from repro.stream.chunks import iter_tabular_chunks
 from repro.obs import MetricsRegistry, use_registry
 from repro.resilience import SupervisedExecutor, write_checkpoint
 from repro.stream.executor import ThreadExecutor, sharded_support_sketch
@@ -187,6 +198,15 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
     ), (fsyncs, started)
     assert max(disk_x) <= MAX_DISK_X, disk_x
 
+    sketch_only = _sketch_only_steady(ckpt_dir)
+    assert sketch_only["rows_written"] == [0] * STEADY_CHECKPOINTS, sketch_only
+    assert [f - s for f, s in zip(sketch_only["fsyncs"], sketch_only["started"])] == [
+        1
+    ] * STEADY_CHECKPOINTS, sketch_only
+    assert sketch_only["counters"]["resilience.checkpoint_fsyncs"] == (
+        STEADY_CHECKPOINTS + sum(sketch_only["started"])
+    ), sketch_only
+
     t_growth = _steady_checkpoint_by_history(ckpt_dir)
     growth = t_growth[GROWTH_AT[-1]] / t_growth[GROWTH_AT[0]]
     assert growth <= MAX_GROWTH_X, t_growth
@@ -211,6 +231,12 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         "t_steady_checkpoint_s": round(t_steady / STEADY_CHECKPOINTS, 4),
         "steady_counters": steady_counters,
         "checkpoint_disk_x": round(max(disk_x), 2),
+        "sketch_only_rows_written_per_checkpoint": max(sketch_only["rows_written"]),
+        "sketch_only_segments_started": sum(sketch_only["started"]),
+        "sketch_only_bytes_per_record": round(
+            sum(sketch_only["bytes"]) / STEADY_CHECKPOINTS
+        ),
+        "sketch_only_counters": sketch_only["counters"],
         "max_disk_x_asserted": MAX_DISK_X,
         "t_checkpoint_by_windows_s": {
             str(n): round(t, 5) for n, t in t_growth.items()
@@ -225,7 +251,9 @@ def test_fault_free_supervision_is_bit_identical_and_zero_cost(benchmark):
         f"zero; checkpoint {t_checkpoint * 1e3:.0f}ms / resume "
         f"{t_resume * 1e3:.0f}ms ({checkpoint_bytes} B); steady checkpoint "
         f"{t_steady / STEADY_CHECKPOINTS * 1e3:.1f}ms writing {STEP} rows "
-        f"({max(disk_x):.2f}x the live bytes on disk); "
+        f"({max(disk_x):.2f}x the live bytes on disk); sketch-only steady "
+        f"records {sum(sketch_only['bytes']) / STEADY_CHECKPOINTS:.0f} B, "
+        "no rows; "
         f"checkpoint after {GROWTH_AT[0]} windows "
         f"{t_growth[GROWTH_AT[0]] * 1e3:.1f}ms, after {GROWTH_AT[-1]} "
         f"{t_growth[GROWTH_AT[-1]] * 1e3:.1f}ms ({growth:.2f}x) "
@@ -244,6 +272,39 @@ def _segments(directory: Path) -> list[str]:
 
 def _generation_bytes(directory: Path) -> int:
     return sum(p.stat().st_size for p in _generation(directory).iterdir())
+
+
+def _sketch_only_steady(ckpt_dir: Path) -> dict[str, Any]:
+    """Per steady checkpoint of a tabular fixed-policy monitor with a
+    counts-only bootstrap: rows written, fsyncs, whether it started a
+    segment, bytes written; and the steady counters."""
+    table = generate_classification(WINDOW + STEP * (STEADY_CHECKPOINTS + 1), seed=3)
+    monitor = OnlineChangeMonitor(
+        lambda d: DtModel.fit(d, TreeParams(max_depth=4, min_leaf=20)),
+        kind="tabular", window_size=WINDOW, step=STEP, n_boot=8,
+        rng=np.random.default_rng(5),
+    )
+    assert not monitor.reads_chunk_rows
+    chunks = iter_tabular_chunks(table, STEP)
+    for _ in range((WINDOW + STEP) // STEP):
+        monitor.push(next(chunks))
+    monitor.checkpoint(ckpt_dir)
+    counted = (*COUNTED, "resilience.checkpoint_bytes_written")
+    registry = MetricsRegistry()
+    per: dict[str, list[int]] = {"rows_written": [], "fsyncs": [], "bytes": []}
+    started = []
+    with use_registry(registry):
+        for chunk in chunks:
+            monitor.push(chunk)
+            before = [registry.counter(name) for name in counted]
+            last = _segments(ckpt_dir)[-1]
+            monitor.checkpoint(ckpt_dir)
+            for key, name, n in zip(per, counted, before):
+                per[key].append(registry.counter(name) - n)
+            started.append(int(_segments(ckpt_dir)[-1] != last))
+    shutil.rmtree(ckpt_dir)
+    counters = registry.snapshot()["counters"]
+    return {**per, "started": started, "counters": counters}
 
 
 def _steady_checkpoint_by_history(ckpt_dir: Path) -> dict[int, float]:

@@ -310,10 +310,14 @@ def _counts_from_models(
     measure is already stored in both models, so no dataset scan is
     required -- the paper's Section 7.1 observation that for
     identical-structure models "all the measures necessary to compute
-    the deviation are obtained directly from the models".
+    the deviation are obtained directly from the models". A model whose
+    itemsets are the structure's (the same canonical arrays) gives its
+    counts from its support vector, which is aligned with them; rint
+    rounds half to even, as ``round`` does. Any other model is looked up
+    itemset by itemset.
     """
     from repro.core.lits import LitsModel  # local import to avoid a cycle
-    from repro.core.model import LitsStructure
+    from repro.data.transactions import itemset_arrays
 
     if not (
         isinstance(model1, LitsModel)
@@ -321,11 +325,17 @@ def _counts_from_models(
         and isinstance(structure, LitsStructure)
     ):
         return None
-    supports1 = model1.supports
-    supports2 = model2.supports
     itemsets = structure.itemsets
-    if any(s not in supports1 or s not in supports2 for s in itemsets):
-        return None
-    counts1 = np.array([round(supports1[s] * n1) for s in itemsets], dtype=np.int64)
-    counts2 = np.array([round(supports2[s] * n2) for s in itemsets], dtype=np.int64)
-    return counts1, counts2
+    arrays = itemset_arrays(itemsets)
+    pair: list[np.ndarray] = []
+    for model, n in ((model1, n1), (model2, n2)):
+        if all(map(np.array_equal, itemset_arrays(model.itemsets), arrays)):
+            pair.append(np.rint(model.support_vector * n).astype(np.int64))
+            continue
+        supports = model.supports
+        if any(s not in supports for s in itemsets):
+            return None
+        pair.append(
+            np.array([round(supports[s] * n) for s in itemsets], dtype=np.int64)
+        )
+    return pair[0], pair[1]

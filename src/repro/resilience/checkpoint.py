@@ -12,8 +12,10 @@ write-ahead log of ARIES (Mohan et al., TODS 1992):
   checkpoint appends one frame (sequence number, length, CRC-32)
   around the state JSON -- row count, generator state, ring counters
   and positions, the history's open tail, ``reference_crc`` -- and the
-  rows and wire sketch of each ring chunk the journal lacks (in steady
-  state, the entering one), then fsyncs the segment once.
+  wire sketch of each ring chunk the journal lacks (in steady state, the
+  entering one), with its rows only when the monitor reads them again
+  (``reads_chunk_rows``; otherwise ``"rows": null``), then fsyncs the
+  segment once.
 * The reference rows and each sealed history block are write-once
   files, fsynced with the directory before a record names them.
 * Segments rotate instead of being compacted: one holds
@@ -219,6 +221,7 @@ def _append(monitor: Any, journal: Journal) -> None:
             state[key] = keep(data, lambda d=data: _rows(monitor, d), name)
     manager = live["windows"]
     if manager is not None:
+        reads_rows = monitor.reads_chunk_rows
         state["reference_crc"] = _reference_crc(monitor, journal)
         state["windows"] = {
             "row_offset": manager.row_offset,
@@ -226,7 +229,11 @@ def _append(monitor: Any, journal: Journal) -> None:
             "rows_sketched": manager.rows_sketched,
             "chunks": [
                 {
-                    "rows": keep(chunk, lambda c=chunk: _rows(monitor, c)),
+                    "rows": (
+                        keep(chunk, lambda c=chunk: _rows(monitor, c))
+                        if reads_rows
+                        else None
+                    ),
                     "sketch": keep(
                         sketch, lambda s=sketch: _pack_sketch(monitor, journal, s)
                     ),
@@ -601,15 +608,21 @@ def _restore_windows(
 
     Each persisted sketch's counts are adopted onto the re-mined
     reference's fresh itemsets / counting plan only after an exact
-    structure-equality guard; a mismatch is damaged state.
+    structure-equality guard; a mismatch is damaged state. A chunk's
+    rows are decoded only when the monitor reads them again; a journal
+    an older build wrote with rows it never reads restores sketch-only.
     """
     manager = monitor.windows
     sketcher = manager.sketcher
     lits = monitor.kind == "transactions"
     unpack = unpack_support_sketch if lits else unpack_partition_sketch
+    reads_rows = monitor.reads_chunk_rows
     entries = []
     for entry in saved["chunks"]:
-        chunk = sketcher.normalize(_load_rows(monitor, *committed.read(entry["rows"])))
+        chunk = None
+        if reads_rows:
+            rows = _load_rows(monitor, *committed.read(entry["rows"]))
+            chunk = sketcher.normalize(rows)
         payload, path = committed.read(entry["sketch"])
         try:
             decoded = unpack(payload)

@@ -38,9 +38,12 @@ A fixed-structure bootstrap runs in count-space
 a window becomes a dataset only when a ``reset_on_drift`` promotion
 adopts it (the ring is then re-sketched in place for the new structure,
 the one case where a row is scanned twice) or ``refit_models=True``
-re-mines per replicate. :meth:`OnlineChangeMonitor.flush` drains the
-trailing rows into a final partial window so a finite stream never
-silently drops its tail.
+re-mines per replicate. The ring keeps a chunk's rows only when one of
+those, or the lits bootstrap's membership blocks, reads them
+(:attr:`OnlineChangeMonitor.reads_chunk_rows`); otherwise a window is
+its sketch alone, and a checkpoint persists no ring rows.
+:meth:`OnlineChangeMonitor.flush` drains the trailing rows into a final
+partial window so a finite stream never silently drops its tail.
 """
 
 from __future__ import annotations
@@ -77,6 +80,12 @@ from repro.stream.windows import (
 )
 
 KINDS = ("transactions", "tabular")
+
+
+class _SketchOnlyWindows(WindowManager):
+    """A window manager whose ring drops each chunk's rows once sketched."""
+
+    _keeps_rows = False
 
 
 @dataclass
@@ -268,8 +277,9 @@ class OnlineChangeMonitor:
         """Persist the full monitor state durably under ``directory``.
 
         Appends one CRC-framed record to the directory's journal and
-        fsyncs it once: the rows and sketch of each chunk that entered
-        the ring since the last checkpoint, and the small state. A kill
+        fsyncs it once: the sketch of each chunk that entered the ring
+        since the last checkpoint (and its rows, when
+        :attr:`reads_chunk_rows`), and the small state. A kill
         at *any* point leaves the last whole record to resume from.
         Returns the manifest path; see :mod:`repro.resilience.checkpoint`.
         """
@@ -348,6 +358,24 @@ class OnlineChangeMonitor:
         return self._warmup is None and self._windows is None
 
     @property
+    def reads_chunk_rows(self) -> bool:
+        """True when something reads a ring chunk's rows after its sketch.
+
+        A ``reset_on_drift`` promotion adopts the window as a dataset,
+        ``refit_models`` re-mines resampled rows, and the lits bootstrap
+        builds membership blocks from each chunk's index; any other
+        configuration measures a window by its sketch alone, so the ring
+        and the checkpoint journal keep no chunk rows. Every input is in
+        the checkpoint's configuration fingerprint, so a resume cannot
+        change it.
+        """
+        monitor = self.monitor
+        return monitor.policy == "reset_on_drift" or (
+            monitor.n_boot > 0
+            and (monitor.refit_models or self.kind == "transactions")
+        )
+
+    @property
     def windows(self) -> WindowManager | None:
         """The window manager; ``None`` until the reference is fitted."""
         return self._windows
@@ -372,7 +400,8 @@ class OnlineChangeMonitor:
         """Fit the warm-up rows as the reference and open the windows."""
         self.monitor.fit(self._warmup)
         self._warmup = None
-        self._windows = WindowManager(
+        manager = WindowManager if self.reads_chunk_rows else _SketchOnlyWindows
+        self._windows = manager(
             self._sketcher(),
             window_chunks=self.window_size // self.step,
             policy="tumbling" if self.step == self.window_size else "sliding",

@@ -16,9 +16,11 @@ Chunks are datasets of their kind -- a
 :class:`~repro.data.transactions.TransactionDataset` or a
 :class:`~repro.data.tabular.TabularDataset` view, the one row container
 each kind has -- so the ring, the row counts and a window's
-:meth:`Window.to_dataset` are kind-agnostic. The sketcher is the only
-kind-specific piece. Two implementations cover the paper's model
-classes: :class:`TransactionChunkSketcher` counts an itemset collection
+:meth:`Window.to_dataset` are kind-agnostic. A monitor whose
+configuration never reads a chunk's rows again keeps a sketch-only ring
+(each entry's chunk is ``None``, and its windows carry no chunks). The
+sketcher is the only kind-specific piece. Two implementations cover the
+paper's model classes: :class:`TransactionChunkSketcher` counts an itemset collection
 over transaction chunks (lits-models), and
 :class:`PartitionChunkSketcher` histograms a partition structure over
 tabular chunks (dt-/cluster-models). Both sketch kinds merge with ``+``
@@ -174,7 +176,8 @@ class Window:
 
     The chunks are the ring's datasets; joining them is deferred
     (:meth:`to_dataset`) so the cheap monitoring mode (which only reads
-    the sketch) never pays O(window) work per advance.
+    the sketch) never pays O(window) work per advance. A window of a
+    sketch-only ring has no chunks: its sketch is all it keeps.
     """
 
     index: int  #: ordinal of this window (0-based, per manager)
@@ -190,6 +193,11 @@ class Window:
         """The window's rows as one dataset, oldest first (for e.g. the
         bootstrap, which needs to resample actual rows); a one-chunk
         window is its chunk."""
+        if not self.chunks:
+            raise InvalidParameterError(
+                f"window {self.index} keeps its sketch only: its monitor's "
+                "configuration never reads the window's rows"
+            )
         dataset: DatasetLike = type(self.chunks[0]).concat_many(self.chunks)
         return dataset
 
@@ -224,6 +232,10 @@ class WindowManager:
     guarantee the streaming benches pin against rebuild-per-window
     baselines for both dataset kinds.
     """
+
+    #: whether the ring keeps each chunk's rows; a subclass for a
+    #: consumer that never reads them again holds ``None`` in their place
+    _keeps_rows = True
 
     def __init__(
         self,
@@ -298,12 +310,16 @@ class WindowManager:
 
     @property
     def ring(self) -> tuple[tuple[Any, Any], ...]:
-        """The ring buffer's ``(sketch, chunk)`` pairs, oldest first."""
+        """The ring buffer's ``(sketch, chunk)`` pairs, oldest first
+        (each chunk ``None`` in a sketch-only ring)."""
         return tuple(self._chunks)
 
     @property
     def buffered_chunks(self) -> tuple[Any, ...]:
-        """The normalised chunks currently in the ring, oldest first."""
+        """The normalised chunks currently in the ring, oldest first
+        (none in a sketch-only ring)."""
+        if not self._keeps_rows:
+            return ()
         return tuple(chunk for _, chunk in self._chunks)
 
     def _adopt(self, entries: list[tuple[Any, Any]]) -> None:
@@ -365,7 +381,7 @@ class WindowManager:
         n = len(chunk)
         self._count("stream.windows.rows_sketched", n)
         self._row_offset += n
-        self._chunks.append((sketch, chunk))
+        self._chunks.append((sketch, chunk if self._keeps_rows else None))
         self._current = self._current + sketch
 
         if self.policy == "sliding" and len(self._chunks) > self.window_chunks:
@@ -382,7 +398,7 @@ class WindowManager:
             start=self._row_offset - self._current.n_rows,
             stop=self._row_offset,
             sketch=self._current,
-            chunks=tuple(chunk for _, chunk in self._chunks),
+            chunks=self.buffered_chunks,
         )
         self._count("stream.windows.emitted", 1)
         if self.policy == "tumbling":

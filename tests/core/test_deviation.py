@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.aggregate import MAX, SUM
-from repro.core.deviation import deviation, deviation_over_structure
+from repro.core.deviation import (
+    _counts_from_models,
+    deviation,
+    deviation_over_structure,
+)
 from repro.core.difference import ABSOLUTE, SCALED
 from repro.core.dtree_model import DtModel
+from repro.core.gcr import gcr
 from repro.core.lits import LitsModel
 from repro.core.model import LitsStructure
 from repro.mining.tree.builder import TreeParams
@@ -137,3 +143,57 @@ class TestDeviationOverStructure:
         assert result.n1 == result.n2 == len(small_transactions)
         # supports: item 0 in 6/10, item 1 in 6/10.
         assert result.selectivities1.tolist() == [0.6, 0.6]
+
+
+def loop_counts(model, itemsets, n):
+    """The per-itemset lookup the support-vector path must equal."""
+    return np.array(
+        [round(model.supports[s] * n) for s in itemsets], dtype=np.int64
+    )
+
+
+@pytest.mark.parametrize("n1, n2", [(777, 1_237), (4_000, 3_999), (1, 2_001)])
+class TestCountsFromModels:
+    """The stored-measure counts of the identical-structure fast path."""
+
+    @pytest.fixture
+    def twins(self, basket_pair):
+        """A mined model and one over its itemsets measured on the other
+        dataset (a separately built canonical collection)."""
+        d1, d2 = basket_pair
+        m1 = LitsModel.mine(d1, 0.02)
+        sels = m1.structure.selectivities(d2)
+        m2 = LitsModel(dict(zip(m1.itemsets, sels)), 0.02, d2.n_items)
+        return m1, m2
+
+    def test_own_structures_equal_the_loop_bit_for_bit(self, twins, n1, n2):
+        m1, m2 = twins
+        structure = gcr(m1.structure, m2.structure)
+        assert m2.itemsets is not structure.itemsets
+        counts = _counts_from_models(m1, m2, structure, n1, n2)
+        for got, model, n in zip(counts, twins, (n1, n2)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, loop_counts(model, structure.itemsets, n))
+
+    def test_own_structures_read_the_support_vector(self, twins, n1, n2):
+        """No per-itemset lookup: emptied ``supports`` dicts change
+        nothing when the structure is both models' own."""
+        m1, m2 = twins
+        structure = m1.structure
+        expected = _counts_from_models(m1, m2, structure, n1, n2)
+        for model in twins:
+            object.__setattr__(model, "supports", {})
+        got = _counts_from_models(m1, m2, structure, n1, n2)
+        assert all(map(np.array_equal, got, expected))
+
+    def test_a_covering_model_is_looked_up(self, twins, basket_pair, n1, n2):
+        """A model whose itemsets only cover the structure's takes the
+        lookup; one that misses an itemset needs a scan."""
+        m1, _ = twins
+        d1, _ = basket_pair
+        wide = LitsModel.mine(d1, 0.01)
+        counts = _counts_from_models(m1, wide, m1.structure, n1, n2)
+        assert counts is not None
+        assert np.array_equal(counts[0], loop_counts(m1, m1.itemsets, n1))
+        assert np.array_equal(counts[1], loop_counts(wide, m1.itemsets, n2))
+        assert _counts_from_models(wide, m1, wide.structure, n1, n2) is None

@@ -5,7 +5,10 @@
 and of ``history``, whose history spans sealed blocks, all under
 bootstrap draw scheme 2; ``golden_scheme3/`` holds version-2,
 scheme-3 checkpoints of the two bootstrap scenarios, and
-``golden_v3/`` version-3 journals of all three under scheme 3. Shared by
+``golden_v3/`` version-3 journals of all three under scheme 3, and of
+``tabular_fixed`` (the ``tabular`` stream under the fixed reference
+policy), whose ring records carry the chunk rows its build wrote for
+every ring chunk. Shared by
 ``make_golden.py`` (which wrote the committed checkpoints) and the
 golden tests (which resume the version-3 ones and see the others
 refused): the monitor configuration here must match the fingerprint
@@ -87,7 +90,8 @@ def make_monitor(scenario: str) -> OnlineChangeMonitor:
         )
     common = dict(
         window_size=400, step=200, n_boot=8, threshold=95.0,
-        policy="reset_on_drift", rng=np.random.default_rng(11),
+        policy="fixed" if scenario == "tabular_fixed" else "reset_on_drift",
+        rng=np.random.default_rng(11),
     )
     if scenario == "transactions":
         return OnlineChangeMonitor(lits_builder, N_ITEMS, **common)

@@ -1,7 +1,7 @@
 """Regenerate the committed golden checkpoints into a directory.
 
 Run from the repository root with the directory to write and,
-optionally, the scenarios to write (all three by default)::
+optionally, the scenarios to write (all four by default)::
 
     PYTHONPATH=src python tests/resilience/make_golden.py tests/resilience/golden_v3
 
@@ -14,11 +14,14 @@ overwritten (``golden/`` holds the version-1 fixtures and
 ``golden_v2/`` and ``golden_scheme3/`` version-2 ones, which no current
 build can write; ``golden/`` and ``golden_v2/`` hold scheme-2 bootstrap
 checkpoints, ``golden_scheme3/`` their scheme-3 successors, and
-``golden_v3/`` the version-3 journals of all three scenarios).
+``golden_v3/`` the version-3 journals of all three scenarios and of
+``tabular_fixed``, written before a sketch-only ring stopped persisting
+chunk rows).
 
 Each scenario is pushed in chunks that do not align with the monitor's
 step, checkpointing after every push, until the monitor is past at
-least one reference promotion with rows waiting in its buffer (and,
+least one reference promotion (for ``tabular_fixed``, whose reference
+never moves, one drifted window) with rows waiting in its buffer (and,
 for ``history``, past a merged history block). That committed
 checkpoint goes to ``<dir>/<scenario>/checkpoint/``, the stream's
 remaining rows to ``<dir>/<scenario>/rest.*``, and the observation
@@ -42,7 +45,10 @@ from repro.data.io import save_tabular, save_transactions  # noqa: E402
 from repro.data.transactions import TransactionDataset  # noqa: E402
 
 
-def _promoted(monitor) -> bool:
+def _moved(name: str, monitor) -> bool:
+    """Past a promotion; under the fixed policy, past a drift."""
+    if name == "tabular_fixed":
+        return any(o.drifted for o in monitor.history)
     return any(o.reference_index != 0 for o in monitor.history)
 
 
@@ -64,10 +70,10 @@ def _write(out: Path, name: str, chunks: list, save_rest) -> None:
             live.checkpoint(tmp)
             merged = _HISTORY_BLOCK * _HISTORY_FANOUT
             sealed = name != "history" or len(live.history) > merged
-            if _promoted(live) and _buffered(live) and sealed:
+            if _moved(name, live) and _buffered(live) and sealed:
                 break
         else:
-            raise SystemExit(f"{name}: no promotion with a non-empty buffer")
+            raise SystemExit(f"{name}: no promotion or drift with a non-empty buffer")
         shutil.copytree(tmp, out / "checkpoint")
     rest = chunks[cut:]
     save_rest(rest, out)
@@ -93,15 +99,15 @@ def _save_rows(rest: list, out: Path) -> None:
     )
 
 
+def _save_table(rest: list, out: Path) -> None:
+    save_tabular(rest[0].concat_many(rest), out / "rest.npz")
+
+
 SCENARIOS = {
     "transactions": (gs.transaction_chunks, _save_rows),
-    "tabular": (
-        gs.tabular_chunks,
-        lambda rest, out: save_tabular(
-            rest[0].concat_many(rest), out / "rest.npz"
-        ),
-    ),
+    "tabular": (gs.tabular_chunks, _save_table),
     "history": (gs.history_chunks, _save_rows),
+    "tabular_fixed": (gs.tabular_chunks, _save_table),
 }
 
 

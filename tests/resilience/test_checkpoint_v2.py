@@ -5,7 +5,9 @@ observations in write-once history files, named again by later
 records, and only the open tail inline in each record's state. These
 tests pin that the blocks resume exactly (edited or not) and that the
 state stops growing with the stream. Of the committed fixtures, the
-``golden_v3/`` journals (format 3) resume bit-identically; the
+``golden_v3/`` journals (format 3) resume bit-identically -- the
+fixed-policy ``tabular_fixed`` one onto a sketch-only ring, leaving the
+ring rows its older build wrote unread; the
 version-1 checkpoints in ``golden/`` and the version-2 ones in
 ``golden_v2/`` and ``golden_scheme3/`` are refused typed, naming their
 version, by both a resume and a checkpoint, and stay byte-identical.
@@ -105,7 +107,7 @@ def blocks_of(directory: Path) -> list[str]:
 
 
 def rest_chunks(golden: Path, scenario: str) -> list:
-    if scenario == "tabular":
+    if scenario.startswith("tabular"):
         table = load_tabular(golden / scenario / "rest.npz")
         return list(iter_tabular_chunks(table, gs.CHUNK))
     rows = load_transactions(golden / scenario / "rest.rows")
@@ -402,6 +404,50 @@ class TestGoldenV3:
         assert resumed_lines(directory, self.golden, scenario) == (
             self.golden / scenario / "expected.txt"
         ).read_text()
+
+
+class TestGoldenV3FixedPolicy:
+    """A format-3 tabular journal under the fixed policy, written while
+    every ring record carried its chunk's rows: it resumes exactly onto
+    a sketch-only ring, untouched, and its next record writes no ring
+    rows."""
+
+    golden = HERE / "golden_v3"
+    scenario = "tabular_fixed"
+
+    def test_ring_records_carry_rows(self):
+        state = state_of(self.golden / self.scenario / "checkpoint")
+        assert state["version"] == 3 and state["config"]["policy"] == "fixed"
+        assert state["buffer"] is not None
+        chunks = state["windows"]["chunks"]
+        assert chunks and all(chunk["rows"] is not None for chunk in chunks)
+
+    def test_resume_reproduces_the_uninterrupted_run(self, tmp_path):
+        directory = tmp_path / "checkpoint"
+        shutil.copytree(self.golden / self.scenario / "checkpoint", directory)
+        before = files_of(directory)
+        assert resumed_lines(directory, self.golden, self.scenario) == (
+            self.golden / self.scenario / "expected.txt"
+        ).read_text()
+        assert files_of(directory) == before
+
+    def test_the_next_record_writes_no_ring_rows(self, tmp_path):
+        directory = tmp_path / "checkpoint"
+        shutil.copytree(self.golden / self.scenario / "checkpoint", directory)
+        monitor = gs.make_monitor(self.scenario).resume(directory)
+        assert all(chunk is None for _, chunk in monitor.windows.ring)
+        monitor.push(rest_chunks(self.golden, self.scenario)[0])
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            monitor.checkpoint(directory)
+        state = state_of(directory)
+        assert [chunk["rows"] for chunk in state["windows"]["chunks"]] == [
+            None
+        ] * len(monitor.windows.ring)
+        buffered = monitor.state()["buffer"]
+        assert registry.counter("resilience.checkpoint_rows_written") == (
+            0 if buffered is None else len(buffered)
+        )
 
 
 def _load(directory: Path, name: str) -> list:
